@@ -5,62 +5,31 @@ as `group by ?s having(count(...) <op> n)` pushed to the SPARQL store
 (CheckOwlRestrictionMax.php:152-165, Min:157-169, Exact:163) and
 owl:someValuesFrom existential anti-joins (CheckOwlRestrictionSome.php:149-163).
 
-Ray-Data-first execution — ONE shuffle for ALL grouped constraints:
-
-  stage 1 (map_batches, combiner): per batch, aggregate per key ->
-          one tiny row per (key, batch): total count, per-qualifier
-          counts, per-existential satisfied counts.  This is the salted /
-          two-phase pattern: hot keys (clip_id runs, codec skew) are
-          pre-reduced inside every block before the exchange, so the
-          shuffle moves O(distinct keys per block), not O(rows).
-  stage 2 (groupby(key).aggregate(Sum...)): merge partials.
-  stage 3 (map_batches over the merged aggregate): evaluate every
-          cardinality/existential constraint vectorized, emit violations.
-
-Zero-occurrence edge (CheckOwlRestrictionMin.php:210-250 — keys that
-never appear cannot be grouped): when the spec supplies an expected-key
-universe, missing keys are found by the same union-groupby anti-join used
-for referential integrity (checks/referential.py) and reported as
-CARD-MIN-102.
+This module holds stage 1 of the two-phase aggregate, the combiner: per
+batch, aggregate per key -> one tiny row per (key, batch): total count,
+per-qualifier counts, per-existential satisfied counts.  This is the
+salted pattern: hot keys (clip_id runs, codec skew) are pre-reduced
+inside every block before the exchange, so the shuffle moves O(distinct
+keys per block), not O(rows).  The suite runs it inside Ray Data and the
+partitioned runner stores its output per partition; both hand the
+partials to checks/unified_keyed.py, which merges them
+(pipelines.relational.merge_partials) and evaluates every cardinality,
+existential, referential-existence and zero-occurrence (CARD-MIN-102)
+constraint in one vectorized pass.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-import ray.data
-from ray.data.aggregate import Sum
-
-from ..spec import Cardinality, ConstraintSpec, Existential
-from ..checks.base import empty_violations, make_violations
+from ..spec import Cardinality, Existential
 from ..checks.predicates import PREDICATES
-from ..stages.base_ids import (
-    CARD_EXACT_100,
-    CARD_MAX_100,
-    CARD_MIN_100,
-    SOME_100,
-)
-
-
-def coalesce_partials(ds: "ray.data.Dataset", per_cpu: int = 1) -> "ray.data.Dataset":
-    """Coalesce combiner output before a hash exchange.
-
-    Partial-aggregate datasets inherit the input's block count (hundreds
-    of tiny blocks), and a groupby's cost scales with map-blocks x
-    reduce-partitions — fixed task overhead dominates.  Since partials
-    are orders of magnitude smaller than the input, coalescing them to
-    ~#CPU blocks is nearly free and collapses the exchange fan-out."""
-    import ray as _ray
-    n = max(2, int(_ray.cluster_resources().get("CPU", 8)) * per_cpu)
-    return ds.repartition(n)
 
 
 class _PartialAggregator:
-    """Stage-1 combiner: batch -> one row per key with partial counts."""
+    """Stage-1 combiner: batch -> one row per key with partial counts.
+    Rows with a null key belong to no group and are dropped here."""
 
     def __init__(self, key: str, cardinalities: list[Cardinality],
                  existentials: list[Existential]):
@@ -71,10 +40,11 @@ class _PartialAggregator:
     def __call__(self, batch: pa.Table) -> pa.Table:
         # Arrow-native combiner (round-3 verdict item #7): key keeps its
         # Arrow type (no object-dtype pandas copy), count columns group
-        # with Table.group_by; null keys form a group like pandas
-        # dropna=False did.  Arrow bool -> int8 cast happens Arrow-side
-        # (bool->numpy is a slow path).
+        # with Table.group_by.  Arrow bool -> int8 cast happens
+        # Arrow-side (bool->numpy is a slow path).
         import pyarrow.compute as pc
+        if batch.column(self.key).null_count:
+            batch = batch.filter(pc.is_valid(batch.column(self.key)))
         data: dict = {"key": batch.column(self.key)}
         sum_cols: list[str] = []
         for i, c in enumerate(self.cards):
@@ -95,94 +65,3 @@ class _PartialAggregator:
             .aggregate([(c, "sum") for c in sum_cols])
         return g.rename_columns(
             [c[:-4] if c.endswith("_sum") else c for c in g.column_names])
-
-
-def grouped_violations(
-    ds: "ray.data.Dataset",
-    spec: ConstraintSpec,
-    batch_size: Optional[int] = None,
-    include_existentials: bool = True,
-) -> Optional["ray.data.Dataset"]:
-    """Run every same-key grouped constraint of ``spec`` in one shuffle.
-
-    Returns a Dataset of violation rows, or None when the spec declares
-    no grouped constraints.
-    """
-    from .predicates import PREDICATE_COLUMNS
-
-    key = spec.key_column
-    have = set(ds.schema().names)
-    if not key or key not in have:
-        return None
-    # constraints on absent columns are skipped — the absence is already
-    # reported by the driver-side schema check (SCHEMA-COLUMN-101)
-    cards = [
-        c for c in spec.cardinalities
-        if c.key == key and c.column in have
-        and (c.qualifier is None
-             or PREDICATE_COLUMNS.get(c.qualifier, {None}) <= have)
-    ]
-    exts = ([e for e in spec.existentials
-             if e.key == key
-             and PREDICATE_COLUMNS.get(e.predicate, {None}) <= have]
-            if include_existentials else [])
-    if not cards and not exts:
-        return None
-
-    needed = {key} | {c.column for c in cards}
-    for e in exts:
-        needed |= PREDICATE_COLUMNS[e.predicate]
-    for c in cards:
-        if c.qualifier:
-            needed |= PREDICATE_COLUMNS[c.qualifier]
-    needed &= have
-
-    partials = ds.select_columns(sorted(needed)).map_batches(
-        _PartialAggregator(key, cards, exts),
-        batch_format="pyarrow",
-        batch_size=batch_size,   # None = whole blocks: best combining ratio
-    )
-    partials = coalesce_partials(partials)
-    sums = [Sum(f"card{i}_n", alias_name=f"card{i}_n") for i in range(len(cards))]
-    sums += [Sum(f"ext{j}_n", alias_name=f"ext{j}_n") for j in range(len(exts))]
-    sums += [Sum("n_rows", alias_name="n_rows")]
-    merged = partials.groupby("key").aggregate(*sums)
-
-    cards_snapshot = list(cards)
-    exts_snapshot = list(exts)
-
-    def emit(t: pa.Table) -> pa.Table:
-        out = []
-        keys = np.asarray(t.column("key").to_pylist(), dtype=object)
-        for i, c in enumerate(cards_snapshot):
-            n = t.column(f"card{i}_n").to_numpy(zero_copy_only=False)
-            if c.max_count is not None:
-                m = n > c.max_count
-                if m.any():
-                    out.append(make_violations(
-                        CARD_MAX_100, keys[m], c.column, n[m],
-                        expected=f"count<={c.max_count}" + (f" where {c.qualifier}" if c.qualifier else "")))
-            if c.min_count is not None:
-                m = n < c.min_count
-                if m.any():
-                    out.append(make_violations(
-                        CARD_MIN_100, keys[m], c.column, n[m],
-                        expected=f"count>={c.min_count}" + (f" where {c.qualifier}" if c.qualifier else "")))
-            if c.exact_count is not None:
-                m = n != c.exact_count
-                if m.any():
-                    out.append(make_violations(
-                        CARD_EXACT_100, keys[m], c.column, n[m],
-                        expected=f"count=={c.exact_count}" + (f" where {c.qualifier}" if c.qualifier else "")))
-        for j, e in enumerate(exts_snapshot):
-            n = t.column(f"ext{j}_n").to_numpy(zero_copy_only=False)
-            m = n == 0
-            if m.any():
-                out.append(make_violations(
-                    SOME_100, keys[m], e.predicate, n[m],
-                    expected=f"some row satisfies {e.predicate}"))
-        if not out:
-            return empty_violations()
-        return pa.concat_tables(out).combine_chunks()
-
-    return merged.map_batches(emit, batch_format="pyarrow")

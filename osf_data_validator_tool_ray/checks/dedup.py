@@ -29,7 +29,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Min, Sum
 
 from ..functions import text as T
 
@@ -53,33 +52,21 @@ def exact_dedup_groups(
             keep_id=("_id", "min"), n=("_id", "size")).reset_index()
         return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
 
-    from ..pipelines.relational import fits_driver_merge
+    from ..pipelines.relational import merge_partials
+
+    def typed(t: pa.Table) -> pa.Table:
+        # an empty input still yields the result's column types
+        return t if t.num_rows else pa.table(
+            {"text_hash": pa.array([], type=pa.string()),
+             "keep_id": pa.array([], type=pa.int64()),
+             "n": pa.array([], type=pa.int64())})
 
     partials = ds.select_columns([text_col, id_col]).map_batches(
-        partial, batch_format="pyarrow", batch_size=None).materialize()
-    # adaptive final merge (row- and byte-gated): the per-batch hash
-    # partials are one row per distinct content per block, so small sets
-    # skip the exchange; at corpus scale the shuffle path runs
-    if fits_driver_merge(partials):
-        df = partials.to_pandas()
-        if len(df) == 0:
-            return ray.data.from_arrow(pa.table(
-                {"text_hash": pa.array([], type=pa.string()),
-                 "keep_id": pa.array([], type=pa.int64()),
-                 "n": pa.array([], type=pa.int64())}))
-        agg = df.groupby("text_hash", sort=False).agg(
-            keep_id=("keep_id", "min"), n=("n", "sum")).reset_index()
-        return ray.data.from_pandas(agg)
-    return partials.groupby("text_hash").aggregate(
-        Min("keep_id", alias_name="keep_id"), Sum("n", alias_name="n"))
-
-
-def exact_dedup_keep_first(
-    ds: "ray.data.Dataset", text_col: str, id_col: str
-) -> "ray.data.Dataset":
-    """The dedup itself: keep the min-id row per distinct content."""
-    groups = exact_dedup_groups(ds, text_col, id_col)
-    return groups.map_batches(lambda t: t.select(["keep_id"]), batch_format="pyarrow")
+        partial, batch_format="pyarrow", batch_size=None)
+    # the per-batch hash partials are one row per distinct content per
+    # block, so small sets merge in process; at corpus scale they shuffle
+    return merge_partials(partials, "text_hash", {"keep_id": "min", "n": "sum"},
+                          typed)
 
 
 class _MinHashStage:

@@ -6,14 +6,16 @@ somewhere in datasets ∪ ontologies, evaluated as a SPARQL
 deletes dangling triples (ibid.:392-480) — here the fix path quarantines
 dangling rows to a sink instead of mutating the source.
 
-Two scale regimes:
+The suite's REF-EXISTENCE-100 runs inside the one keyed pass
+(checks/unified_keyed.py); this module holds the generic anti-join
+primitives over any two tables.  Two scale regimes:
 
   * small key side  -> broadcast: collect the distinct key set (or a
     Bloom filter of it) on the driver via partial-distinct map_batches,
     ``ray.put`` once, filter the ref side per batch.  No shuffle.
   * both sides large -> union-groupby anti-join: per-batch distinct
-    partials on both sides tagged {is_ref, is_key}, one
-    ``groupby(key).aggregate(Max)`` exchange, keep rows with
+    partials on both sides tagged {is_ref, is_key}, one adaptive
+    max-merge (pipelines.relational.merge_partials), keep rows with
     is_ref=1, is_key=0.  The per-batch distinct is the combiner that
     keeps the shuffle proportional to distinct keys, not rows.
     An optional Bloom prefilter (functions.sketches.BloomFilter) built
@@ -29,10 +31,6 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ray.data.aggregate import Max
-
-from ..checks.base import empty_violations, make_violations
-from ..stages.base_ids import CARD_MIN_102, REF_EXISTENCE_100
 
 
 def _distinct_partial(col: str, tag: str):
@@ -61,8 +59,7 @@ def anti_join_missing(
     One hash exchange over per-batch-distinct partials; returns a Dataset
     with a single `key` column of missing values.
     """
-    from ..pipelines.relational import fits_driver_merge
-    from .cardinality import coalesce_partials
+    from ..pipelines.relational import merge_partials
 
     r = refs.select_columns([ref_column]).map_batches(
         _distinct_partial(ref_column, "ref"), batch_format="pyarrow", batch_size=None)
@@ -74,54 +71,11 @@ def anti_join_missing(
             t.column("is_key").to_numpy(zero_copy_only=False) == 0)
         return t.filter(pa.array(m)).select(["key"])
 
-    # adaptive final merge (same pattern as the grouped checks): the
-    # per-batch-distinct partials are bounded by distinct keys, so small
-    # sets skip the hash exchange's fixed latency; at 10^12-key scale
-    # the count exceeds the threshold and the shuffle path runs
-    union_m = r.union(k).materialize()
-    if fits_driver_merge(union_m):
-        df = union_m.to_pandas()
-        agg = df.groupby("key", sort=False).agg(
-            is_ref=("is_ref", "max"), is_key=("is_key", "max")).reset_index()
-        t = pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-        return ray.data.from_arrow(missing(t))
-
-    merged = coalesce_partials(union_m).groupby("key").aggregate(
-        Max("is_ref", alias_name="is_ref"), Max("is_key", alias_name="is_key"))
-    return merged.map_batches(missing, batch_format="pyarrow")
-
-
-def ref_existence_violations(
-    refs: "ray.data.Dataset",
-    ref_column: str,
-    keys: "ray.data.Dataset",
-    key_column: str,
-    check_id: str = REF_EXISTENCE_100,
-) -> "ray.data.Dataset":
-    missing = anti_join_missing(refs, ref_column, keys, key_column)
-
-    def to_violations(t: pa.Table) -> pa.Table:
-        vals = t.column("key").to_pylist()
-        if not vals:
-            return empty_violations()
-        return make_violations(check_id, vals, ref_column, vals,
-                               expected=f"exists in {key_column}")
-
-    return missing.map_batches(to_violations, batch_format="pyarrow")
-
-
-def zero_edge_violations(
-    expected_keys: "ray.data.Dataset",
-    expected_column: str,
-    ds: "ray.data.Dataset",
-    key_column: str,
-) -> "ray.data.Dataset":
-    """CheckOwlRestrictionMin zero-occurrence edge
-    (CheckOwlRestrictionMin.php:210-250): expected keys with NO rows at
-    all — the groupby can never see them, so they come from this
-    anti-join against the expected-key universe."""
-    return ref_existence_violations(expected_keys, expected_column, ds, key_column,
-                                    check_id=CARD_MIN_102)
+    # the per-batch-distinct partials are bounded by distinct keys, so
+    # small sets skip the hash exchange's fixed latency; at 10^12-key
+    # scale the shuffle path runs
+    return merge_partials(r.union(k), "key", {"is_ref": "max", "is_key": "max"},
+                          missing)
 
 
 def broadcast_membership_filter(

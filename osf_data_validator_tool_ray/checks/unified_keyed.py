@@ -1,46 +1,61 @@
 """Unified keyed-check pass — ALL per-key constraints in ONE exchange.
 
-The clips suite has three families of keyed checks, all grouping on the
+The clips suite has four families of keyed checks, all grouping on the
 same primary key (clip_id):
 
-  * cardinality min/max/exact (counts from the metadata scan)
+  * cardinality min/max/exact (qualified counts per key)
+  * per-group existential (predicate-true count per key)
   * referential existence (refs side must hit an existing key)
-  * per-group existential (decodable count from the decode-stats pass)
+  * zero-occurrence edge (an expected key must have >= 1 row)
 
-Running them as separate groupbys costs three all-to-all exchanges whose
-fixed cost dominates. This pass unions their *partials* into one tagged
-table and resolves every constraint from a SINGLE groupby(key):
+Running them as separate groupbys costs one all-to-all exchange each,
+and their fixed cost dominates.  This module is the one planner and
+emitter for all of them, shared by both executors:
+
+  * ``keyed_plan`` derives, from (spec, available columns, decode), the
+    constraints the keyed pass evaluates, the existentials the decode
+    scan owns, and the columns the keyed pass reads;
+  * the suite (pipelines/runner.py) feeds ``keyed_violations`` the
+    combiner partials of its metadata scan, and the partitioned runner
+    (pipelines/partitioned.py) feeds it the partials each partition task
+    stored — the same ``_PartialAggregator`` rows either way.
+
+``keyed_violations`` unions the metadata partials with tagged refs /
+expected-key partials and resolves every constraint from ONE merge
+(pipelines.relational.merge_partials):
 
   merged row per key:
-    card{i}_n  — Sum of qualified counts        (metadata partials)
-    ext{j}_n   — Sum of predicate-true counts   (decode partials)
-    n_rows     — Sum of row counts              (metadata partials)
-    is_ref     — Max marker                     (refs partials)
+    card{i}_n    — Sum of qualified counts        (metadata partials)
+    ext{j}_n     — Sum of predicate-true counts   (metadata partials)
+    n_rows       — Sum of row counts              (metadata partials)
+    is_ref       — Max marker                     (refs partials)
+    is_expected  — Max marker                     (expected-key partials)
 
   verdicts:
     CARD-*        n_rows > 0 and count comparison fails
-    SOME-100      n_rows > 0, decode partials seen, ext_n == 0
-    REF-EXISTENCE n_rows == 0 and is_ref == 1   (ref key never seen)
+    SOME-100      n_rows > 0 and ext_n == 0
+    REF-EXISTENCE n_rows == 0 and is_ref == 1      (ref key never seen)
     CARD-MIN-102  n_rows == 0 and is_expected == 1 (zero-occurrence edge)
 
-One shuffle instead of three; partials are combiner-reduced per batch
-and coalesced to ~#CPU blocks before the exchange.
+Existentials over the payload in decode mode are counted by the decode
+scan instead (stages.decode_stage.existential_violations_from_partials),
+which keeps this exchange off the decode barrier.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Max, Sum
 
 from ..spec import Cardinality, ConstraintSpec, Existential
 from .base import empty_violations, make_violations
-from .cardinality import _PartialAggregator, coalesce_partials
+from .cardinality import _PartialAggregator
+from .predicates import PREDICATE_COLUMNS
 from ..stages.base_ids import (
     CARD_EXACT_100,
     CARD_MAX_100,
@@ -50,7 +65,68 @@ from ..stages.base_ids import (
     SOME_100,
 )
 
-_MARKERS = ("is_ref", "is_expected", "has_ext")
+_MARKERS = ("is_ref", "is_expected")
+
+
+@dataclass(frozen=True)
+class KeyedPlan:
+    key: Optional[str]                      # None: no keyed pass
+    cards: tuple[Cardinality, ...] = ()     # evaluated by the keyed pass
+    exts: tuple[Existential, ...] = ()      # counted by the keyed pass
+    decode_exts: tuple[Existential, ...] = ()   # counted by the decode scan
+    columns: tuple[str, ...] = ()           # read by the keyed pass
+
+    @property
+    def sum_columns(self) -> list[str]:
+        """The partials' count columns, positional in cards / exts."""
+        return ([f"card{i}_n" for i in range(len(self.cards))]
+                + [f"ext{j}_n" for j in range(len(self.exts))] + ["n_rows"])
+
+    def aggregator(self) -> _PartialAggregator:
+        """The combiner: batch -> one row per key with the sum columns."""
+        return _PartialAggregator(self.key, list(self.cards), list(self.exts))
+
+    def partials(self, ds: "ray.data.Dataset") -> "ray.data.Dataset":
+        """The combiner over a Dataset holding ``columns``."""
+        return ds.select_columns(list(self.columns)).map_batches(
+            self.aggregator(), batch_format="pyarrow", batch_size=None)
+
+
+def _reads(column: Optional[str], predicate: Optional[str]) -> Optional[set]:
+    """Columns a constraint reads; None when its predicate is unknown."""
+    if predicate is not None and predicate not in PREDICATE_COLUMNS:
+        return None
+    return ({column} if column else set()) | PREDICATE_COLUMNS.get(predicate, set())
+
+
+def keyed_plan(spec: ConstraintSpec, names: Optional[set],
+               decode: bool) -> KeyedPlan:
+    """Plan the keyed pass for a table with columns ``names`` (None: every
+    column the spec names is present).
+
+    Constraints on absent columns or unknown predicates are skipped; the
+    driver's unevaluable_warnings sweep reports them.  With ``decode``
+    the payload column belongs to the decode scan: existentials that
+    read it move to ``decode_exts`` and the keyed pass never reads it."""
+    key = spec.key_column
+    if not key or (names is not None and key not in names):
+        return KeyedPlan(None)
+
+    def evaluable(cols: Optional[set]) -> bool:
+        return cols is not None and (names is None or cols <= names)
+
+    cards = [(c, _reads(c.column, c.qualifier)) for c in spec.cardinalities
+             if c.key == key]
+    cards = [(c, r) for c, r in cards
+             if evaluable(r) and not (decode and "bytes" in r)]
+    exts = [(e, _reads(None, e.predicate)) for e in spec.existentials
+            if e.key == key]
+    exts = [(e, r) for e, r in exts if evaluable(r)]
+    decode_exts = tuple(e for e, r in exts if decode and "bytes" in r)
+    exts = [(e, r) for e, r in exts if not (decode and "bytes" in r)]
+    columns = {key}.union(*(r for _, r in cards + exts))
+    return KeyedPlan(key, tuple(c for c, _ in cards), tuple(e for e, _ in exts),
+                     decode_exts, tuple(sorted(columns)))
 
 
 def _pad(t: pa.Table, all_cols: list[str]) -> pa.Table:
@@ -61,195 +137,111 @@ def _pad(t: pa.Table, all_cols: list[str]) -> pa.Table:
     return t.select(all_cols)
 
 
-def unified_keyed_violations(
-    meta_ds: "ray.data.Dataset",
+def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
+                    all_cols: list[str]) -> "ray.data.Dataset":
+    """Distinct non-null values of ``col`` tagged with ``marker``; the key
+    dtype is preserved so it matches the metadata partials' key type for
+    the union (ints stay ints)."""
+    def fn(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        u = pc.unique(pc.drop_null(t.column(col).combine_chunks()))
+        base = pa.table({"key": u,
+                         marker: pa.array(np.ones(len(u), dtype=np.int64))})
+        return _pad(base, all_cols)
+
+    return ds.select_columns([col]).map_batches(
+        fn, batch_format="pyarrow", batch_size=None)
+
+
+def keyed_violations(
+    partials: "ray.data.Dataset",
+    plan: KeyedPlan,
     spec: ConstraintSpec,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
-    ext_partials: Optional["ray.data.Dataset"] = None,
-    ext_predicates: Optional[list[str]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
     expected_key_column: str = "key",
-    include_existentials_from_meta: bool = False,
-    skip_ext_columns: tuple = (),
-) -> Optional["ray.data.Dataset"]:
-    """Plan the single-exchange keyed pass.  ``ext_partials`` is the
-    (key, _ext_n) dataset from stages.decode_stage.bytes_suite_pass.
-
-    ``skip_ext_columns``: existentials whose predicate reads one of these
-    columns are excluded from the metadata partials (decode mode hands
-    those to the fused bytes scan); metadata-only existentials remain
-    enforced here."""
-    from .predicates import PREDICATE_COLUMNS
-
-    key = spec.key_column
-    have = set(meta_ds.schema().names)
-    if not key or key not in have:
-        return None
-    # unevaluable constraints (absent column / unknown predicate) are
-    # skipped here; the driver's unevaluable_warnings sweep reports them
-    cards = [
-        c for c in spec.cardinalities
-        if c.key == key and c.column in have
-        and (c.qualifier is None
-             or PREDICATE_COLUMNS.get(c.qualifier, {None}) <= have)
-    ]
-    meta_exts = ([e for e in spec.existentials
-                  if e.key == key
-                  and PREDICATE_COLUMNS.get(e.predicate, {None}) <= have
-                  and not (PREDICATE_COLUMNS.get(e.predicate, frozenset())
-                           & set(skip_ext_columns))]
-                 if include_existentials_from_meta else [])
-    ext_predicates = ext_predicates or []
-
-    needed = {key} | {c.column for c in cards}
-    for c in cards:
-        if c.qualifier:
-            needed |= PREDICATE_COLUMNS[c.qualifier]
-    for e in meta_exts:
-        needed |= PREDICATE_COLUMNS[e.predicate]
-    needed &= have
-
-    card_cols = [f"card{i}_n" for i in range(len(cards))]
-    mext_cols = [f"ext{j}_n" for j in range(len(meta_exts))]
-    dext_cols = [f"dext{j}_n" for j in range(len(ext_predicates))]
-    all_cols = (["key"] + card_cols + mext_cols + dext_cols + ["n_rows"]
-                + list(_MARKERS))
-
-    parts: list["ray.data.Dataset"] = []
-
-    if cards or meta_exts:
-        meta_partials = meta_ds.select_columns(sorted(needed)).map_batches(
-            _PartialAggregator(key, cards, meta_exts),
-            batch_format="pyarrow", batch_size=None)
-        parts.append(meta_partials.map_batches(
-            lambda t: _pad(t, all_cols), batch_format="pyarrow", batch_size=None))
-    else:
-        def key_only(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            u = pc.unique(pc.drop_null(t.column(key).combine_chunks()))
-            base = pa.table({"key": u,
-                             "n_rows": pa.array(np.ones(len(u), dtype=np.int64))})
-            return _pad(base, all_cols)
-        parts.append(meta_ds.select_columns([key]).map_batches(
-            key_only, batch_format="pyarrow", batch_size=None))
-
-    if refs:
-        for ri in spec.ref_integrity:
-            if ri.ref_table not in refs:
-                continue
-            rds = refs[ri.ref_table]
-
-            def ref_partial(t: pa.Table, col=ri.ref_column) -> pa.Table:
-                # key dtype preserved — must match the metadata partials'
-                # key type for the union (ints stay ints)
-                import pyarrow.compute as pc
-                u = pc.unique(pc.drop_null(t.column(col).combine_chunks()))
-                base = pa.table({"key": u,
-                                 "is_ref": pa.array(np.ones(len(u), dtype=np.int64))})
-                return _pad(base, all_cols)
-
-            parts.append(rds.select_columns([ri.ref_column]).map_batches(
-                ref_partial, batch_format="pyarrow", batch_size=None))
-
+) -> "ray.data.Dataset":
+    """Every keyed verdict from ``partials`` (``plan.aggregator()`` rows:
+    key, card{i}_n, ext{j}_n, n_rows) plus the refs / expected-key sides,
+    in one merge."""
+    all_cols = ["key"] + plan.sum_columns + list(_MARKERS)
+    parts = [partials.map_batches(lambda t: _pad(t, all_cols),
+                                  batch_format="pyarrow", batch_size=None)]
+    ref_tables = [ri for ri in spec.ref_integrity if refs and ri.ref_table in refs]
+    for ri in ref_tables:
+        parts.append(_marker_partial(refs[ri.ref_table], ri.ref_column,
+                                     "is_ref", all_cols))
     if expected_keys is not None:
-        def exp_partial(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            u = pc.unique(pc.drop_null(
-                t.column(expected_key_column).combine_chunks()))
-            base = pa.table({"key": u,
-                "is_expected": pa.array(np.ones(len(u), dtype=np.int64))})
-            return _pad(base, all_cols)
-        parts.append(expected_keys.select_columns([expected_key_column]).map_batches(
-            exp_partial, batch_format="pyarrow", batch_size=None))
+        parts.append(_marker_partial(expected_keys, expected_key_column,
+                                     "is_expected", all_cols))
+    union = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
-    if ext_partials is not None and ext_predicates:
-        def dext_partial(t: pa.Table) -> pa.Table:
-            base = pa.table({"key": t.column("key"),
-                             dext_cols[0]: t.column("_ext_n").cast(pa.int64()),
-                             "has_ext": pa.array(np.ones(t.num_rows, dtype=np.int64))})
-            return _pad(base, all_cols)
-        parts.append(ext_partials.map_batches(
-            dext_partial, batch_format="pyarrow", batch_size=None))
-
-    union = parts[0]
-    for p in parts[1:]:
-        union = union.union(p)
-
-    cards_snapshot = list(cards)
-    mext_snapshot = list(meta_exts)
-    dext_snapshot = list(ext_predicates)
-    have_refs = bool(refs) and bool(spec.ref_integrity)
-    have_expected = expected_keys is not None
     ref_col = spec.ref_integrity[0].ref_column if spec.ref_integrity else "key"
+    have_expected = expected_keys is not None   # emit must not capture a Dataset
 
     def emit(t: pa.Table) -> pa.Table:
         out = []
         keys = np.asarray(t.column("key").to_pylist(), dtype=object)
-        n_rows = t.column("n_rows").to_numpy(zero_copy_only=False)
-        present = n_rows > 0
-        for i, c in enumerate(cards_snapshot):
+        present = t.column("n_rows").to_numpy(zero_copy_only=False) > 0
+        for i, c in enumerate(plan.cards):
             n = t.column(f"card{i}_n").to_numpy(zero_copy_only=False)
             q = f" where {c.qualifier}" if c.qualifier else ""
-            if c.max_count is not None:
-                m = present & (n > c.max_count)
+            for cid, bound, bad, op in (
+                    (CARD_MAX_100, c.max_count, np.greater, "<="),
+                    (CARD_MIN_100, c.min_count, np.less, ">="),
+                    (CARD_EXACT_100, c.exact_count, np.not_equal, "==")):
+                if bound is None:
+                    continue
+                m = present & bad(n, bound)
                 if m.any():
-                    out.append(make_violations(CARD_MAX_100, keys[m], c.column, n[m],
-                                               expected=f"count<={c.max_count}{q}"))
-            if c.min_count is not None:
-                m = present & (n < c.min_count)
-                if m.any():
-                    out.append(make_violations(CARD_MIN_100, keys[m], c.column, n[m],
-                                               expected=f"count>={c.min_count}{q}"))
-            if c.exact_count is not None:
-                m = present & (n != c.exact_count)
-                if m.any():
-                    out.append(make_violations(CARD_EXACT_100, keys[m], c.column, n[m],
-                                               expected=f"count=={c.exact_count}{q}"))
-        for j, e in enumerate(mext_snapshot):
+                    out.append(make_violations(cid, keys[m], c.column, n[m],
+                                               expected=f"count{op}{bound}{q}"))
+        for j, e in enumerate(plan.exts):
             n = t.column(f"ext{j}_n").to_numpy(zero_copy_only=False)
             m = present & (n == 0)
             if m.any():
                 out.append(make_violations(SOME_100, keys[m], e.predicate, n[m],
                                            expected=f"some row satisfies {e.predicate}"))
-        if dext_snapshot:
-            has_ext = t.column("has_ext").to_numpy(zero_copy_only=False) > 0
-            for j, pred in enumerate(dext_snapshot):
-                n = t.column(f"dext{j}_n").to_numpy(zero_copy_only=False)
-                m = has_ext & (n == 0)
-                if m.any():
-                    out.append(make_violations(SOME_100, keys[m], pred, n[m],
-                                               expected=f"some row satisfies {pred}"))
-        if have_refs:
-            is_ref = t.column("is_ref").to_numpy(zero_copy_only=False) > 0
-            m = is_ref & ~present
+        if ref_tables:
+            m = (t.column("is_ref").to_numpy(zero_copy_only=False) > 0) & ~present
             if m.any():
                 out.append(make_violations(REF_EXISTENCE_100, keys[m], ref_col,
-                                           keys[m], expected=f"exists in {spec.key_column}"))
+                                           keys[m], expected=f"exists in {plan.key}"))
         if have_expected:
-            is_exp = t.column("is_expected").to_numpy(zero_copy_only=False) > 0
-            m = is_exp & ~present
+            m = (t.column("is_expected").to_numpy(zero_copy_only=False) > 0) & ~present
             if m.any():
-                out.append(make_violations(CARD_MIN_102, keys[m], spec.key_column or "key",
+                out.append(make_violations(CARD_MIN_102, keys[m], plan.key,
                                            [0] * int(m.sum()),
                                            expected="key has >=1 row"))
         return pa.concat_tables(out).combine_chunks() if out else empty_violations()
 
-    # adaptive final merge: the union of combiner partials is
-    # materialized (bounded by distinct keys, spills if huge); small sets
-    # merge driver-side, large ones take the one hash exchange
-    from ..pipelines.relational import fits_driver_merge
+    from ..pipelines.relational import merge_partials
+    return merge_partials(
+        union, "key",
+        {**{c: "sum" for c in plan.sum_columns}, **{m: "max" for m in _MARKERS}},
+        emit)
 
-    sum_cols = card_cols + mext_cols + dext_cols + ["n_rows"]
-    union_m = union.materialize()
-    if fits_driver_merge(union_m):
-        df = union_m.to_pandas()
-        agg = df.groupby("key", sort=False).agg(
-            {**{c: "sum" for c in sum_cols}, **{m: "max" for m in _MARKERS}}
-        ).reset_index()
-        t = pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-        return ray.data.from_arrow(emit(t))
 
-    aggs = [Sum(c, alias_name=c) for c in sum_cols]
-    aggs += [Max(m, alias_name=m) for m in _MARKERS]
-    merged = coalesce_partials(union_m).groupby("key").aggregate(*aggs)
-    return merged.map_batches(emit, batch_format="pyarrow")
+def unified_keyed_violations(
+    meta_ds: "ray.data.Dataset",
+    spec: ConstraintSpec,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+    expected_keys: Optional["ray.data.Dataset"] = None,
+    expected_key_column: str = "key",
+    include_existentials_from_meta: bool = False,
+    skip_ext_columns: tuple = (),
+) -> Optional["ray.data.Dataset"]:
+    """The keyed pass over a metadata Dataset; None when it lacks the key.
+
+    ``skip_ext_columns=("bytes",)`` plans for decode mode: existentials
+    over the payload are left to the fused bytes scan, while
+    metadata-only existentials remain enforced here."""
+    plan = keyed_plan(spec, set(meta_ds.schema().names),
+                      decode="bytes" in skip_ext_columns)
+    if plan.key is None:
+        return None
+    if not include_existentials_from_meta:
+        plan = replace(plan, exts=())
+    return keyed_violations(plan.partials(meta_ds), plan, spec, refs=refs,
+                            expected_keys=expected_keys,
+                            expected_key_column=expected_key_column)

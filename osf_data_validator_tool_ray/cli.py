@@ -6,12 +6,14 @@ inject context -> run() -> optional fix() -> append XML/JSON report).
         --input '/data/clips/*.parquet' [--refs /data/refs.parquet] \
         [--checkpoint-dir /ckpt] [--decode] [--fix --fix-dir /out] \
         [--baseline-profile profile.json] [--output-json report.json] \
-        [--mode strict|loose] [--num-cpus 32]
+        [--output-xml report.xml] [--mode strict|loose] [--num-cpus 32]
 
 Differences from the reference, by design:
   * checks run as streaming Ray Data pipelines, not sequential SPARQL
-  * reports are JSON only (the XML writer was an artifact of the OSF
-    stack); violations also land as a parquet sink for downstream use
+  * every run writes a JSON report; the default suite run can also
+    write the reference's XML report (--output-xml, which --checks and
+    --checkpoint-dir reject); violations also land as a parquet sink
+    for downstream use
   * --fix quarantines rows instead of mutating the source (see
     pipelines/fix.py)
 
@@ -54,6 +56,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--stats", action="store_true",
                     help="print ray Dataset per-stage stats to stderr")
     args = ap.parse_args(argv)
+    if args.output_xml and (args.checks or args.checkpoint_dir):
+        ap.error("--output-xml is written by the default suite run only; "
+                 "drop --checks / --checkpoint-dir")
 
     import ray
     if not ray.is_initialized():

@@ -26,12 +26,17 @@ atomic per-partition records keep resume semantics unchanged (store
 root must be on a filesystem all workers share — same contract as the
 artifact sinks).
 
-Final merge (cheap, always re-run):
-  * read all partitions' partials -> ONE groupby(key) -> grouped
-    violations (cardinality/existential constraints hold GLOBALLY across
-    partitions — duplicate clip_ids in different partitions are caught
-    here, which a purely per-partition design would miss)
-  * union with stored per-partition violations -> verdicts + report
+Final merge (cheap, always re-run; reads only stored artifacts):
+  * all partitions' partials go through the suite's own keyed pass
+    (checks/unified_keyed.keyed_violations): ONE merge per key yields
+    cardinality, existential and referential-existence verdicts
+    (these hold GLOBALLY across partitions — duplicate clip_ids in
+    different partitions are caught here, which a purely per-partition
+    design would miss)
+  * decode runs merge the stored decodable counts the same way
+    (stages.decode_stage.existential_violations_from_partials)
+  * union with stored per-partition violations -> verdicts + report,
+    counted by SuiteResult.violation_counts as the suite counts them
 
 Pass/fail is decided by ERROR-severity violations only; warnings are
 counted separately (mirrors SuiteResult.report and the reference's
@@ -53,14 +58,14 @@ from typing import Optional
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Sum
 
-from ..checks.cardinality import _PartialAggregator
-from ..checks.predicates import PREDICATE_COLUMNS
+from ..checks.base import empty_violations
+from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import _cache_fsspec_http_import
 from ..spec import ConstraintSpec
 from ..stages.facet_stage import StatelessValidator, stateless_columns
 from ..state.checkpoint import CheckpointStore
+from .runner import SuiteResult
 
 # concurrent partition threads issue Ray IO in parallel; make the
 # path-resolver's per-call fsspec import race-free first
@@ -86,9 +91,7 @@ def _run_partition(
     store_root: str,
     decode: bool,
     batch_size: Optional[int],
-    key: Optional[str],
-    cards: list,
-    meta_exts: list,
+    plan: KeyedPlan,
     declared_universals: frozenset,
 ) -> dict:
     """Process ONE partition inside one Ray task: stream the partition's
@@ -117,21 +120,10 @@ def _run_partition(
     sl_cols = [c for c in stateless_columns(spec, skip_columns=skip,
                                             include_universals=True)
                if c in names]
-    part_cols = set()
-    if key:
-        part_cols.add(key)
-    for c in cards:
-        part_cols.add(c.column)
-        if c.qualifier:
-            part_cols |= PREDICATE_COLUMNS[c.qualifier]
-    for e in meta_exts:
-        part_cols |= PREDICATE_COLUMNS[e.predicate]
-    # `bytes` stays in part_cols only if a qualifier genuinely reads it
-    meta_cols = sorted((set(sl_cols) | part_cols) & names)
+    meta_cols = sorted((set(sl_cols) | set(plan.columns)) & names)
 
     sl = StatelessValidator(spec, skip_columns=skip, include_universals=True)
-    do_partials = bool(key and (cards or meta_exts) and key in names)
-    agg = _PartialAggregator(key, cards, meta_exts) if do_partials else None
+    agg = plan.aggregator() if plan.key in names else None
 
     class _ArtifactStream:
         """Incremental artifact writer: each appended table flushes
@@ -247,24 +239,14 @@ def validate_partitioned(
         raise FileNotFoundError(f"no input files match {input_glob}")
     done = store.completed()
 
-    # constraint lists are filtered against the FIRST partition's schema
-    # (all partitions of one table share it) so the partials' positional
-    # ext{j}_n / card{i}_n columns stay consistent across partitions
+    # the keyed plan is made against the FIRST partition's schema (all
+    # partitions of one table share it) so the partials' positional
+    # card{i}_n / ext{j}_n columns stay consistent across partitions.
+    # NOTE: one store assumes one spec and decode setting across its
+    # lifetime (those positions follow the plan); the merge refuses
+    # stored partials that lack a planned column.
     names0, _ = partition_schema_and_rows(files[0])
-    key = spec.key_column
-    cards = [c for c in spec.cardinalities
-             if c.key == key and c.column in names0
-             and (c.qualifier is None
-                  or PREDICATE_COLUMNS.get(c.qualifier, {None}) <= names0)]
-    exts = [e for e in spec.existentials
-            if e.key == key
-            and PREDICATE_COLUMNS.get(e.predicate, {None}) <= names0]
-    # decode mode: bytes-derived existentials come from the decode scan's
-    # stored ext_partials; metadata-only ones stay in the keyed partials.
-    # NOTE: one store assumes one decode setting across its lifetime (the
-    # partials' ext{j}_n column indices are positional in this list).
-    meta_exts = ([e for e in exts if "bytes" not in PREDICATE_COLUMNS[e.predicate]]
-                 if decode else exts)
+    plan = keyed_plan(spec, names0, decode)
     declared_universals = {u.predicate for u in spec.universals}
 
     todo = [p for p in files if _partition_id(p) not in done]
@@ -280,7 +262,7 @@ def validate_partitioned(
                 ready, pending = _ray.wait(pending, num_returns=1)
                 finished.extend(ready)
             pending.append(task.remote(path, spec, store.root, decode,
-                                       batch_size, key, cards, meta_exts,
+                                       batch_size, plan,
                                        frozenset(declared_universals)))
         _ray.get(finished + pending)     # re-raises the first task failure
     n_ran = len(todo)
@@ -295,83 +277,29 @@ def validate_partitioned(
             out.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
         return out
 
+    parts = []
     viol_files = _files(store.artifact_dirs("violations"))
-    all_viol = ray.data.read_parquet(viol_files) if viol_files else None
-
+    if viol_files:
+        parts.append(ray.data.read_parquet(viol_files))
     partial_files = _files(store.artifact_dirs("partials"))
-    ext_files = _files(store.artifact_dirs("ext_partials"))
-    # the ext list the stored partials were written with: positional
-    # ext{j}_n columns — decode runs store bytes existentials separately
-    part_exts_used = meta_exts if ext_files else exts
-    if partial_files and key and (cards or exts):
+    if plan.key and partial_files:
         partials = ray.data.read_parquet(partial_files)
-        have_cols = set(partials.schema().names)
-        merge_exts = [e for j, e in enumerate(part_exts_used)
-                      if f"ext{j}_n" in have_cols]
-        sum_cols = [f"card{i}_n" for i in range(len(cards))
-                    if f"card{i}_n" in have_cols]
-        sum_cols += [f"ext{j}_n" for j in range(len(merge_exts))]
-        sum_cols += ["n_rows"]
-        emitter = _make_emitter(cards, merge_exts)
-        # adaptive: the stored partials are one row per (key, block) —
-        # small stores merge driver-side, large ones take the exchange
-        from .relational import fits_driver_merge
-        partials_m = partials.materialize()
-        if fits_driver_merge(partials_m):
-            df = partials_m.to_pandas()
-            agg = df.groupby("key", sort=False)[sum_cols].sum().reset_index()
-            t = pa.Table.from_pandas(agg, preserve_index=False) \
-                .replace_schema_metadata(None)
-            grouped = ray.data.from_arrow(emitter(t))
-        else:
-            merged = partials_m.groupby("key").aggregate(
-                *[Sum(c, alias_name=c) for c in sum_cols])
-            grouped = merged.map_batches(emitter, batch_format="pyarrow")
-        all_viol = grouped if all_viol is None else all_viol.union(grouped)
-
-    if ext_files:
+        missing = set(plan.sum_columns) - set(partials.schema().names)
+        if missing:
+            raise ValueError(
+                f"checkpoint store {store.root} holds partials without "
+                f"{sorted(missing)}: written under another spec or decode setting")
+        parts.append(keyed_violations(partials, plan, spec, refs=refs))
+    ext_files = _files(store.artifact_dirs("ext_partials"))
+    if ext_files and any(e.predicate == "decodable_bytes" for e in plan.decode_exts):
         from ..stages.decode_stage import existential_violations_from_partials
-        ev = existential_violations_from_partials(ray.data.read_parquet(ext_files))
-        all_viol = ev if all_viol is None else all_viol.union(ev)
+        parts.append(existential_violations_from_partials(
+            ray.data.read_parquet(ext_files)))
 
-    # referential existence across ALL partitions: the stored partials
-    # carry every present key, so the refs side anti-joins against them
-    # without touching the raw rows again
-    if refs and partial_files:
-        from ..checks.referential import ref_existence_violations
-        keys_ds = ray.data.read_parquet(partial_files).map_batches(
-            lambda t: t.select(["key"]), batch_format="pyarrow")
-        for ri in spec.ref_integrity:
-            if ri.ref_table in refs:
-                rv = ref_existence_violations(
-                    refs[ri.ref_table], ri.ref_column, keys_ds, "key")
-                all_viol = rv if all_viol is None else all_viol.union(rv)
-
-    if all_viol is not None:
-        # verdict counts via per-block value_counts partials merged on
-        # the driver (tiny) — no second hash exchange
-        import pandas as pd
-
-        def count_partial(t: pa.Table) -> pa.Table:
-            df = t.select(["check_id", "severity"]).to_pandas()
-            agg = df.groupby(["check_id", "severity"], sort=False) \
-                .size().rename("n").reset_index()
-            return pa.Table.from_pandas(agg, preserve_index=False) \
-                .replace_schema_metadata(None)
-
-        parts = [b.to_pandas() for b in all_viol.map_batches(
-            count_partial, batch_format="pyarrow",
-            batch_size=None).iter_batches(batch_format="pyarrow", batch_size=None)]
-        counts = (pd.concat(parts, ignore_index=True)
-                  .groupby(["check_id", "severity"])["n"].sum().reset_index()
-                  if parts else pd.DataFrame(columns=["check_id", "severity", "n"]))
-        err = counts[counts.severity == "error"]
-        warn = counts[counts.severity == "warning"]
-        report["violations"] = {r["check_id"]: int(r["n"]) for _, r in err.iterrows()}
-        report["warnings"] = {r["check_id"]: int(r["n"]) for _, r in warn.iterrows()}
-    else:
-        report["violations"] = {}
-        report["warnings"] = {}
+    violations = (parts[0].union(*parts[1:]) if parts
+                  else ray.data.from_arrow(empty_violations()))
+    report["violations"], report["warnings"] = \
+        SuiteResult(violations, empty_violations()).severity_counts()
     recs = store.records()
     report["n_rows"] = sum(r.get("n_rows", 0) for r in recs)
     report["partitions"] = {
@@ -385,35 +313,3 @@ def validate_partitioned(
     report["pass"] = not report["violations"]
     return report
 
-
-def _make_emitter(cards, exts):
-    import numpy as np
-    from ..checks.base import empty_violations, make_violations
-    from ..stages.base_ids import CARD_EXACT_100, CARD_MAX_100, CARD_MIN_100, SOME_100
-
-    def emit(t: pa.Table) -> pa.Table:
-        out = []
-        keys = np.asarray(t.column("key").to_pylist(), dtype=object)
-        for i, c in enumerate(cards):
-            n = t.column(f"card{i}_n").to_numpy(zero_copy_only=False)
-            if c.max_count is not None and (n > c.max_count).any():
-                m = n > c.max_count
-                out.append(make_violations(CARD_MAX_100, keys[m], c.column, n[m],
-                                           expected=f"count<={c.max_count}"))
-            if c.min_count is not None and (n < c.min_count).any():
-                m = n < c.min_count
-                out.append(make_violations(CARD_MIN_100, keys[m], c.column, n[m],
-                                           expected=f"count>={c.min_count}"))
-            if c.exact_count is not None and (n != c.exact_count).any():
-                m = n != c.exact_count
-                out.append(make_violations(CARD_EXACT_100, keys[m], c.column, n[m],
-                                           expected=f"count=={c.exact_count}"))
-        for j, e in enumerate(exts):
-            n = t.column(f"ext{j}_n").to_numpy(zero_copy_only=False)
-            if (n == 0).any():
-                m = n == 0
-                out.append(make_violations(SOME_100, keys[m], e.predicate, n[m],
-                                           expected=f"some row satisfies {e.predicate}"))
-        return pa.concat_tables(out).combine_chunks() if out else empty_violations()
-
-    return emit

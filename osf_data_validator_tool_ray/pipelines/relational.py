@@ -51,6 +51,94 @@ def fits_driver_merge(materialized_ds: "ray.data.Dataset",
     return size is None or size <= DRIVER_MERGE_MAX_BYTES
 
 
+def coalesce_partials(ds: "ray.data.Dataset", per_cpu: int = 1) -> "ray.data.Dataset":
+    """Coalesce combiner output before a hash exchange.
+
+    Partial-aggregate datasets inherit the input's block count (hundreds
+    of tiny blocks), and a groupby's cost scales with map-blocks x
+    reduce-partitions — fixed task overhead dominates.  Since partials
+    are orders of magnitude smaller than the input, coalescing them to
+    ~#CPU blocks is nearly free and collapses the exchange fan-out."""
+    import ray as _ray
+    n = max(2, int(_ray.cluster_resources().get("CPU", 8)) * per_cpu)
+    return ds.repartition(n)
+
+
+def _fill_value(typ: pa.DataType) -> pa.Scalar:
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        return pa.scalar("", typ)
+    if pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
+        return pa.scalar(b"", typ)
+    if pa.types.is_boolean(typ):
+        return pa.scalar(False)
+    return pa.scalar(0).cast(typ)
+
+
+def merge_partials(
+    partials: "ray.data.Dataset",
+    keys: "str | list[str]",
+    aggs: dict[str, str],
+    finish: Callable[[pa.Table], pa.Table],
+    threshold: int = DRIVER_MERGE_THRESHOLD,
+) -> "ray.data.Dataset":
+    """The adaptive final merge of per-key combiner partials.
+
+    ``aggs`` maps each partial column to "sum", "min" or "max";
+    ``finish`` turns the merged table (one row per key) into the
+    result.  The partials are materialized (one row per key per block);
+    a set that passes ``fits_driver_merge`` merges in process with
+    Arrow's group_by and ``finish`` runs right here, with no further Ray
+    task.  Larger sets take ONE hash exchange over ~#CPU coalesced
+    blocks and ``finish`` maps over its output.
+
+    Null keys form one group on both tiers.  The exchange sorts on the
+    keys and cannot order a null against a value, so there each key
+    travels as a filled value plus a null flag and is restored before
+    ``finish``.  A caller that must not see null keys drops them in its
+    combiner."""
+    keylist = [keys] if isinstance(keys, str) else list(keys)
+    cols = list(aggs)
+    mat = partials.materialize()
+    if fits_driver_merge(mat, threshold):
+        tables = list(mat.iter_batches(batch_format="pyarrow", batch_size=None))
+        if not tables:
+            # zero blocks: an empty table in the partials' own types when
+            # Ray still knows them, so ``finish`` always runs
+            base = getattr(mat.schema(), "base_schema", None)
+            tables = [base.empty_table() if isinstance(base, pa.Schema) else
+                      pa.table({c: pa.array([], pa.int64()) for c in keylist + cols})]
+        t = pa.concat_tables(tables, promote_options="default")
+        g = t.group_by(keylist, use_threads=False).aggregate(
+            [(c, fn) for c, fn in aggs.items()])
+        arrow_names = {f"{c}_{fn}": c for c, fn in aggs.items()}
+        g = g.rename_columns([arrow_names.get(n, n) for n in g.column_names])
+        return ray.data.from_arrow(finish(g.select(keylist + cols)))
+
+    flags = [f"_null_{k}" for k in keylist]
+
+    def encode(t: pa.Table) -> pa.Table:
+        for k, f in zip(keylist, flags):
+            col = t.column(k)
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             pc.fill_null(col, _fill_value(col.type)))
+            t = t.append_column(f, pc.cast(pc.is_null(col), pa.int8()))
+        return t
+
+    def decode(t: pa.Table) -> pa.Table:
+        for k, f in zip(keylist, flags):
+            col = t.column(k)
+            t = t.set_column(t.schema.get_field_index(k), k, pc.if_else(
+                pc.equal(t.column(f), 1), pa.nulls(len(t), col.type), col))
+        return finish(t.select(keylist + cols))
+
+    agg_cls = {"sum": Sum, "min": Min, "max": Max}
+    merged = coalesce_partials(mat.map_batches(
+        encode, batch_format="pyarrow", batch_size=None)) \
+        .groupby(keylist + flags) \
+        .aggregate(*[agg_cls[fn](c, alias_name=c) for c, fn in aggs.items()])
+    return merged.map_batches(decode, batch_format="pyarrow")
+
+
 def filter_rows(
     ds: "ray.data.Dataset",
     predicate: Callable[[pa.Table], "pa.ChunkedArray | np.ndarray"],
@@ -101,28 +189,14 @@ def group_count_having(
         return g.rename_columns(
             ["_pn" if c == "count_all" else c for c in g.column_names])
 
-    from ..checks.cardinality import coalesce_partials
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None).materialize()
-
     def having(t: pa.Table) -> pa.Table:
+        t = t.rename_columns([count_alias if c == "_pn" else c
+                              for c in t.column_names])
         counts = t.column(count_alias).to_numpy(zero_copy_only=False)
         return t.filter(pa.array(cmp(counts, n)))
 
-    # adaptive final merge (see coalesce_partials docstring): combiner
-    # output size is known post-materialize; small partial sets merge
-    # driver-side instead of paying a sort-exchange's fixed latency
-    if fits_driver_merge(partials):
-        df = partials.to_pandas()
-        agg = df.groupby(keys, sort=False, dropna=False)["_pn"].sum() \
-                .rename(count_alias).reset_index()
-        t = pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-        return ray.data.from_arrow(having(t))
-
-    merged = coalesce_partials(partials) \
-        .groupby(keys if len(keys) > 1 else keys[0]) \
-        .aggregate(Sum("_pn", alias_name=count_alias))
-    return merged.map_batches(having, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return merge_partials(partials, keys, {"_pn": "sum"}, having)
 
 
 def existential_missing(
@@ -143,23 +217,12 @@ def existential_missing(
         return g.rename_columns(
             ["_sat" if c == "_sat_sum" else c for c in g.column_names])
 
-    from ..checks.cardinality import coalesce_partials
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None).materialize()
-
     def none_satisfy(t: pa.Table) -> pa.Table:
         m = t.column("_sat").to_numpy(zero_copy_only=False) == 0
         return t.filter(pa.array(m)).select([key])
 
-    if fits_driver_merge(partials):
-        df = partials.to_pandas()
-        agg = df.groupby(key, sort=False, dropna=False)["_sat"].sum().reset_index()
-        t = pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-        return ray.data.from_arrow(none_satisfy(t))
-
-    merged = coalesce_partials(partials).groupby(key) \
-        .aggregate(Sum("_sat", alias_name="_sat"))
-    return merged.map_batches(none_satisfy, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+    return merge_partials(partials, key, {"_sat": "sum"}, none_satisfy)
 
 
 def adaptive_groupby_apply(
@@ -201,19 +264,14 @@ def _adaptive_dedup_agg(
     ds: "ray.data.Dataset", keys: list[str], value_col: str, how: str,
     threshold: int = DRIVER_MERGE_THRESHOLD,
 ) -> "ray.data.Dataset":
-    """groupby(keys).agg(min/max of value_col) with the driver fast path."""
-    import pandas as pd
-    from ray.data.aggregate import Max as _Max, Min as _Min
+    """groupby(keys).agg(min/max of value_col) with the driver fast path;
+    pairs with a null id are dropped."""
+    def valid_pairs(t: pa.Table) -> pa.Table:
+        for k in keys:
+            t = t.filter(pc.is_valid(t.column(k)))
+        return t
 
-    mat = ds.materialize()
-    if fits_driver_merge(mat, threshold):
-        df = mat.to_pandas()
-        if len(df) == 0:
-            return mat
-        agg = df.groupby(keys, sort=False)[value_col].agg(how).reset_index()
-        return ray.data.from_pandas(agg)
-    agg_cls = _Max if how == "max" else _Min
-    return mat.groupby(keys).aggregate(agg_cls(value_col, alias_name=value_col))
+    return merge_partials(ds, keys, {value_col: how}, valid_pairs, threshold)
 
 
 def group_quantiles(
@@ -375,52 +433,35 @@ def grouped_agg(
             {**{k: g.column(k) for k in keylist},
              **{out: col_for(out) for out in arrow_name}})
 
-    from ..checks.cardinality import coalesce_partials
-
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=None).materialize()
-    if fits_driver_merge(partials, threshold):
-        df = partials.to_pandas()
-        if df.empty and not set(keylist) <= set(df.columns):
-            # a ZERO-block input (e.g. an empty parquet artifact) never
-            # runs the combiner, so to_pandas yields a column-less
-            # frame and groupby(keys) would KeyError — rebuild the
-            # empty result IN ARROW with the input schema's types (an
-            # empty pandas object series would become a null-typed
-            # column and break downstream Arrow kernels / schema
-            # compares; round-5 review)
-            schema = ds.schema()
-            base = getattr(schema, "base_schema", None)
-            if base is None and isinstance(schema, pa.Schema):
-                base = schema
+    if partials.count() == 0:
+        # an empty input (e.g. a ZERO-block empty parquet artifact) may
+        # never run the combiner, so the result is built IN ARROW with
+        # the input schema's types (a null-typed column would break
+        # downstream Arrow kernels / schema compares)
+        schema = ds.schema()
+        base = getattr(schema, "base_schema", None)
+        if base is None and isinstance(schema, pa.Schema):
+            base = schema
 
-            def arrow_type(col: str, default: pa.DataType) -> pa.DataType:
-                if base is not None and col in base.names:
-                    return base.field(col).type
-                return default
+        def arrow_type(col: str, default: pa.DataType) -> pa.DataType:
+            if base is not None and col in base.names:
+                return base.field(col).type
+            return default
 
-            cols = {k: pa.array([], type=arrow_type(k, pa.string()))
-                    for k in keylist}
-            for o, (c, fn) in specs.items():
-                if fn == "count":
-                    t = pa.int64()
-                else:
-                    t = arrow_type(c, pa.float64())
-                    if fn == "sum" and pa.types.is_integer(t):
-                        t = pa.int64()   # pandas sums ints to int64
-                cols[o] = pa.array([], type=t)
-            return ray.data.from_arrow(pa.table(cols))
-        out = df.groupby(keylist, sort=False, dropna=False).agg(
-            **{o: (o, fn) for o, fn in merge_fns.items()}).reset_index()
-        return ray.data.from_arrow(
-            pa.Table.from_pandas(out, preserve_index=False)
-            .replace_schema_metadata(None))
-
-    from ray.data.aggregate import Max as _Max, Min as _Min, Sum as _Sum
-    agg_cls = {"sum": _Sum, "min": _Min, "max": _Max}
-    aggs = [agg_cls[fn](o, alias_name=o) for o, fn in merge_fns.items()]
-    return coalesce_partials(partials) \
-        .groupby(keys if len(keylist) > 1 else keylist[0]).aggregate(*aggs)
+        cols = {k: pa.array([], type=arrow_type(k, pa.string()))
+                for k in keylist}
+        for o, (c, fn) in specs.items():
+            if fn == "count":
+                t = pa.int64()
+            else:
+                t = arrow_type(c, pa.float64())
+                if fn == "sum" and pa.types.is_integer(t):
+                    t = pa.int64()   # integer sums widen to int64
+            cols[o] = pa.array([], type=t)
+        return ray.data.from_arrow(pa.table(cols))
+    return merge_partials(partials, keylist, merge_fns, lambda t: t, threshold)
 
 
 def distinct_values(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
@@ -439,7 +480,6 @@ def distinct_values(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
                              col)
         return pa.table({column: pc.unique(col)})
 
-    from ..checks.cardinality import coalesce_partials
     return coalesce_partials(ds.map_batches(partial, batch_format="pyarrow", batch_size=None)) \
              .groupby(column).aggregate(Count(alias_name="_c")) \
              .map_batches(lambda t: t.select([column]), batch_format="pyarrow")
@@ -536,7 +576,6 @@ def distinct_counts(
     # table), then per-column groupby over the partial values: the number
     # of groups IS the distinct count; the exchange moves partial values,
     # never raw rows, and no driver set
-    from ..checks.cardinality import coalesce_partials
 
     parts_mat = parts.materialize()
     counts = {}

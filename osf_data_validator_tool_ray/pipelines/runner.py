@@ -6,15 +6,16 @@ pipelines that share one source:
   1. driver-side metadata checks (schema conformance, spec completeness)
   2. ONE fused stateless map_batches pass (facets, enums, cross-domain,
      and — in sniff mode — universal predicates) over a column-pruned scan
-  3. ONE exchange for ALL keyed constraints (cardinality, referential
+  3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over tagged combiner partials
-     (checks/unified_keyed.py)
+     (checks/unified_keyed.py, shared with the partitioned runner)
   4. decode=True: ONE scan of the payload column (bytes_suite_pass)
      yielding every bytes-derived finding, overlapped with 2-3 via a
      driver thread so the exchange never sits on the critical path
 
-Violation Datasets are unioned; the verdict aggregation (groupby
-check_id, tiny) is the only driver materialization of consequence.
+Violation Datasets are unioned; the verdict counts (per-block counts per
+check id, merged on the driver) are the only driver materialization of
+consequence.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ..checks.schema import (
     spec_completeness_violations,
     unevaluable_warnings,
 )
+from ..checks.unified_keyed import keyed_plan, keyed_violations
 from ..spec import ConstraintSpec
 from ..stages.facet_stage import StatelessValidator, stateless_columns
 
@@ -61,19 +63,32 @@ class SuiteResult:
     def violation_counts(self) -> pd.DataFrame:
         """Small aggregate: one row per (check_id, severity) with count —
         warnings and errors are structurally separated like the
-        reference's -5x / -10x id split."""
+        reference's -5x / -10x id split.  Each block is counted where it
+        lives and the per-block counts merge on the driver (tiny), so
+        the count takes no hash exchange."""
         if self._counts is None:
-            agg = self.violations.groupby(["check_id", "severity"]).count().to_pandas()
-            agg = agg.rename(columns={"count()": "n"})
-            drv = (
-                self.driver_violations.to_pandas()
-                .groupby(["check_id", "severity"]).size().rename("n").reset_index()
-            )
-            self._counts = (
-                pd.concat([agg, drv], ignore_index=True)
-                .groupby(["check_id", "severity"])["n"].sum().reset_index()
-            )
+            def count_partial(t: pa.Table) -> pa.Table:
+                df = t.select(["check_id", "severity"]).to_pandas()
+                agg = df.groupby(["check_id", "severity"], sort=False) \
+                    .size().rename("n").reset_index()
+                return pa.Table.from_pandas(agg, preserve_index=False) \
+                    .replace_schema_metadata(None)
+
+            parts = [b.to_pandas() for b in self.violations.map_batches(
+                count_partial, batch_format="pyarrow", batch_size=None)
+                .iter_batches(batch_format="pyarrow", batch_size=None)]
+            parts.append(count_partial(self.driver_violations).to_pandas())
+            self._counts = (pd.concat(parts, ignore_index=True)
+                            .groupby(["check_id", "severity"])["n"].sum()
+                            .reset_index())
         return self._counts
+
+    def severity_counts(self) -> tuple[dict[str, int], dict[str, int]]:
+        """(errors, warnings): violation count per check id."""
+        vc = self.violation_counts()
+        return tuple({r["check_id"]: int(r["n"]) for _, r in
+                      vc[vc.severity == sev].iterrows()}
+                     for sev in ("error", "warning"))
 
     def report_xml(self, sample: int = 20) -> str:
         """XML report — mirrors the reference's dual XML/JSON report
@@ -101,11 +116,7 @@ class SuiteResult:
         """pass/fail is decided by ERROR-severity violations only;
         warnings are reported but non-fatal (the reference's warning
         rows never fail a check either)."""
-        vc = self.violation_counts()
-        errors = {r["check_id"]: int(r["n"]) for _, r in
-                  vc[vc.severity == "error"].iterrows()}
-        warns = {r["check_id"]: int(r["n"]) for _, r in
-                 vc[vc.severity == "warning"].iterrows()}
+        errors, warns = self.severity_counts()
         checks = {
             cid: {"pass": errors.get(cid, 0) == 0,
                   "n_violations": errors.get(cid, 0),
@@ -125,20 +136,9 @@ def metadata_columns(spec: ConstraintSpec) -> list[str]:
     should build ``metadata_ds`` with read_parquet(columns=these) so the
     wide binary column is pruned AT THE READ (Ray's optimizer does not
     push a later select_columns into the parquet scan)."""
-    from ..checks.predicates import PREDICATE_COLUMNS
-
     cols = set(stateless_columns(spec, skip_columns=("bytes",),
                                  include_universals=True))
-    for c in spec.cardinalities:
-        cols.add(c.column)
-        if c.qualifier:
-            cols |= PREDICATE_COLUMNS.get(c.qualifier, frozenset())
-    for e in spec.existentials:
-        pc_cols = PREDICATE_COLUMNS.get(e.predicate, frozenset())
-        if "bytes" not in pc_cols:
-            cols |= pc_cols
-    if spec.key_column:
-        cols.add(spec.key_column)
+    cols |= set(keyed_plan(spec, None, decode=True).columns)
     cols.discard("bytes")
     return sorted(cols)
 
@@ -197,7 +197,14 @@ def run_suite(
     )
     parts.append(stateless)
 
-    from ..checks.unified_keyed import unified_keyed_violations
+    plan = keyed_plan(spec, set(actual_schema.names), decode)
+
+    def keyed_pass() -> Optional["ray.data.Dataset"]:
+        if plan.key is None:
+            return None
+        return keyed_violations(plan.partials(meta_ds), plan, spec, refs=refs,
+                                expected_keys=expected_keys,
+                                expected_key_column=expected_key_column)
 
     if decode and "bytes" in actual_schema.names:
         # Overlap: the decode scan (bytes_suite_pass materializes its
@@ -226,11 +233,7 @@ def run_suite(
 
         # metadata-only existentials (e.g. over transcript) stay in the
         # keyed pass; bytes-derived ones come from the decode partials
-        keyed = unified_keyed_violations(
-            meta_ds, spec, refs=refs,
-            expected_keys=expected_keys, expected_key_column=expected_key_column,
-            include_existentials_from_meta=True, skip_ext_columns=("bytes",),
-        )
+        keyed = keyed_pass()
         keyed_m = keyed.materialize() if keyed is not None else None
         stateless_m = stateless.materialize()
         parts = [stateless_m] + ([keyed_m] if keyed_m is not None else [])
@@ -239,14 +242,10 @@ def run_suite(
         if "err" in box:
             raise box["err"]
         parts.append(box["v"])
-        if any(e.predicate == "decodable_bytes" for e in spec.existentials):
+        if any(e.predicate == "decodable_bytes" for e in plan.decode_exts):
             parts.append(existential_violations_from_partials(box["p"]))
     else:
-        keyed = unified_keyed_violations(
-            meta_ds, spec, refs=refs,
-            expected_keys=expected_keys, expected_key_column=expected_key_column,
-            include_existentials_from_meta=True,
-        )
+        keyed = keyed_pass()
         if keyed is not None:
             parts.append(keyed)
 

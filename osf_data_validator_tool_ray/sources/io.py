@@ -169,8 +169,3 @@ def partition_schema_and_rows(partition: str) -> tuple[set, int]:
     pf = pq.ParquetFile(partition)
     return set(pf.schema_arrow.names), pf.metadata.num_rows
 
-
-def write_violations(ds: "ray.data.Dataset", out_dir: str) -> str:
-    """Partitioned parquet violations sink (never one giant file)."""
-    ds.write_parquet(out_dir)
-    return out_dir

@@ -370,15 +370,8 @@ def existential_violations_from_partials(
     driver_merge_threshold: int = 5_000_000,
 ):
     """SOME-100 over the decode partials: merge per-batch decodable
-    counts, flag keys where no row decoded.
-
-    Adaptive merge: the partials' row count is known cheaply (the parent
-    combined dataset is materialized), so small partial sets (< threshold
-    rows, i.e. a few MB) merge driver-side with a pandas groupby instead
-    of paying a full sort-exchange's fixed latency; at fleet scale
-    (10^12 keys) the count exceeds the threshold and the shuffle path
-    runs.  Same results either way."""
-    import pandas as pd
+    counts (pipelines.relational.merge_partials: in process when small,
+    one exchange at fleet scale), flag keys where no row decoded."""
 
     def emit(t: pa.Table) -> pa.Table:
         n = t.column("_ext_n").to_numpy(zero_copy_only=False)
@@ -389,15 +382,6 @@ def existential_violations_from_partials(
         return make_violations("SOME-100", keys[m], "decodable_bytes", n[m],
                                expected="some row satisfies decodable_bytes")
 
-    from ..pipelines.relational import fits_driver_merge
-    partials = partials.materialize()
-    if fits_driver_merge(partials, driver_merge_threshold):
-        df = partials.to_pandas()
-        agg = df.groupby("key", sort=False)["_ext_n"].sum().reset_index()
-        t = pa.table({"key": pa.array(agg["key"].astype(object), type=pa.string()),
-                      "_ext_n": pa.array(agg["_ext_n"].to_numpy(), type=pa.int64())})
-        return ray.data.from_arrow(emit(t))
-
-    from ray.data.aggregate import Sum
-    merged = partials.groupby("key").aggregate(Sum("_ext_n", alias_name="_ext_n"))
-    return merged.map_batches(emit, batch_format="pyarrow")
+    from ..pipelines.relational import merge_partials
+    return merge_partials(partials, "key", {"_ext_n": "sum"}, emit,
+                          driver_merge_threshold)

@@ -1,9 +1,9 @@
-"""Multimodal payload stages — images / video as opaque binary columns.
+"""Multimodal payload stages — images as opaque binary columns.
 
 Audio is this engine's native modality (real codecs in ..audio).  Image
-and video processing follow the SAME Ray-side design — opaque ``binary``
-column + typed metadata columns, actor-pool ``map_batches`` stages with
-small batches.  Image decode backends:
+processing follows the SAME Ray-side design — opaque ``binary`` column +
+typed metadata columns, actor-pool ``map_batches`` stages with small
+batches.  Image decode backends:
 
   * ``backend="png"``: a REAL pixel decoder — pure-numpy PNG (all five
     scanline filters, CRC-verified, stdlib zlib) + uncompressed 24-bit
@@ -16,14 +16,11 @@ small batches.  Image decode backends:
     plumbing tests whose payloads predate the real codec.
   * ``backend="pil"`` / ``"ffmpeg"``: raise NotImplementedError with the
     dependency name — the swap point for a full-format production
-    decoder (JPEG/WebP/video), which the sandbox cannot host.
+    decoder (JPEG/WebP), which needs an external imaging library.
 
 Expected metadata schema for an image table:
     (image_id: string, bytes: binary, width: int32, height: int32,
      format: string)
-and for video:
-    (video_id: string, bytes: binary, n_frames: int32, fps: float32,
-     codec: string)
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .. import audio as _audio
 from ..checks.base import empty_violations, make_violations
 
 _IMG_MAGIC = b"FIMG"          # deterministic fake image container
-_VID_MAGIC = b"FVID"
 
 
 def synth_image_payload(width: int, height: int, seed: int, fmt: str = "fimg") -> bytes:
@@ -48,12 +44,6 @@ def synth_image_payload(width: int, height: int, seed: int, fmt: str = "fimg") -
     rng = np.random.default_rng(seed)
     body = rng.integers(0, 256, size=width * height * 3, dtype=np.uint8).tobytes()
     return _IMG_MAGIC + struct.pack("<IIH", width, height, len(fmt)) + fmt.encode() + body
-
-
-def synth_video_payload(n_frames: int, w: int, h: int, seed: int) -> bytes:
-    rng = np.random.default_rng(seed)
-    body = rng.integers(0, 256, size=n_frames * 16, dtype=np.uint8).tobytes()  # token frames
-    return _VID_MAGIC + struct.pack("<IHH", n_frames, w, h) + body
 
 
 class ImageDecodeStage:
@@ -127,41 +117,6 @@ class ImageDecodeStage:
             "height": pa.array(hs),
             "mean_luma": pa.array(luma),
             "error": pa.array(errs, type=pa.string()),
-        })
-
-
-class VideoFrameSampleStage:
-    """Actor-pool stage: sample K frame tokens per video payload (fake
-    backend); real plumbing for the decode-heavy video path (small
-    batches, one payload at a time in memory)."""
-
-    def __init__(self, backend: str = "fake", k: int = 4):
-        if backend != "fake":
-            raise NotImplementedError(
-                f"backend {backend!r} requires ffmpeg/pyav; not in this env")
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = _audio.binary_views(batch.column("bytes"))
-        ids = batch.column("video_id").to_pylist()
-        out_ids, out_idx, out_tok = [], [], []
-        for i, buf in enumerate(payloads):
-            if buf is None or len(buf) < 12 or bytes(buf[:4]) != _VID_MAGIC:
-                continue
-            n_frames, w, h = struct.unpack_from("<IHH", buf, 4)
-            if n_frames == 0:
-                continue
-            picks = np.linspace(0, n_frames - 1, min(self.k, n_frames)).astype(int)
-            for fi in picks:
-                off = 12 + int(fi) * 16
-                tok = bytes(buf[off: off + 16])
-                out_ids.append(ids[i])
-                out_idx.append(int(fi))
-                out_tok.append(tok)
-        return pa.table({
-            "video_id": pa.array(out_ids, type=pa.string()),
-            "frame_index": pa.array(out_idx, type=pa.int32()),
-            "frame_token": pa.array(out_tok, type=pa.binary()),
         })
 
 

@@ -175,6 +175,17 @@ def test_partitioned_corrupt_partition_heals_on_rerun(tmp_path):
     assert rep["n_rows"] == 600
 
 
+def test_partitioned_refuses_partials_of_another_decode_setting(dataset, tmp_path):
+    """A decode=True store keeps no decodable counts in its keyed
+    partials; merging it under decode=False must fail loudly instead of
+    reading the missing counts as zero (a SOME-100 for every clip)."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    validate_partitioned(pattern, clips_spec(), store, decode=True)
+    with pytest.raises(ValueError, match="decode setting"):
+        validate_partitioned(pattern, clips_spec(), store)
+
+
 def _partition_basename(path):
     import os
     return os.path.splitext(os.path.basename(path))[0]

@@ -1,6 +1,9 @@
 """Property test: the unified one-exchange keyed pass agrees with an
 independent pure-pandas oracle on randomized tables and constraints."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,6 +11,7 @@ import ray.data
 from hypothesis import given, settings, strategies as st
 
 from osf_data_validator_tool_ray.checks.unified_keyed import unified_keyed_violations
+from osf_data_validator_tool_ray.pipelines import relational as rel
 from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec, RefIntegrity
 
 
@@ -18,6 +22,8 @@ def _expected(df, refs, max_count, min_count):
         "CARD-MIN-100": set(counts[counts < min_count].index.astype(str)),
         "REF-EXISTENCE-100": set(map(str, set(refs["r"]) - set(df["k"]))),
     }
+    # the ref keys double as the expected-key universe (zero-edge)
+    exp["CARD-MIN-102"] = exp["REF-EXISTENCE-100"]
     return exp
 
 
@@ -28,8 +34,12 @@ def _expected(df, refs, max_count, min_count):
     st.integers(1, 4),
     st.integers(1, 3),
     st.integers(1, 4),
+    st.sampled_from(["driver", "exchange"]),
 )
-def test_unified_matches_pandas_oracle(keys, ref_keys, max_count, min_count, nparts):
+def test_unified_matches_pandas_oracle(keys, ref_keys, max_count, min_count, nparts,
+                                       tier):
+    """Both merge tiers; the exchange tier is forced by failing the gate
+    (patched in the body: hypothesis rejects function-scoped fixtures)."""
     df = pd.DataFrame({"k": keys, "v": np.arange(len(keys))})
     refs = pd.DataFrame({"r": ref_keys})
     spec = ConstraintSpec(
@@ -41,18 +51,20 @@ def test_unified_matches_pandas_oracle(keys, ref_keys, max_count, min_count, npa
     )
     ds = ray.data.from_pandas(df).repartition(nparts)
     refs_ds = ray.data.from_pandas(refs) if len(refs) else None
-    out = unified_keyed_violations(
-        ds, spec, refs={"refs": refs_ds} if refs_ds is not None else None)
-    v = out.to_pandas()
+    with (mock.patch.object(rel, "fits_driver_merge", lambda ds, threshold=None: False)
+          if tier == "exchange" else contextlib.nullcontext()):
+        out = unified_keyed_violations(
+            ds, spec, refs={"refs": refs_ds} if refs_ds is not None else None,
+            expected_keys=refs_ds, expected_key_column="r")
+        v = out.to_pandas()
+    cids = ("CARD-MAX-100", "CARD-MIN-100", "REF-EXISTENCE-100", "CARD-MIN-102")
     if v.empty or "check_id" not in v.columns:
-        got = {cid: set() for cid in
-               ("CARD-MAX-100", "CARD-MIN-100", "REF-EXISTENCE-100")}
+        got = {cid: set() for cid in cids}
     else:
-        got = {cid: set(v[v.check_id == cid]["key"]) for cid in
-               ("CARD-MAX-100", "CARD-MIN-100", "REF-EXISTENCE-100")}
+        got = {cid: set(v[v.check_id == cid]["key"]) for cid in cids}
     want = _expected(df, refs, max_count, min_count)
     if refs_ds is None:
-        want["REF-EXISTENCE-100"] = set()
+        want["REF-EXISTENCE-100"] = want["CARD-MIN-102"] = set()
     assert got == want, (got, want)
 
 

@@ -1,19 +1,16 @@
 """Multimodal stage plumbing: real Ray actor-pool batch flow over opaque
-binary image/video columns with a deterministic fake decode backend
+binary image columns with a deterministic fake decode backend
 (imaging libs absent in this env; backends raise NotImplementedError)."""
 
-import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
 
 from osf_data_validator_tool_ray.stages.multimodal import (
     ImageDecodeStage,
-    VideoFrameSampleStage,
     image_decode_stats,
     image_decode_violations,
     synth_image_payload,
-    synth_video_payload,
 )
 
 
@@ -56,22 +53,4 @@ def test_image_decode_deterministic():
 def test_unimplemented_backends_are_marked():
     with pytest.raises(NotImplementedError):
         ImageDecodeStage(backend="pil")
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampleStage(backend="ffmpeg")
 
-
-def test_video_frame_sampling():
-    rows = [{"video_id": f"vid:{i}", "bytes": synth_video_payload(10 + i, 64, 48, seed=i),
-             "n_frames": 10 + i, "fps": 25.0, "codec": "fvid"} for i in range(10)]
-    rows.append({"video_id": "vid:bad", "bytes": b"xx", "n_frames": 0,
-                 "fps": 25.0, "codec": "fvid"})
-    ds = ray.data.from_arrow(pa.Table.from_pylist(rows)).repartition(2)
-    out = ds.map_batches(VideoFrameSampleStage, batch_format="pyarrow",
-                         fn_constructor_kwargs={"k": 4},
-                         batch_size=8, concurrency=(1, 2)).to_pandas()
-    assert set(out.video_id) == {f"vid:{i}" for i in range(10)}  # bad row skipped
-    per = out.groupby("video_id").size()
-    assert (per == 4).all()
-    # frame indexes within range and deterministic
-    assert out.frame_index.max() < 19
-    assert out.frame_token.map(len).eq(16).all()

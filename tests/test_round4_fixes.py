@@ -156,7 +156,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     import os
     import shutil
 
-    from osf_data_validator_tool_ray.checks.predicates import PREDICATE_COLUMNS
+    from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
     from osf_data_validator_tool_ray.pipelines.partitioned import (
         _run_partition, validate_partitioned)
     from osf_data_validator_tool_ray.sources.io import (
@@ -181,14 +181,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     assert "clip_id" in names0 and n0 == 30
 
     spec = clips_spec()
-    key = spec.key_column
-    cards = [c for c in spec.cardinalities
-             if c.key == key and c.column in names0
-             and (c.qualifier is None
-                  or PREDICATE_COLUMNS.get(c.qualifier, {None}) <= names0)]
-    exts = [e for e in spec.existentials
-            if e.key == key
-            and PREDICATE_COLUMNS.get(e.predicate, {None}) <= names0]
+    plan = keyed_plan(spec, names0, False)
     universals = frozenset(u.predicate for u in spec.universals)
 
     # run each fragment's task body in-process (the stub lance module
@@ -196,8 +189,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     # it must SKIP all fragments and run only the merge
     store = CheckpointStore(str(tmp_path / "store"))
     for p in parts:
-        m = _run_partition(p, spec, store.root, False, None, key, cards,
-                           exts, universals)
+        m = _run_partition(p, spec, store.root, False, None, plan, universals)
         assert m["lineage"] == p and m["n_rows"] == 30
     rep = validate_partitioned(lance_dir, spec, store)
     assert rep["partitions_total"] == 3
