@@ -8,19 +8,12 @@ dangling rows to a sink instead of mutating the source.
 
 The suite's REF-EXISTENCE-100 runs inside the one keyed pass
 (checks/unified_keyed.py); this module holds the generic anti-join
-primitives over any two tables.  Two scale regimes:
-
-  * small key side  -> broadcast: collect the distinct key set (or a
-    Bloom filter of it) on the driver via partial-distinct map_batches,
-    ``ray.put`` once, filter the ref side per batch.  No shuffle.
-  * both sides large -> union-groupby anti-join: per-batch distinct
-    partials on both sides tagged {is_ref, is_key}, one adaptive
-    max-merge (pipelines.relational.merge_partials), keep rows with
-    is_ref=1, is_key=0.  The per-batch distinct is the combiner that
-    keeps the shuffle proportional to distinct keys, not rows.
-    An optional Bloom prefilter (functions.sketches.BloomFilter) built
-    from the key side splits refs into definite-miss (immediate
-    violations, no shuffle) and maybe-present (small exact anti-join).
+primitive over any two tables: a union-groupby anti-join.  Per-batch
+distinct partials on both sides are tagged {is_ref, is_key}, one
+adaptive max-merge (pipelines.relational.merge_partials) keeps rows with
+is_ref=1, is_key=0.  The per-batch distinct is the combiner that keeps
+the merge proportional to distinct keys, not rows; small key sets stay
+on the driver tier, large ones take the hash exchange.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data
 
 
@@ -54,7 +46,7 @@ def anti_join_missing(
     keys: "ray.data.Dataset",
     key_column: str,
 ) -> "ray.data.Dataset":
-    """Distinct ref values with no matching key value (big-big regime).
+    """Distinct ref values with no matching key value.
 
     One hash exchange over per-batch-distinct partials; returns a Dataset
     with a single `key` column of missing values.
@@ -77,32 +69,3 @@ def anti_join_missing(
     return merge_partials(r.union(k), "key", {"is_ref": "max", "is_key": "max"},
                           missing)
 
-
-def broadcast_membership_filter(
-    refs: "ray.data.Dataset",
-    ref_column: str,
-    key_set_ref: "ray.ObjectRef",
-) -> "ray.data.Dataset":
-    """Broadcast regime: ``key_set_ref`` is ray.put(frozenset_of_keys) —
-    shipped to each task once via the object store, never per batch.
-    Returns distinct missing ref values per batch (caller unions)."""
-
-    class Probe:
-        def __init__(self):
-            # once per actor: resolve the broadcast and pre-build the
-            # Arrow value_set for vectorized pc.is_in probes
-            keys = ray.get(key_set_ref)
-            self.key_arr = pa.array(list(keys)) if keys else None
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vals = pa.array(pd.unique(batch.column(ref_column).to_pandas().dropna()),
-                            type=batch.schema.field(ref_column).type)
-            if self.key_arr is None:
-                return pa.table({"key": vals})
-            import pyarrow.compute as pc
-            present = pc.is_in(vals, value_set=self.key_arr.cast(vals.type))
-            return pa.table({"key": vals.filter(pc.invert(present))})
-
-    cpus = max(2, int(ray.cluster_resources().get("CPU", 8)))
-    return refs.select_columns([ref_column]).map_batches(
-        Probe, batch_format="pyarrow", concurrency=(1, cpus))

@@ -9,11 +9,13 @@ Here a check plugin is a named planner function over a RunContext; a run
 config lists `"<name>"` or `"<name>?k=v&k2=v2"` entries.  Each planner
 returns a violations Dataset (or a pyarrow Table for driver-side checks,
 or None when not applicable).  New checks register with @register.
+``plan_checks`` gathers a run's planners into one ``SuiteResult`` (the
+suite runner's result type), so its report is the suite's report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 from urllib.parse import parse_qsl
 
@@ -21,7 +23,11 @@ import pyarrow as pa
 
 import ray.data
 
+from ..pipelines.runner import SuiteResult
+from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
+from .base import empty_violations, make_violations, union_all
+from .schema import schema_violations, spec_completeness_violations
 
 
 @dataclass
@@ -32,7 +38,6 @@ class RunContext:
     refs: Optional[dict[str, "ray.data.Dataset"]] = None
     expected_keys: Optional["ray.data.Dataset"] = None
     baseline_profile_path: Optional[str] = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
     @property
     def meta_ds(self):
@@ -57,44 +62,35 @@ def parse_check_entry(entry: str) -> tuple[str, dict[str, str]]:
     return entry, {}
 
 
-def plan_checks(ctx: RunContext, entries: list[str]) -> list[Any]:
-    """Plan every configured check; returns Datasets / pyarrow Tables of
-    violation rows (unknown names raise, like an unloadable class)."""
-    out = []
+def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
+    """Plan every configured check into one SuiteResult: violation
+    Datasets go into ``violations``, driver-side pyarrow Tables into
+    ``driver_violations`` (unknown names raise, like an unloadable
+    class)."""
+    datasets, tables = [], [empty_violations()]
     for entry in entries:
         name, params = parse_check_entry(entry)
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
         res = CHECKS[name](ctx, **params)
         if res is not None:
-            out.append(res)
-    return out
+            (tables if isinstance(res, pa.Table) else datasets).append(res)
+    return SuiteResult(union_all(datasets), pa.concat_tables(tables))
 
 
 # ---------------------------------------------------------------------------
 # built-in check plugins (compose the engine's existing planners)
 # ---------------------------------------------------------------------------
 
-def _schema(ctx: RunContext):
-    s = ctx.ds.schema()
-    actual = s.base_schema if hasattr(s, "base_schema") and isinstance(
-        s.base_schema, pa.Schema) else pa.schema(list(zip(s.names, s.types)))
-    return actual
-
-
 @register("schema")
 def check_schema(ctx: RunContext, mode: str = ""):
-    from .schema import schema_violations
-    spec = ctx.spec
-    if mode:
-        spec = type(spec)(**{**spec.__dict__, "params": {**spec.params, "mode": mode}})
-    return schema_violations(_schema(ctx), spec)
+    spec = replace(ctx.spec, params={**ctx.spec.params, "mode": mode}) if mode else ctx.spec
+    return schema_violations(arrow_schema(ctx.ds), spec)
 
 
 @register("spec_completeness")
 def check_spec_completeness(ctx: RunContext):
-    from .schema import spec_completeness_violations
-    return spec_completeness_violations(_schema(ctx), ctx.spec)
+    return spec_completeness_violations(arrow_schema(ctx.ds), ctx.spec)
 
 
 @register("stateless")
@@ -125,9 +121,7 @@ def check_decode(ctx: RunContext, profile: str = "light", batch_size: str = "256
     from ..stages.decode_stage import bytes_suite_pass
     if "bytes" not in ctx.ds.schema().names:
         return None
-    v, p = bytes_suite_pass(ctx.ds, profile=profile, batch_size=int(batch_size))
-    ctx.extras["ext_partials"] = p
-    return v
+    return bytes_suite_pass(ctx.ds, profile=profile, batch_size=int(batch_size))[0]
 
 
 @register("vad")
@@ -188,7 +182,6 @@ def check_reconcile(ctx: RunContext, ref: str = "", key: str = "",
     within ``tol`` relative tolerance."""
     from ..pipelines.relational import reconcile_sum
     from ..stages.base_ids import RECONCILE_100
-    from .base import make_violations
 
     if not (ref and ctx.refs and ref in ctx.refs and key and value
             and ref_key and target):
@@ -212,7 +205,6 @@ def check_sequence_order(ctx: RunContext, key: str = "", ts: str = "",
     not regress in (seq, ts) order."""
     from ..pipelines.streaming import sequence_regressions
     from ..stages.base_ids import SEQ_ORDER_100
-    from .base import make_violations
 
     names = set(ctx.meta_ds.schema().names)
     if not (key and ts and seq and {key, ts, seq} <= names):
@@ -236,7 +228,6 @@ def check_drift_exact(ctx: RunContext, value: str = "", side: str = "",
     side==b (codec cohorts, time buckets, sources).  Use the sketch
     `drift` check for continuous columns / baseline profiles."""
     from ..stages.base_ids import DRIFT_102
-    from .base import make_violations
     from .drift import exact_ks
 
     names = set(ctx.meta_ds.schema().names)
@@ -244,7 +235,6 @@ def check_drift_exact(ctx: RunContext, value: str = "", side: str = "",
         return None
     ks = exact_ks(ctx.meta_ds, value, side, a, b)
     if ks <= float(ks_threshold):
-        from .base import empty_violations
         return empty_violations()
     return make_violations(
         DRIFT_102, [f"{side}={a} vs {side}={b}"], value, [f"ks={ks:.4f}"],

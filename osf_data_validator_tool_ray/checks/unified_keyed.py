@@ -53,7 +53,7 @@ import pyarrow as pa
 import ray.data
 
 from ..spec import Cardinality, ConstraintSpec, Existential
-from .base import empty_violations, make_violations
+from .base import empty_violations, make_violations, union_all
 from .cardinality import _PartialAggregator
 from .predicates import PREDICATE_COLUMNS
 from ..stages.base_ids import (
@@ -174,7 +174,6 @@ def keyed_violations(
     if expected_keys is not None:
         parts.append(_marker_partial(expected_keys, expected_key_column,
                                      "is_expected", all_cols))
-    union = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
     ref_col = spec.ref_integrity[0].ref_column if spec.ref_integrity else "key"
     have_expected = expected_keys is not None   # emit must not capture a Dataset
@@ -217,7 +216,7 @@ def keyed_violations(
 
     from ..pipelines.relational import merge_partials
     return merge_partials(
-        union, "key",
+        union_all(parts), "key",
         {**{c: "sum" for c in plan.sum_columns}, **{m: "max" for m in _MARKERS}},
         emit)
 

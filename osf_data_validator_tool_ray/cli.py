@@ -6,14 +6,17 @@ inject context -> run() -> optional fix() -> append XML/JSON report).
         --input '/data/clips/*.parquet' [--refs /data/refs.parquet] \
         [--checkpoint-dir /ckpt] [--decode] [--fix --fix-dir /out] \
         [--baseline-profile profile.json] [--output-json report.json] \
-        [--output-xml report.xml] [--mode strict|loose] [--num-cpus 32]
+        [--output-xml report.xml] [--mode strict|loose] [--num-cpus N]
 
 Differences from the reference, by design:
   * checks run as streaming Ray Data pipelines, not sequential SPARQL
-  * every run writes a JSON report; the default suite run can also
-    write the reference's XML report (--output-xml, which --checks and
-    --checkpoint-dir reject); violations also land as a parquet sink
-    for downstream use
+  * every run writes a JSON report and can also write the reference's
+    XML report (--output-xml); violations also land as a parquet sink
+    for downstream use (--violations-dir)
+  * three executors — the built-in suite, the resumable partitioned
+    run (--checkpoint-dir) and a configured check list (--checks) —
+    return one SuiteResult, so the report, violation sink, drift and
+    --fix are one code path
   * --fix quarantines rows instead of mutating the source (see
     pipelines/fix.py)
 
@@ -52,88 +55,72 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--checks", help="comma-separated check entries (dvt.ini "
                     "analog), e.g. 'schema,stateless,decode?profile=full,keyed'; "
                     "default: the full built-in suite")
-    ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    ap.add_argument("--num-cpus", type=int,
+                    help="Ray CPU slots (default: the host's CPU count)")
     ap.add_argument("--stats", action="store_true",
                     help="print ray Dataset per-stage stats to stderr")
     args = ap.parse_args(argv)
-    if args.output_xml and (args.checks or args.checkpoint_dir):
-        ap.error("--output-xml is written by the default suite run only; "
-                 "drop --checks / --checkpoint-dir")
 
-    import ray
+    import ray.data
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False,
                  ignore_reinit_error=True, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    ray.data.DataContext.get_current().enable_progress_bars = False
 
-    import ray.data
-    from .spec import clips_spec
-    from .pipelines.runner import run_suite
+    from .checks.base import union_all
+    from .pipelines.runner import SuiteResult
+    from .spec import clips_spec, spec_from_dict
 
     if args.spec:
-        from .spec import spec_from_dict
         with open(args.spec) as f:
             spec = spec_from_dict(json.load(f))
         spec.params.setdefault("mode", args.mode)
     else:
         spec = clips_spec(mode=args.mode)
-    report: dict = {}
+    files = sorted(glob.glob(args.input))
+    refs = {"refs": ray.data.read_parquet(args.refs)} if args.refs else None
 
+    # ---- the executor choice: everything after it is shared ------------
     if args.checks:
-        import pandas as pd
         from .checks.registry import RunContext, plan_checks
-        files = sorted(glob.glob(args.input))
-        ctx = RunContext(
-            ds=ray.data.read_parquet(files), spec=spec,
-            refs={"refs": ray.data.read_parquet(args.refs)} if args.refs else None,
-            baseline_profile_path=args.baseline_profile)
-        frames = [r.to_pandas() for r in plan_checks(ctx, args.checks.split(","))]
-        v = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-            columns=["check_id", "severity", "key", "column", "observed", "expected"])
-        err = v[v.severity == "error"].groupby("check_id").size().to_dict()
-        report = {"pass": not err,
-                  "violations": {k: int(n) for k, n in err.items()},
-                  "warnings": {k: int(n) for k, n in
-                               v[v.severity == "warning"].groupby("check_id").size().items()}}
-        if args.violations_dir and len(v):
-            ray.data.from_pandas(v).write_parquet(args.violations_dir)
-            report["violations_dir"] = args.violations_dir
+        ctx = RunContext(ds=ray.data.read_parquet(files), spec=spec, refs=refs,
+                         baseline_profile_path=args.baseline_profile)
+        res = plan_checks(ctx, args.checks.split(","))
     elif args.checkpoint_dir:
-        from .pipelines.partitioned import validate_partitioned
+        from .pipelines.partitioned import run_partitioned
         from .state.checkpoint import CheckpointStore
-        store = CheckpointStore(args.checkpoint_dir)
-        refs = {"refs": ray.data.read_parquet(args.refs)} if args.refs else None
-        report = validate_partitioned(args.input, spec, store, decode=args.decode,
-                                      refs=refs)
+        res = run_partitioned(args.input, spec, CheckpointStore(args.checkpoint_dir),
+                              decode=args.decode, refs=refs)
     else:
-        from .pipelines.runner import metadata_columns
-        files = sorted(glob.glob(args.input))
-        ds = ray.data.read_parquet(files)
+        from .pipelines.runner import metadata_columns, run_suite
         meta_ds = (ray.data.read_parquet(files, columns=metadata_columns(spec))
                    if args.decode else None)
-        refs = {"refs": ray.data.read_parquet(args.refs)} if args.refs else None
-        res = run_suite(ds, spec, refs=refs, decode=args.decode, metadata_ds=meta_ds)
-        violations = res.violations
-        if args.violations_dir:
-            # deterministic output ordering: reproducible violation files
-            # for parity diffs (SURVEY §7.4)
-            violations.sort(["check_id", "key", "column"]).write_parquet(
-                args.violations_dir)
-            res.violations = ray.data.read_parquet(args.violations_dir)
-        report = res.report()
-        if args.stats:
-            try:
-                print(res.violations.stats(), file=sys.stderr)
-            except Exception:   # stats() availability varies by plan shape
-                pass
-        if args.output_xml:
-            with open(args.output_xml, "w") as f:
-                f.write(res.report_xml())
+        res = run_suite(ray.data.read_parquet(files), spec, refs=refs,
+                        decode=args.decode, metadata_ds=meta_ds)
+
+    if args.violations_dir:
+        # every violation row, driver-side ones included, in a
+        # deterministic order: reproducible violation files for parity
+        # diffs (SURVEY §7.4); the report then reads the sink, not the
+        # pipeline again
+        union_all([res.violations, ray.data.from_arrow(res.driver_violations)]) \
+            .sort(["check_id", "key", "column"]).write_parquet(args.violations_dir)
+        written = glob.glob(os.path.join(args.violations_dir, "*.parquet"))
+        res = SuiteResult(ray.data.read_parquet(written) if written else union_all([]),
+                          summary={**res.summary, "violations_dir": args.violations_dir})
+    report = res.report()
+    if args.stats:
+        try:
+            print(res.violations.stats(), file=sys.stderr)
+        except Exception:   # stats() availability varies by plan shape
+            pass
+    if args.output_xml:
+        with open(args.output_xml, "w") as f:
+            f.write(res.report_xml())
 
     if args.baseline_profile or args.write_profile:
         from .checks.drift import TableProfile, build_profile, drift_violations
-        ds = ray.data.read_parquet(sorted(glob.glob(args.input)))
+        ds = ray.data.read_parquet(files)
         prof = build_profile(ds, numeric_cols=["dur_ms"],
                              cat_cols=["codec", "sr_hz"], key_cols=["clip_id"])
         if args.write_profile:
@@ -146,8 +133,6 @@ def main(argv: list[str] | None = None) -> int:
             report["drift"] = {"n_violations": len(dv),
                                "columns": sorted(set(dv["column"]))}
         if args.drift_slice_column:
-            import json as _json
-
             from .checks.drift import (build_profiles_by_group,
                                        grouped_drift_violations)
             slices = build_profiles_by_group(
@@ -156,11 +141,11 @@ def main(argv: list[str] | None = None) -> int:
             slice_base_path = (args.baseline_profile or "") + ".slices"
             if args.write_profile:
                 with open(args.write_profile + ".slices", "w") as f:
-                    _json.dump({g: p.to_json() for g, p in slices.items()}, f)
+                    json.dump({g: p.to_json() for g, p in slices.items()}, f)
             if args.baseline_profile and os.path.exists(slice_base_path):
                 with open(slice_base_path) as f:
                     base_slices = {g: TableProfile.from_json(s)
-                                   for g, s in _json.load(f).items()}
+                                   for g, s in json.load(f).items()}
                 gdv = grouped_drift_violations(slices, base_slices).to_pandas()
                 report["slice_drift"] = {
                     "n_violations": int((gdv.check_id == "DRIFT-101").sum()),
@@ -170,23 +155,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.fix:
         from .pipelines.fix import quarantine
-        ds = ray.data.read_parquet(sorted(glob.glob(args.input)))
-        if args.checkpoint_dir:
-            from .state.checkpoint import CheckpointStore
-            store = CheckpointStore(args.checkpoint_dir)
-            vfiles = []
-            for d in store.artifact_dirs("violations"):
-                vfiles.extend(glob.glob(os.path.join(d, "*.parquet")))
-            bad = (ray.data.read_parquet(vfiles).to_pandas()["key"].dropna().unique()
-                   if vfiles else [])
-        elif args.checks:
-            bad = v["key"].dropna().unique() if "key" in v.columns else []
-        else:
-            bad = res.violations.to_pandas()["key"].dropna().unique()
+        # only the distinct keys reach the driver, never the violation rows
+        bad = {k for k in res.violations.unique("key") or () if k is not None}
         # a CLI re-run owns its --fix-dir: clear stale parts rather than
         # refuse (the library default refuses so programmatic callers
         # can't silently mix runs)
-        report["fix"] = quarantine(ds, list(bad), spec.key_column or "clip_id",
+        report["fix"] = quarantine(ray.data.read_parquet(files), sorted(bad),
+                                   spec.key_column or "clip_id",
                                    os.path.join(args.fix_dir, "clean"),
                                    os.path.join(args.fix_dir, "quarantine"),
                                    overwrite=True)

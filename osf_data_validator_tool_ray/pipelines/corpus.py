@@ -41,6 +41,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..sources.io import arrow_schema
+
 
 def exact_dup_group_table(
     ds: "ray.data.Dataset", hash_col: str, id_col: str,
@@ -112,10 +114,7 @@ class _StageCheckpoints:
             # non-empty artifact dir, so without a schema-bearing
             # placeholder the finished stage would re-run on every
             # resume and the re-opened dataset would be schema-less
-            schema = out.schema()
-            base = getattr(schema, "base_schema", None)
-            if base is None and isinstance(schema, pa.Schema):
-                base = schema    # some paths hand back a plain pa.Schema
+            base = arrow_schema(out)
             empty = base.empty_table() if base is not None else pa.table({})
             os.makedirs(tmp, exist_ok=True)
             pq.write_table(empty, os.path.join(tmp, "part-empty.parquet"))

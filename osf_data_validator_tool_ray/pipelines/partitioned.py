@@ -26,7 +26,11 @@ atomic per-partition records keep resume semantics unchanged (store
 root must be on a filesystem all workers share — same contract as the
 artifact sinks).
 
-Final merge (cheap, always re-run; reads only stored artifacts):
+Final merge (cheap, always re-run; reads only stored artifacts and the
+first partition's footer):
+  * the suite's driver checks (runner.driver_checks: schema
+    conformance, spec completeness, -50 unevaluable warnings) over the
+    first partition's Arrow schema
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential and referential-existence verdicts
@@ -35,12 +39,14 @@ Final merge (cheap, always re-run; reads only stored artifacts):
     design would miss)
   * decode runs merge the stored decodable counts the same way
     (stages.decode_stage.existential_violations_from_partials)
-  * union with stored per-partition violations -> verdicts + report,
-    counted by SuiteResult.violation_counts as the suite counts them
+  * union with stored per-partition violations -> a SuiteResult
+    (``run_partitioned``) whose ``summary`` carries the partition
+    counts; ``validate_partitioned`` returns its report, built by
+    SuiteResult.report as the suite's is (without a violation sample,
+    so the merge runs one Ray Data execution: the count)
 
 Pass/fail is decided by ERROR-severity violations only; warnings are
-counted separately (mirrors SuiteResult.report and the reference's
--5x warning / -10x error id split).
+counted separately (the reference's -5x warning / -10x error id split).
 
 This mirrors the reference's accumulate-then-report lifecycle (dvt:167,
 174-191) with crash-resume added (the reference restarts from scratch —
@@ -59,13 +65,13 @@ import pyarrow as pa
 
 import ray.data
 
-from ..checks.base import empty_violations
+from ..checks.base import union_all
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import _cache_fsspec_http_import
 from ..spec import ConstraintSpec
 from ..stages.facet_stage import StatelessValidator, stateless_columns
 from ..state.checkpoint import CheckpointStore
-from .runner import SuiteResult
+from .runner import SuiteResult, driver_checks
 
 # concurrent partition threads issue Ray IO in parallel; make the
 # path-resolver's per-call fsspec import race-free first
@@ -110,7 +116,8 @@ def _run_partition(
     store = CheckpointStore(store_root)
     pid = _partition_id(path)
     t0 = time.time()
-    names, n_rows = partition_schema_and_rows(path)   # metadata, no scan
+    schema, n_rows = partition_schema_and_rows(path)   # metadata, no scan
+    names = set(schema.names)
     have_bytes = decode and "bytes" in names
 
     tmp_base = os.path.join(store.root, f"_tmp_{pid}_{uuid.uuid4().hex[:6]}")
@@ -210,7 +217,7 @@ def _run_partition(
 _partition_task = ray.remote(_run_partition)
 
 
-def validate_partitioned(
+def run_partitioned(
     input_glob: str,
     spec: ConstraintSpec,
     store: CheckpointStore,
@@ -219,8 +226,8 @@ def validate_partitioned(
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     max_inflight: Optional[int] = None,
     task_num_cpus: float = 1,
-) -> dict:
-    """Run/resume the partitioned validation; returns the merged report.
+) -> SuiteResult:
+    """Run/resume the partitioned validation; returns the merged result.
 
     One Ray task per partition; the cluster scheduler runs as many as
     CPU slots allow.  ``max_inflight`` optionally caps submitted-but-
@@ -245,43 +252,35 @@ def validate_partitioned(
     # NOTE: one store assumes one spec and decode setting across its
     # lifetime (those positions follow the plan); the merge refuses
     # stored partials that lack a planned column.
-    names0, _ = partition_schema_and_rows(files[0])
-    plan = keyed_plan(spec, names0, decode)
+    schema0, _ = partition_schema_and_rows(files[0])
+    plan = keyed_plan(spec, set(schema0.names), decode)
     declared_universals = {u.predicate for u in spec.universals}
 
     todo = [p for p in files if _partition_id(p) not in done]
     n_skipped = len(files) - len(todo)
     if todo:
-        import ray as _ray
-
         task = _partition_task.options(num_cpus=task_num_cpus)
         pending: list = []
         finished: list = []
         for path in todo:
             if max_inflight and len(pending) >= max_inflight:
-                ready, pending = _ray.wait(pending, num_returns=1)
+                ready, pending = ray.wait(pending, num_returns=1)
                 finished.extend(ready)
             pending.append(task.remote(path, spec, store.root, decode,
                                        batch_size, plan,
                                        frozenset(declared_universals)))
-        _ray.get(finished + pending)     # re-raises the first task failure
-    n_ran = len(todo)
+        ray.get(finished + pending)     # re-raises the first task failure
 
     # ---- global merge (always re-run; reads only stored artifacts) -------
-    report: dict = {"partitions_total": len(files), "partitions_skipped": n_skipped,
-                    "partitions_ran": n_ran}
-
-    def _files(dirs: list[str]) -> list[str]:
-        out = []
-        for d in dirs:
-            out.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-        return out
+    def _files(kind: str) -> list[str]:
+        return [f for d in store.artifact_dirs(kind)
+                for f in sorted(glob.glob(os.path.join(d, "*.parquet")))]
 
     parts = []
-    viol_files = _files(store.artifact_dirs("violations"))
+    viol_files = _files("violations")
     if viol_files:
         parts.append(ray.data.read_parquet(viol_files))
-    partial_files = _files(store.artifact_dirs("partials"))
+    partial_files = _files("partials")
     if plan.key and partial_files:
         partials = ray.data.read_parquet(partial_files)
         missing = set(plan.sum_columns) - set(partials.schema().names)
@@ -290,26 +289,40 @@ def validate_partitioned(
                 f"checkpoint store {store.root} holds partials without "
                 f"{sorted(missing)}: written under another spec or decode setting")
         parts.append(keyed_violations(partials, plan, spec, refs=refs))
-    ext_files = _files(store.artifact_dirs("ext_partials"))
+    ext_files = _files("ext_partials")
     if ext_files and any(e.predicate == "decodable_bytes" for e in plan.decode_exts):
         from ..stages.decode_stage import existential_violations_from_partials
         parts.append(existential_violations_from_partials(
             ray.data.read_parquet(ext_files)))
 
-    violations = (parts[0].union(*parts[1:]) if parts
-                  else ray.data.from_arrow(empty_violations()))
-    report["violations"], report["warnings"] = \
-        SuiteResult(violations, empty_violations()).severity_counts()
     recs = store.records()
-    report["n_rows"] = sum(r.get("n_rows", 0) for r in recs)
-    report["partitions"] = {
-        r["partition_id"]: {"pass": r.get("pass", True),
-                            "n_violations": r.get("n_violations", 0),
-                            "n_warnings": r.get("n_warnings", 0),
-                            "n_rows": r.get("n_rows", 0),
-                            "lineage": r.get("lineage")}
-        for r in recs
+    summary = {
+        "partitions_total": len(files), "partitions_skipped": n_skipped,
+        "partitions_ran": len(todo),
+        "n_rows": sum(r.get("n_rows", 0) for r in recs),
+        "partitions": {
+            r["partition_id"]: {"pass": r.get("pass", True),
+                                "n_violations": r.get("n_violations", 0),
+                                "n_warnings": r.get("n_warnings", 0),
+                                "n_rows": r.get("n_rows", 0),
+                                "lineage": r.get("lineage")}
+            for r in recs
+        },
     }
-    report["pass"] = not report["violations"]
-    return report
+    return SuiteResult(union_all(parts), driver_checks(schema0, spec, refs), summary)
+
+
+def validate_partitioned(
+    input_glob: str,
+    spec: ConstraintSpec,
+    store: CheckpointStore,
+    decode: bool = False,
+    batch_size: Optional[int] = None,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+    max_inflight: Optional[int] = None,
+    task_num_cpus: float = 1,
+) -> dict:
+    """``run_partitioned``'s report, without a violation sample."""
+    return run_partitioned(input_glob, spec, store, decode, batch_size, refs,
+                           max_inflight, task_num_cpus).report(sample=0)
 

@@ -31,6 +31,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..sources.io import arrow_schema
+
 # combiner outputs below this row count merge driver-side (a few MB);
 # larger sets take the scale-safe hash exchange.  At 10^12-key scale the
 # threshold is never hit and everything shuffles.
@@ -104,8 +106,8 @@ def merge_partials(
         if not tables:
             # zero blocks: an empty table in the partials' own types when
             # Ray still knows them, so ``finish`` always runs
-            base = getattr(mat.schema(), "base_schema", None)
-            tables = [base.empty_table() if isinstance(base, pa.Schema) else
+            base = arrow_schema(mat)
+            tables = [base.empty_table() if base is not None else
                       pa.table({c: pa.array([], pa.int64()) for c in keylist + cols})]
         t = pa.concat_tables(tables, promote_options="default")
         g = t.group_by(keylist, use_threads=False).aggregate(
@@ -440,10 +442,7 @@ def grouped_agg(
         # never run the combiner, so the result is built IN ARROW with
         # the input schema's types (a null-typed column would break
         # downstream Arrow kernels / schema compares)
-        schema = ds.schema()
-        base = getattr(schema, "base_schema", None)
-        if base is None and isinstance(schema, pa.Schema):
-            base = schema
+        base = arrow_schema(ds)
 
         def arrow_type(col: str, default: pa.DataType) -> pa.DataType:
             if base is not None and col in base.names:

@@ -16,6 +16,12 @@ pipelines that share one source:
 Violation Datasets are unioned; the verdict counts (per-block counts per
 check id, merged on the driver) are the only driver materialization of
 consequence.
+
+``SuiteResult`` is the one result type of every executor (this suite,
+the partitioned runner, the check registry) and ``SuiteResult.report``
+the one report builder: its ``checks`` cover ``ALL_CHECK_IDS`` plus
+every id a run actually emitted, and a run passes only with no
+ERROR-severity row of any id.
 """
 
 from __future__ import annotations
@@ -23,17 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
 
+from ..checks.base import empty_violations, union_all
 from ..checks.schema import (
     schema_violations,
     spec_completeness_violations,
     unevaluable_warnings,
 )
 from ..checks.unified_keyed import keyed_plan, keyed_violations
+from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
 from ..stages.facet_stage import StatelessValidator, stateless_columns
 
@@ -56,39 +63,35 @@ ALL_CHECK_IDS = [
 @dataclass
 class SuiteResult:
     violations: "ray.data.Dataset"
-    driver_violations: pa.Table          # metadata checks (already materialized)
+    # driver-side checks (already materialized)
+    driver_violations: pa.Table = field(default_factory=empty_violations)
+    # executor facts merged into the report (e.g. partition counts)
+    summary: dict = field(default_factory=dict)
 
-    _counts: Optional[pd.DataFrame] = field(default=None, repr=False)
-
-    def violation_counts(self) -> pd.DataFrame:
-        """Small aggregate: one row per (check_id, severity) with count —
-        warnings and errors are structurally separated like the
-        reference's -5x / -10x id split.  Each block is counted where it
-        lives and the per-block counts merge on the driver (tiny), so
-        the count takes no hash exchange."""
-        if self._counts is None:
-            def count_partial(t: pa.Table) -> pa.Table:
-                df = t.select(["check_id", "severity"]).to_pandas()
-                agg = df.groupby(["check_id", "severity"], sort=False) \
-                    .size().rename("n").reset_index()
-                return pa.Table.from_pandas(agg, preserve_index=False) \
-                    .replace_schema_metadata(None)
-
-            parts = [b.to_pandas() for b in self.violations.map_batches(
-                count_partial, batch_format="pyarrow", batch_size=None)
-                .iter_batches(batch_format="pyarrow", batch_size=None)]
-            parts.append(count_partial(self.driver_violations).to_pandas())
-            self._counts = (pd.concat(parts, ignore_index=True)
-                            .groupby(["check_id", "severity"])["n"].sum()
-                            .reset_index())
-        return self._counts
+    _counts: Optional[tuple] = field(default=None, repr=False)
 
     def severity_counts(self) -> tuple[dict[str, int], dict[str, int]]:
-        """(errors, warnings): violation count per check id."""
-        vc = self.violation_counts()
-        return tuple({r["check_id"]: int(r["n"]) for _, r in
-                      vc[vc.severity == sev].iterrows()}
-                     for sev in ("error", "warning"))
+        """(errors, warnings): violation count per check id — warnings
+        and errors are structurally separated like the reference's -5x /
+        -10x id split.  Each block is counted where it lives and the
+        per-block counts merge on the driver (tiny), so the count takes
+        no hash exchange."""
+        if self._counts is None:
+            def count(t: pa.Table) -> pa.Table:
+                return t.group_by(["check_id", "severity"]).aggregate([([], "count_all")])
+
+            blocks = self.violations.map_batches(count, batch_format="pyarrow",
+                                                 batch_size=None)
+            total = pa.concat_tables(
+                [count(self.driver_violations),
+                 *blocks.iter_batches(batch_format="pyarrow", batch_size=None)]
+            ).group_by(["check_id", "severity"]).aggregate([("count_all", "sum")]) \
+                .to_pydict()
+            self._counts = ({}, {})
+            for cid, sev, n in zip(total["check_id"], total["severity"],
+                                   total["count_all_sum"]):
+                self._counts[sev == "warning"][cid] = n
+        return self._counts
 
     def report_xml(self, sample: int = 20) -> str:
         """XML report — mirrors the reference's dual XML/JSON report
@@ -98,14 +101,11 @@ class SuiteResult:
 
         rep = self.report(sample=sample)
         root = ET.Element("checks")
-        by_check: dict[str, list[dict]] = {}
-        for row in rep["violations_sample"]:
-            by_check.setdefault(row["check_id"], []).append(row)
         for cid, info in rep["checks"].items():
             el = ET.SubElement(root, "check", id=cid,
                                status="pass" if info["pass"] else "fail",
                                violations=str(info["n_violations"]))
-            for row in by_check.get(cid, []):
+            for row in (r for r in rep["violations_sample"] if r["check_id"] == cid):
                 ET.SubElement(el, "violation", severity=str(row["severity"]),
                               key=str(row["key"]), column=str(row["column"]),
                               observed=str(row["observed"]),
@@ -113,22 +113,45 @@ class SuiteResult:
         return ET.tostring(root, encoding="unicode")
 
     def report(self, sample: int = 20) -> dict:
-        """pass/fail is decided by ERROR-severity violations only;
-        warnings are reported but non-fatal (the reference's warning
-        rows never fail a check either)."""
+        """pass/fail is decided by ERROR-severity violations only (of
+        any check id, built-in or registry); warnings are reported but
+        non-fatal (the reference's warning rows never fail a check
+        either).  ``violations``/``warnings`` map each id with rows to
+        its count; ``sample=0`` reads no violation rows."""
         errors, warns = self.severity_counts()
         checks = {
             cid: {"pass": errors.get(cid, 0) == 0,
                   "n_violations": errors.get(cid, 0),
                   "n_warnings": warns.get(cid, 0)}
-            for cid in ALL_CHECK_IDS
+            for cid in [*ALL_CHECK_IDS,
+                        *sorted((errors.keys() | warns.keys()) - set(ALL_CHECK_IDS))]
         }
-        sample_rows = self.violations.limit(sample).to_pandas().to_dict("records")
+        sample_rows = (self.driver_violations.slice(0, sample).to_pylist()
+                       + self.violations.limit(sample).to_pandas().to_dict("records")
+                       )[:sample] if sample else []
         return {
-            "pass": all(c["pass"] for c in checks.values()),
+            **self.summary,
+            "pass": not errors,
             "checks": checks,
+            "violations": errors,
+            "warnings": warns,
             "violations_sample": sample_rows,
         }
+
+
+def driver_checks(schema: pa.Schema, spec: ConstraintSpec,
+                  refs: Optional[dict] = None) -> pa.Table:
+    """The checks decided by the table's schema alone: schema
+    conformance, spec completeness and the -50 warning tier (every
+    constraint skipped as unevaluable — absent column, unknown
+    dtype/predicate, missing refs table — is reported, never silently
+    dropped)."""
+    return pa.concat_tables([
+        schema_violations(schema, spec),
+        spec_completeness_violations(schema, spec),
+        unevaluable_warnings(schema, spec,
+                             ref_tables=set(refs) if refs is not None else None),
+    ])
 
 
 def metadata_columns(spec: ConstraintSpec) -> list[str]:
@@ -164,21 +187,8 @@ def run_suite(
     binary column is then never read by any other stage.  decode=False
     keeps the cheap header-sniff predicates inside the stateless pass.
     """
-    actual_schema = ds.schema().base_schema if hasattr(ds.schema(), "base_schema") else None
-    if actual_schema is None:
-        names = ds.schema().names
-        types = ds.schema().types
-        actual_schema = pa.schema(list(zip(names, types)))
-
-    driver_v = pa.concat_tables([
-        schema_violations(actual_schema, spec),
-        spec_completeness_violations(actual_schema, spec),
-        # -50 warning tier: every constraint skipped as unevaluable
-        # (absent column, unknown dtype/predicate, missing refs table)
-        # is reported, never silently dropped
-        unevaluable_warnings(actual_schema, spec,
-                             ref_tables=set(refs) if refs is not None else None),
-    ])
+    actual_schema = arrow_schema(ds)
+    driver_v = driver_checks(actual_schema, spec, refs)
 
     parts: list["ray.data.Dataset"] = []
     meta_ds = metadata_ds if (metadata_ds is not None and decode) else ds
@@ -249,8 +259,4 @@ def run_suite(
         if keyed is not None:
             parts.append(keyed)
 
-    violations = parts[0]
-    for p in parts[1:]:
-        violations = violations.union(p)
-
-    return SuiteResult(violations=violations, driver_violations=driver_v)
+    return SuiteResult(violations=union_all(parts), driver_violations=driver_v)

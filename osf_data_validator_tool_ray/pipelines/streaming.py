@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from ..sources.io import arrow_schema
+
 
 def tumbling_window(
     ds: "ray.data.Dataset",
@@ -278,23 +280,11 @@ def asof_join(
 
     # union the two sides: pad each with TYPED null columns so both
     # blocks share one schema (union requires identical schemas)
-    def _pa_schema(d):
-        s = d.schema()
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return base
-        fields = []
-        for name, typ in zip(s.names, s.types):
-            if not isinstance(typ, pa.DataType):
-                typ = pa.from_numpy_dtype(typ)   # pandas-block schema
-            fields.append(pa.field(name, typ))
-        return pa.schema(fields)
-
     types: dict[str, pa.DataType] = {"_side": pa.string()}
-    for f in _pa_schema(right):
+    for f in arrow_schema(right):
         if f.name in rcols:
             types[f.name] = f.type
-    for f in _pa_schema(left):
+    for f in arrow_schema(left):
         types[f.name] = f.type
     all_cols = sorted(set(lcols) | set(rcols) | {"_side"})
 

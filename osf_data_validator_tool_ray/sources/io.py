@@ -12,6 +12,9 @@ import glob
 import os
 from typing import Optional, Sequence
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 import ray.data
 
 try:
@@ -127,6 +130,19 @@ def partition_files(path: str) -> list[str]:
     return sorted(glob.glob(path))
 
 
+def _lance_fragment(partition: str):
+    """(Lance dataset, fragment) of a ``<path>#<fragment_id>`` partition
+    id; None for a parquet file path."""
+    if not ("#" in partition and partition.rsplit("#", 1)[0].endswith(".lance")):
+        return None
+    if not HAVE_LANCE:
+        raise ImportError(f"pylance not available for Lance partition {partition!r}")
+    import lance
+    path, frag_id = partition.rsplit("#", 1)
+    ds = lance.dataset(path)
+    return ds, ds.get_fragment(int(frag_id))
+
+
 def iter_partition_batches(partition: str, batch_size: int = 65536,
                            columns: Optional[Sequence[str]] = None):
     """Stream one partition's record batches (the per-partition scan the
@@ -134,38 +150,37 @@ def iter_partition_batches(partition: str, batch_size: int = 65536,
     ``<path>#<fragment_id>`` partition id — the Lance side reads ONLY
     that fragment (projection pushed down), proving the
     fragment -> partition lineage mapping end-to-end."""
-    if "#" in partition and partition.rsplit("#", 1)[0].endswith(".lance"):
-        if not HAVE_LANCE:
-            raise ImportError("pylance not available for Lance partition "
-                              f"{partition!r}")
-        import lance
-        path, frag_id = partition.rsplit("#", 1)
-        ds = lance.dataset(path)
-        frag = ds.get_fragment(int(frag_id))
-        yield from frag.to_batches(columns=list(columns) if columns else None,
-                                   batch_size=batch_size)
+    columns = list(columns) if columns else None
+    lance_part = _lance_fragment(partition)
+    if lance_part is not None:
+        yield from lance_part[1].to_batches(columns=columns, batch_size=batch_size)
         return
-    import pyarrow.parquet as pq
-    pf = pq.ParquetFile(partition)
-    yield from pf.iter_batches(batch_size=batch_size,
-                               columns=list(columns) if columns else None)
+    yield from pq.ParquetFile(partition).iter_batches(batch_size=batch_size,
+                                                      columns=columns)
 
 
-def partition_schema_and_rows(partition: str) -> tuple[set, int]:
-    """(column-name set, row count) of one partition from METADATA only —
+def partition_schema_and_rows(partition: str) -> tuple[pa.Schema, int]:
+    """(Arrow schema, row count) of one partition from METADATA only —
     no page reads.  Accepts the same two id forms as
     ``iter_partition_batches``: a parquet file path (footer) or a Lance
     ``<path>#<fragment_id>`` id (fragment metadata)."""
-    if "#" in partition and partition.rsplit("#", 1)[0].endswith(".lance"):
-        if not HAVE_LANCE:
-            raise ImportError("pylance not available for Lance partition "
-                              f"{partition!r}")
-        import lance
-        path, frag_id = partition.rsplit("#", 1)
-        ds = lance.dataset(path)
-        frag = ds.get_fragment(int(frag_id))
-        return set(ds.schema.names), frag.count_rows()
-    import pyarrow.parquet as pq
+    lance_part = _lance_fragment(partition)
+    if lance_part is not None:
+        return lance_part[0].schema, lance_part[1].count_rows()
     pf = pq.ParquetFile(partition)
-    return set(pf.schema_arrow.names), pf.metadata.num_rows
+    return pf.schema_arrow, pf.metadata.num_rows
 
+
+def arrow_schema(ds: "ray.data.Dataset") -> Optional[pa.Schema]:
+    """A Dataset's schema as a ``pa.Schema``; None when Ray knows none
+    (e.g. zero blocks).  For pandas blocks Ray maps each numpy dtype to
+    its Arrow type and reports ``object`` where there is none (pandas
+    object columns); those read as strings."""
+    s = ds.schema()
+    if s is None or isinstance(s, pa.Schema):
+        return s
+    base = getattr(s, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    return pa.schema([pa.field(n, t if isinstance(t, pa.DataType) else pa.string())
+                      for n, t in zip(s.names, s.types)])

@@ -1,14 +1,12 @@
 """Audio-decode stage — the engine's flagship payload stage.
 
-Two scheduling modes share one validator class:
-  * task workers (default): ``map_batches(AudioDecodeValidator(...))`` —
-    an instance schedules as tasks in Ray's warm worker processes; setup
-    amortizes across runs with no actor-pool spin-up.
-  * actor pool (``use_actors=True`` / ``map_batches(AudioDecodeValidator,
-    concurrency=(min,max), num_cpus=1)``): for genuinely heavy per-worker
-    state (models) built once in ``__init__``.
+``AudioDecodeValidator`` is the per-batch decode kernel;
+``bytes_suite_pass`` (one scan of the payload column: decode findings,
+universal predicates, bytes facets and the decodable-existential
+partials) and ``BytesSuitePass`` (the same pass inside one partition
+task) wrap it.
 
-``__call__`` fully decodes every payload of the batch and emits per-row
+Its ``__call__`` fully decodes every payload of the batch and emits per-row
 decode stats:
 
   clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, rms,
@@ -19,10 +17,11 @@ decode stats:
   parity invariant).
 
 Batch sizing: `bytes` dominates row width (sr*dur*2 bytes/row); keep
-batch_size small (default 64) so batch x concurrency fits worker heaps
+batch_size small (bytes_suite_pass: 256) so batch x concurrency fits
+worker heaps
 (SURVEY.md §4: memory-aware decode stage).
 
-Violations derived from the stats (checks/decode_checks):
+Violations derived from the stats:
   DECODE-100  payload fails decode
   DECODE-101  decoded stats contradict metadata (frames vs dur_ms*sr_hz,
               header sr vs sr_hz column, header codec vs codec column)
@@ -129,83 +128,6 @@ class AudioDecodeValidator:
         for c in _FEATURE_COLS:
             cols[c] = pa.array(feats[c])
         return pa.table(cols, schema=STATS_SCHEMA)
-
-
-def decode_stats(
-    ds: "ray.data.Dataset",
-    batch_size: int = 64,
-    concurrency: "int | tuple[int, int]" = (1, 8),
-    num_cpus: float = 1,
-) -> "ray.data.Dataset":
-    cols = [c for c in ("clip_id", "bytes", "transcript") if c in ds.schema().names]
-    return ds.select_columns(cols).map_batches(
-        AudioDecodeValidator,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
-
-
-def decode_violations(
-    ds: "ray.data.Dataset",
-    frame_tolerance: float = 0.02,
-    batch_size: int = 64,
-    concurrency: "int | tuple[int, int]" = (1, 8),
-) -> "ray.data.Dataset":
-    """DECODE-100/-101 violations from a full-decode pass.  Needs the
-    metadata columns alongside bytes."""
-    cols = [c for c in ("clip_id", "bytes", "transcript", "sr_hz", "dur_ms", "codec")
-            if c in ds.schema().names]
-    sub = ds.select_columns(cols)
-
-    class _DecodeCheck:
-        def __init__(self):
-            self.validator = AudioDecodeValidator(frame_tolerance)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return _emit(self.validator, batch)
-
-    def _emit(validator, batch: pa.Table) -> pa.Table:
-        stats = validator(batch)
-        out = []
-        ok = stats.column("decoded_ok").to_numpy(zero_copy_only=False)
-        keys = np.asarray(stats.column("clip_id").to_pylist(), dtype=object)
-        errs = np.asarray(stats.column("error").to_pylist(), dtype=object)
-        if (~ok).any():
-            m = ~ok
-            out.append(make_violations(DECODE_100, keys[m], "bytes", errs[m],
-                                       expected="payload decodes"))
-        frames = stats.column("frames").to_numpy(zero_copy_only=False)
-        psr = stats.column("payload_sr_hz").to_numpy(zero_copy_only=False)
-        pcodec = np.asarray(stats.column("payload_codec").to_pylist(), dtype=object)
-        if "sr_hz" in batch.column_names:
-            sr = batch.column("sr_hz").to_numpy(zero_copy_only=False)
-            m = ok & (psr != sr)
-            if m.any():
-                out.append(make_violations(DECODE_101, keys[m], "sr_hz", psr[m],
-                                           expected="header sr == sr_hz column"))
-        if "codec" in batch.column_names:
-            dec = np.asarray(batch.column("codec").to_pylist(), dtype=object)
-            m = ok & (pcodec != dec)
-            if m.any():
-                out.append(make_violations(DECODE_101, keys[m], "codec", pcodec[m],
-                                           expected="header codec == codec column"))
-        if "dur_ms" in batch.column_names and "sr_hz" in batch.column_names:
-            sr = batch.column("sr_hz").to_numpy(zero_copy_only=False)
-            dur = batch.column("dur_ms").to_numpy(zero_copy_only=False)
-            expect = sr.astype(np.float64) * dur.astype(np.float64) / 1000.0
-            tol = np.maximum(1.0, frame_tolerance * expect)
-            m = ok & (np.abs(frames - expect) > tol)
-            if m.any():
-                out.append(make_violations(DECODE_101, keys[m], "dur_ms", frames[m],
-                                           expected="frames ~= dur_ms*sr_hz/1000"))
-        return pa.concat_tables(out).combine_chunks() if out else empty_violations()
-
-    # instance => task workers (warm processes; per-partition runs would
-    # otherwise pay actor-pool spin-up for every partition)
-    return sub.map_batches(_DecodeCheck(), batch_format="pyarrow",
-                           batch_size=batch_size)
 
 
 def bytes_suite_pass(

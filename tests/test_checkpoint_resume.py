@@ -186,6 +186,17 @@ def test_partitioned_refuses_partials_of_another_decode_setting(dataset, tmp_pat
         validate_partitioned(pattern, clips_spec(), store)
 
 
+def test_partitioned_clean_input_passes(tmp_path):
+    """Clean input stores no violation files, so the merge has a single
+    part to union (the keyed verdicts)."""
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=300, seed=3,
+                               defect_rate=0.0, num_shards=3)
+    rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", clips_spec(),
+                               CheckpointStore(str(tmp_path / "ckpt")), decode=False)
+    assert rep["pass"] is True
+    assert rep["violations"] == {} and rep["n_rows"] == 300
+
+
 def _partition_basename(path):
     import os
     return os.path.splitext(os.path.basename(path))[0]

@@ -11,7 +11,8 @@ import pytest
 import ray.data
 
 from osf_data_validator_tool_ray import audio
-from osf_data_validator_tool_ray.stages.decode_stage import decode_stats, decode_violations
+from osf_data_validator_tool_ray.stages.decode_stage import (
+    AudioDecodeValidator, bytes_suite_pass)
 from osf_data_validator_tool_ray.synth import synth_clips
 from tests.test_audio import naive_decode, _naive_ulaw
 import struct
@@ -50,7 +51,8 @@ def naive_decode_ints(buf: bytes):
 def stats_and_table():
     table, ledger = synth_clips(120, seed=11, defect_rate=0.05, max_dur_ms=600)
     ds = ray.data.from_arrow(table).repartition(3)
-    stats = decode_stats(ds, batch_size=32, concurrency=(1, 2)).to_pandas()
+    stats = ds.select_columns(["clip_id", "bytes", "transcript"]).map_batches(
+        AudioDecodeValidator(), batch_format="pyarrow", batch_size=32).to_pandas()
     return table, ledger, stats
 
 
@@ -97,7 +99,7 @@ def test_per_row_parity_vs_naive_oracle(stats_and_table):
 def test_decode_violations_catch_ledger(stats_and_table):
     table, ledger, _ = stats_and_table
     ds = ray.data.from_arrow(table).repartition(3)
-    v = decode_violations(ds, concurrency=(1, 2)).to_pandas()
+    v = bytes_suite_pass(ds, concurrency=(1, 2))[0].to_pandas()
     k = lambda cid_list, check, col=None: set(cid_list) <= set(
         v[(v.check_id == check) & ((v["column"] == col) if col else True)]["key"])
     assert k(ledger["truncated_bytes"], "DECODE-100")

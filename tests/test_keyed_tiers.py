@@ -61,10 +61,35 @@ def test_suite_and_partitioned_report_same_counts(tmp_path, decode):
                     decode=decode,
                     metadata_ds=ray.data.read_parquet(
                         meta["clips_dir"], columns=metadata_columns(spec)))
-    suite = {c: v["n_violations"] for c, v in res.report()["checks"].items()
-             if v["n_violations"]}
+    suite = res.report()
     rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", spec,
                                CheckpointStore(str(tmp_path / "ckpt")),
                                decode=decode, refs=refs)
-    assert rep["violations"] == suite
-    assert suite.get("REF-EXISTENCE-100") == len(meta["dangling_refs"])
+    assert rep["violations"] == suite["violations"]
+    assert rep["warnings"] == suite["warnings"]
+    assert suite["violations"].get("REF-EXISTENCE-100") == len(meta["dangling_refs"])
+
+
+def test_partitioned_runs_the_suite_schema_checks(tmp_path):
+    """Parquet files without the ``codec`` column: the partitioned runner
+    reports the missing column and the -50 unevaluable warnings exactly
+    as the suite does, instead of passing."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=60, seed=5,
+                               defect_rate=0.0, num_shards=2)
+    for f in glob.glob(meta["clips_dir"] + "/*.parquet"):
+        pq.write_table(pq.read_table(f).drop_columns(["codec"]), f)
+    spec = clips_spec()
+    errors, warnings = run_suite(ray.data.read_parquet(meta["clips_dir"]), spec,
+                                 decode=True).severity_counts()
+    rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", spec,
+                               CheckpointStore(str(tmp_path / "ckpt")), decode=True)
+    assert errors.get("SCHEMA-COLUMN-101") == 1
+    assert {"CROSS-DOMAIN-51", "DATATYPE-FACET-50", "ENUM-DOMAIN-50",
+            "ONLY-50"} <= set(warnings)
+    assert rep["violations"] == errors
+    assert rep["warnings"] == warnings
+    assert rep["pass"] is False

@@ -15,6 +15,14 @@ from osf_data_validator_tool_ray.spec import clips_spec
 from osf_data_validator_tool_ray.synth import synth_clips, synth_refs
 
 
+def _rows(res):
+    """Every violation row of a plan_checks result, driver-side ones
+    included, as one DataFrame."""
+    import pandas as pd
+    return pd.concat([res.driver_violations.to_pandas(), res.violations.to_pandas()],
+                     ignore_index=True)
+
+
 def test_parse_check_entry():
     assert parse_check_entry("decode?profile=full&batch_size=64") == (
         "decode", {"profile": "full", "batch_size": "64"})
@@ -33,17 +41,12 @@ def test_configured_run_matches_ledger():
     refs, dangling = synth_refs(t, seed=42)
     ctx = RunContext(ds=ray.data.from_arrow(t).repartition(3), spec=clips_spec(),
                      refs={"refs": ray.data.from_arrow(refs)})
-    results = plan_checks(ctx, [
+    v = _rows(plan_checks(ctx, [
         "schema", "spec_completeness",
         "stateless?include_universals=false&skip_bytes=true",
         "decode?profile=light",
         "keyed?include_existentials=false",
-    ])
-    import pandas as pd
-    frames = []
-    for r in results:
-        frames.append(r.to_pandas() if hasattr(r, "to_pandas") else r.to_pandas())
-    v = pd.concat(frames, ignore_index=True)
+    ]))
     assert set(ledger["unknown_codec"]) <= set(v[v.check_id == "ENUM-DOMAIN-100"]["key"])
     assert set(ledger["dup_clip_id"]) <= set(v[v.check_id == "CARD-MAX-100"]["key"])
     assert set(ledger["truncated_bytes"]) <= set(v[v.check_id == "DECODE-100"]["key"])
@@ -70,17 +73,28 @@ def test_registry_reconcile_and_sequence_order():
         pd.DataFrame({"rk": [1, 2], "total": [10.0, 20.0]}))}
     ctx = RunContext(ds=ray.data.from_pandas(fact), spec=clips_spec(),
                      refs=refs)
-    out = plan_checks(ctx, [
+    v = _rows(plan_checks(ctx, [
         "reconcile?ref=totals&key=k&value=v&ref_key=rk&target=total&tol=0.1",
         "sequence_order?key=k&ts=ts&seq=seq",
-    ])
-    frames = [o.to_pandas() if hasattr(o, "to_pandas") else o for o in out]
-    rec = frames[0]
-    assert rec["check_id"].tolist() == ["RECONCILE-100"]   # k=2: 9 vs 20
-    assert rec["key"].tolist() == ["2"]
-    seqv = frames[1]
-    assert seqv["check_id"].tolist() == ["SEQ-ORDER-100"]  # k=1 seq2 ts10<20
-    assert seqv["key"].tolist() == ["1"]
+    ]))
+    got = sorted(zip(v["check_id"], v["key"]))
+    # k=2: 9 vs 20; k=1: seq2 ts10 < ts20
+    assert got == [("RECONCILE-100", "2"), ("SEQ-ORDER-100", "1")]
+
+
+def test_registry_report_covers_registry_ids():
+    """A registry-only id fails the shared report: it is listed under
+    ``checks`` and flips ``pass``."""
+    import pandas as pd
+
+    fact = pd.DataFrame({"k": [1, 1], "seq": [1, 2],
+                         "ts": pd.to_datetime([20, 10], unit="s")})
+    ctx = RunContext(ds=ray.data.from_pandas(fact), spec=clips_spec())
+    rep = plan_checks(ctx, ["sequence_order?key=k&ts=ts&seq=seq"]).report()
+    assert rep["checks"]["SEQ-ORDER-100"] == {
+        "pass": False, "n_violations": 1, "n_warnings": 0}
+    assert rep["violations"] == {"SEQ-ORDER-100": 1}
+    assert rep["pass"] is False
 
 
 def test_registry_drift_exact():
@@ -100,20 +114,14 @@ def test_registry_drift_exact():
     })
     ctx = RunContext(ds=ray.data.from_pandas(df).repartition(3),
                      spec=clips_spec())
-    out = plan_checks(ctx, ["drift_exact?value=v&side=cohort&a=a&b=b"
-                            "&ks_threshold=0.1"])
-    v = out[0].to_pandas() if hasattr(out[0], "to_pandas") else out[0]
-    if hasattr(v, "to_pandas"):
-        v = v.to_pandas()
+    v = _rows(plan_checks(ctx, ["drift_exact?value=v&side=cohort&a=a&b=b"
+                                "&ks_threshold=0.1"]))
     assert v["check_id"].tolist() == ["DRIFT-102"]
     # identical cohorts: below threshold -> no violation
     df2 = pd.DataFrame({"v": np.tile(rng.integers(0, 10, 2000), 2),
                         "cohort": ["a"] * 2000 + ["b"] * 2000})
     ctx2 = RunContext(ds=ray.data.from_pandas(df2), spec=clips_spec())
-    out2 = plan_checks(ctx2, ["drift_exact?value=v&side=cohort&a=a&b=b"])
-    v2 = out2[0]
-    v2 = v2.to_pandas() if hasattr(v2, "to_pandas") else v2
-    assert len(v2) == 0
+    assert len(_rows(plan_checks(ctx2, ["drift_exact?value=v&side=cohort&a=a&b=b"]))) == 0
 
 
 def test_registry_image_check():
@@ -140,11 +148,10 @@ def test_registry_image_check():
         rows.append({"image_id": f"img{i:03d}", "bytes": buf})
     ctx = RunContext(ds=ray.data.from_pandas(pd.DataFrame(rows)),
                      spec=clips_spec())
-    out = plan_checks(ctx, ["image?backend=png&batch_size=8"])
-    v = out[0].to_pandas() if hasattr(out[0], "to_pandas") else out[0]
+    v = _rows(plan_checks(ctx, ["image?backend=png&batch_size=8"]))
     bad = sorted(v[v["check_id"] == "IMG-DECODE-100"]["key"])
     assert bad == [f"img{i:03d}" for i in range(20) if i % 7 == 0]
     # table without image columns -> check not applicable
     ctx2 = RunContext(ds=ray.data.from_pandas(
         pd.DataFrame({"a": [1]})), spec=clips_spec())
-    assert plan_checks(ctx2, ["image"]) == []
+    assert len(_rows(plan_checks(ctx2, ["image"]))) == 0

@@ -7,10 +7,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from osf_data_validator_tool_ray.checks.referential import (
-    anti_join_missing,
-    broadcast_membership_filter,
-)
+from osf_data_validator_tool_ray.checks.referential import anti_join_missing
 from osf_data_validator_tool_ray.pipelines.relational import (
     distinct_counts,
     distinct_values,
@@ -68,14 +65,10 @@ def test_distinct_ops():
 
 
 def test_anti_join_and_broadcast_paths_agree():
-    import ray
     refs = ray.data.from_pandas(pd.DataFrame({"r": [1, 2, 3, 99, 100, 100]})).repartition(2)
     keys = _tbl()
     miss = anti_join_missing(refs, "r", keys, "k").to_pandas()
     assert set(miss.key) == {99, 100}
-    key_set = ray.put(frozenset([1, 2, 3, 4]))
-    miss2 = broadcast_membership_filter(refs, "r", key_set).to_pandas()
-    assert set(int(x) for x in miss2.key) == {99, 100}
 
 
 def _events():
@@ -128,7 +121,6 @@ def test_topk_per_group():
 
 
 def test_hash_join():
-    import ray
     from osf_data_validator_tool_ray.pipelines.relational import hash_join
     left = ray.data.from_pandas(pd.DataFrame(
         {"k": [1, 1, 2, 3], "lv": [10, 11, 20, 30]})).repartition(2)

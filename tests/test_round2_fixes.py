@@ -168,10 +168,11 @@ def test_partitioned_warnings_do_not_fail(tmp_path):
     from osf_data_validator_tool_ray.pipelines.partitioned import (
         validate_partitioned,
     )
-    from osf_data_validator_tool_ray.spec import CrossColumnDomain
+    from osf_data_validator_tool_ray.spec import CrossColumnDomain, Facets
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 
     # a codec value with no domain entry -> CROSS-DOMAIN-50 warning only
+    # (every column has a facet entry, so spec completeness holds)
     df = pd.DataFrame({
         "clip_id": ["clip:0001:00000001", "clip:0001:00000002"],
         "sr_hz": np.array([8000, 16000], dtype=np.int32),
@@ -182,6 +183,8 @@ def test_partitioned_warnings_do_not_fail(tmp_path):
     pq.write_table(pa.Table.from_pandas(df), str(pdir / "p0.parquet"))
     spec = ConstraintSpec(
         table="clips", key_column="clip_id",
+        facets={"clip_id": Facets(), "sr_hz": Facets(dtype="int"),
+                "codec": Facets()},
         cross_domains=[CrossColumnDomain(
             type_column="codec", column="sr_hz",
             allowed={"pcm_s16le": frozenset({8000, 16000})})],

@@ -177,7 +177,8 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
 
     parts = partition_files(lance_dir)
     assert len(parts) == 3 and all("#" in p for p in parts)
-    names0, n0 = partition_schema_and_rows(parts[0])
+    schema0, n0 = partition_schema_and_rows(parts[0])
+    names0 = set(schema0.names)
     assert "clip_id" in names0 and n0 == 30
 
     spec = clips_spec()

@@ -122,14 +122,12 @@ def test_vad_registry_entry():
         {"clip_id": "a", "bytes": encode(pcm, SR, "pcm_s16le"),
          "transcript": "short"}])
     ctx = RunContext(ds=ds, spec=clips_spec())
-    (viol,) = plan_checks(ctx, ["vad?min_speech_ratio=0.5"])
-    df = viol.to_pandas()
-    assert ("VAD-100" == df["check_id"]).any()
+    rep = plan_checks(ctx, ["vad?min_speech_ratio=0.5"]).report()
+    assert rep["violations"].get("VAD-100") == 1 and rep["pass"] is False
     # with the default 0.2 threshold raised away, a permissive config
     # passes the same clip
-    (viol2,) = plan_checks(ctx, ["vad?min_speech_ratio=0.1"])
-    df2 = viol2.to_pandas()       # fully-empty Datasets drop columns
-    assert len(df2) == 0 or not (df2["check_id"] == "VAD-100").any()
+    rep2 = plan_checks(ctx, ["vad?min_speech_ratio=0.1"]).report()
+    assert "VAD-100" not in rep2["violations"]
 
 
 def test_trim_silence_roundtrip_exact():
