@@ -3,10 +3,11 @@
 Headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1) at
 $RAY_GRAFT_CPUS (default 32):
 
-  clips_suite   — the flagship: full validation suite (fused stateless
-                  pass + grouped shuffle + RI anti-join + decode actor
-                  pool) over a deterministic synthetic clips table sized
-                  to the scale factor (cached in /tmp across runs)
+  clips_suite   — the flagship: full validation suite (one scan for
+                  facets, payload decode and keyed partials, then one
+                  keyed merge with RI) over a deterministic synthetic
+                  clips table sized to the scale factor (cached in /tmp
+                  across runs)
   tpch_checks   — the relational check battery over the driver tables
   dedup         — exact + MinHash-LSH dedup over documents
   ann           — brute-force cosine top-k over embeddings
@@ -51,17 +52,14 @@ def _clips_meta(sf: float) -> dict:
 
 def _clips_suite_once(meta: dict) -> int:
     import ray, ray.data
-    from osf_data_validator_tool_ray.pipelines.runner import metadata_columns, run_suite
+    from osf_data_validator_tool_ray.pipelines.runner import run_suite
     from osf_data_validator_tool_ray.spec import clips_spec
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     spec = clips_spec()
     ds = ray.data.read_parquet(meta["clips_dir"])
-    meta_ds = ray.data.read_parquet(meta["clips_dir"], columns=metadata_columns(spec),
-                                    override_num_blocks=ncpu)
     refs = ray.data.read_parquet(meta["refs_path"], override_num_blocks=max(2, ncpu // 4))
     res = run_suite(ds, spec, refs={"refs": refs}, decode=True,
-                    decode_concurrency=(1, ncpu), metadata_ds=meta_ds,
                     decode_profile=os.environ.get("RAY_GRAFT_PROFILE", "light"))
     return res.violations.count()
 

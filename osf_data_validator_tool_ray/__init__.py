@@ -16,7 +16,7 @@ Architecture (NOT a port — see SURVEY.md):
   * ``functions``   — vectorized facet validators, sketches, text ops
   * ``checks``      — check classes emitting violation-row Datasets
   * ``stages``      — reusable map_batches stages (fused facet pass,
-                      audio-decode actor pool)
+                      audio decode)
   * ``pipelines``   — suite runner, report assembly, checkpoint/resume
   * ``sources``     — table readers/writers (parquet; Lance when present)
 """

@@ -10,8 +10,9 @@ batch, aggregate per key -> one tiny row per (key, batch): total count,
 per-qualifier counts, per-existential satisfied counts.  This is the
 salted pattern: hot keys (clip_id runs, codec skew) are pre-reduced
 inside every block before the exchange, so the shuffle moves O(distinct
-keys per block), not O(rows).  The suite runs it inside Ray Data and the
-partitioned runner stores its output per partition; both hand the
+keys per block), not O(rows).  The suite's one per-batch body
+(pipelines.runner.SuitePass) runs it inside Ray Data and inside each
+partition task, whose output is stored per partition; both hand the
 partials to checks/unified_keyed.py, which merges them
 (pipelines.relational.merge_partials) and evaluates every cardinality,
 existential, referential-existence and zero-occurrence (CARD-MIN-102)
@@ -29,22 +30,31 @@ from ..checks.predicates import PREDICATES
 
 class _PartialAggregator:
     """Stage-1 combiner: batch -> one row per key with partial counts.
-    Rows with a null key belong to no group and are dropped here."""
+    Rows with a null key belong to no group and are dropped here.
+
+    ``decode_existentials`` are counted from the caller's per-row
+    ``decoded`` flags (a full payload decode) instead of a predicate."""
 
     def __init__(self, key: str, cardinalities: list[Cardinality],
-                 existentials: list[Existential]):
+                 existentials: list[Existential],
+                 decode_existentials: list[Existential] = ()):
         self.key = key
         self.cards = cardinalities
         self.exts = existentials
+        self.decode_exts = decode_existentials
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 decoded: "np.ndarray | None" = None) -> pa.Table:
         # Arrow-native combiner (round-3 verdict item #7): key keeps its
         # Arrow type (no object-dtype pandas copy), count columns group
         # with Table.group_by.  Arrow bool -> int8 cast happens
         # Arrow-side (bool->numpy is a slow path).
         import pyarrow.compute as pc
         if batch.column(self.key).null_count:
-            batch = batch.filter(pc.is_valid(batch.column(self.key)))
+            valid = pc.is_valid(batch.column(self.key))
+            batch = batch.filter(valid)
+            if decoded is not None:
+                decoded = decoded[valid.to_numpy(zero_copy_only=False)]
         data: dict = {"key": batch.column(self.key)}
         sum_cols: list[str] = []
         for i, c in enumerate(self.cards):
@@ -59,6 +69,9 @@ class _PartialAggregator:
             data[f"ext{j}_n"] = pa.array(
                 PREDICATES[e.predicate](batch).astype(np.int64))
             sum_cols.append(f"ext{j}_n")
+        for j, _ in enumerate(self.decode_exts):
+            data[f"dext{j}_n"] = pa.array(decoded.astype(np.int64))
+            sum_cols.append(f"dext{j}_n")
         data["n_rows"] = pa.array(np.ones(batch.num_rows, dtype=np.int64))
         sum_cols.append("n_rows")
         g = pa.table(data).group_by(["key"], use_threads=False) \

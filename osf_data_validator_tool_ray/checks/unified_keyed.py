@@ -13,12 +13,12 @@ and their fixed cost dominates.  This module is the one planner and
 emitter for all of them, shared by both executors:
 
   * ``keyed_plan`` derives, from (spec, available columns, decode), the
-    constraints the keyed pass evaluates, the existentials the decode
-    scan owns, and the columns the keyed pass reads;
+    constraints the keyed pass evaluates and the columns it reads;
   * the suite (pipelines/runner.py) feeds ``keyed_violations`` the
-    combiner partials of its metadata scan, and the partitioned runner
-    (pipelines/partitioned.py) feeds it the partials each partition task
-    stored — the same ``_PartialAggregator`` rows either way.
+    combiner partials its one ``SuitePass`` scan emits, and the
+    partitioned runner (pipelines/partitioned.py) feeds it the partials
+    each partition task stored from the same ``SuitePass`` — the same
+    ``_PartialAggregator`` rows either way.
 
 ``keyed_violations`` unions the metadata partials with tagged refs /
 expected-key partials and resolves every constraint from ONE merge
@@ -27,19 +27,22 @@ expected-key partials and resolves every constraint from ONE merge
   merged row per key:
     card{i}_n    — Sum of qualified counts        (metadata partials)
     ext{j}_n     — Sum of predicate-true counts   (metadata partials)
+    dext{j}_n    — Sum of decoded-payload counts  (decode-mode partials)
     n_rows       — Sum of row counts              (metadata partials)
     is_ref       — Max marker                     (refs partials)
     is_expected  — Max marker                     (expected-key partials)
 
   verdicts:
     CARD-*        n_rows > 0 and count comparison fails
-    SOME-100      n_rows > 0 and ext_n == 0
+    SOME-100      n_rows > 0 and ext_n == 0 (or dext_n == 0)
     REF-EXISTENCE n_rows == 0 and is_ref == 1      (ref key never seen)
     CARD-MIN-102  n_rows == 0 and is_expected == 1 (zero-occurrence edge)
 
-Existentials over the payload in decode mode are counted by the decode
-scan instead (stages.decode_stage.existential_violations_from_partials),
-which keeps this exchange off the decode barrier.
+In decode mode the ``decodable_bytes`` existential counts the rows whose
+payload the suite pass fully decoded (``dext{j}_n``) instead of the
+header sniff (``ext{j}_n``).  The two names differ on purpose: partials
+stored under one decode setting lack the other's column, so a merge
+under the other setting refuses them.
 """
 
 from __future__ import annotations
@@ -72,24 +75,23 @@ _MARKERS = ("is_ref", "is_expected")
 class KeyedPlan:
     key: Optional[str]                      # None: no keyed pass
     cards: tuple[Cardinality, ...] = ()     # evaluated by the keyed pass
-    exts: tuple[Existential, ...] = ()      # counted by the keyed pass
-    decode_exts: tuple[Existential, ...] = ()   # counted by the decode scan
+    exts: tuple[Existential, ...] = ()      # counted by their predicate
+    decode_exts: tuple[Existential, ...] = ()   # counted by the payload decode
     columns: tuple[str, ...] = ()           # read by the keyed pass
 
     @property
     def sum_columns(self) -> list[str]:
-        """The partials' count columns, positional in cards / exts."""
+        """The partials' count columns, positional in cards / exts /
+        decode_exts."""
         return ([f"card{i}_n" for i in range(len(self.cards))]
-                + [f"ext{j}_n" for j in range(len(self.exts))] + ["n_rows"])
+                + [f"ext{j}_n" for j in range(len(self.exts))]
+                + [f"dext{j}_n" for j in range(len(self.decode_exts))] + ["n_rows"])
 
     def aggregator(self) -> _PartialAggregator:
-        """The combiner: batch -> one row per key with the sum columns."""
-        return _PartialAggregator(self.key, list(self.cards), list(self.exts))
-
-    def partials(self, ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        """The combiner over a Dataset holding ``columns``."""
-        return ds.select_columns(list(self.columns)).map_batches(
-            self.aggregator(), batch_format="pyarrow", batch_size=None)
+        """The combiner: batch (+ per-row decode flags when
+        ``decode_exts``) -> one row per key with the sum columns."""
+        return _PartialAggregator(self.key, list(self.cards), list(self.exts),
+                                  list(self.decode_exts))
 
 
 def _reads(column: Optional[str], predicate: Optional[str]) -> Optional[set]:
@@ -106,8 +108,8 @@ def keyed_plan(spec: ConstraintSpec, names: Optional[set],
 
     Constraints on absent columns or unknown predicates are skipped; the
     driver's unevaluable_warnings sweep reports them.  With ``decode``
-    the payload column belongs to the decode scan: existentials that
-    read it move to ``decode_exts`` and the keyed pass never reads it."""
+    every payload is fully decoded, so ``decodable_bytes`` existentials
+    move to ``decode_exts`` and count decoded rows, not sniffed headers."""
     key = spec.key_column
     if not key or (names is not None and key not in names):
         return KeyedPlan(None)
@@ -117,13 +119,13 @@ def keyed_plan(spec: ConstraintSpec, names: Optional[set],
 
     cards = [(c, _reads(c.column, c.qualifier)) for c in spec.cardinalities
              if c.key == key]
-    cards = [(c, r) for c, r in cards
-             if evaluable(r) and not (decode and "bytes" in r)]
+    cards = [(c, r) for c, r in cards if evaluable(r)]
     exts = [(e, _reads(None, e.predicate)) for e in spec.existentials
             if e.key == key]
     exts = [(e, r) for e, r in exts if evaluable(r)]
-    decode_exts = tuple(e for e, r in exts if decode and "bytes" in r)
-    exts = [(e, r) for e, r in exts if not (decode and "bytes" in r)]
+    decode_exts = tuple(e for e, _ in exts
+                        if decode and e.predicate == "decodable_bytes")
+    exts = [(e, r) for e, r in exts if e not in decode_exts]
     columns = {key}.union(*(r for _, r in cards + exts))
     return KeyedPlan(key, tuple(c for c, _ in cards), tuple(e for e, _ in exts),
                      decode_exts, tuple(sorted(columns)))
@@ -162,8 +164,8 @@ def keyed_violations(
     expected_key_column: str = "key",
 ) -> "ray.data.Dataset":
     """Every keyed verdict from ``partials`` (``plan.aggregator()`` rows:
-    key, card{i}_n, ext{j}_n, n_rows) plus the refs / expected-key sides,
-    in one merge."""
+    key, card{i}_n, ext{j}_n, dext{j}_n, n_rows) plus the refs /
+    expected-key sides, in one merge."""
     all_cols = ["key"] + plan.sum_columns + list(_MARKERS)
     parts = [partials.map_batches(lambda t: _pad(t, all_cols),
                                   batch_format="pyarrow", batch_size=None)]
@@ -195,12 +197,14 @@ def keyed_violations(
                 if m.any():
                     out.append(make_violations(cid, keys[m], c.column, n[m],
                                                expected=f"count{op}{bound}{q}"))
-        for j, e in enumerate(plan.exts):
-            n = t.column(f"ext{j}_n").to_numpy(zero_copy_only=False)
-            m = present & (n == 0)
-            if m.any():
-                out.append(make_violations(SOME_100, keys[m], e.predicate, n[m],
-                                           expected=f"some row satisfies {e.predicate}"))
+        for prefix, exts in (("ext", plan.exts), ("dext", plan.decode_exts)):
+            for j, e in enumerate(exts):
+                n = t.column(f"{prefix}{j}_n").to_numpy(zero_copy_only=False)
+                m = present & (n == 0)
+                if m.any():
+                    out.append(make_violations(
+                        SOME_100, keys[m], e.predicate, n[m],
+                        expected=f"some row satisfies {e.predicate}"))
         if ref_tables:
             m = (t.column("is_ref").to_numpy(zero_copy_only=False) > 0) & ~present
             if m.any():
@@ -232,15 +236,17 @@ def unified_keyed_violations(
 ) -> Optional["ray.data.Dataset"]:
     """The keyed pass over a metadata Dataset; None when it lacks the key.
 
-    ``skip_ext_columns=("bytes",)`` plans for decode mode: existentials
-    over the payload are left to the fused bytes scan, while
-    metadata-only existentials remain enforced here."""
+    ``skip_ext_columns=("bytes",)`` plans for decode mode: the
+    ``decodable_bytes`` existential is left to the suite pass's payload
+    decode, while every other existential remains enforced here."""
     plan = keyed_plan(spec, set(meta_ds.schema().names),
                       decode="bytes" in skip_ext_columns)
     if plan.key is None:
         return None
-    if not include_existentials_from_meta:
-        plan = replace(plan, exts=())
-    return keyed_violations(plan.partials(meta_ds), plan, spec, refs=refs,
+    plan = replace(plan, decode_exts=(),
+                   exts=plan.exts if include_existentials_from_meta else ())
+    partials = meta_ds.select_columns(list(plan.columns)).map_batches(
+        plan.aggregator(), batch_format="pyarrow", batch_size=None)
+    return keyed_violations(partials, plan, spec, refs=refs,
                             expected_keys=expected_keys,
                             expected_key_column=expected_key_column)

@@ -92,11 +92,9 @@ def main(argv: list[str] | None = None) -> int:
         res = run_partitioned(args.input, spec, CheckpointStore(args.checkpoint_dir),
                               decode=args.decode, refs=refs)
     else:
-        from .pipelines.runner import metadata_columns, run_suite
-        meta_ds = (ray.data.read_parquet(files, columns=metadata_columns(spec))
-                   if args.decode else None)
+        from .pipelines.runner import run_suite
         res = run_suite(ray.data.read_parquet(files), spec, refs=refs,
-                        decode=args.decode, metadata_ds=meta_ds)
+                        decode=args.decode)
 
     if args.violations_dir:
         # every violation row, driver-side ones included, in a

@@ -4,24 +4,25 @@ Input layout: a directory of parquet files (Lance fragments when Lance
 is available); ONE FILE = ONE PARTITION = the resume/lineage unit.
 
 Per incomplete partition (skipped when its checkpoint record is done):
-  1. fused stateless pass -> violations parquet artifact
-  2. decode actor-pool pass -> decode violations artifact (optional)
-  3. grouped-constraint PARTIAL aggregates per key -> partials artifact
-     (the combiner half of the two-phase aggregate: stored, so the
-     global merge never needs the raw rows again)
-  4. metrics + lineage record -> checkpoint store (atomic)
+  1. ONE streamed loop over the partition's batches, each through the
+     suite's own per-batch body (runner.SuitePass: stateless facets,
+     decode findings with decode=True, keyed combiner partials)
+  2. its violation rows -> violations parquet artifact; its grouped-
+     constraint PARTIAL aggregates per key (decodable count included)
+     -> partials artifact (the combiner half of the two-phase
+     aggregate: stored, so the global merge never needs the raw rows
+     again)
+  3. metrics + lineage record -> checkpoint store (atomic)
 
 Execution model: ONE Ray task per partition.  The partition is the unit
 of parallelism — a fleet processes thousands of fragments concurrently,
-each task streaming its file batch-by-batch through the same vectorized
-kernels the Dataset path uses (StatelessValidator, _PartialAggregator,
-BytesSuitePass).  This avoids paying a full Ray Dataset execution's
-fixed cost (planning + scheduling + barrier) several times per
-partition, which dominates when fragments are small; for large
-fragments the in-task loop is memory-bounded (iter_batches streams).
-Reads are branch-pruned AT THE SCAN: iter_batches(columns=...) reads
-only what each branch touches, so the wide `bytes` column is never
-decompressed unless the decode branch runs.  The checkpoint store's
+each task streaming its file batch-by-batch through the same per-batch
+body the Dataset path maps (runner.SuitePass).  This avoids paying a
+full Ray Dataset execution's fixed cost (planning + scheduling +
+barrier) per partition, which dominates when fragments are small; for
+large fragments the in-task loop is memory-bounded (iter_batches
+streams).  Reads are pruned AT THE SCAN: iter_batches(columns=...)
+reads only the columns the body touches.  The checkpoint store's
 atomic per-partition records keep resume semantics unchanged (store
 root must be on a filesystem all workers share — same contract as the
 artifact sinks).
@@ -33,12 +34,12 @@ first partition's footer):
     first partition's Arrow schema
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
-    cardinality, existential and referential-existence verdicts
-    (these hold GLOBALLY across partitions — duplicate clip_ids in
-    different partitions are caught here, which a purely per-partition
-    design would miss)
-  * decode runs merge the stored decodable counts the same way
-    (stages.decode_stage.existential_violations_from_partials)
+    cardinality, existential (the decodable count included) and
+    referential-existence verdicts (these hold GLOBALLY across
+    partitions — duplicate clip_ids in different partitions are caught
+    here, which a purely per-partition design would miss).  Partials
+    stored under another spec or decode setting lack a planned count
+    column, and the merge refuses them
   * union with stored per-partition violations -> a SuiteResult
     (``run_partitioned``) whose ``summary`` carries the partition
     counts; ``validate_partitioned`` returns its report, built by
@@ -69,15 +70,12 @@ from ..checks.base import union_all
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import _cache_fsspec_http_import
 from ..spec import ConstraintSpec
-from ..stages.facet_stage import StatelessValidator, stateless_columns
 from ..state.checkpoint import CheckpointStore
-from .runner import SuiteResult, driver_checks
+from .runner import SuitePass, SuiteResult, driver_checks
 
 # concurrent partition threads issue Ray IO in parallel; make the
 # path-resolver's per-call fsspec import race-free first
 _cache_fsspec_http_import()
-
-_BYTES_COLS = ("clip_id", "bytes", "transcript", "sr_hz", "dur_ms", "codec")
 
 
 def _partition_id(partition: str) -> str:
@@ -110,27 +108,14 @@ def _run_partition(
     import pyarrow.parquet as pq
 
     from ..sources.io import iter_partition_batches, partition_schema_and_rows
-    from ..stages.decode_stage import (
-        BytesSuitePass, combined_ext_partials, combined_violations)
 
     store = CheckpointStore(store_root)
     pid = _partition_id(path)
     t0 = time.time()
     schema, n_rows = partition_schema_and_rows(path)   # metadata, no scan
-    names = set(schema.names)
-    have_bytes = decode and "bytes" in names
+    body = SuitePass(spec, set(schema.names), plan, decode, declared_universals)
 
     tmp_base = os.path.join(store.root, f"_tmp_{pid}_{uuid.uuid4().hex[:6]}")
-
-    # ---- branch-pruned column sets -------------------------------------
-    skip = ("bytes",) if have_bytes else ()
-    sl_cols = [c for c in stateless_columns(spec, skip_columns=skip,
-                                            include_universals=True)
-               if c in names]
-    meta_cols = sorted((set(sl_cols) | set(plan.columns)) & names)
-
-    sl = StatelessValidator(spec, skip_columns=skip, include_universals=True)
-    agg = plan.aggregator() if plan.key in names else None
 
     class _ArtifactStream:
         """Incremental artifact writer: each appended table flushes
@@ -166,7 +151,7 @@ def _run_partition(
     import pyarrow.compute as pc
 
     viol_stream = _ArtifactStream("_violations")
-    part_stream = _ArtifactStream("_partials") if agg is not None else None
+    part_stream = _ArtifactStream("_partials") if body.agg is not None else None
     n_err = n_warn = 0
 
     def _add_viol(tbl: pa.Table) -> None:
@@ -179,26 +164,14 @@ def _run_partition(
                                      pa.int64())).as_py() or 0
         viol_stream.append(tbl)
 
-    if meta_cols:
-        for rb in iter_partition_batches(path, batch_size=batch_size or 65536,
-                                         columns=meta_cols):
-            t = pa.Table.from_batches([rb])
-            _add_viol(sl(t.select([c for c in sl_cols if c in t.column_names])))
-            if agg is not None:
-                part_stream.append(agg(t))
-
-    if have_bytes:
-        # decode=True: ONE streamed scan of the payload column; small
-        # batches keep the wide bytes rows within the task heap
-        bp = BytesSuitePass(universal_predicates=declared_universals)
-        bytes_cols = [c for c in _BYTES_COLS if c in names]
-        ext_stream = _ArtifactStream("_extpartials")
-        for rb in iter_partition_batches(path, batch_size=256,
-                                         columns=bytes_cols):
-            comb = bp(pa.Table.from_batches([rb]))
-            _add_viol(combined_violations(comb))
-            ext_stream.append(combined_ext_partials(comb))
-        ext_stream.publish("ext_partials")
+    # decode: small batches keep the wide payload rows within the task heap
+    for rb in iter_partition_batches(
+            path, batch_size=256 if body.decode else batch_size or 65536,
+            columns=body.columns):
+        violations, partials = body.findings(pa.Table.from_batches([rb]))
+        _add_viol(violations)
+        if part_stream is not None:
+            part_stream.append(partials)
 
     viol_stream.publish("violations")
     if part_stream is not None:
@@ -248,10 +221,10 @@ def run_partitioned(
 
     # the keyed plan is made against the FIRST partition's schema (all
     # partitions of one table share it) so the partials' positional
-    # card{i}_n / ext{j}_n columns stay consistent across partitions.
-    # NOTE: one store assumes one spec and decode setting across its
-    # lifetime (those positions follow the plan); the merge refuses
-    # stored partials that lack a planned column.
+    # card{i}_n / ext{j}_n / dext{j}_n columns stay consistent across
+    # partitions.  NOTE: one store assumes one spec and decode setting
+    # across its lifetime (those positions follow the plan); the merge
+    # refuses stored partials that lack a planned column.
     schema0, _ = partition_schema_and_rows(files[0])
     plan = keyed_plan(spec, set(schema0.names), decode)
     declared_universals = {u.predicate for u in spec.universals}
@@ -289,11 +262,6 @@ def run_partitioned(
                 f"checkpoint store {store.root} holds partials without "
                 f"{sorted(missing)}: written under another spec or decode setting")
         parts.append(keyed_violations(partials, plan, spec, refs=refs))
-    ext_files = _files("ext_partials")
-    if ext_files and any(e.predicate == "decodable_bytes" for e in plan.decode_exts):
-        from ..stages.decode_stage import existential_violations_from_partials
-        parts.append(existential_violations_from_partials(
-            ray.data.read_parquet(ext_files)))
 
     recs = store.records()
     summary = {

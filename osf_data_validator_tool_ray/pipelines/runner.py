@@ -1,17 +1,27 @@
 """Suite runner — the engine's analog of the reference CLI driver loop
 (`dvt:139-192`: instantiate each configured check, inject context, run,
-merge report fragments), re-expressed as a handful of streaming Ray Data
-pipelines that share one source:
+merge report fragments), re-expressed as ONE scan of the input:
 
   1. driver-side metadata checks (schema conformance, spec completeness)
-  2. ONE fused stateless map_batches pass (facets, enums, cross-domain,
-     and — in sniff mode — universal predicates) over a column-pruned scan
-  3. ONE merge for ALL keyed constraints (cardinality, referential
-     existence, existential, zero-edge) over tagged combiner partials
-     (checks/unified_keyed.py, shared with the partitioned runner)
-  4. decode=True: ONE scan of the payload column (bytes_suite_pass)
-     yielding every bytes-derived finding, overlapped with 2-3 via a
-     driver thread so the exchange never sits on the critical path
+     from the table's schema alone
+  2. ONE ``map_batches`` of ``SuitePass`` over a column-pruned ``ds``
+     (256-row batches): per batch, the stateless facets (facets, enums,
+     cross-domain, universal predicates — header-sniffed, or with
+     decode=True fully decoded by BytesSuitePass along with DECODE-100/101)
+     and the combiner partials of ALL keyed constraints, the decodable
+     count included
+  3. the small tagged output is materialized once and split into
+     violation rows and partials
+  4. ONE merge for ALL keyed constraints (cardinality, referential
+     existence, existential, zero-edge) over those partials
+     (checks/unified_keyed.keyed_violations, shared with the partitioned
+     runner, which calls the same ``SuitePass`` in its per-partition loop)
+
+Trade-off: the keyed merge follows the scan instead of overlapping it.
+Below the driver-merge gate (``relational.fits_driver_merge``) the merge
+runs in process, so what it adds is an Arrow group_by, not a Ray
+execution; above it, one hash exchange.  In return each input row is
+read and scheduled once.
 
 Violation Datasets are unioned; the verdict counts (per-block counts per
 check id, merged on the driver) are the only driver materialization of
@@ -30,18 +40,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
-from ..checks.base import empty_violations, union_all
+from ..checks.base import VIOLATION_SCHEMA, empty_violations, union_all
 from ..checks.schema import (
     schema_violations,
     spec_completeness_violations,
     unevaluable_warnings,
 )
-from ..checks.unified_keyed import keyed_plan, keyed_violations
+from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
+from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
 
 ALL_CHECK_IDS = [
@@ -155,15 +167,78 @@ def driver_checks(schema: pa.Schema, spec: ConstraintSpec,
 
 
 def metadata_columns(spec: ConstraintSpec) -> list[str]:
-    """Every non-payload column the metadata branches touch — callers
-    should build ``metadata_ds`` with read_parquet(columns=these) so the
-    wide binary column is pruned AT THE READ (Ray's optimizer does not
-    push a later select_columns into the parquet scan)."""
+    """Every non-payload column the suite's checks read.  The suite
+    itself needs no second Dataset (it scans ``ds`` once); a read
+    pruned to these columns serves a metadata check run on its own
+    without the wide binary column (Ray's optimizer does not push a
+    later select_columns into the parquet scan)."""
     cols = set(stateless_columns(spec, skip_columns=("bytes",),
                                  include_universals=True))
     cols |= set(keyed_plan(spec, None, decode=True).columns)
     cols.discard("bytes")
     return sorted(cols)
+
+
+class SuitePass:
+    """The suite's one per-batch body: everything computed from a row.
+
+      * the stateless facets (``StatelessValidator``);
+      * with ``decode`` (and a payload column), the payload findings of
+        ``BytesSuitePass``, which then own the payload-derived universals;
+      * the keyed combiner partials (``plan.aggregator()``), whose
+        ``dext{j}_n`` counts the rows the payload decode accepted.
+
+    ``findings`` returns ``(violations, partials)`` (partials None when
+    the table lacks the plan's key).  Calling the instance returns both
+    as ONE tagged table for ``map_batches``: partial rows carry their key
+    in ``_pkey``, violation rows leave it null; ``tagged_violations`` and
+    ``tagged_partials`` split it."""
+
+    def __init__(self, spec: ConstraintSpec, names: set, plan: KeyedPlan,
+                 decode: bool, universal_predicates: frozenset,
+                 profile: str = "light"):
+        self.decode = decode and "bytes" in names
+        skip = ("bytes",) if self.decode else ()
+        self.stateless_columns = [
+            c for c in stateless_columns(spec, skip_columns=skip,
+                                         include_universals=True) if c in names]
+        self.stateless = StatelessValidator(spec, skip_columns=skip,
+                                            include_universals=True)
+        self.bytes_columns = ([c for c in BYTES_COLUMNS if c in names]
+                              if self.decode else [])
+        self.payload = (BytesSuitePass(profile=profile,
+                                       universal_predicates=universal_predicates)
+                        if self.decode else None)
+        self.agg = plan.aggregator() if plan.key in names else None
+        self.columns = sorted(set(self.stateless_columns) | set(self.bytes_columns)
+                              | set(plan.columns if self.agg else ()))
+
+    def findings(self, batch: pa.Table) -> tuple[pa.Table, Optional[pa.Table]]:
+        violations = [self.stateless(batch.select(self.stateless_columns))]
+        decoded = None
+        if self.payload is not None:
+            v, decoded = self.payload.findings(batch.select(self.bytes_columns))
+            violations.append(v)
+        partials = self.agg(batch, decoded) if self.agg is not None else None
+        return pa.concat_tables(violations), partials
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        violations, partials = self.findings(batch)
+        if partials is None:
+            return violations
+        partials = partials.rename_columns(["_pkey", *partials.column_names[1:]])
+        return pa.concat_tables([violations, partials], promote_options="default")
+
+
+def tagged_violations(t: pa.Table) -> pa.Table:
+    """The violation rows of ``SuitePass`` output."""
+    return t.filter(pc.is_null(t.column("_pkey"))).select(VIOLATION_SCHEMA.names)
+
+
+def tagged_partials(t: pa.Table) -> pa.Table:
+    """The keyed partial rows of ``SuitePass`` output, key restored."""
+    p = t.filter(pc.is_valid(t.column("_pkey"))).drop_columns(VIOLATION_SCHEMA.names)
+    return p.rename_columns(["key", *p.column_names[1:]])
 
 
 def run_suite(
@@ -174,89 +249,41 @@ def run_suite(
     expected_key_column: str = "key",
     batch_size: Optional[int] = None,
     decode: bool = False,
-    decode_concurrency: "int | tuple[int, int]" = (1, 16),
     metadata_ds: Optional["ray.data.Dataset"] = None,
     decode_profile: str = "light",
 ) -> SuiteResult:
-    """Plan every check of ``spec`` against ``ds``; everything stays lazy
-    until the caller consumes the violations Dataset / report.
+    """Run every check of ``spec`` against ``ds``: ONE scan of ``ds``
+    (``SuitePass`` per batch of ``batch_size``, default 256 rows) whose
+    small output is materialized here, then the keyed merge.  The
+    returned violations Dataset stays lazy over that output.
 
-    decode=True fuses ALL payload-derived checks (universal predicates,
-    bytes facets, DECODE-100/101, the decodable existential) into ONE
-    actor-pool scan of the `bytes` column (bytes_suite_pass) — the wide
-    binary column is then never read by any other stage.  decode=False
-    keeps the cheap header-sniff predicates inside the stateless pass.
+    decode=True fully decodes every payload in the same scan (universal
+    predicates, bytes facets, DECODE-100/101 and the decodable
+    existential come from the decode); decode=False sniffs payload
+    headers in the stateless pass instead.
+
+    ``metadata_ds`` is accepted and unused: the one scan of ``ds`` reads
+    every column the checks need.
     """
     actual_schema = arrow_schema(ds)
+    names = set(actual_schema.names)
     driver_v = driver_checks(actual_schema, spec, refs)
 
-    parts: list["ray.data.Dataset"] = []
-    meta_ds = metadata_ds if (metadata_ds is not None and decode) else ds
+    plan = keyed_plan(spec, names, decode)
+    body = SuitePass(spec, names, plan, decode,
+                     frozenset(u.predicate for u in spec.universals),
+                     decode_profile)
+    out = ds.select_columns(body.columns).map_batches(
+        body, batch_format="pyarrow", batch_size=batch_size or 256).materialize()
+    if body.agg is None:
+        return SuiteResult(violations=out, driver_violations=driver_v)
 
-    # decode mode skips bytes-derived universals here (the fused decode
-    # scan owns them) but keeps metadata-only universals enforced — the
-    # skip_columns filter inside StatelessValidator handles the split
-    skip = ("bytes",) if decode else ()
-    cols = [c for c in stateless_columns(spec, skip_columns=skip,
-                                         include_universals=True)
-            if c in actual_schema.names]
-    stateless = meta_ds.select_columns(cols).map_batches(
-        StatelessValidator(spec, skip_columns=skip, include_universals=True),
-        batch_format="pyarrow",
-        **({"batch_size": batch_size} if batch_size else {}),
-    )
-    parts.append(stateless)
-
-    plan = keyed_plan(spec, set(actual_schema.names), decode)
-
-    def keyed_pass() -> Optional["ray.data.Dataset"]:
-        if plan.key is None:
-            return None
-        return keyed_violations(plan.partials(meta_ds), plan, spec, refs=refs,
-                                expected_keys=expected_keys,
-                                expected_key_column=expected_key_column)
-
-    if decode and "bytes" in actual_schema.names:
-        # Overlap: the decode scan (bytes_suite_pass materializes its
-        # small combined output) runs in a driver thread WHILE the
-        # metadata branches (stateless + keyed exchange) materialize —
-        # otherwise the keyed exchange serializes behind the decode
-        # barrier and its fixed latency lands on the critical path.
-        import threading
-
-        from ..stages.decode_stage import (
-            bytes_suite_pass, existential_violations_from_partials)
-
-        box: dict = {}
-        declared_universals = {u.predicate for u in spec.universals}
-
-        def _run_bytes():
-            try:
-                box["v"], box["p"] = bytes_suite_pass(
-                    ds, concurrency=decode_concurrency, profile=decode_profile,
-                    universal_predicates=declared_universals)
-            except BaseException as e:      # noqa: BLE001 — rethrown below
-                box["err"] = e
-
-        th = threading.Thread(target=_run_bytes, daemon=True)
-        th.start()
-
-        # metadata-only existentials (e.g. over transcript) stay in the
-        # keyed pass; bytes-derived ones come from the decode partials
-        keyed = keyed_pass()
-        keyed_m = keyed.materialize() if keyed is not None else None
-        stateless_m = stateless.materialize()
-        parts = [stateless_m] + ([keyed_m] if keyed_m is not None else [])
-
-        th.join()
-        if "err" in box:
-            raise box["err"]
-        parts.append(box["v"])
-        if any(e.predicate == "decodable_bytes" for e in plan.decode_exts):
-            parts.append(existential_violations_from_partials(box["p"]))
-    else:
-        keyed = keyed_pass()
-        if keyed is not None:
-            parts.append(keyed)
-
-    return SuiteResult(violations=union_all(parts), driver_violations=driver_v)
+    violations = out.map_batches(tagged_violations, batch_format="pyarrow",
+                                 batch_size=None)
+    partials = out.map_batches(tagged_partials, batch_format="pyarrow",
+                               batch_size=None)
+    keyed = keyed_violations(partials, plan, spec, refs=refs,
+                             expected_keys=expected_keys,
+                             expected_key_column=expected_key_column)
+    return SuiteResult(violations=union_all([violations, keyed]),
+                       driver_violations=driver_v)

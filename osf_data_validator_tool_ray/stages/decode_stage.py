@@ -1,10 +1,12 @@
 """Audio-decode stage — the engine's flagship payload stage.
 
-``AudioDecodeValidator`` is the per-batch decode kernel;
-``bytes_suite_pass`` (one scan of the payload column: decode findings,
-universal predicates, bytes facets and the decodable-existential
-partials) and ``BytesSuitePass`` (the same pass inside one partition
-task) wrap it.
+``AudioDecodeValidator`` is the per-batch decode kernel.
+``BytesSuitePass`` turns its stats into every payload finding (decode
+findings, universal predicates, bytes facets) plus the per-row decoded
+flags that the keyed partials count for the ``decodable_bytes``
+existential; the suite's one per-batch body
+(``pipelines.runner.SuitePass``) calls it, and ``bytes_suite_pass`` runs
+it alone over a Dataset.
 
 Its ``__call__`` fully decodes every payload of the batch and emits per-row
 decode stats:
@@ -17,8 +19,7 @@ decode stats:
   parity invariant).
 
 Batch sizing: `bytes` dominates row width (sr*dur*2 bytes/row); keep
-batch_size small (bytes_suite_pass: 256) so batch x concurrency fits
-worker heaps
+batch_size small (256) so a batch fits the worker heap
 (SURVEY.md §4: memory-aware decode stage).
 
 Violations derived from the stats:
@@ -33,13 +34,13 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-
-import ray.data
 
 from .. import audio
 from ..checks.base import empty_violations, make_violations
 from ..stages.base_ids import DECODE_100, DECODE_101
+
+# the columns the payload findings read
+BYTES_COLUMNS = ("clip_id", "bytes", "transcript", "sr_hz", "dur_ms", "codec")
 
 _FEATURE_COLS = ("silence_ratio", "clipping_ratio", "spectral_centroid",
                  "spectral_rolloff", "spectral_flatness", "dominant_freq", "zcr")
@@ -64,7 +65,7 @@ STATS_SCHEMA = pa.schema(
 class AudioDecodeValidator:
     def __init__(self, frame_tolerance: float = 0.02, features: bool = True,
                  profile: str = "light"):
-        # actor-lifetime state: one-time setup (decoder dispatch + the
+        # worker-lifetime state: one-time setup (decoder dispatch + the
         # Hann window cache; this is where codec tables / models load at
         # fleet scale)
         self.frame_tolerance = frame_tolerance
@@ -134,25 +135,15 @@ def bytes_suite_pass(
     ds: "ray.data.Dataset",
     frame_tolerance: float = 0.02,
     batch_size: int = 256,
-    concurrency: "int | tuple[int, int]" = (1, 16),
-    use_actors: bool = False,
     profile: str = "light",
     universal_predicates: "set[str] | None" = None,
 ):
-    """ONE actor-pool scan of the payload column that yields everything
-    any check needs from `bytes`:
+    """``BytesSuitePass`` alone over a Dataset: one scan of the payload
+    column yielding everything any check derives from `bytes` (the suite
+    runs the same body inside its one ``SuitePass`` scan).
 
-      * DECODE-100/-101 violations (undecodable; stats contradict metadata)
-      * ONLY-100 counterexamples for bytes_matches_codec / frames_match_dur
-        (universal checks — full decode subsumes the header sniff)
-      * DATATYPE-FACET-101 for the bytes not_null / not_empty facets
-      * per-(clip_id, batch) partial counts of decodable rows — the
-        combiner input for the SOME-100 existential groupby
-
-    Returns (violations_ds, ext_partials_ds).  The combined per-batch
-    output is tiny (no payloads), so it is materialized once and split —
-    without the materialize, each downstream branch would re-execute the
-    whole decode scan (Ray Data re-runs lineage per consumer).
+    Returns ``(violations, n_violations)``: the materialized violation
+    rows and their count, read from block metadata.
 
     ``universal_predicates``: the set of universal predicate ids the
     caller's spec actually declares; ONLY-100 rows are emitted only for
@@ -162,36 +153,27 @@ def bytes_suite_pass(
     """
     if universal_predicates is None:
         universal_predicates = {"bytes_matches_codec", "frames_match_dur"}
-    cols = [c for c in ("clip_id", "bytes", "transcript", "sr_hz", "dur_ms", "codec")
-            if c in ds.schema().names]
-    sub = ds.select_columns(cols)
-
-    if use_actors:
-        combined = sub.map_batches(
-            BytesSuitePass, batch_format="pyarrow", batch_size=batch_size,
-            fn_constructor_args=(frame_tolerance, profile,
-                                 frozenset(universal_predicates)),
-            concurrency=concurrency, num_cpus=1).materialize()
-    else:
-        # task path: decode state is cheap, and tasks run in Ray's warm
-        # worker processes — no per-execution actor pool spin-up (an
-        # instance, not the class, makes map_batches schedule tasks)
-        combined = sub.map_batches(
-            BytesSuitePass(frame_tolerance, profile,
-                           frozenset(universal_predicates)),
-            batch_format="pyarrow", batch_size=batch_size).materialize()
-
-    violations = combined.map_batches(combined_violations, batch_format="pyarrow")
-    partials = combined.map_batches(combined_ext_partials, batch_format="pyarrow")
-    return violations, partials
+    cols = [c for c in BYTES_COLUMNS if c in ds.schema().names]
+    # an instance, not the class, makes map_batches schedule tasks:
+    # decode state is cheap and Ray's warm workers serve every execution
+    violations = ds.select_columns(cols).map_batches(
+        BytesSuitePass(frame_tolerance, profile, frozenset(universal_predicates)),
+        batch_format="pyarrow", batch_size=batch_size).materialize()
+    return violations, violations.count()
 
 
 class BytesSuitePass:
-    """Per-batch body of the single bytes scan (shared by the Dataset
-    path above and the per-partition task path in
-    pipelines/partitioned.py).  Output is a tagged union: violation rows
-    (_rowtype='v') + per-key decodable-count partials (_rowtype='p') —
-    split with combined_violations / combined_ext_partials."""
+    """Per-batch body of the payload scan: every finding derived from
+    `bytes` (the Dataset path above, and ``pipelines.runner.SuitePass``
+    inside the suite's one scan and each partition task):
+
+      * DECODE-100/-101 violations (undecodable; stats contradict metadata)
+      * ONLY-100 counterexamples for bytes_matches_codec / frames_match_dur
+        (universal checks — full decode subsumes the header sniff)
+      * DATATYPE-FACET-101 for the bytes not_null / not_empty facets
+
+    ``findings`` also returns the per-row decoded flags, which the keyed
+    partials count for the ``decodable_bytes`` existential."""
 
     def __init__(self, frame_tolerance: float = 0.02, profile: str = "light",
                  universal_predicates: frozenset = frozenset(
@@ -201,8 +183,10 @@ class BytesSuitePass:
         self.universal_predicates = universal_predicates
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pandas as pd
+        return self.findings(batch)[0]
 
+    def findings(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        """(violation rows, per-row decoded_ok) of one batch."""
         frame_tolerance = self.frame_tolerance
         universal_predicates = self.universal_predicates
         stats = self.validator(batch)
@@ -259,51 +243,4 @@ class BytesSuitePass:
                             expected="all rows satisfy frames_match_dur"))
         v = (pa.concat_tables(out).combine_chunks() if out
              else empty_violations())
-        # existential partial: decodable count per key in this batch
-        pdf = pd.DataFrame({"key": keys, "_ok": ok.astype(np.int64)})
-        part = pdf.groupby("key", sort=False)["_ok"].sum().reset_index()
-        v = v.append_column("_rowtype", pa.array(["v"] * v.num_rows, type=pa.string()))
-        v = v.append_column("_ext_n", pa.array([0] * v.num_rows, type=pa.int64()))
-        p = pa.table({
-            "check_id": pa.array([None] * len(part), type=pa.string()),
-            "severity": pa.array([None] * len(part), type=pa.string()),
-            "key": pa.array(part["key"].astype(object), type=pa.string()),
-            "column": pa.array([None] * len(part), type=pa.string()),
-            "observed": pa.array([None] * len(part), type=pa.string()),
-            "expected": pa.array([None] * len(part), type=pa.string()),
-            "_rowtype": pa.array(["p"] * len(part), type=pa.string()),
-            "_ext_n": pa.array(part["_ok"].to_numpy(), type=pa.int64()),
-        })
-        return pa.concat_tables([v, p]).combine_chunks()
-
-
-def combined_violations(t: pa.Table) -> pa.Table:
-    m = pc.equal(t.column("_rowtype"), "v")
-    return t.filter(m).drop_columns(["_rowtype", "_ext_n"])
-
-
-def combined_ext_partials(t: pa.Table) -> pa.Table:
-    m = pc.equal(t.column("_rowtype"), "p")
-    return t.filter(m).select(["key", "_ext_n"])
-
-
-def existential_violations_from_partials(
-    partials: "ray.data.Dataset",
-    driver_merge_threshold: int = 5_000_000,
-):
-    """SOME-100 over the decode partials: merge per-batch decodable
-    counts (pipelines.relational.merge_partials: in process when small,
-    one exchange at fleet scale), flag keys where no row decoded."""
-
-    def emit(t: pa.Table) -> pa.Table:
-        n = t.column("_ext_n").to_numpy(zero_copy_only=False)
-        m = n == 0
-        if not m.any():
-            return empty_violations()
-        keys = np.asarray(t.column("key").to_pylist(), dtype=object)
-        return make_violations("SOME-100", keys[m], "decodable_bytes", n[m],
-                               expected="some row satisfies decodable_bytes")
-
-    from ..pipelines.relational import merge_partials
-    return merge_partials(partials, "key", {"_ext_n": "sum"}, emit,
-                          driver_merge_threshold)
+        return v, ok

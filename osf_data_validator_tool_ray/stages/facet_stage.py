@@ -38,8 +38,8 @@ class StatelessValidator:
     def __init__(self, spec: ConstraintSpec, skip_columns: tuple = (),
                  include_universals: bool = True):
         # skip_columns: used by the decode-fused suite, where everything
-        # bytes-derived comes from the single decode scan
-        # (stages/decode_stage.bytes_suite_pass) instead.  Universals whose
+        # bytes-derived comes from the payload decode in the same scan
+        # (stages/decode_stage.BytesSuitePass) instead.  Universals whose
         # predicate reads a skipped column are excluded HERE; universals
         # over metadata-only predicates stay enforced even in decode mode.
         self.spec = spec

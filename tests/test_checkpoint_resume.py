@@ -176,14 +176,26 @@ def test_partitioned_corrupt_partition_heals_on_rerun(tmp_path):
 
 
 def test_partitioned_refuses_partials_of_another_decode_setting(dataset, tmp_path):
-    """A decode=True store keeps no decodable counts in its keyed
-    partials; merging it under decode=False must fail loudly instead of
-    reading the missing counts as zero (a SOME-100 for every clip)."""
+    """A decode=True store keeps decoded counts (``dext0_n``), not
+    sniffed ones (``ext0_n``), in its keyed partials; merging it under
+    decode=False must fail loudly instead of reading the missing counts
+    as zero (a SOME-100 for every clip)."""
     store = CheckpointStore(str(tmp_path / "ckpt"))
     pattern = dataset["clips_dir"] + "/*.parquet"
     validate_partitioned(pattern, clips_spec(), store, decode=True)
     with pytest.raises(ValueError, match="decode setting"):
         validate_partitioned(pattern, clips_spec(), store)
+
+
+def test_partitioned_refuses_sniffed_partials_under_decode(dataset, tmp_path):
+    """The reverse: a decode=False store holds no decoded counts, and its
+    violations lack every DECODE finding; merging it under decode=True
+    must fail loudly instead of reporting the store as decoded."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    validate_partitioned(pattern, clips_spec(), store)
+    with pytest.raises(ValueError, match="decode setting"):
+        validate_partitioned(pattern, clips_spec(), store, decode=True)
 
 
 def test_partitioned_clean_input_passes(tmp_path):

@@ -99,7 +99,7 @@ def test_per_row_parity_vs_naive_oracle(stats_and_table):
 def test_decode_violations_catch_ledger(stats_and_table):
     table, ledger, _ = stats_and_table
     ds = ray.data.from_arrow(table).repartition(3)
-    v = bytes_suite_pass(ds, concurrency=(1, 2))[0].to_pandas()
+    v = bytes_suite_pass(ds)[0].to_pandas()
     k = lambda cid_list, check, col=None: set(cid_list) <= set(
         v[(v.check_id == check) & ((v["column"] == col) if col else True)]["key"])
     assert k(ledger["truncated_bytes"], "DECODE-100")

@@ -12,7 +12,7 @@ import ray.data
 from osf_data_validator_tool_ray.checks.unified_keyed import unified_keyed_violations
 from osf_data_validator_tool_ray.pipelines import relational as rel
 from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
-from osf_data_validator_tool_ray.pipelines.runner import metadata_columns, run_suite
+from osf_data_validator_tool_ray.pipelines.runner import run_suite
 from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec, clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 from osf_data_validator_tool_ray.synth import write_clips_dataset
@@ -51,20 +51,19 @@ def test_null_keys_same_answer_on_both_tiers():
     assert having == sorted([("a", 2), (None, 2)], key=repr)
 
 
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
 @pytest.mark.parametrize("decode", [False, True])
-def test_suite_and_partitioned_report_same_counts(tmp_path, decode):
+def test_suite_and_partitioned_report_same_counts(tmp_path, decode, tier):
     meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=300, seed=9,
                                defect_rate=0.05, num_shards=3)
     spec = clips_spec()
     refs = {"refs": ray.data.read_parquet(meta["refs_path"])}
-    res = run_suite(ray.data.read_parquet(meta["clips_dir"]), spec, refs=refs,
-                    decode=decode,
-                    metadata_ds=ray.data.read_parquet(
-                        meta["clips_dir"], columns=metadata_columns(spec)))
-    suite = res.report()
-    rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", spec,
-                               CheckpointStore(str(tmp_path / "ckpt")),
-                               decode=decode, refs=refs)
+    with _tier(tier):
+        suite = run_suite(ray.data.read_parquet(meta["clips_dir"]), spec,
+                          refs=refs, decode=decode).report()
+        rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", spec,
+                                   CheckpointStore(str(tmp_path / "ckpt")),
+                                   decode=decode, refs=refs)
     assert rep["violations"] == suite["violations"]
     assert rep["warnings"] == suite["warnings"]
     assert suite["violations"].get("REF-EXISTENCE-100") == len(meta["dangling_refs"])

@@ -81,13 +81,13 @@ def test_report_shape(suite_result):
 
 
 def test_decode_fused_suite_matches_sniff_suite(suite_result):
-    """decode=True (single bytes scan via the actor pool) must reproduce
+    """decode=True (the payload decoded in the suite's one scan) must reproduce
     every check outcome of the sniff-based path, plus DECODE-10x."""
     table, ledger, dangling, res, v_sniff = suite_result
     refs, _ = synth_refs(table, seed=42)
     ds = ray.data.from_arrow(table).repartition(4)
     res2 = run_suite(ds, clips_spec(), refs={"refs": ray.data.from_arrow(refs)},
-                     decode=True, decode_concurrency=(1, 2))
+                     decode=True)
     v = res2.violations.to_pandas()
 
     for check in ("DATATYPE-FACET-101", "ENUM-DOMAIN-100", "CROSS-DOMAIN-100",
@@ -103,6 +103,31 @@ def test_decode_fused_suite_matches_sniff_suite(suite_result):
     # and the decode-only findings appear
     assert set(ledger["truncated_bytes"]) <= _keys(v, "DECODE-100")
     assert set(ledger["wrong_container"]) <= _keys(v, "DECODE-101", "codec")
+
+
+@pytest.mark.parametrize("decode", [False, True])
+def test_suite_reads_each_input_row_once(tmp_path, decode):
+    """run_suite plus its report scan the input once: every row passes
+    the counting map exactly once.  The schema (which read_parquet knows
+    from file footers) is fetched and cached before counting starts."""
+    table, _ = synth_clips(300, seed=5, defect_rate=0.05)
+    refs, _ = synth_refs(table, seed=5)
+
+    def count(t, seen=str(tmp_path)):
+        import os
+        import uuid
+        with open(os.path.join(seen, uuid.uuid4().hex), "w") as f:
+            f.write(str(t.num_rows))
+        return t
+
+    ds = ray.data.from_arrow(table).repartition(3).map_batches(
+        count, batch_format="pyarrow")
+    ds.schema()
+    for f in tmp_path.iterdir():
+        f.unlink()
+    run_suite(ds, clips_spec(), refs={"refs": ray.data.from_arrow(refs)},
+              decode=decode).report()
+    assert sum(int(f.read_text()) for f in tmp_path.iterdir()) == table.num_rows
 
 
 def test_clean_table_passes():
