@@ -1,7 +1,7 @@
 """Benchmark harness.
 
 Headline pipelines over $GRAFT_SF_DIR (default /root/testdata/sf0.1) at
-$RAY_GRAFT_CPUS (default 32):
+$RAY_GRAFT_CPUS (default: the CPUs this process may run on):
 
   clips_suite   — the flagship: full validation suite (one scan for
                   facets, payload decode and keyed partials, then one
@@ -17,9 +17,10 @@ Prints ONE JSON line:
    "queries": {...per-pipeline sec...}, "sf": ..., "num_cpus": N,
    "clips_per_sec": ...}
 
-`--scaling`: reruns the harness in fresh processes at 8 and 32 CPUs on
-the SAME input (page cache warmed) and reports both throughputs plus
-scaling efficiency (the sandbox stand-in for the N vs 4N node contract).
+`--scaling`: reruns the harness in fresh processes at N and 4N CPUs
+($RAY_GRAFT_SCALE_LO, default 4) on the SAME input (page cache warmed)
+and reports both throughputs plus scaling efficiency (the sandbox
+stand-in for the N vs 4N node contract).
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def _clips_suite_once(meta: dict) -> int:
     spec = clips_spec()
     ds = ray.data.read_parquet(meta["clips_dir"])
     refs = ray.data.read_parquet(meta["refs_path"], override_num_blocks=max(2, ncpu // 4))
-    res = run_suite(ds, spec, refs={"refs": refs}, decode=True,
-                    decode_profile=os.environ.get("RAY_GRAFT_PROFILE", "light"))
+    res = run_suite(ds, spec, refs={"refs": refs}, decode=True)
     return res.violations.count()
 
 
@@ -221,9 +221,10 @@ def bench_ann(sf_dir: str) -> dict:
 
 
 def _scaling_clips_meta() -> dict:
-    """Heavier clips dataset for the scaling measurement: per-row decode
-    compute must dominate fixed scheduling/shuffle cost, or the
-    efficiency ratio measures Ray overhead instead of the pipeline."""
+    """Heavier clips dataset for the scaling measurement (80k clips of up
+    to 2.5 s): per-row work must outweigh Ray's fixed scheduling/shuffle
+    cost, or the efficiency ratio measures Ray overhead instead of the
+    pipeline."""
     from osf_data_validator_tool_ray.synth import write_clips_dataset
     return write_clips_dataset("/tmp/osfdvt_scaling_clips80", n_rows=80_000,
                                seed=42, defect_rate=0.01, num_shards=32,
@@ -232,7 +233,8 @@ def _scaling_clips_meta() -> dict:
 
 def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS",
+                                  str(len(os.sched_getaffinity(0)))))
     sf = _sf_from_dir(sf_dir)
 
     if os.environ.get("RAY_GRAFT_BENCH") == "clips-only":
@@ -244,7 +246,7 @@ def run_bench() -> dict:
         from ray.data import DataContext
         DataContext.get_current().enable_progress_bars = False
         # light warm-up: page cache + worker processes + first-use code
-        # paths (package import, FFT plans) via a one-shard suite run —
+        # paths (package import) via a one-shard suite run —
         # the decode stage is task-based, so the same workers serve the
         # timed run
         import glob as _glob
@@ -317,18 +319,15 @@ def run_bench() -> dict:
 def run_scaling() -> dict:
     """Same job, fresh processes, N and 4N CPUs, identical input.
 
-    N=4 -> 4N=16 by default: past ~16 cores this single socket saturates
-    shared LLC/DRAM bandwidth on the FFT-feature stage, so 8->32 measures
-    the node's memory system, not the pipeline (on a real N->4N NODE
-    cluster each node adds its own bandwidth).  Override with
-    RAY_GRAFT_SCALE_LO/HI; both levels are reported either way.
+    N=4 -> 4N=16 by default; override with RAY_GRAFT_SCALE_LO/HI.  Both
+    levels are reported either way.
     """
     n_lo = int(os.environ.get("RAY_GRAFT_SCALE_LO", "4"))
     n_hi = int(os.environ.get("RAY_GRAFT_SCALE_HI", str(4 * n_lo)))
 
     def run_once(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   RAY_GRAFT_BENCH="clips-only", RAY_GRAFT_PROFILE="full")
+                   RAY_GRAFT_BENCH="clips-only")
         out = subprocess.run([sys.executable, os.path.join(REPO, "bench.py")],
                              env=env, capture_output=True, text=True, check=True).stdout
         return json.loads(out.strip().splitlines()[-1])

@@ -8,11 +8,11 @@ format specifications:
   * ``pcm_u8``    — RIFF/WAVE container, format tag 1, 8-bit unsigned PCM
   * ``ulaw``      — RIFF/WAVE container, format tag 7, G.711 mu-law
 
-All kernels are vectorized numpy; decode returns float32 PCM in [-1, 1].
-This is the decoding used both by the AudioDecodeValidator actor stage
-and (via an independent scalar implementation in tests/) the per-row
-parity oracle (decoded-PCM allclose, SNR >= 30 dB — BASELINE.json
-input_hint).
+All kernels are vectorized numpy; decode returns float32 PCM in [-1, 1]
+and ``decode_ints`` the bit-exact integer samples.  The decode stage
+(``stages/decode_stage``) runs ``decode_ints`` on every payload; an
+independent scalar decoder in tests/ is the per-row parity oracle
+(decoded-PCM allclose, SNR >= 30 dB — BASELINE.json input_hint).
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def parse_header(buf: bytes) -> dict:
                 raise DecodeError("data chunk before fmt chunk")
             if body + clen > len(buf):
                 raise DecodeError("truncated data chunk")
+            if clen % max(1, fmt["bits"] // 8):
+                raise DecodeError("data chunk is not a whole number of samples")
             fmt["data_offset"] = body
             fmt["data_len"] = clen
             return fmt
@@ -164,18 +166,24 @@ def decode_ints(buf: bytes) -> tuple[np.ndarray, int, str]:
 
 
 def binary_views(arr) -> list:
-    """Zero-copy per-row memoryviews over a pyarrow Binary(Chunked)Array's
-    data buffer — avoids to_pylist()'s full copy of the payload column
-    (the dominant cost at audio scale)."""
+    """Zero-copy per-row memoryviews over a pyarrow binary or
+    large_binary (Chunked)Array's data buffer — avoids to_pylist()'s full
+    copy of the payload column (the dominant cost at audio scale)."""
     import pyarrow as pa
 
+    if pa.types.is_binary(arr.type):
+        offset_dtype = np.int32
+    elif pa.types.is_large_binary(arr.type):
+        offset_dtype = np.int64
+    else:
+        raise TypeError(f"binary_views needs binary or large_binary, got {arr.type}")
     chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
     out = []
     for chunk in chunks:
         if len(chunk) == 0:
             continue
         validity, offsets_buf, data_buf = chunk.buffers()
-        offsets = np.frombuffer(offsets_buf, dtype=np.int32)[
+        offsets = np.frombuffer(offsets_buf, dtype=offset_dtype)[
             chunk.offset: chunk.offset + len(chunk) + 1]
         mv = memoryview(data_buf)
         nulls = chunk.is_null().to_numpy(zero_copy_only=False)
@@ -184,136 +192,6 @@ def binary_views(arr) -> list:
                 out.append(None)
             else:
                 out.append(mv[offsets[i]:offsets[i + 1]])
-    return out
-
-
-_HANN_CACHE: dict = {}
-
-
-def qa_features_full(f: np.ndarray, sr: int,
-                     frame: int = 1024, hop: int = 64,
-                     chunk_frames: int = 32) -> dict:
-    """Thorough QA profile: dense spectrogram (hop 64) with per-frame
-    centroid mean/std, 8-band energies, spectral entropy, rolloff,
-    flatness, dominant frequency, plus an FFT-autocorrelation pitch
-    estimate.
-
-    ONE chunked STFT pass: frames are processed ``chunk_frames`` at a
-    time so intermediates stay L2-resident (full-spectrogram
-    materialization is DRAM-bandwidth-bound and stops scaling across
-    cores on one node); all statistics accumulate as running sums.
-    """
-    out = {"rms": 0.0, "peak": 0.0, "clipping_ratio": 0.0, "silence_ratio": 1.0,
-           "spectral_centroid": 0.0, "spectral_rolloff": 0.0,
-           "spectral_flatness": 0.0, "dominant_freq": 0.0, "zcr": 0.0,
-           "pitch_hz": 0.0, "pitch_strength": 0.0, "centroid_std": 0.0,
-           "spectral_entropy": 0.0, **{f"band{i}_energy": 0.0 for i in range(8)}}
-    n = len(f)
-    if n == 0:
-        return out
-    out["rms"] = float(np.sqrt(np.mean(f * f)))
-    out["peak"] = float(np.max(np.abs(f)))
-    out["clipping_ratio"] = float(np.mean(np.abs(f) > 0.985))
-    out["zcr"] = float(np.mean(np.signbit(f[1:]) != np.signbit(f[:-1])))
-    sf_len = max(1, int(sr * 0.02))
-    n_sil = n // sf_len
-    if n_sil:
-        fr = f[: n_sil * sf_len].reshape(n_sil, sf_len)
-        out["silence_ratio"] = float(np.mean(np.sqrt(np.mean(fr * fr, axis=1)) < 0.01))
-
-    if n >= frame:
-        win = _HANN_CACHE.get(frame)
-        if win is None:
-            win = _HANN_CACHE[frame] = np.hanning(frame)
-        freqs = np.fft.rfftfreq(frame, d=1.0 / sr)
-        n_frames = 1 + (n - frame) // hop
-        mag_sum = np.zeros(len(freqs))
-        cent_sum = cent_sq_sum = 0.0
-        ent_sum = 0.0
-        for start in range(0, n_frames, chunk_frames):
-            cnt = min(chunk_frames, n_frames - start)
-            idx0 = start * hop
-            view = np.lib.stride_tricks.sliding_window_view(
-                f[idx0: idx0 + (cnt - 1) * hop + frame], frame)[::hop][:cnt]
-            sp = np.abs(np.fft.rfft(view * win, axis=1))
-            mag_sum += sp.sum(axis=0)
-            tot = sp.sum(axis=1)
-            tot[tot == 0] = 1.0
-            cent = (sp * freqs).sum(axis=1) / tot
-            cent_sum += cent.sum()
-            cent_sq_sum += (cent * cent).sum()
-            p = sp / tot[:, None]
-            ent_sum += float(-(p * np.log(p + 1e-12)).sum())
-        mag = mag_sum / n_frames
-        total = mag.sum()
-        if total > 0:
-            out["spectral_centroid"] = float((freqs * mag).sum() / total)
-            cum = np.cumsum(mag)
-            out["spectral_rolloff"] = float(freqs[np.searchsorted(cum, 0.85 * total)])
-            gm = np.exp(np.mean(np.log(mag + 1e-12)))
-            out["spectral_flatness"] = float(gm / (mag.mean() + 1e-12))
-            out["dominant_freq"] = float(freqs[int(np.argmax(mag))])
-        mean_c = cent_sum / n_frames
-        out["centroid_std"] = float(max(0.0, cent_sq_sum / n_frames - mean_c ** 2) ** 0.5)
-        out["spectral_entropy"] = float(ent_sum / n_frames)
-        for i, b in enumerate(np.array_split(mag, 8)):
-            out[f"band{i}_energy"] = float(b.sum())
-
-    if n >= 2048:
-        # FFT autocorrelation pitch (Wiener-Khinchin)
-        x = f - f.mean()
-        spec = np.fft.rfft(x, n=2 * len(x))
-        ac = np.fft.irfft(spec * np.conj(spec))[: len(x)]
-        lo, hi = int(sr / 500), int(sr / 50)          # 50..500 Hz
-        if hi > lo and hi < len(ac) and ac[0] > 0:
-            lag = lo + int(np.argmax(ac[lo:hi]))
-            out["pitch_hz"] = float(sr / lag)
-            out["pitch_strength"] = float(ac[lag] / ac[0])
-    return out
-
-
-def qa_features(f: np.ndarray, sr: int,
-                frame: int = 1024, hop: int = 256) -> dict:
-    """Per-clip audio-QA features over float PCM in [-1, 1]:
-
-      rms, peak, clipping_ratio, silence_ratio (20 ms frames),
-      spectral centroid / rolloff(0.85) / flatness and dominant frequency
-      from a |STFT| (frame/hop windows, Hann), zero-crossing rate.
-
-    Vectorized per clip (one framed FFT batch); this is the compute body
-    of the decode validation stage — at fleet scale these stats feed the
-    drift profile and the per-clip quality facets.
-    """
-    n = len(f)
-    out = {"rms": 0.0, "peak": 0.0, "clipping_ratio": 0.0, "silence_ratio": 1.0,
-           "spectral_centroid": 0.0, "spectral_rolloff": 0.0,
-           "spectral_flatness": 0.0, "dominant_freq": 0.0, "zcr": 0.0}
-    if n == 0:
-        return out
-    out["rms"] = float(np.sqrt(np.mean(f * f)))
-    out["peak"] = float(np.max(np.abs(f)))
-    out["clipping_ratio"] = float(np.mean(np.abs(f) > 0.985))
-    out["zcr"] = float(np.mean(np.signbit(f[1:]) != np.signbit(f[:-1])))
-
-    sf_len = max(1, int(sr * 0.02))
-    n_sil = n // sf_len
-    if n_sil:
-        frames = f[: n_sil * sf_len].reshape(n_sil, sf_len)
-        out["silence_ratio"] = float(np.mean(np.sqrt(np.mean(frames * frames, axis=1)) < 0.01))
-
-    if n >= frame:
-        win = np.lib.stride_tricks.sliding_window_view(f, frame)[::hop]
-        spec = np.abs(np.fft.rfft(win * np.hanning(frame), axis=1))
-        mag = spec.mean(axis=0)
-        freqs = np.fft.rfftfreq(frame, d=1.0 / sr)
-        total = mag.sum()
-        if total > 0:
-            out["spectral_centroid"] = float((freqs * mag).sum() / total)
-            cum = np.cumsum(mag)
-            out["spectral_rolloff"] = float(freqs[np.searchsorted(cum, 0.85 * total)])
-            gm = np.exp(np.mean(np.log(mag + 1e-12)))
-            out["spectral_flatness"] = float(gm / (mag.mean() + 1e-12))
-            out["dominant_freq"] = float(freqs[int(np.argmax(mag))])
     return out
 
 

@@ -117,11 +117,11 @@ def check_keyed(ctx: RunContext, include_existentials: str = "true"):
 
 
 @register("decode")
-def check_decode(ctx: RunContext, profile: str = "light", batch_size: str = "256"):
+def check_decode(ctx: RunContext, batch_size: str = "256"):
     from ..stages.decode_stage import bytes_suite_pass
     if "bytes" not in ctx.ds.schema().names:
         return None
-    return bytes_suite_pass(ctx.ds, profile=profile, batch_size=int(batch_size))[0]
+    return bytes_suite_pass(ctx.ds, batch_size=int(batch_size))[0]
 
 
 @register("vad")

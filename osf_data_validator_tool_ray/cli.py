@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--spec", help="JSON constraint-spec file (spec_to_dict "
                     "format) — validates ANY table, not just clips")
     ap.add_argument("--checks", help="comma-separated check entries (dvt.ini "
-                    "analog), e.g. 'schema,stateless,decode?profile=full,keyed'; "
+                    "analog), e.g. 'schema,stateless,decode?batch_size=64,keyed'; "
                     "default: the full built-in suite")
     ap.add_argument("--num-cpus", type=int,
                     help="Ray CPU slots (default: the host's CPU count)")

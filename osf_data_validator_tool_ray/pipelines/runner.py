@@ -195,8 +195,7 @@ class SuitePass:
     ``tagged_partials`` split it."""
 
     def __init__(self, spec: ConstraintSpec, names: set, plan: KeyedPlan,
-                 decode: bool, universal_predicates: frozenset,
-                 profile: str = "light"):
+                 decode: bool, universal_predicates: frozenset):
         self.decode = decode and "bytes" in names
         skip = ("bytes",) if self.decode else ()
         self.stateless_columns = [
@@ -206,8 +205,7 @@ class SuitePass:
                                             include_universals=True)
         self.bytes_columns = ([c for c in BYTES_COLUMNS if c in names]
                               if self.decode else [])
-        self.payload = (BytesSuitePass(profile=profile,
-                                       universal_predicates=universal_predicates)
+        self.payload = (BytesSuitePass(universal_predicates=universal_predicates)
                         if self.decode else None)
         self.agg = plan.aggregator() if plan.key in names else None
         self.columns = sorted(set(self.stateless_columns) | set(self.bytes_columns)
@@ -263,7 +261,8 @@ def run_suite(
     headers in the stateless pass instead.
 
     ``metadata_ds`` is accepted and unused: the one scan of ``ds`` reads
-    every column the checks need.
+    every column the checks need.  ``decode_profile`` is accepted and
+    unused: the decode kernel computes no QA features.
     """
     actual_schema = arrow_schema(ds)
     names = set(actual_schema.names)
@@ -271,8 +270,7 @@ def run_suite(
 
     plan = keyed_plan(spec, names, decode)
     body = SuitePass(spec, names, plan, decode,
-                     frozenset(u.predicate for u in spec.universals),
-                     decode_profile)
+                     frozenset(u.predicate for u in spec.universals))
     out = ds.select_columns(body.columns).map_batches(
         body, batch_format="pyarrow", batch_size=batch_size or 256).materialize()
     if body.agg is None:

@@ -8,15 +8,10 @@ existential; the suite's one per-batch body
 (``pipelines.runner.SuitePass``) calls it, and ``bytes_suite_pass`` runs
 it alone over a Dataset.
 
-Its ``__call__`` fully decodes every payload of the batch and emits per-row
-decode stats:
+``AudioDecodeValidator.__call__`` fully decodes every payload of the
+batch (``audio.decode_ints``) and emits only what the findings read:
 
-  clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, rms,
-  peak, pcm_md5 (hash of the integer-domain samples — the per-row parity
-  token: the naive oracle decoder must produce the same hash, which
-  implies decoded-PCM allclose with SNR = inf >= 30 dB), transcript
-  (passed through unchanged for the transcript-equality half of the
-  parity invariant).
+  clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, error.
 
 Batch sizing: `bytes` dominates row width (sr*dur*2 bytes/row); keep
 batch_size small (256) so a batch fits the worker heap
@@ -30,8 +25,6 @@ Violations derived from the stats:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
@@ -40,10 +33,7 @@ from ..checks.base import empty_violations, make_violations
 from ..stages.base_ids import DECODE_100, DECODE_101
 
 # the columns the payload findings read
-BYTES_COLUMNS = ("clip_id", "bytes", "transcript", "sr_hz", "dur_ms", "codec")
-
-_FEATURE_COLS = ("silence_ratio", "clipping_ratio", "spectral_centroid",
-                 "spectral_rolloff", "spectral_flatness", "dominant_freq", "zcr")
+BYTES_COLUMNS = ("clip_id", "bytes", "sr_hz", "dur_ms", "codec")
 
 STATS_SCHEMA = pa.schema(
     [
@@ -52,42 +42,26 @@ STATS_SCHEMA = pa.schema(
         ("frames", pa.int64()),
         ("payload_sr_hz", pa.int32()),
         ("payload_codec", pa.string()),
-        ("rms", pa.float64()),
-        ("peak", pa.float64()),
-        ("pcm_md5", pa.string()),
         ("error", pa.string()),
-        ("transcript", pa.string()),
     ]
-    + [(c, pa.float64()) for c in _FEATURE_COLS]
 )
 
 
 class AudioDecodeValidator:
-    def __init__(self, frame_tolerance: float = 0.02, features: bool = True,
-                 profile: str = "light"):
-        # worker-lifetime state: one-time setup (decoder dispatch + the
-        # Hann window cache; this is where codec tables / models load at
-        # fleet scale)
-        self.frame_tolerance = frame_tolerance
-        self.features = features
-        self.profile = profile
+    def __init__(self):
+        # worker-lifetime state: one-time setup (decoder dispatch; this is
+        # where codec tables / models load at fleet scale)
         self._decode = audio.decode_ints
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch.column("clip_id").to_pylist()
         payloads = audio.binary_views(batch.column("bytes"))  # zero-copy
-        transcripts = (batch.column("transcript").to_pylist()
-                       if "transcript" in batch.column_names else [None] * len(ids))
         n = len(ids)
         ok = np.zeros(n, dtype=bool)
         frames = np.zeros(n, dtype=np.int64)
         srs = np.zeros(n, dtype=np.int32)
         codecs: list = [None] * n
-        rms = np.zeros(n, dtype=np.float64)
-        peak = np.zeros(n, dtype=np.float64)
-        md5s: list = [None] * n
         errs: list = [None] * n
-        feats = {c: np.zeros(n, dtype=np.float64) for c in _FEATURE_COLS}
         for i, buf in enumerate(payloads):
             if buf is None:
                 errs[i] = "null payload"
@@ -101,34 +75,14 @@ class AudioDecodeValidator:
             frames[i] = len(ints)
             srs[i] = sr
             codecs[i] = codec
-            if codec == "pcm_u8":
-                f = (ints.astype(np.float64) - 128.0) / 127.0
-            else:
-                f = ints.astype(np.float64) / 32767.0
-            if len(f):
-                rms[i] = float(np.sqrt(np.mean(f * f)))
-                peak[i] = float(np.max(np.abs(f)))
-            if self.features:
-                q = (audio.qa_features_full(f, sr) if self.profile == "full"
-                     else audio.qa_features(f, sr))
-                for c in _FEATURE_COLS:
-                    feats[c][i] = q[c]
-            md5s[i] = hashlib.md5(ints.tobytes()).hexdigest()
-        cols = {
+        return pa.table({
             "clip_id": pa.array(ids, type=pa.string()),
             "decoded_ok": pa.array(ok),
             "frames": pa.array(frames),
             "payload_sr_hz": pa.array(srs),
             "payload_codec": pa.array(codecs, type=pa.string()),
-            "rms": pa.array(rms),
-            "peak": pa.array(peak),
-            "pcm_md5": pa.array(md5s, type=pa.string()),
             "error": pa.array(errs, type=pa.string()),
-            "transcript": pa.array(transcripts, type=pa.string()),
-        }
-        for c in _FEATURE_COLS:
-            cols[c] = pa.array(feats[c])
-        return pa.table(cols, schema=STATS_SCHEMA)
+        }, schema=STATS_SCHEMA)
 
 
 def bytes_suite_pass(
@@ -150,6 +104,9 @@ def bytes_suite_pass(
     declared predicates (None = emit both, legacy behavior).  Without
     this, custom specs that never declare bytes_matches_codec /
     frames_match_dur would see spurious ONLY-100 errors.
+
+    ``profile`` is accepted and unused: the kernel computes no QA
+    features.
     """
     if universal_predicates is None:
         universal_predicates = {"bytes_matches_codec", "frames_match_dur"}
@@ -157,7 +114,8 @@ def bytes_suite_pass(
     # an instance, not the class, makes map_batches schedule tasks:
     # decode state is cheap and Ray's warm workers serve every execution
     violations = ds.select_columns(cols).map_batches(
-        BytesSuitePass(frame_tolerance, profile, frozenset(universal_predicates)),
+        BytesSuitePass(frame_tolerance,
+                       universal_predicates=frozenset(universal_predicates)),
         batch_format="pyarrow", batch_size=batch_size).materialize()
     return violations, violations.count()
 
@@ -173,12 +131,15 @@ class BytesSuitePass:
       * DATATYPE-FACET-101 for the bytes not_null / not_empty facets
 
     ``findings`` also returns the per-row decoded flags, which the keyed
-    partials count for the ``decodable_bytes`` existential."""
+    partials count for the ``decodable_bytes`` existential.
+
+    ``profile`` is accepted and unused: the kernel computes no QA
+    features."""
 
     def __init__(self, frame_tolerance: float = 0.02, profile: str = "light",
                  universal_predicates: frozenset = frozenset(
                      {"bytes_matches_codec", "frames_match_dur"})):
-        self.validator = AudioDecodeValidator(frame_tolerance, profile=profile)
+        self.validator = AudioDecodeValidator()
         self.frame_tolerance = frame_tolerance
         self.universal_predicates = universal_predicates
 

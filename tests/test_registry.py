@@ -34,6 +34,8 @@ def test_unknown_check_raises():
     ctx = RunContext(ds=ray.data.from_arrow(t), spec=clips_spec())
     with pytest.raises(KeyError):
         plan_checks(ctx, ["no_such_check"])
+    with pytest.raises(TypeError):
+        plan_checks(ctx, ["decode?profile=full"])
 
 
 def test_configured_run_matches_ledger():
@@ -44,7 +46,7 @@ def test_configured_run_matches_ledger():
     v = _rows(plan_checks(ctx, [
         "schema", "spec_completeness",
         "stateless?include_universals=false&skip_bytes=true",
-        "decode?profile=light",
+        "decode",
         "keyed?include_existentials=false",
     ]))
     assert set(ledger["unknown_codec"]) <= set(v[v.check_id == "ENUM-DOMAIN-100"]["key"])

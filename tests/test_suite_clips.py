@@ -163,3 +163,39 @@ def test_speaking_rate_universal():
     v = res.violations.to_pandas()
     only = v[(v["check_id"] == "ONLY-100") & (v["severity"] == "error")]
     assert only["key"].tolist() == ["b"]
+
+
+@pytest.mark.parametrize("decode", [False, True])
+def test_odd_length_16bit_payload_fails_closed(decode):
+    """A 16-bit data chunk of odd length is one undecodable row, not a
+    crashed run: decode reports DECODE-100, the sniff ONLY-100
+    bytes_matches_codec, and every other row's findings are unchanged."""
+    import pyarrow as pa
+
+    from osf_data_validator_tool_ray import audio
+
+    table, ledger = synth_clips(80, seed=3, defect_rate=0.1)
+    planted = {k for keys in ledger.values() for k in keys}
+    codecs = table.column("codec").to_pylist()
+    ids = table.column("clip_id").to_pylist()
+    i = next(j for j in range(table.num_rows)
+             if codecs[j] == "pcm_s16le" and ids[j] not in planted)
+    sr = table.column("sr_hz")[i].as_py()
+    payloads = table.column("bytes").to_pylist()
+    payloads[i] = audio._wav_header(audio.WAVE_FORMAT_PCM, 1, sr, 16, 3) + b"\0\1\2"
+    hostile = table.set_column(table.schema.get_field_index("bytes"), "bytes",
+                               pa.array(payloads, type=pa.binary()))
+
+    def run(t):
+        res = run_suite(ray.data.from_arrow(t).repartition(2), clips_spec(),
+                        decode=decode)
+        v = res.violations.to_pandas()
+        return v, sorted(map(tuple, v[v.key != ids[i]][["check_id", "column", "key"]]
+                             .astype(str).values))
+
+    v, others = run(hostile)
+    if decode:
+        assert ids[i] in _keys(v, "DECODE-100")
+    else:
+        assert ids[i] in _keys(v, "ONLY-100", "bytes_matches_codec")
+    assert others == run(table)[1]
