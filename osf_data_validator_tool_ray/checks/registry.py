@@ -5,12 +5,13 @@ The reference registers checks by class name in `dvt.ini`
 (`CheckDatatypePropertiesDatatype?mode=strict`, parsed at dvt:142-155),
 instantiates each, injects context, and runs them in order.
 
-Here a check plugin is a named planner function over a RunContext; a run
-config lists `"<name>"` or `"<name>?k=v&k2=v2"` entries.  Each planner
-returns a violations Dataset (or a pyarrow Table for driver-side checks,
-or None when not applicable).  New checks register with @register.
-``plan_checks`` gathers a run's planners into one ``SuiteResult`` (the
-suite runner's result type), so its report is the suite's report.
+Here a run config lists `"<name>"` or `"<name>?k=v&k2=v2"` entries; the
+built-in suite is the list ``pipelines.runner.SUITE``.  The row-level
+entries (``stateless``, ``keyed``, ``decode``) take no parameters and
+share ONE scan (``runner.scan_checks``); every other entry is a planner
+function over a RunContext returning a violations Dataset (or a pyarrow
+Table for driver-side checks, or None when not applicable), registered
+with @register.  ``plan_checks`` gathers a run into one ``SuiteResult``.
 """
 
 from __future__ import annotations
@@ -23,28 +24,24 @@ import pyarrow as pa
 
 import ray.data
 
-from ..pipelines.runner import SuiteResult
+from ..pipelines.runner import ROW_CHECKS, SuiteResult, scan_checks
 from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
 from .base import empty_violations, make_violations, union_all
-from .schema import schema_violations, spec_completeness_violations
+from .schema import schema_violations, spec_completeness_violations, unevaluable_warnings
 
 
 @dataclass
 class RunContext:
     ds: "ray.data.Dataset"
     spec: ConstraintSpec
-    metadata_ds: Optional["ray.data.Dataset"] = None
     refs: Optional[dict[str, "ray.data.Dataset"]] = None
     expected_keys: Optional["ray.data.Dataset"] = None
     baseline_profile_path: Optional[str] = None
 
-    @property
-    def meta_ds(self):
-        return self.metadata_ds if self.metadata_ds is not None else self.ds
 
-
-CHECKS: dict[str, Callable[..., Any]] = {}
+# row-level entries have no planner of their own: plan_checks scans for them
+CHECKS: dict[str, Optional[Callable[..., Any]]] = dict.fromkeys(sorted(ROW_CHECKS))
 
 
 def register(name: str):
@@ -66,15 +63,27 @@ def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
     """Plan every configured check into one SuiteResult: violation
     Datasets go into ``violations``, driver-side pyarrow Tables into
     ``driver_violations`` (unknown names raise, like an unloadable
-    class)."""
-    datasets, tables = [], [empty_violations()]
+    class).  The row-level entries run in one scan, followed by the -50
+    warnings for every constraint they skip as unevaluable."""
+    datasets, tables, row_checks = [], [empty_violations()], set()
     for entry in entries:
         name, params = parse_check_entry(entry)
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        if name in ROW_CHECKS:
+            if params:
+                raise TypeError(f"check {name!r} takes no parameters, got {sorted(params)}")
+            row_checks.add(name)
+            continue
         res = CHECKS[name](ctx, **params)
         if res is not None:
             (tables if isinstance(res, pa.Table) else datasets).append(res)
+    if row_checks:
+        datasets.append(scan_checks(ctx.ds, ctx.spec, frozenset(row_checks),
+                                    refs=ctx.refs, expected_keys=ctx.expected_keys))
+        tables.append(unevaluable_warnings(
+            arrow_schema(ctx.ds), ctx.spec,
+            ref_tables=set(ctx.refs) if ctx.refs is not None else None))
     return SuiteResult(union_all(datasets), pa.concat_tables(tables))
 
 
@@ -91,37 +100,6 @@ def check_schema(ctx: RunContext, mode: str = ""):
 @register("spec_completeness")
 def check_spec_completeness(ctx: RunContext):
     return spec_completeness_violations(arrow_schema(ctx.ds), ctx.spec)
-
-
-@register("stateless")
-def check_stateless(ctx: RunContext, include_universals: str = "true",
-                    skip_bytes: str = "false"):
-    from ..stages.facet_stage import StatelessValidator, stateless_columns
-    skip = ("bytes",) if skip_bytes == "true" else ()
-    inc = include_universals == "true"
-    have = set(ctx.meta_ds.schema().names)
-    cols = [c for c in stateless_columns(ctx.spec, skip_columns=skip,
-                                         include_universals=inc) if c in have]
-    return ctx.meta_ds.select_columns(cols).map_batches(
-        StatelessValidator(ctx.spec, skip_columns=skip, include_universals=inc),
-        batch_format="pyarrow")
-
-
-@register("keyed")
-def check_keyed(ctx: RunContext, include_existentials: str = "true"):
-    from .unified_keyed import unified_keyed_violations
-    return unified_keyed_violations(
-        ctx.meta_ds, ctx.spec, refs=ctx.refs,
-        expected_keys=ctx.expected_keys,
-        include_existentials_from_meta=(include_existentials == "true"))
-
-
-@register("decode")
-def check_decode(ctx: RunContext, batch_size: str = "256"):
-    from ..stages.decode_stage import bytes_suite_pass
-    if "bytes" not in ctx.ds.schema().names:
-        return None
-    return bytes_suite_pass(ctx.ds, batch_size=int(batch_size))[0]
 
 
 @register("vad")
@@ -164,9 +142,9 @@ def check_drift(ctx: RunContext, ks_threshold: str = "0.1", psi_threshold: str =
         return None
     with open(ctx.baseline_profile_path) as f:
         base = TableProfile.from_json(f.read())
-    prof = build_profile(ctx.meta_ds,
-                         numeric_cols=[c for c in ("dur_ms",) if c in ctx.meta_ds.schema().names],
-                         cat_cols=[c for c in ("codec", "sr_hz") if c in ctx.meta_ds.schema().names],
+    prof = build_profile(ctx.ds,
+                         numeric_cols=[c for c in ("dur_ms",) if c in ctx.ds.schema().names],
+                         cat_cols=[c for c in ("codec", "sr_hz") if c in ctx.ds.schema().names],
                          key_cols=[ctx.spec.key_column] if ctx.spec.key_column else [])
     return drift_violations(prof, base,
                             ks_threshold=float(ks_threshold),
@@ -186,7 +164,7 @@ def check_reconcile(ctx: RunContext, ref: str = "", key: str = "",
     if not (ref and ctx.refs and ref in ctx.refs and key and value
             and ref_key and target):
         return None
-    out = reconcile_sum(ctx.meta_ds, key, value, ctx.refs[ref],
+    out = reconcile_sum(ctx.ds, key, value, ctx.refs[ref],
                         ref_key, target, rel_tol=float(tol))
 
     def emit(t: pa.Table) -> pa.Table:
@@ -206,10 +184,10 @@ def check_sequence_order(ctx: RunContext, key: str = "", ts: str = "",
     from ..pipelines.streaming import sequence_regressions
     from ..stages.base_ids import SEQ_ORDER_100
 
-    names = set(ctx.meta_ds.schema().names)
+    names = set(ctx.ds.schema().names)
     if not (key and ts and seq and {key, ts, seq} <= names):
         return None
-    out = sequence_regressions(ctx.meta_ds, key, ts, seq)
+    out = sequence_regressions(ctx.ds, key, ts, seq)
 
     def emit(t: pa.Table) -> pa.Table:
         return make_violations(
@@ -230,10 +208,10 @@ def check_drift_exact(ctx: RunContext, value: str = "", side: str = "",
     from ..stages.base_ids import DRIFT_102
     from .drift import exact_ks
 
-    names = set(ctx.meta_ds.schema().names)
+    names = set(ctx.ds.schema().names)
     if not (value and side and {value, side} <= names):
         return None
-    ks = exact_ks(ctx.meta_ds, value, side, a, b)
+    ks = exact_ks(ctx.ds, value, side, a, b)
     if ks <= float(ks_threshold):
         return empty_violations()
     return make_violations(

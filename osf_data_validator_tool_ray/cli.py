@@ -13,10 +13,11 @@ Differences from the reference, by design:
   * every run writes a JSON report and can also write the reference's
     XML report (--output-xml); violations also land as a parquet sink
     for downstream use (--violations-dir)
-  * three executors — the built-in suite, the resumable partitioned
-    run (--checkpoint-dir) and a configured check list (--checks) —
-    return one SuiteResult, so the report, violation sink, drift and
-    --fix are one code path
+  * two executors — the registry's run of an entry list (--checks,
+    default the built-in suite; --decode adds `decode`) and the
+    resumable partitioned run of the suite (--checkpoint-dir, which
+    refuses --checks) — return one SuiteResult, so the report,
+    violation sink, drift and --fix are one code path
   * --fix quarantines rows instead of mutating the source (see
     pipelines/fix.py)
 
@@ -38,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--input", required=True, help="parquet glob of the clips table")
     ap.add_argument("--refs", help="parquet path of the refs side table")
     ap.add_argument("--checkpoint-dir", help="enable resumable partitioned run")
-    ap.add_argument("--decode", action="store_true", help="run the decode actor stage")
+    ap.add_argument("--decode", action="store_true", help="add the full payload decode")
     ap.add_argument("--fix", action="store_true", help="quarantine violating rows")
     ap.add_argument("--fix-dir", default="/tmp/osfdvt_fix")
     ap.add_argument("--baseline-profile", help="drift baseline JSON path")
@@ -53,13 +54,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--spec", help="JSON constraint-spec file (spec_to_dict "
                     "format) — validates ANY table, not just clips")
     ap.add_argument("--checks", help="comma-separated check entries (dvt.ini "
-                    "analog), e.g. 'schema,stateless,decode?batch_size=64,keyed'; "
-                    "default: the full built-in suite")
+                    "analog), e.g. 'schema?mode=strict,stateless,keyed'; "
+                    "default: the built-in suite; --decode adds 'decode'")
     ap.add_argument("--num-cpus", type=int,
                     help="Ray CPU slots (default: the host's CPU count)")
     ap.add_argument("--stats", action="store_true",
                     help="print ray Dataset per-stage stats to stderr")
     args = ap.parse_args(argv)
+    if args.checks and args.checkpoint_dir:
+        ap.error("--checks does not apply to --checkpoint-dir runs")
 
     import ray.data
     if not ray.is_initialized():
@@ -68,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     ray.data.DataContext.get_current().enable_progress_bars = False
 
     from .checks.base import union_all
-    from .pipelines.runner import SuiteResult
+    from .pipelines.runner import SUITE, SuiteResult
     from .spec import clips_spec, spec_from_dict
 
     if args.spec:
@@ -81,20 +84,17 @@ def main(argv: list[str] | None = None) -> int:
     refs = {"refs": ray.data.read_parquet(args.refs)} if args.refs else None
 
     # ---- the executor choice: everything after it is shared ------------
-    if args.checks:
-        from .checks.registry import RunContext, plan_checks
-        ctx = RunContext(ds=ray.data.read_parquet(files), spec=spec, refs=refs,
-                         baseline_profile_path=args.baseline_profile)
-        res = plan_checks(ctx, args.checks.split(","))
-    elif args.checkpoint_dir:
+    if args.checkpoint_dir:
         from .pipelines.partitioned import run_partitioned
         from .state.checkpoint import CheckpointStore
         res = run_partitioned(args.input, spec, CheckpointStore(args.checkpoint_dir),
                               decode=args.decode, refs=refs)
     else:
-        from .pipelines.runner import run_suite
-        res = run_suite(ray.data.read_parquet(files), spec, refs=refs,
-                        decode=args.decode)
+        from .checks.registry import RunContext, plan_checks
+        entries = args.checks.split(",") if args.checks else list(SUITE)
+        ctx = RunContext(ds=ray.data.read_parquet(files), spec=spec, refs=refs,
+                         baseline_profile_path=args.baseline_profile)
+        res = plan_checks(ctx, entries + (["decode"] if args.decode else []))
 
     if args.violations_dir:
         # every violation row, driver-side ones included, in a

@@ -71,7 +71,7 @@ from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import _cache_fsspec_http_import
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
-from .runner import SuitePass, SuiteResult, driver_checks
+from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks
 
 # concurrent partition threads issue Ray IO in parallel; make the
 # path-resolver's per-call fsspec import race-free first
@@ -113,7 +113,9 @@ def _run_partition(
     pid = _partition_id(path)
     t0 = time.time()
     schema, n_rows = partition_schema_and_rows(path)   # metadata, no scan
-    body = SuitePass(spec, set(schema.names), plan, decode, declared_universals)
+    body = SuitePass(spec, set(schema.names), plan,
+                     ROW_CHECKS if decode else ROW_CHECKS - {"decode"},
+                     declared_universals)
 
     tmp_base = os.path.join(store.root, f"_tmp_{pid}_{uuid.uuid4().hex[:6]}")
 

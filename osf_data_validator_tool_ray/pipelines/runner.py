@@ -1,18 +1,20 @@
-"""Suite runner — the engine's analog of the reference CLI driver loop
-(`dvt:139-192`: instantiate each configured check, inject context, run,
-merge report fragments), re-expressed as ONE scan of the input:
+"""The one scan executor; the built-in suite as a registry entry list.
 
-  1. driver-side metadata checks (schema conformance, spec completeness)
-     from the table's schema alone
-  2. ONE ``map_batches`` of ``SuitePass`` over a column-pruned ``ds``
-     (256-row batches): per batch, the stateless facets (facets, enums,
-     cross-domain, universal predicates — header-sniffed, or with
-     decode=True fully decoded by BytesSuitePass along with DECODE-100/101)
-     and the combiner partials of ALL keyed constraints, the decodable
-     count included
-  3. the small tagged output is materialized once and split into
+The reference's built-in suite is its default ``tests/checks[]`` list
+(`dvt.ini:21-33`), run by one driver loop (`dvt:139-192`).  Here it is
+``SUITE``, and ``run_suite`` is the check registry's run of it (plus
+``decode``).  The registry's row-level entries (``ROW_CHECKS``) share
+ONE scan of the input, ``scan_checks``:
+
+  1. ONE ``map_batches`` of ``SuitePass`` over a column-pruned ``ds``
+     (256-row batches): per batch, whichever entries are selected — the
+     ``stateless`` facets (enums, cross-domain, universal predicates,
+     payload headers sniffed), the ``decode`` findings (BytesSuitePass,
+     which then owns the payload universals, DECODE-100/101) and the
+     combiner partials of ALL ``keyed`` constraints
+  2. the small tagged output is materialized once and split into
      violation rows and partials
-  4. ONE merge for ALL keyed constraints (cardinality, referential
+  3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over those partials
      (checks/unified_keyed.keyed_violations, shared with the partitioned
      runner, which calls the same ``SuitePass`` in its per-partition loop)
@@ -22,10 +24,6 @@ Below the driver-merge gate (``relational.fits_driver_merge``) the merge
 runs in process, so what it adds is an Arrow group_by, not a Ray
 execution; above it, one hash exchange.  In return each input row is
 read and scheduled once.
-
-Violation Datasets are unioned; the verdict counts (per-block counts per
-check id, merged on the driver) are the only driver materialization of
-consequence.
 
 ``SuiteResult`` is the one result type of every executor (this suite,
 the partitioned runner, the check registry) and ``SuiteResult.report``
@@ -55,6 +53,11 @@ from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
+
+# the registry entries that read rows: all planned into one scan
+ROW_CHECKS = frozenset({"stateless", "keyed", "decode"})
+# the built-in suite, as a registry entry list (dvt.ini's tests/checks[])
+SUITE = ("schema", "spec_completeness", "stateless", "keyed")
 
 ALL_CHECK_IDS = [
     "SCHEMA-COLUMN-100", "SCHEMA-COLUMN-101", "SPEC-COMPLETENESS-100",
@@ -180,13 +183,15 @@ def metadata_columns(spec: ConstraintSpec) -> list[str]:
 
 
 class SuitePass:
-    """The suite's one per-batch body: everything computed from a row.
+    """The one per-batch body of the selected row-level ``checks`` (a
+    subset of ``ROW_CHECKS``): everything computed from a row.
 
-      * the stateless facets (``StatelessValidator``);
-      * with ``decode`` (and a payload column), the payload findings of
+      * ``stateless``: the stateless facets (``StatelessValidator``);
+      * ``decode`` (with a payload column): the payload findings of
         ``BytesSuitePass``, which then own the payload-derived universals;
-      * the keyed combiner partials (``plan.aggregator()``), whose
-        ``dext{j}_n`` counts the rows the payload decode accepted.
+      * ``keyed``: the combiner partials (``plan.aggregator()``), whose
+        ``dext{j}_n`` counts the rows the payload decode accepted; without
+        ``keyed`` the caller passes ``KeyedPlan(None)``.
 
     ``findings`` returns ``(violations, partials)`` (partials None when
     the table lacks the plan's key).  Calling the instance returns both
@@ -195,14 +200,14 @@ class SuitePass:
     ``tagged_partials`` split it."""
 
     def __init__(self, spec: ConstraintSpec, names: set, plan: KeyedPlan,
-                 decode: bool, universal_predicates: frozenset):
-        self.decode = decode and "bytes" in names
+                 checks: frozenset, universal_predicates: frozenset):
+        self.decode = "decode" in checks and "bytes" in names
         skip = ("bytes",) if self.decode else ()
+        self.stateless = (StatelessValidator(spec, skip_columns=skip, include_universals=True)
+                          if "stateless" in checks else None)
         self.stateless_columns = [
-            c for c in stateless_columns(spec, skip_columns=skip,
-                                         include_universals=True) if c in names]
-        self.stateless = StatelessValidator(spec, skip_columns=skip,
-                                            include_universals=True)
+            c for c in stateless_columns(spec, skip_columns=skip, include_universals=True)
+            if c in names and self.stateless is not None]
         self.bytes_columns = ([c for c in BYTES_COLUMNS if c in names]
                               if self.decode else [])
         self.payload = (BytesSuitePass(universal_predicates=universal_predicates)
@@ -212,13 +217,16 @@ class SuitePass:
                               | set(plan.columns if self.agg else ()))
 
     def findings(self, batch: pa.Table) -> tuple[pa.Table, Optional[pa.Table]]:
-        violations = [self.stateless(batch.select(self.stateless_columns))]
+        violations = []
+        if self.stateless is not None:
+            violations.append(self.stateless(batch.select(self.stateless_columns)))
         decoded = None
         if self.payload is not None:
             v, decoded = self.payload.findings(batch.select(self.bytes_columns))
             violations.append(v)
         partials = self.agg(batch, decoded) if self.agg is not None else None
-        return pa.concat_tables(violations), partials
+        return (pa.concat_tables(violations) if violations else empty_violations(),
+                partials)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         violations, partials = self.findings(batch)
@@ -239,49 +247,59 @@ def tagged_partials(t: pa.Table) -> pa.Table:
     return p.rename_columns(["key", *p.column_names[1:]])
 
 
-def run_suite(
+def scan_checks(
     ds: "ray.data.Dataset",
     spec: ConstraintSpec,
+    checks: frozenset,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
-    expected_key_column: str = "key",
-    batch_size: Optional[int] = None,
-    decode: bool = False,
-    metadata_ds: Optional["ray.data.Dataset"] = None,
-    decode_profile: str = "light",
-) -> SuiteResult:
-    """Run every check of ``spec`` against ``ds``: ONE scan of ``ds``
-    (``SuitePass`` per batch of ``batch_size``, default 256 rows) whose
-    small output is materialized here, then the keyed merge.  The
-    returned violations Dataset stays lazy over that output.
-
-    decode=True fully decodes every payload in the same scan (universal
-    predicates, bytes facets, DECODE-100/101 and the decodable
-    existential come from the decode); decode=False sniffs payload
-    headers in the stateless pass instead.
-
-    ``metadata_ds`` is accepted and unused: the one scan of ``ds`` reads
-    every column the checks need.  ``decode_profile`` is accepted and
-    unused: the decode kernel computes no QA features.
-    """
-    actual_schema = arrow_schema(ds)
-    names = set(actual_schema.names)
-    driver_v = driver_checks(actual_schema, spec, refs)
-
-    plan = keyed_plan(spec, names, decode)
-    body = SuitePass(spec, names, plan, decode,
+) -> "ray.data.Dataset":
+    """The violations of the row-level ``checks`` (a subset of
+    ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per 256-row
+    batch, output materialized here), then the keyed merge.  Expected
+    keys are read from their ``key`` column."""
+    names = set(arrow_schema(ds).names)
+    plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
+            else KeyedPlan(None))
+    body = SuitePass(spec, names, plan, checks,
                      frozenset(u.predicate for u in spec.universals))
+    if not body.columns:        # no selected check reads a column ds has
+        return union_all([])
     out = ds.select_columns(body.columns).map_batches(
-        body, batch_format="pyarrow", batch_size=batch_size or 256).materialize()
+        body, batch_format="pyarrow", batch_size=256).materialize()
     if body.agg is None:
-        return SuiteResult(violations=out, driver_violations=driver_v)
+        return out
 
     violations = out.map_batches(tagged_violations, batch_format="pyarrow",
                                  batch_size=None)
     partials = out.map_batches(tagged_partials, batch_format="pyarrow",
                                batch_size=None)
     keyed = keyed_violations(partials, plan, spec, refs=refs,
-                             expected_keys=expected_keys,
-                             expected_key_column=expected_key_column)
-    return SuiteResult(violations=union_all([violations, keyed]),
-                       driver_violations=driver_v)
+                             expected_keys=expected_keys)
+    return union_all([violations, keyed])
+
+
+def run_suite(
+    ds: "ray.data.Dataset",
+    spec: ConstraintSpec,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+    expected_keys: Optional["ray.data.Dataset"] = None,
+    decode: bool = False,
+    metadata_ds: Optional["ray.data.Dataset"] = None,
+    decode_profile: str = "light",
+) -> SuiteResult:
+    """Run every check of ``spec`` against ``ds``: the registry's run of
+    ``SUITE``, so the driver-side checks plus ONE scan of ``ds``.
+
+    decode=True adds the ``decode`` entry: every payload is fully decoded
+    in the same scan (universal predicates, bytes facets, DECODE-100/101
+    and the decodable existential come from the decode); without it the
+    stateless pass sniffs payload headers instead.
+
+    ``metadata_ds`` is accepted and unused: the one scan of ``ds`` reads
+    every column the checks need.  ``decode_profile`` is accepted and
+    unused: the decode kernel computes no QA features.
+    """
+    from ..checks.registry import RunContext, plan_checks   # registry imports us
+    return plan_checks(RunContext(ds, spec, refs=refs, expected_keys=expected_keys),
+                       [*SUITE, *(["decode"] if decode else [])])

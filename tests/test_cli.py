@@ -1,4 +1,4 @@
-"""The CLI end to end in a subprocess: its three executors (the suite,
+"""The CLI end to end in a subprocess: its runs (the built-in suite,
 --checkpoint-dir, --checks) share one report, violation sink and --fix
 path."""
 
@@ -57,8 +57,9 @@ def runs(clips, tmp_path_factory):
 def test_cli_branches_agree(runs):
     reports = {name: rep for name, (rep, _) in runs.items()}
     assert reports["suite"]["violations"]["CARD-MAX-100"] > 0
-    assert reports["suite"]["violations"] == reports["partitioned"]["violations"] \
-        == reports["checks"]["violations"]
+    for key in ("violations", "warnings"):
+        assert reports["suite"][key] == reports["partitioned"][key] \
+            == reports["checks"][key]
     assert set(reports["suite"]) == set(reports["checks"]) \
         == set(reports["partitioned"]) - SUMMARY_KEYS
     assert reports["partitioned"]["partitions_total"] == 3
@@ -96,3 +97,15 @@ def test_cli_fix_under_checkpoint_dir_quarantines_merge_time_keys(clips, tmp_pat
     fix = json.loads((tmp_path / "r.json").read_text())["fix"]
     assert fix["n_quarantined"] == len(
         pq.read_table(str(fix_dir / "quarantine"), columns=["clip_id"]))
+
+
+def test_cli_rejects_checks_under_checkpoint_dir(tmp_path):
+    """--checks is a usage error with --checkpoint-dir (the partitioned
+    run would ignore it), raised before any Ray work starts."""
+    from osf_data_validator_tool_ray.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", str(tmp_path / "*.parquet"), "--checks", "schema",
+              "--checkpoint-dir", str(tmp_path / "ckpt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "ckpt").exists()

@@ -36,6 +36,8 @@ def test_unknown_check_raises():
         plan_checks(ctx, ["no_such_check"])
     with pytest.raises(TypeError):
         plan_checks(ctx, ["decode?profile=full"])
+    with pytest.raises(TypeError):     # row-level entries take no params
+        plan_checks(ctx, ["keyed?include_existentials=false"])
 
 
 def test_configured_run_matches_ledger():
@@ -44,15 +46,55 @@ def test_configured_run_matches_ledger():
     ctx = RunContext(ds=ray.data.from_arrow(t).repartition(3), spec=clips_spec(),
                      refs={"refs": ray.data.from_arrow(refs)})
     v = _rows(plan_checks(ctx, [
-        "schema", "spec_completeness",
-        "stateless?include_universals=false&skip_bytes=true",
-        "decode",
-        "keyed?include_existentials=false",
+        "schema", "spec_completeness", "stateless", "decode", "keyed",
     ]))
     assert set(ledger["unknown_codec"]) <= set(v[v.check_id == "ENUM-DOMAIN-100"]["key"])
     assert set(ledger["dup_clip_id"]) <= set(v[v.check_id == "CARD-MAX-100"]["key"])
     assert set(ledger["truncated_bytes"]) <= set(v[v.check_id == "DECODE-100"]["key"])
     assert set(dangling) == set(v[v.check_id == "REF-EXISTENCE-100"]["key"])
+
+
+def test_stateless_and_decode_report_each_payload_once():
+    """The header sniff and the full decode share one scan: the decode
+    owns the payload universals, so no counterexample is emitted twice."""
+    t, _ = synth_clips(300, seed=42, defect_rate=0.03)
+    ctx = RunContext(ds=ray.data.from_arrow(t), spec=clips_spec())
+    v = _rows(plan_checks(ctx, ["stateless", "decode"]))
+    only = v[v.check_id == "ONLY-100"]
+    assert len(only) > 0
+    assert not only.duplicated(["key", "column"]).any()
+
+
+def test_row_checks_report_unevaluable_warnings():
+    """A spec constraint on an absent column is reported as a -50
+    warning by the registry run, as by the suite (fail closed)."""
+    t, _ = synth_clips(200, seed=7, defect_rate=0.0)
+    ctx = RunContext(ds=ray.data.from_arrow(t.drop_columns(["transcript"])),
+                     spec=clips_spec())
+    rep = plan_checks(ctx, ["schema", "spec_completeness", "stateless",
+                            "keyed"]).report()
+    assert rep["warnings"] == {"CARD-MIN-50": 1, "DATATYPE-FACET-50": 1}
+
+
+def test_decode_emits_only_the_declared_universals():
+    """A spec declaring no universals gets no ONLY-100 rows from the
+    decode entry; its DECODE findings are those of the full spec."""
+    import dataclasses
+
+    t, _ = synth_clips(300, seed=42, defect_rate=0.03)
+    ds = ray.data.from_arrow(t)
+
+    def decode_rows(spec):
+        v = _rows(plan_checks(RunContext(ds=ds, spec=spec), ["decode"]))
+        return v, v[v.check_id.isin(["DECODE-100", "DECODE-101"])] \
+            .sort_values(["check_id", "key"]).reset_index(drop=True)
+
+    full, full_decode = decode_rows(clips_spec())
+    none, none_decode = decode_rows(dataclasses.replace(clips_spec(), universals=[]))
+    assert (full.check_id == "ONLY-100").any()
+    assert not (none.check_id == "ONLY-100").any()
+    assert len(full_decode) > 0
+    assert none_decode.equals(full_decode)
 
 
 def test_registry_contains_core_checks():
