@@ -176,46 +176,67 @@ def _q_enum_domain(sf_dir: str):
         t["l_returnflag"], value_set=pa.array(["A", "N"]))))
 
 
+def _keyed(sf_dir: str, spec, check_id: str, key_as: str,
+           n_as: "str | None" = None, refs=None, expected_keys=None) -> Any:
+    """The engine's production keyed pass (``runner.scan_checks`` over
+    the ``keyed`` entry) on table ``spec.table``, shaped as an oracle
+    result: the ``check_id`` rows, their key (and observed count) back
+    to int64 under the oracle's column names."""
+    from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
+    from osf_data_validator_tool_ray.pipelines.runner import scan_checks
+    ds = _read(sf_dir, spec.table, list(keyed_plan(spec, None, decode=False).columns))
+    cols = [key_as] + ([n_as] if n_as else [])
+
+    def shape(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t.column("check_id"), check_id))
+        return pa.table({name: pc.cast(t.column(src), pa.int64())
+                         for src, name in zip(("key", "observed"), cols)})
+
+    out = scan_checks(ds, spec, frozenset({"keyed"}), refs=refs,
+                      expected_keys=expected_keys)
+    return _stable_empty(out.map_batches(shape, batch_format="pyarrow", batch_size=None),
+                         cols, ["int64"] * len(cols))
+
+
+def _card(sf_dir: str, table: str, key: str, check_id: str,
+          qualifier: "str | None" = None, **bound) -> Any:
+    """A per-key count restriction (``GROUP BY key HAVING count(*) ...``):
+    a ``Cardinality`` whose counted column is the key itself, so the
+    count is the key's row count (rows matching ``qualifier`` only)."""
+    from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec
+    spec = ConstraintSpec(table=table, key_column=key, cardinalities=[
+        Cardinality(key=key, column=key, qualifier=qualifier, **bound)])
+    return _keyed(sf_dir, spec, check_id, key, n_as="n")
+
+
 def _q_card_max(sf_dir: str):
     """CARD-MAX-100: orderkeys with more than 5 lineitems."""
-    from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-    ds = _read(sf_dir, "lineitem", ["l_orderkey"])
-    return group_count_having(ds, "l_orderkey", "gt", 5, count_alias="n")
+    return _card(sf_dir, "lineitem", "l_orderkey", "CARD-MAX-100", max_count=5)
 
 
 def _q_card_min(sf_dir: str):
     """CARD-MIN-100: orderkeys with fewer than 2 lineitems."""
-    from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-    ds = _read(sf_dir, "lineitem", ["l_orderkey"])
-    return group_count_having(ds, "l_orderkey", "lt", 2, count_alias="n")
+    return _card(sf_dir, "lineitem", "l_orderkey", "CARD-MIN-100", min_count=2)
 
 
 def _q_card_exact(sf_dir: str):
     """CARD-EXACT-100: orderkeys whose lineitem count != 4."""
-    from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-    ds = _read(sf_dir, "lineitem", ["l_orderkey"])
-    return group_count_having(ds, "l_orderkey", "ne", 4, count_alias="n")
+    return _card(sf_dir, "lineitem", "l_orderkey", "CARD-EXACT-100", exact_count=4)
 
 
 def _q_card_max_qualified(sf_dir: str):
     """Qualified max-cardinality (owl:onDataRange analog): orderkeys with
     more than 3 lineitems having l_returnflag='R'."""
-    from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-    ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
-    return group_count_having(
-        ds, "l_orderkey", "gt", 3, count_alias="n",
-        qualifier=lambda t: pc.equal(t["l_returnflag"], "R").to_numpy(zero_copy_only=False),
-    )
+    return _card(sf_dir, "lineitem", "l_orderkey", "CARD-MAX-100",
+                 qualifier="returnflag_r", max_count=3)
 
 
 def _q_existential(sf_dir: str):
     """SOME-100: orderkeys with NO lineitem having l_returnflag='R'."""
-    from osf_data_validator_tool_ray.pipelines.relational import existential_missing
-    ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
-    return existential_missing(
-        ds, "l_orderkey",
-        lambda t: pc.equal(t["l_returnflag"], "R").to_numpy(zero_copy_only=False),
-    )
+    from osf_data_validator_tool_ray.spec import ConstraintSpec, Existential
+    spec = ConstraintSpec(table="lineitem", key_column="l_orderkey", existentials=[
+        Existential(key="l_orderkey", predicate="returnflag_r")])
+    return _keyed(sf_dir, spec, "SOME-100", "l_orderkey")
 
 
 def _q_universal(sf_dir: str):
@@ -230,38 +251,28 @@ def _q_universal(sf_dir: str):
 
 def _q_ri_missing(sf_dir: str):
     """REF-EXISTENCE-100: distinct events.user_id values that do not
-    exist in supplier.s_suppkey (bidirectional anti-join shape)."""
-    from osf_data_validator_tool_ray.checks.referential import anti_join_missing
-    events = _read(sf_dir, "events", ["user_id"])
-    supplier = _read(sf_dir, "supplier", ["s_suppkey"])
-    supplier = supplier.map_batches(
-        lambda t: t.set_column(0, "s_suppkey", t.column("s_suppkey").cast(pa.int64())),
-        batch_format="pyarrow")
-    miss = anti_join_missing(events, "user_id", supplier, "s_suppkey")
-    miss = miss.map_batches(lambda t: t.rename_columns(["user_id"]), batch_format="pyarrow")
-    return _stable_empty(miss, ["user_id"], ["int64"])
+    exist in supplier.s_suppkey (the keyed pass over supplier, events
+    as its refs table)."""
+    from osf_data_validator_tool_ray.spec import ConstraintSpec, RefIntegrity
+    spec = ConstraintSpec(table="supplier", key_column="s_suppkey", ref_integrity=[
+        RefIntegrity(ref_table="events", ref_column="user_id", key_column="s_suppkey")])
+    return _keyed(sf_dir, spec, "REF-EXISTENCE-100", "user_id",
+                  refs={"events": _read(sf_dir, "events", ["user_id"])})
 
 
 def _q_zero_edge(sf_dir: str):
     """CARD-MIN-102 zero-occurrence edge: customers with NO orders at all
-    (expected-key universe anti-joined against the data)."""
-    from osf_data_validator_tool_ray.checks.referential import anti_join_missing
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    cust = cust.map_batches(
-        lambda t: t.set_column(0, "c_custkey", t.column("c_custkey").cast(pa.int64())),
-        batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    miss = anti_join_missing(cust, "c_custkey", orders, "o_custkey")
-    miss = miss.map_batches(lambda t: t.rename_columns(["c_custkey"]), batch_format="pyarrow")
-    return _stable_empty(miss, ["c_custkey"], ["int64"])
+    (the keyed pass over orders, the customer keys as its expected-key
+    universe)."""
+    from osf_data_validator_tool_ray.spec import ConstraintSpec
+    spec = ConstraintSpec(table="orders", key_column="o_custkey")
+    expected = _read(sf_dir, "customer", ["c_custkey"]).rename_columns({"c_custkey": "key"})
+    return _keyed(sf_dir, spec, "CARD-MIN-102", "c_custkey", expected_keys=expected)
 
 
 def _q_uniqueness(sf_dir: str):
     """Max-cardinality-1 on the primary key: duplicated o_orderkey."""
-    from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-    ds = _read(sf_dir, "orders", ["o_orderkey"])
-    out = group_count_having(ds, "o_orderkey", "gt", 1, count_alias="n")
-    return _stable_empty(out, ["o_orderkey", "n"], ["int64", "int64"])
+    return _card(sf_dir, "orders", "o_orderkey", "CARD-MAX-100", max_count=1)
 
 
 def _q_cross_domain(sf_dir: str):

@@ -78,6 +78,14 @@ def lang_en(batch: pa.Table) -> np.ndarray:
         .to_numpy(zero_copy_only=False)
 
 
+def returnflag_r(batch: pa.Table) -> np.ndarray:
+    """Example qualifier over the lineitem table: l_returnflag == 'R'
+    (the qualified-count and someValuesFrom filter of the driver's
+    keyed queries)."""
+    return pc.equal(pc.coalesce(batch.column("l_returnflag"), ""), "R") \
+        .to_numpy(zero_copy_only=False)
+
+
 def speaking_rate_ok(batch: pa.Table, min_cps: float = 0.2,
                      max_cps: float = 60.0) -> np.ndarray:
     """Universal cross-modal consistency: transcript characters per
@@ -102,6 +110,7 @@ PREDICATES: dict[str, Callable[[pa.Table], np.ndarray]] = {
     "bytes_matches_codec": bytes_matches_codec,
     "frames_match_dur": frames_match_dur,
     "lang_en": lang_en,
+    "returnflag_r": returnflag_r,
     "speaking_rate_ok": speaking_rate_ok,
 }
 
@@ -114,5 +123,6 @@ PREDICATE_COLUMNS: dict[str, frozenset[str]] = {
     "bytes_matches_codec": frozenset({"bytes", "codec"}),
     "frames_match_dur": frozenset({"bytes", "sr_hz", "dur_ms"}),
     "lang_en": frozenset({"lang"}),
+    "returnflag_r": frozenset({"l_returnflag"}),
     "speaking_rate_ok": frozenset({"transcript", "dur_ms"}),
 }

@@ -15,8 +15,7 @@ Survivor filtering broadcasts only DROP-side state (ray.put once, probe
 per batch): the exact-dedup filter ships the {content_hash: keep_id}
 map restricted to DUPLICATED contents, and the near-dedup filter ships
 the non-head doc ids — both bounded by the duplicate rate, never by
-corpus size, the same contract as checks/referential.py's broadcast
-regime.
+corpus size.
 
 Resume: pass ``checkpoint_dir`` and every stage (cleaned, exact-unique,
 clusters, curated) publishes a manifest record + parquet artifact

@@ -94,7 +94,6 @@ def _run_partition(
     spec: ConstraintSpec,
     store_root: str,
     decode: bool,
-    batch_size: Optional[int],
     plan: KeyedPlan,
     declared_universals: frozenset,
 ) -> dict:
@@ -166,10 +165,8 @@ def _run_partition(
                                      pa.int64())).as_py() or 0
         viol_stream.append(tbl)
 
-    # decode: small batches keep the wide payload rows within the task heap
-    for rb in iter_partition_batches(
-            path, batch_size=256 if body.decode else batch_size or 65536,
-            columns=body.columns):
+    for rb in iter_partition_batches(path, batch_size=body.batch_size,
+                                     columns=body.columns):
         violations, partials = body.findings(pa.Table.from_batches([rb]))
         _add_viol(violations)
         if part_stream is not None:
@@ -197,7 +194,6 @@ def run_partitioned(
     spec: ConstraintSpec,
     store: CheckpointStore,
     decode: bool = False,
-    batch_size: Optional[int] = None,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     max_inflight: Optional[int] = None,
     task_num_cpus: float = 1,
@@ -241,8 +237,7 @@ def run_partitioned(
             if max_inflight and len(pending) >= max_inflight:
                 ready, pending = ray.wait(pending, num_returns=1)
                 finished.extend(ready)
-            pending.append(task.remote(path, spec, store.root, decode,
-                                       batch_size, plan,
+            pending.append(task.remote(path, spec, store.root, decode, plan,
                                        frozenset(declared_universals)))
         ray.get(finished + pending)     # re-raises the first task failure
 
@@ -287,12 +282,11 @@ def validate_partitioned(
     spec: ConstraintSpec,
     store: CheckpointStore,
     decode: bool = False,
-    batch_size: Optional[int] = None,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     max_inflight: Optional[int] = None,
     task_num_cpus: float = 1,
 ) -> dict:
     """``run_partitioned``'s report, without a violation sample."""
-    return run_partitioned(input_glob, spec, store, decode, batch_size, refs,
+    return run_partitioned(input_glob, spec, store, decode, refs,
                            max_inflight, task_num_cpus).report(sample=0)
 

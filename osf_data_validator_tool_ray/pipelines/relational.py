@@ -1,18 +1,19 @@
-"""Generic, reusable Ray-Data relational operators.
+"""Generic, reusable Ray-Data relational operators over any table.
 
-These are the engine's check primitives exposed over ANY table (the
-driver contract in __ray_entry__.py runs them against the TPC-H-ish
-testdata for DuckDB cross-checks).  Each mirrors a reference dataflow
-shape (SURVEY.md §2.2):
+``merge_partials`` is the one adaptive per-key merge (driver tier below
+``fits_driver_merge``, one hash exchange above it): the keyed pass
+(checks/unified_keyed.py, which evaluates every cardinality,
+existential, referential-existence and zero-edge constraint),
+``grouped_agg`` and the exact-dedup aggregate merge through it.  The
+rest are table operators the registry, the drift and corpus pipelines
+and the driver contract in __ray_entry__.py build on.  Each mirrors a
+reference dataflow shape (SURVEY.md §2.2):
 
   * facet/row filters        <- per-value scalar validation loops
-  * group_count_having       <- `group by ?s having(count(...) <op> n)`
-    (CheckOwlRestrictionMax.php:152-165 and Min/Exact variants)
-  * existential_missing      <- owl:someValuesFrom anti-join
-    (CheckOwlRestrictionSome.php:149-163)
-  * universal_counterexamples<- owl:allValuesFrom negated filter
-    (CheckOwlRestrictionOnly.php:119-163)
-  * distinct set ops / anti-joins <- `select distinct` + `filter not exists`
+  * universal counterexamples <- owl:allValuesFrom negated filter
+    (CheckOwlRestrictionOnly.php:119-163), as ``filter_rows``
+  * distinct values / counts <- `select distinct`
+  * grouped aggregates, quantiles, reconciliation, joins
 
 All are streaming: vectorized map_batches (pyarrow/pandas kernels) plus
 at most ONE hash exchange, always preceded by a per-batch partial
@@ -157,74 +158,6 @@ def filter_rows(
         return out.select(list(columns)) if columns else out
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-
-
-def group_count_having(
-    ds: "ray.data.Dataset",
-    key: "str | list[str]",
-    op: str,
-    n: int,
-    count_alias: str = "n",
-    qualifier: Optional[Callable[[pa.Table], np.ndarray]] = None,
-) -> "ray.data.Dataset":
-    """`GROUP BY key HAVING count(*) <op> n`, with an optional row
-    qualifier (the owl:onDataRange analog: only qualifying rows count).
-
-    Two-phase: per-batch pandas groupby partial counts (combiner, breaks
-    key skew) -> one groupby(key).Sum -> vectorized HAVING filter.
-    """
-    keys = [key] if isinstance(key, str) else list(key)
-    ops = {"gt": np.greater, "lt": np.less, "ne": np.not_equal,
-           "eq": np.equal, "ge": np.greater_equal, "le": np.less_equal}
-    cmp = ops[op]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native combiner (round-3 verdict item #7): no pandas
-        # copy of the batch; null keys group like pandas dropna=False
-        t = batch.select(keys)
-        if qualifier is not None:
-            mask = qualifier(batch)
-            t = t.filter(pa.array(mask) if isinstance(mask, np.ndarray)
-                         else mask)
-        g = t.group_by(keys, use_threads=False) \
-            .aggregate([([], "count_all")])
-        return g.rename_columns(
-            ["_pn" if c == "count_all" else c for c in g.column_names])
-
-    def having(t: pa.Table) -> pa.Table:
-        t = t.rename_columns([count_alias if c == "_pn" else c
-                              for c in t.column_names])
-        counts = t.column(count_alias).to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(cmp(counts, n)))
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return merge_partials(partials, keys, {"_pn": "sum"}, having)
-
-
-def existential_missing(
-    ds: "ray.data.Dataset",
-    key: str,
-    predicate: Callable[[pa.Table], np.ndarray],
-) -> "ray.data.Dataset":
-    """Keys whose group contains NO row satisfying ``predicate``
-    (SOME-100 shape).  Same two-phase combiner pattern: per-batch
-    sum-of-predicate per key, one Sum exchange, filter == 0."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native combiner (round-3 verdict item #7)
-        t = pa.table({key: batch.column(key),
-                      "_sat": pa.array(predicate(batch).astype(np.int64))})
-        g = t.group_by([key], use_threads=False) \
-            .aggregate([("_sat", "sum")])
-        return g.rename_columns(
-            ["_sat" if c == "_sat_sum" else c for c in g.column_names])
-
-    def none_satisfy(t: pa.Table) -> pa.Table:
-        m = t.column("_sat").to_numpy(zero_copy_only=False) == 0
-        return t.filter(pa.array(m)).select([key])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return merge_partials(partials, key, {"_sat": "sum"}, none_satisfy)
 
 
 def adaptive_groupby_apply(

@@ -7,11 +7,12 @@ The reference's built-in suite is its default ``tests/checks[]`` list
 ONE scan of the input, ``scan_checks``:
 
   1. ONE ``map_batches`` of ``SuitePass`` over a column-pruned ``ds``
-     (256-row batches): per batch, whichever entries are selected — the
-     ``stateless`` facets (enums, cross-domain, universal predicates,
-     payload headers sniffed), the ``decode`` findings (BytesSuitePass,
-     which then owns the payload universals, DECODE-100/101) and the
-     combiner partials of ALL ``keyed`` constraints
+     (``SuitePass.batch_size`` rows a batch): per batch, whichever
+     entries are selected — the ``stateless`` facets (enums,
+     cross-domain, universal predicates, payload headers sniffed), the
+     ``decode`` findings (BytesSuitePass, which then owns the payload
+     universals, DECODE-100/101) and the combiner partials of ALL
+     ``keyed`` constraints
   2. the small tagged output is materialized once and split into
      violation rows and partials
   3. ONE merge for ALL keyed constraints (cardinality, referential
@@ -197,11 +198,17 @@ class SuitePass:
     the table lacks the plan's key).  Calling the instance returns both
     as ONE tagged table for ``map_batches``: partial rows carry their key
     in ``_pkey``, violation rows leave it null; ``tagged_violations`` and
-    ``tagged_partials`` split it."""
+    ``tagged_partials`` split it.
+
+    ``batch_size`` is the one batch rule of both executors: 256 rows
+    when the pass decodes payloads (the wide decoded rows stay within
+    the task heap), else 65,536 (the per-batch overhead dominates small
+    batches)."""
 
     def __init__(self, spec: ConstraintSpec, names: set, plan: KeyedPlan,
                  checks: frozenset, universal_predicates: frozenset):
         self.decode = "decode" in checks and "bytes" in names
+        self.batch_size = 256 if self.decode else 65_536
         skip = ("bytes",) if self.decode else ()
         self.stateless = (StatelessValidator(spec, skip_columns=skip, include_universals=True)
                           if "stateless" in checks else None)
@@ -255,9 +262,9 @@ def scan_checks(
     expected_keys: Optional["ray.data.Dataset"] = None,
 ) -> "ray.data.Dataset":
     """The violations of the row-level ``checks`` (a subset of
-    ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per 256-row
-    batch, output materialized here), then the keyed merge.  Expected
-    keys are read from their ``key`` column."""
+    ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per batch,
+    output materialized here), then the keyed merge.  Expected keys are
+    read from their ``key`` column."""
     names = set(arrow_schema(ds).names)
     plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
             else KeyedPlan(None))
@@ -266,7 +273,7 @@ def scan_checks(
     if not body.columns:        # no selected check reads a column ds has
         return union_all([])
     out = ds.select_columns(body.columns).map_batches(
-        body, batch_format="pyarrow", batch_size=256).materialize()
+        body, batch_format="pyarrow", batch_size=body.batch_size).materialize()
     if body.agg is None:
         return out
 

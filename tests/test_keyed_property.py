@@ -1,5 +1,6 @@
-"""Property test: the unified one-exchange keyed pass agrees with an
-independent pure-pandas oracle on randomized tables and constraints."""
+"""Property test: the production keyed pass (``scan_checks`` over the
+``keyed`` entry) agrees with an independent pure-pandas oracle on
+randomized tables and constraints."""
 
 import contextlib
 from unittest import mock
@@ -10,8 +11,8 @@ import pytest
 import ray.data
 from hypothesis import given, settings, strategies as st
 
-from osf_data_validator_tool_ray.checks.unified_keyed import unified_keyed_violations
 from osf_data_validator_tool_ray.pipelines import relational as rel
+from osf_data_validator_tool_ray.pipelines.runner import scan_checks
 from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec, RefIntegrity
 
 
@@ -51,11 +52,14 @@ def test_unified_matches_pandas_oracle(keys, ref_keys, max_count, min_count, npa
     )
     ds = ray.data.from_pandas(df).repartition(nparts)
     refs_ds = ray.data.from_pandas(refs) if len(refs) else None
+    # the same keys as the expected-key universe, under its `key` column
+    expected = ray.data.from_pandas(refs.rename(columns={"r": "key"})) if len(refs) else None
     with (mock.patch.object(rel, "fits_driver_merge", lambda ds, threshold=None: False)
           if tier == "exchange" else contextlib.nullcontext()):
-        out = unified_keyed_violations(
-            ds, spec, refs={"refs": refs_ds} if refs_ds is not None else None,
-            expected_keys=refs_ds, expected_key_column="r")
+        out = scan_checks(
+            ds, spec, frozenset({"keyed"}),
+            refs={"refs": refs_ds} if refs_ds is not None else None,
+            expected_keys=expected)
         v = out.to_pandas()
     cids = ("CARD-MAX-100", "CARD-MIN-100", "REF-EXISTENCE-100", "CARD-MIN-102")
     if v.empty or "check_id" not in v.columns:

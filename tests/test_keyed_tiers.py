@@ -9,10 +9,9 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from osf_data_validator_tool_ray.checks.unified_keyed import unified_keyed_violations
 from osf_data_validator_tool_ray.pipelines import relational as rel
 from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
-from osf_data_validator_tool_ray.pipelines.runner import run_suite
+from osf_data_validator_tool_ray.pipelines.runner import run_suite, scan_checks
 from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec, clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 from osf_data_validator_tool_ray.synth import write_clips_dataset
@@ -39,16 +38,10 @@ def test_null_keys_same_answer_on_both_tiers():
     for tier in ("driver", "exchange"):
         ds = ray.data.from_arrow(t).repartition(3)
         with _tier(tier):
-            got[tier] = (
-                _rows(unified_keyed_violations(ds, spec),
-                      ["check_id", "key", "observed"]),
-                _rows(rel.group_count_having(ds, "k", "gt", 1), ["k", "n"]))
-    assert got["driver"] == got["exchange"]
-    keyed, having = got["driver"]
-    # the keyed pass drops null keys in its combiner; the generic
-    # GROUP BY keeps the null group, as SQL does
-    assert keyed == [("CARD-MAX-100", "a", "2")]
-    assert having == sorted([("a", 2), (None, 2)], key=repr)
+            got[tier] = _rows(scan_checks(ds, spec, frozenset({"keyed"})),
+                              ["check_id", "key", "observed"])
+    # the keyed pass drops null keys in its combiner
+    assert got["driver"] == got["exchange"] == [("CARD-MAX-100", "a", "2")]
 
 
 @pytest.mark.parametrize("tier", ["driver", "exchange"])

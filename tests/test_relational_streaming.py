@@ -7,13 +7,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from osf_data_validator_tool_ray.checks.referential import anti_join_missing
 from osf_data_validator_tool_ray.pipelines.relational import (
     distinct_counts,
     distinct_values,
-    existential_missing,
     filter_rows,
-    group_count_having,
 )
 from osf_data_validator_tool_ray.pipelines.streaming import (
     asof_join,
@@ -36,39 +33,11 @@ def test_filter_rows():
     assert sorted(out.v) == [5, 6, 7, 9]
 
 
-def test_group_count_having_ops():
-    got = group_count_having(_tbl(), "k", "gt", 2).to_pandas()
-    assert set(got.k) == {1, 4}
-    got = group_count_having(_tbl(), "k", "eq", 1).to_pandas()
-    assert set(got.k) == {3}
-    # qualified: count only flag=='a' rows
-    got = group_count_having(
-        _tbl(), "k", "ge", 2,
-        qualifier=lambda t: pc.equal(t["flag"], "a").to_numpy(zero_copy_only=False),
-    ).to_pandas()
-    assert set(got.k) == {1, 2}
-
-
-def test_existential_missing():
-    got = existential_missing(
-        _tbl(), "k",
-        lambda t: pc.equal(t["flag"], "a").to_numpy(zero_copy_only=False),
-    ).to_pandas()
-    assert set(got.k) == {3, 4}
-
-
 def test_distinct_ops():
     assert set(distinct_values(_tbl(), "flag").to_pandas()["flag"]) == {"a", "b"}
     t = distinct_counts(_tbl(), ["k", "flag"])
     assert t.column("n_k")[0].as_py() == 4
     assert t.column("n_flag")[0].as_py() == 2
-
-
-def test_anti_join_and_broadcast_paths_agree():
-    refs = ray.data.from_pandas(pd.DataFrame({"r": [1, 2, 3, 99, 100, 100]})).repartition(2)
-    keys = _tbl()
-    miss = anti_join_missing(refs, "r", keys, "k").to_pandas()
-    assert set(miss.key) == {99, 100}
 
 
 def _events():

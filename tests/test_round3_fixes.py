@@ -93,7 +93,9 @@ def test_hash_join_big_right_still_works():
 def test_partitioned_all_violating_streams_incrementally(tmp_path):
     """A pathological partition where EVERY row violates must flush
     violations batch-by-batch (multiple parquet row groups), not
-    accumulate the whole violation set in a task-heap list."""
+    accumulate the whole violation set in a task-heap list.  A decode
+    run reads 256-row batches (``SuitePass.batch_size``), so 1,100 rows
+    are five batches."""
     import pyarrow.parquet as pq
 
     from osf_data_validator_tool_ray.pipelines.partitioned import (
@@ -102,7 +104,7 @@ def test_partitioned_all_violating_streams_incrementally(tmp_path):
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
     from osf_data_validator_tool_ray.synth import write_clips_dataset
 
-    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=300, seed=1,
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=1100, seed=1,
                                defect_rate=0.0, num_shards=1)
     # corrupt every row: negative duration violates the facet bound
     src = pq.read_table(meta["clips_dir"] + "/part-00000.parquet")
@@ -114,13 +116,13 @@ def test_partitioned_all_violating_streams_incrementally(tmp_path):
 
     store = CheckpointStore(str(tmp_path / "store"))
     rep = validate_partitioned(str(part_dir / "*.parquet"), clips_spec(),
-                               store, decode=False, batch_size=64)
-    assert sum(rep["violations"].values()) >= 300
+                               store, decode=True)
+    assert sum(rep["violations"].values()) >= 1100
     [vdir] = store.artifact_dirs("violations")
     [f] = [os.path.join(vdir, x) for x in os.listdir(vdir)]
     pf = pq.ParquetFile(f)
     assert pf.num_row_groups >= 4          # one row group per flushed batch
-    assert pf.metadata.num_rows >= 300
+    assert pf.metadata.num_rows >= 1100
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     # it must SKIP all fragments and run only the merge
     store = CheckpointStore(str(tmp_path / "store"))
     for p in parts:
-        m = _run_partition(p, spec, store.root, False, None, plan, universals)
+        m = _run_partition(p, spec, store.root, False, plan, universals)
         assert m["lineage"] == p and m["n_rows"] == 30
     rep = validate_partitioned(lance_dir, spec, store)
     assert rep["partitions_total"] == 3

@@ -11,9 +11,8 @@ import pyarrow as pa
 import ray.data
 
 from osf_data_validator_tool_ray.checks.cardinality import _PartialAggregator
-from osf_data_validator_tool_ray.pipelines.relational import group_count_having
-from osf_data_validator_tool_ray.pipelines.runner import run_suite
-from osf_data_validator_tool_ray.spec import clips_spec
+from osf_data_validator_tool_ray.pipelines.runner import run_suite, scan_checks
+from osf_data_validator_tool_ray.spec import Cardinality, ConstraintSpec, clips_spec
 from osf_data_validator_tool_ray.synth import synth_clips
 
 
@@ -25,7 +24,6 @@ def test_combiner_reduces_hot_key_before_exchange():
 
     # the partial stage output (pre-exchange) must carry the hot key as
     # ~one row per block, not 10k rows
-    from osf_data_validator_tool_ray.spec import Cardinality
     partials = ds.map_batches(
         _PartialAggregator("k", [Cardinality(key="k", column="k", max_count=1)], []),
         batch_format="pyarrow", batch_size=None).to_pandas()
@@ -38,8 +36,11 @@ def test_group_count_correct_under_skew():
     n = 20_000
     keys = np.where(np.arange(n) % 2 == 0, 0, np.arange(n))
     ds = ray.data.from_pandas(pd.DataFrame({"k": keys})).repartition(8)
-    out = group_count_having(ds, "k", "gt", 100).to_pandas()
-    assert len(out) == 1 and out.iloc[0]["k"] == 0 and out.iloc[0]["n"] == n // 2
+    spec = ConstraintSpec(table="t", key_column="k", cardinalities=[
+        Cardinality(key="k", column="k", max_count=100)])
+    out = scan_checks(ds, spec, frozenset({"keyed"})).to_pandas()
+    assert len(out) == 1 and out.iloc[0]["check_id"] == "CARD-MAX-100"
+    assert out.iloc[0]["key"] == "0" and int(out.iloc[0]["observed"]) == n // 2
 
 
 def test_suite_with_duplicated_hot_clip_id():

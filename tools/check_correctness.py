@@ -7,6 +7,7 @@ value hash).  Usage:  python tools/check_correctness.py [sf_dir] [names...]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import duckdb
@@ -62,7 +63,9 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this tool lives in, not whatever is installed or on
+    # the path: a copy of the repository checks its own __ray_entry__
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
