@@ -6,16 +6,24 @@ Large-scale training-data dedup expressed Ray-Data-first:
     groupby(hash) over per-batch partials (keep min id + count) — the
     max-cardinality-1 check generalized to content identity.
   * MinHash+LSH: shingle -> signature per row (map_batches) -> explode
-    to (band_id, band_key, id, sig) rows -> groupby((band_id, band_key))
-    -> pairwise candidates within buckets -> verify by signature
-    similarity (and optionally exact shingle Jaccard).  The band
-    explosion is the partitioning assumption: bucket sizes stay small
-    when bands*rows are sized for the target threshold (b=16, r=4 ~
-    t≈(1/b)^(1/r)≈0.5); a pathological bucket (all-identical docs) is
-    bounded by per-bucket pair caps.
-  * SimHash: 64-bit signature per row; exact-match groupby, or
-    hamming<=k via 16-bit band tables (4 bands catch all pairs with
-    hamming<=3 by pigeonhole).
+    to (band_id, band_key, id, sig) rows -> pairwise candidates within
+    each (band_id, band_key) bucket -> verify by signature similarity
+    (and optionally exact shingle Jaccard).  The band explosion is the
+    partitioning assumption: bucket sizes stay small when bands*rows
+    are sized for the target threshold (b=16, r=4 ~
+    t≈(1/b)^(1/r)≈0.5).
+  * SimHash: 64-bit signature per row; hamming<=k via 16-bit band
+    tables (4 bands catch all pairs with hamming<=3 by pigeonhole).
+  * audio: spectral-fingerprint frame codes banded like MinHash,
+    verified by common-prefix Hamming.
+
+Every LSH operator here, and embedding near-dup in checks/similarity.py,
+runs ONE banded path, ``banded_pairs``: the same pair function runs
+over the whole band table on the driver tier and per bucket on the
+exchange tier, so both tiers give the same pairs.  MinHash, SimHash and
+audio build that function with ``vector_pairs``, where a pathological
+bucket (all-identical docs) re-bands (``_pairs_rebanded``) instead of
+emitting its quadratic pair set.
 """
 
 from __future__ import annotations
@@ -115,62 +123,27 @@ def minhash_near_dup_pairs(
     shingle_k: int = 5,
     threshold: float = 0.5,
     max_bucket_pairs: int = 10_000,
-    concurrency: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Candidate near-duplicate pairs with estimated Jaccard >= threshold.
 
     Returns Dataset (id_a, id_b, est_jaccard) with id_a < id_b, deduped
     across buckets.  Wall-clock shape: one map_batches (signatures,
-    bands=16x duplication of 8B*num_perm sig per doc), one groupby
-    exchange on (band_id, band_key), one dedup groupby on the pair key.
+    bands=16x duplication of 8B*num_perm sig per doc), then
+    ``banded_pairs``: one vectorized pass over the whole band table on
+    the driver tier, or one groupby exchange on (band_id, band_key) and
+    one dedup exchange on the pair key on the exchange tier.
     """
-    stage_kwargs = dict(batch_format="pyarrow")
-    if concurrency:
-        stage_kwargs["concurrency"] = concurrency
     banded = ds.map_batches(
         _MinHashStage(text_col, id_col, num_perm, bands, shingle_k),
-        **stage_kwargs,
-    )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            idt = group["doc_id"].dtype
-            return pd.DataFrame({"id_a": pd.Series(dtype=idt),
-                                 "id_b": pd.Series(dtype=idt),
-                                 "est_jaccard": pd.Series(dtype="float64")})
-        sigs = np.stack([np.frombuffer(s, dtype=np.uint64) for s in group["sig"]])
-        ids = group["doc_id"].to_numpy()
-        # oversized buckets re-band instead of truncating (duplicate
-        # chains + extended-band recursion; see _pairs_rebanded)
-        ia, ib, js = _bucket_pair_arrays(
-            ids, sigs,
-            lambda sa, sb: (sa == sb).mean(axis=-1),
-            lambda s: s >= threshold, max_bucket_pairs,
-            "minhash_near_dup_pairs")
-        return pd.DataFrame({"id_a": ia, "id_b": ib,
-                             "est_jaccard": js.astype(np.float64)})
-
-    from ..pipelines.relational import fits_driver_merge
-    mat = banded.materialize()
-    if fits_driver_merge(mat):
-        # driver fast path: numpy bucket slices, no per-bucket pandas
-        df = mat.to_pandas()
-        sig_mat = (np.frombuffer(b"".join(df["sig"]), dtype=np.uint64)
-                   .reshape(len(df), num_perm) if len(df) else
-                   np.empty((0, num_perm), dtype=np.uint64))
-        ia, ib, sc = _vector_bucket_pairs(
-            df, ["band_id", "band_key"], "doc_id", sig_mat,
-            lambda sa, sb: (sa == sb).mean(axis=-1),
-            lambda s: s >= threshold, max_bucket_pairs,
-            "minhash_near_dup_pairs")
-        pairs = pd.DataFrame({"id_a": ia, "id_b": ib, "est_jaccard": sc})
-        if len(pairs):
-            pairs = pairs.groupby(["id_a", "id_b"], sort=False)["est_jaccard"] \
-                .max().reset_index()
-        return ray.data.from_pandas(pairs)
-    return _bucket_pairs_adaptive(mat, ["band_id", "band_key"],
-                                  bucket_pairs, "est_jaccard", "max")
+        batch_format="pyarrow")
+    keys = ["band_id", "band_key"]
+    pairs = vector_pairs(
+        keys,
+        lambda df: np.frombuffer(b"".join(df["sig"]), dtype=np.uint64)
+        .reshape(len(df), num_perm),
+        lambda sa, sb: (sa == sb).mean(axis=-1),
+        lambda s: s >= threshold, "minhash_near_dup_pairs", max_bucket_pairs)
+    return banded_pairs(banded, keys, pairs, "est_jaccard", "max")
 
 
 def _pairs_rebanded(ids: np.ndarray, sigs: np.ndarray, pair_score, emit,
@@ -296,29 +269,6 @@ def _pairs_rebanded(ids: np.ndarray, sigs: np.ndarray, pair_score, emit,
                             max_bucket_pairs, op_name, _depth + 1)
 
 
-def _bucket_pair_arrays(ids: np.ndarray, sigs: np.ndarray, pair_score, keep,
-                        max_bucket_pairs: int, op_name: str):
-    """(id_a, id_b, score) arrays for one bucket via ``_pairs_rebanded``
-    with the keep-filter and id ordering applied."""
-    out_a, out_b, out_s = [], [], []
-
-    def emit(a: np.ndarray, b: np.ndarray, sc: np.ndarray) -> None:
-        m = keep(sc)
-        if m.any():
-            a, b, sc = a[m], b[m], sc[m]
-            swap = b < a
-            out_a.append(np.where(swap, b, a))
-            out_b.append(np.where(swap, a, b))
-            out_s.append(sc)
-
-    _pairs_rebanded(ids, sigs, pair_score, emit, max_bucket_pairs, op_name)
-    if not out_a:
-        return (np.array([], dtype=ids.dtype), np.array([], dtype=ids.dtype),
-                np.array([], dtype=np.float64))
-    return (np.concatenate(out_a), np.concatenate(out_b),
-            np.concatenate(out_s))
-
-
 # transient-memory budget for the vectorized same-size bucket pairing:
 # each chunk materializes ~3 (G, P, d) float/uint64 temporaries (two
 # operand gathers + the score), so G is capped such that
@@ -339,10 +289,10 @@ def _vector_bucket_pairs(
     op_name: str,
     pair_budget_bytes: int = PAIR_CHUNK_BUDGET_BYTES,
 ):
-    """Driver fast path for banded candidate generation: one lexsort,
-    bucket boundaries from key changes, per-bucket numpy slice pairing —
-    no per-bucket pandas frames (10k+ tiny buckets would pay ~0.3ms of
-    pandas overhead each).  pair_score((P,d),(P,d))->scores;
+    """Banded candidate generation over a frame of one or many buckets:
+    one lexsort, bucket boundaries from key changes, per-bucket numpy
+    slice pairing — no per-bucket pandas frames (10k+ tiny buckets would
+    pay ~0.3ms of pandas overhead each).  pair_score((P,d),(P,d))->scores;
     keep(scores)->mask.  Returns (id_a, id_b, score) arrays, id_a<id_b.
     Same-size bucket groups are processed in chunks bounded by
     ``pair_budget_bytes`` of temporaries."""
@@ -416,42 +366,53 @@ def _vector_bucket_pairs(
             np.concatenate(sc_all))
 
 
-def _bucket_pairs_adaptive(
+def vector_pairs(keys: list[str], sig_of, pair_score, keep, op_name: str,
+                 max_bucket_pairs: int = 10_000):
+    """A ``banded_pairs`` pair function over ``_vector_bucket_pairs``.
+    ``sig_of(df)`` is the frame's (rows, d) signature matrix; oversized
+    buckets re-band (``_pairs_rebanded``) on either tier."""
+    def pairs(df: pd.DataFrame):
+        sig = sig_of(df) if len(df) else np.empty((0, 1), dtype=np.uint64)
+        return _vector_bucket_pairs(df, keys, "doc_id", sig, pair_score,
+                                    keep, max_bucket_pairs, op_name)
+    return pairs
+
+
+def _int_scores(ia: np.ndarray, ib: np.ndarray, sc: np.ndarray):
+    return ia, ib, sc.astype(np.int64)
+
+
+def banded_pairs(
     banded: "ray.data.Dataset",
-    group_keys: list[str],
-    bucket_fn,
-    val_col: str,
+    keys: list[str],
+    pairs,
+    score_col: str,
     how: str,
 ) -> "ray.data.Dataset":
-    """Bucket → candidate pairs → cross-bucket pair dedup.
+    """Bucket -> candidate pairs -> cross-bucket pair dedup: the one path
+    of every LSH near-dup operator.
 
-    Small banded tables (row+byte-gated) run the whole chain in ONE
-    driver pass (no object-store round trips between the bucket stage
-    and the dedup aggregate); large ones take the distributed
-    groupby(bucket).map_groups + pair-dedup exchange."""
-    from ..pipelines.relational import (_adaptive_dedup_agg,
-                                        adaptive_groupby_apply,
-                                        fits_driver_merge)
+    ``pairs(df) -> (id_a, id_b, score)`` pairs every bucket of a frame
+    of banded rows, id_a < id_b.  The banded rows are materialized once.
+    A table that passes ``fits_driver_merge`` runs ``pairs`` over the
+    whole frame and keeps ``how`` of ``score_col`` per pair in process;
+    a larger one runs the same ``pairs`` per bucket in one
+    groupby(keys).map_groups, and the pairs dedup in one exchange."""
+    from ..pipelines.relational import _adaptive_dedup_agg, fits_driver_merge
+
+    def frame(ia, ib, sc) -> pd.DataFrame:
+        return pd.DataFrame({"id_a": ia, "id_b": ib, score_col: sc})
 
     mat = banded.materialize()
     if fits_driver_merge(mat):
-        df = mat.to_pandas()
-        probe = bucket_fn(df.iloc[:0]) if len(df) else pd.DataFrame()
-        if len(df):
-            df = df[df.groupby(group_keys, sort=False)[group_keys[0]]
-                    .transform("size") > 1]
-        out = ([bucket_fn(g) for _, g in df.groupby(group_keys, sort=False)]
-               if len(df) else [])
-        out = [o for o in out if len(o)]
-        if not out:
-            return ray.data.from_pandas(probe)
-        pairs = pd.concat(out, ignore_index=True)
-        agg = pairs.groupby(["id_a", "id_b"], sort=False)[val_col] \
-            .agg(how).reset_index()
-        return ray.data.from_pandas(agg)
-    pairs = adaptive_groupby_apply(mat, group_keys, bucket_fn,
-                                   skip_singletons=True)
-    return _adaptive_dedup_agg(pairs, ["id_a", "id_b"], val_col, how)
+        out = frame(*pairs(mat.to_pandas()))
+        if len(out):
+            out = out.groupby(["id_a", "id_b"], sort=False)[score_col] \
+                .agg(how).reset_index()
+        return ray.data.from_pandas(out)
+    per_bucket = mat.groupby(keys).map_groups(
+        lambda g: frame(*pairs(g)), batch_format="pandas")
+    return _adaptive_dedup_agg(per_bucket, ["id_a", "id_b"], score_col, how)
 
 
 def near_dup_clusters(
@@ -534,13 +495,10 @@ def near_dup_clusters(
     # driver never pulls the label table.
     from ray.data.aggregate import Min as _Min
 
+    from ..pipelines.relational import arrow_type
+
     _s = mat.schema()
-    id_type = dict(zip(_s.names, _s.types))[id_a]
-    if not isinstance(id_type, pa.DataType):
-        try:
-            id_type = pa.from_numpy_dtype(id_type)
-        except pa.ArrowNotImplementedError:
-            id_type = pa.string()
+    id_type = arrow_type(dict(zip(_s.names, _s.types))[id_a])
 
     def explode(t: pa.Table) -> pa.Table:
         a = t.column(id_a).cast(id_type)
@@ -907,8 +865,8 @@ def simhash_near_dup_pairs(
 ) -> "ray.data.Dataset":
     """Near-dup pairs with SimHash hamming distance <= max_hamming.
     4x16-bit band tables: any pair with hamming<=3 collides in >=1 band
-    (pigeonhole), so one groupby per... all four bands in ONE exchange by
-    exploding each doc to 4 (band_id, band_val) rows."""
+    (pigeonhole).  Each doc explodes to 4 (band_id, band_val) rows, so
+    all four bands share one ``banded_pairs`` pass."""
     sigs = simhash_signatures(ds, text_col, id_col)
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -928,48 +886,19 @@ def simhash_near_dup_pairs(
             "simhash": pa.array(np.concatenate(out_sigs), type=pa.uint64()),
         })
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            idt = group["doc_id"].dtype
-            return pd.DataFrame({"id_a": pd.Series(dtype=idt),
-                                 "id_b": pd.Series(dtype=idt),
-                                 "hamming": pd.Series(dtype="int64")})
-        ids = group["doc_id"].to_numpy()
-        s = group["simhash"].to_numpy().astype(np.uint64)
-        ia, ib, hs = [], [], []
-        for i in range(n):
-            ham = T.hamming64(s[i], s[i + 1:])
-            hit = np.flatnonzero(np.asarray(ham) <= max_hamming)
-            for j in np.atleast_1d(hit):
-                a, b = ids[i], ids[i + 1 + j]
-                if b < a:
-                    a, b = b, a
-                ia.append(a); ib.append(b); hs.append(int(np.atleast_1d(ham)[j]))
-        return pd.DataFrame({"id_a": ia, "id_b": ib, "hamming": hs})
+    keys = ["band_id", "band_val"]
+    pairs = vector_pairs(
+        keys, lambda df: df["simhash"].to_numpy().astype(np.uint64).reshape(-1, 1),
+        lambda sa, sb: T.hamming64(sa.ravel(), sb.ravel())
+        .astype(np.float64).reshape(sa.shape[:-1]),
+        lambda s: s <= max_hamming, "simhash_near_dup_pairs")
+    return banded_pairs(sigs.map_batches(explode, batch_format="pyarrow"), keys,
+                        lambda df: _int_scores(*pairs(df)), "hamming", "min")
 
-    from ..pipelines.relational import fits_driver_merge
-    mat = sigs.map_batches(explode, batch_format="pyarrow").materialize()
-    if fits_driver_merge(mat):
-        df = mat.to_pandas()
-        # zero-block band tables come back column-less (same wart as
-        # _vector_bucket_pairs' guard) — feed it an empty sig matrix
-        sig_mat = (df["simhash"].to_numpy().astype(np.uint64)
-                   .reshape(-1, 1) if "simhash" in df.columns else
-                   np.empty((0, 1), dtype=np.uint64))
-        ia, ib, sc = _vector_bucket_pairs(
-            df, ["band_id", "band_val"], "doc_id", sig_mat,
-            lambda sa, sb: T.hamming64(sa.ravel(), sb.ravel())
-            .astype(np.float64).reshape(sa.shape[:-1]),
-            lambda s: s <= max_hamming, 10_000, "simhash_near_dup_pairs")
-        pairs = pd.DataFrame({"id_a": ia, "id_b": ib,
-                              "hamming": sc.astype(np.int64)})
-        if len(pairs):
-            pairs = pairs.groupby(["id_a", "id_b"], sort=False)["hamming"] \
-                .min().reset_index()
-        return ray.data.from_pandas(pairs)
-    return _bucket_pairs_adaptive(
-        mat, ["band_id", "band_val"], bucket_pairs, "hamming", "min")
+
+# set bits of every byte value
+_POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1).sum(axis=1).astype(np.uint8)
 
 
 def _md5_8(b: bytes) -> bytes:
@@ -996,7 +925,7 @@ def audio_near_dup_pairs(
 
     Same wall-clock shape as the text dedup family: ONE decode+sign
     map_batches pass (the decode is the work, like the DECODE checks),
-    ONE bucket exchange on (band_id, band_key), one pair-dedup agg.
+    then ``banded_pairs`` on (band_id, band_key).
     Band b covers frame codes [b*frames_per_band, (b+1)*frames_per_band)
     and is emitted only by clips long enough to fill it, so short clips
     simply participate in fewer bands (no shared padding buckets).  A
@@ -1027,14 +956,6 @@ def audio_near_dup_pairs(
             fps.append(fp)
         ids = np.asarray(ids, dtype=all_ids.dtype if len(ids) else np.int64)
         bands_ids, band_keys, out_ids, out_fps = [], [], [], []
-        if not len(fps):
-            return pa.table({
-                "band_id": pa.array([], type=pa.int32()),
-                "band_key": pa.array([], type=pa.int64()),
-                "doc_id": pa.array([], type=pa.from_numpy_dtype(all_ids.dtype)
-                                   if all_ids.dtype != object else pa.string()),
-                "fp": pa.array([], type=pa.binary()),
-            })
         for b in range(lsh_bands):
             lo, hi = b * frames_per_band, (b + 1) * frames_per_band
             # only clips whose fingerprint FILLS this band emit it
@@ -1063,47 +984,38 @@ def audio_near_dup_pairs(
             "fp": pa.array(sum(out_fps, []), type=pa.binary()),
         })
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            idt = group["doc_id"].dtype
-            return pd.DataFrame({"id_a": pd.Series(dtype=idt),
-                                 "id_b": pd.Series(dtype=idt),
-                                 "hamming": pd.Series(dtype="int64")})
-        ids = group["doc_id"].to_numpy()
-        arrs = [np.frombuffer(b, dtype=np.uint32) for b in group["fp"]]
-        lens = np.array([len(a) for a in arrs], dtype=np.int64)
-        width = int(lens.max())
-        mats = np.zeros((n, width), dtype=np.uint32)
+    def codes(df: pd.DataFrame) -> np.ndarray:
+        # zero-padded to the frame's widest clip, the code count in the
+        # last column: padding is equal within a bucket, so it never
+        # splits a re-band sub-bucket and both tiers emit the same pairs
+        arrs = [np.frombuffer(b, dtype=np.uint32) for b in df["fp"]]
+        lens = np.array([len(a) for a in arrs], dtype=np.uint32)
+        mat = np.zeros((len(arrs), int(lens.max()) + 1), dtype=np.uint32)
         for i, a in enumerate(arrs):
-            mats[i, :len(a)] = a
-        ia, ib, hs = [], [], []
-        for i in range(n - 1):
-            rest = slice(i + 1, n)
-            common = np.minimum(lens[rest], lens[i])
-            overlap_ok = common >= min_overlap * np.maximum(lens[rest], lens[i])
-            x = np.bitwise_xor(mats[rest], mats[i])
-            # per-code popcounts -> prefix sums -> Hamming over the
-            # common prefix (code grids are absolute-time comparable)
-            pc_codes = np.unpackbits(
-                x.view(np.uint8).reshape(x.shape[0], -1),
-                axis=1).reshape(x.shape[0], width, 32).sum(axis=2)
-            cum = np.cumsum(pc_codes, axis=1)
-            ham = np.where(common > 0,
-                           np.take_along_axis(
-                               cum, np.maximum(common - 1, 0)[:, None],
-                               axis=1)[:, 0],
-                           0)
-            hit = np.flatnonzero((ham <= max_hamming) & overlap_ok
-                                 & (common > 0))
-            for j in hit:
-                a, b = ids[i], ids[i + 1 + j]
-                if b < a:
-                    a, b = b, a
-                ia.append(a); ib.append(b); hs.append(int(ham[j]))
-        return pd.DataFrame({"id_a": ia, "id_b": ib, "hamming": hs})
+            mat[i, :len(a)] = a
+        mat[:, -1] = lens
+        return mat
 
-    mat = ds.select_columns([id_col, bytes_col]).map_batches(
-        sign_stage, batch_format="pyarrow", batch_size=256).materialize()
-    return _bucket_pairs_adaptive(mat, ["band_id", "band_key"],
-                                  bucket_pairs, "hamming", "min")
+    def prefix_hamming(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+        # Hamming over the common code prefix (code grids are
+        # absolute-time comparable); inf when that prefix covers less
+        # than min_overlap of the longer clip.  A byte table counts the
+        # bits (unpackbits' temporaries would outgrow the per-pair
+        # estimate of PAIR_CHUNK_BUDGET_BYTES).
+        la, lb = sa[..., -1].astype(np.int64), sb[..., -1].astype(np.int64)
+        common = np.minimum(la, lb)
+        x = np.bitwise_xor(sa[..., :-1], sb[..., :-1])
+        per_code = _POPCOUNT8[x.view(np.uint8)].reshape(*x.shape, 4) \
+            .sum(axis=-1, dtype=np.uint8)
+        in_prefix = np.arange(x.shape[-1]) < common[..., None]
+        ham = np.where(in_prefix, per_code, 0).sum(axis=-1, dtype=np.int64)
+        ok = (common > 0) & (common >= min_overlap * np.maximum(la, lb))
+        return np.where(ok, ham, np.inf)
+
+    keys = ["band_id", "band_key"]
+    pairs = vector_pairs(keys, codes, prefix_hamming,
+                         lambda s: s <= max_hamming, "audio_near_dup_pairs")
+    banded = ds.select_columns([id_col, bytes_col]).map_batches(
+        sign_stage, batch_format="pyarrow", batch_size=256)
+    return banded_pairs(banded, keys, lambda df: _int_scores(*pairs(df)),
+                        "hamming", "min")

@@ -479,67 +479,53 @@ def embedding_near_dup_pairs(
             }))
         return pa.concat_tables(tables)
 
-    def bucket_pairs_ids(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        idt = group[id_col].dtype
-        if n < 2:
-            return pd.DataFrame({"id_a": pd.Series(dtype=idt),
-                                 "id_b": pd.Series(dtype=idt),
-                                 "hit": pd.Series(dtype="int64")})
-        if n > max_bucket:
-            import logging
-            logging.getLogger(
-                "osf_data_validator_tool_ray.similarity").warning(
-                "embedding_near_dup_pairs: bucket of %d rows truncated "
-                "to max_bucket=%d (%d candidate pairs dropped)",
-                n, max_bucket,
-                n * (n - 1) // 2 - max_bucket * (max_bucket - 1) // 2)
-            group = group.iloc[:max_bucket]
-            n = max_bucket
-        ids = np.sort(group[id_col].to_numpy())
-        iu = np.triu_indices(n, k=1)
-        return pd.DataFrame({"id_a": ids[iu[0]], "id_b": ids[iu[1]],
-                             "hit": np.ones(len(iu[0]), dtype=np.int64)})
+    keys = ["table", "bucket"]
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        n = len(group)
-        if n < 2:
-            idt = group[id_col].dtype
-            return pd.DataFrame({"id_a": pd.Series(dtype=idt),
-                                 "id_b": pd.Series(dtype=idt),
-                                 "cosine": pd.Series(dtype="float64")})
-        if n > max_bucket:
-            # no silent caps: a pathological bucket (mass-duplicate
-            # embeddings) is truncated LOUDLY so dropped pairs are known
-            import logging
-            logging.getLogger("osf_data_validator_tool_ray.similarity").warning(
-                "embedding_near_dup_pairs: bucket of %d rows truncated to "
-                "max_bucket=%d (%d candidate pairs dropped)",
-                n, max_bucket,
-                n * (n - 1) // 2 - max_bucket * (max_bucket - 1) // 2)
-            group = group.iloc[:max_bucket]
-            n = max_bucket
-        # rerank_dtype=float64 for oracle-verified runs (float32's ~1e-6
-        # accumulated dot error survives a 6-decimal round; float64
-        # matches DuckDB's list_cosine_similarity to the ulp)
-        m = _normalize(np.stack(group[emb_col].to_numpy())
-                       .astype(rerank_dtype))
-        ids = group[id_col].to_numpy()
-        s = m @ m.T
-        iu = np.triu_indices(n, k=1)
-        hit = s[iu] >= tau
-        a, b = ids[iu[0][hit]], ids[iu[1][hit]]
-        swap = b < a
-        a2 = np.where(swap, b, a)
-        b2 = np.where(swap, a, b)
-        return pd.DataFrame({"id_a": a2, "id_b": b2, "cosine": s[iu][hit].astype(np.float64)})
+    def pairs(df: pd.DataFrame):
+        """Every bucket of the frame: all pairs (multi-table: ids only,
+        reranked later) or the in-bucket cosine matmul (single table)."""
+        if len(df) == 0:        # zero blocks come back column-less
+            e = np.array([], dtype=np.int64)
+            return e, e, np.array([], dtype=np.float64)
+        df = df[df.groupby(keys)["table"].transform("size") > 1]
+        out = [(df[id_col].to_numpy()[:0],) * 2 + (np.array([], dtype=np.float64),)]
+        for _, g in df.groupby(keys, sort=False):
+            n = len(g)
+            if n > max_bucket:
+                # no silent caps: a pathological bucket (mass-duplicate
+                # embeddings) is truncated LOUDLY so dropped pairs are known
+                import logging
+                logging.getLogger("osf_data_validator_tool_ray.similarity").warning(
+                    "embedding_near_dup_pairs: bucket of %d rows truncated to "
+                    "max_bucket=%d (%d candidate pairs dropped)",
+                    n, max_bucket,
+                    n * (n - 1) // 2 - max_bucket * (max_bucket - 1) // 2)
+                g = g.iloc[:max_bucket]
+                n = max_bucket
+            ids = g[id_col].to_numpy()
+            iu0, iu1 = np.triu_indices(n, k=1)
+            if n_tables <= 1:
+                # rerank_dtype=float64 for oracle-verified runs (float32's
+                # ~1e-6 accumulated dot error survives a 6-decimal round;
+                # float64 matches DuckDB's list_cosine_similarity to the ulp)
+                m = _normalize(np.stack(g[emb_col].to_numpy())
+                               .astype(rerank_dtype))
+                sc = (m @ m.T)[iu0, iu1]
+                hit = sc >= tau
+                iu0, iu1, sc = iu0[hit], iu1[hit], sc[hit]
+            else:
+                sc = np.ones(len(iu0))
+            a, b = ids[iu0], ids[iu1]
+            swap = b < a
+            out.append((np.where(swap, b, a), np.where(swap, a, b),
+                        sc.astype(np.float64)))
+        return tuple(np.concatenate(c) for c in zip(*out))
 
-    from ..checks.dedup import _bucket_pairs_adaptive
+    from ..checks.dedup import banded_pairs
     if n_tables <= 1:
         assigned = ds.select_columns([emb_col, id_col]).map_batches(
             assign, batch_format="pyarrow")
-        return _bucket_pairs_adaptive(assigned, ["table", "bucket"],
-                                      bucket_pairs, "cosine", "max")
+        return banded_pairs(assigned, keys, pairs, "cosine", "max")
 
     # multi-table: ids-only banding -> cross-table pair dedup -> exact
     # float64 cosine rerank via the broadcast semi-join (the candidate
@@ -547,9 +533,7 @@ def embedding_near_dup_pairs(
     # the same contract as dedup.exact_jaccard_for_pairs)
     assigned = ds.select_columns([emb_col, id_col]).map_batches(
         assign_ids, batch_format="pyarrow")
-    cand = _bucket_pairs_adaptive(assigned, ["table", "bucket"],
-                                  bucket_pairs_ids, "hit", "max") \
-        .to_pandas()
+    cand = banded_pairs(assigned, keys, pairs, "hit", "max").to_pandas()
     id_type = None
     for name, typ in zip(ds.schema().names, ds.schema().types):
         if name == id_col and isinstance(typ, pa.DataType):

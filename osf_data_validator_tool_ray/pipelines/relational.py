@@ -54,6 +54,18 @@ def fits_driver_merge(materialized_ds: "ray.data.Dataset",
     return size is None or size <= DRIVER_MERGE_MAX_BYTES
 
 
+def arrow_type(typ) -> pa.DataType:
+    """A Dataset schema's column type as an Arrow type: pandas-block
+    schemas report numpy dtypes, and object dtype (strings) maps to
+    string."""
+    if isinstance(typ, pa.DataType):
+        return typ
+    try:
+        return pa.from_numpy_dtype(typ)
+    except (pa.ArrowNotImplementedError, TypeError):
+        return pa.string()
+
+
 def coalesce_partials(ds: "ray.data.Dataset", per_cpu: int = 1) -> "ray.data.Dataset":
     """Coalesce combiner output before a hash exchange.
 
@@ -158,41 +170,6 @@ def filter_rows(
         return out.select(list(columns)) if columns else out
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-
-
-def adaptive_groupby_apply(
-    ds: "ray.data.Dataset",
-    keys: "str | list[str]",
-    fn,
-    threshold: int = DRIVER_MERGE_THRESHOLD,
-    skip_singletons: bool = False,
-) -> "ray.data.Dataset":
-    """groupby(keys).map_groups(fn) with the adaptive small-data path:
-    materialize, count, and when the input is small run the per-group
-    pandas fn on the driver instead of paying a sort exchange.  fn:
-    pandas group -> pandas DataFrame, same contract as map_groups.
-
-    skip_singletons=True drops 1-row groups before applying — pair-style
-    fns return empty for them, and the driver path would otherwise pay a
-    Python call per (mostly singleton) bucket."""
-    import pandas as pd
-
-    keylist = [keys] if isinstance(keys, str) else list(keys)
-    mat = ds.materialize()
-    if fits_driver_merge(mat, threshold):
-        df = mat.to_pandas()
-        probe = fn(df.iloc[:0]) if len(df) else pd.DataFrame()
-        if skip_singletons and len(df):
-            df = df[df.groupby(keylist, sort=False)[keylist[0]].transform("size") > 1]
-        if len(df) == 0:
-            return ray.data.from_pandas(probe)
-        out = [fn(g) for _, g in df.groupby(keylist, sort=False, dropna=False)]
-        out = [o for o in out if len(o)]
-        if not out:
-            return ray.data.from_pandas(probe)
-        return ray.data.from_pandas(pd.concat(out, ignore_index=True))
-    return mat.groupby(keys if len(keylist) > 1 else keylist[0]).map_groups(
-        fn, batch_format="pandas")
 
 
 def _adaptive_dedup_agg(
@@ -377,18 +354,18 @@ def grouped_agg(
         # downstream Arrow kernels / schema compares)
         base = arrow_schema(ds)
 
-        def arrow_type(col: str, default: pa.DataType) -> pa.DataType:
+        def input_type(col: str, default: pa.DataType) -> pa.DataType:
             if base is not None and col in base.names:
                 return base.field(col).type
             return default
 
-        cols = {k: pa.array([], type=arrow_type(k, pa.string()))
+        cols = {k: pa.array([], type=input_type(k, pa.string()))
                 for k in keylist}
         for o, (c, fn) in specs.items():
             if fn == "count":
                 t = pa.int64()
             else:
-                t = arrow_type(c, pa.float64())
+                t = input_type(c, pa.float64())
                 if fn == "sum" and pa.types.is_integer(t):
                     t = pa.int64()   # integer sums widen to int64
             cols[o] = pa.array([], type=t)
@@ -634,22 +611,14 @@ def interval_join(
     lcols = list(left.schema().names)
     out_rcols = [c for c in right_cols if c not in lcols]
 
-    def _pa_type(typ) -> pa.DataType:
-        if isinstance(typ, pa.DataType):
-            return typ
-        try:
-            return pa.from_numpy_dtype(typ)
-        except pa.ArrowNotImplementedError:
-            return pa.string()
-
     types: dict[str, pa.DataType] = {"_side": pa.string()}
     rschema = right.schema()
     for name, typ in zip(rschema.names, rschema.types):
         if name in set(out_rcols) | {key, start_col, end_col}:
-            types[name] = _pa_type(typ)
+            types[name] = arrow_type(typ)
     lschema = left.schema()
     for name, typ in zip(lschema.names, lschema.types):
-        types[name] = _pa_type(typ)
+        types[name] = arrow_type(typ)
     all_cols = sorted(set(lcols) | set(out_rcols) | {key, start_col, end_col,
                                                      "_side"})
 
@@ -748,22 +717,18 @@ def hash_join(
     import ray as _ray
 
     n = num_partitions or max(2, int(_ray.cluster_resources().get("CPU", 8)))
-    if use_native is True:
-        lcols_n = set(left.schema().names)
-        r_keep_n = [c for c in right.schema().names
-                    if c == key or c not in lcols_n]
-        return left.join(right.select_columns(r_keep_n), join_type=how,
-                         num_partitions=n, on=(key,))
-    probe = right.limit(broadcast_threshold + 1).materialize()
-    small_right = fits_driver_merge(probe, broadcast_threshold)
-    if small_right:
-        right = probe       # the probe IS the whole right side
-    if small_right and how in ("inner", "left"):
-        lcols_b = set(left.schema().names)
-        r_keep_b = [c for c in right.schema().names
-                    if c == key or c not in lcols_b]
-        return broadcast_join(left, right.select_columns(r_keep_b), key,
-                              how=how)
+    small_right = False
+    if use_native is not True:
+        probe = right.limit(broadcast_threshold + 1).materialize()
+        small_right = fits_driver_merge(probe, broadcast_threshold)
+        if small_right:
+            right = probe       # the probe IS the whole right side
+        if small_right and how in ("inner", "left"):
+            lcols_b = set(left.schema().names)
+            r_keep_b = [c for c in right.schema().names
+                        if c == key or c not in lcols_b]
+            return broadcast_join(left, right.select_columns(r_keep_b), key,
+                                  how=how)
     if use_native is None:
         use_native = hasattr(ray.data.Dataset, "join") and not small_right
     if use_native:
@@ -780,23 +745,14 @@ def hash_join(
     # needs it on both sides), drop non-key columns duplicated on the left
     r_keep = [c for c in rschema.names if c == key or c not in lcols]
 
-    def _pa_type(typ) -> pa.DataType:
-        # pandas-block schemas report numpy dtypes, not Arrow types
-        if isinstance(typ, pa.DataType):
-            return typ
-        try:
-            return pa.from_numpy_dtype(typ)
-        except pa.ArrowNotImplementedError:
-            return pa.string()      # numpy object dtype (strings)
-
     # both sides must share ONE schema for the union: pad each with
     # typed null columns for the other side's fields
     types: dict[str, pa.DataType] = {"_side": pa.string()}
     for name, typ in zip(rschema.names, rschema.types):
         if name in r_keep:
-            types[name] = _pa_type(typ)
+            types[name] = arrow_type(typ)
     for name, typ in zip(lschema.names, lschema.types):
-        types[name] = _pa_type(typ)
+        types[name] = arrow_type(typ)
     all_cols = sorted(set(lcols) | set(r_keep) | {"_side"})
 
     def tag_and_pad(side):

@@ -483,7 +483,7 @@ def _presplit_chunked_join(
         .materialize()
 
     # ---- distinct left (key, chunk) pairs (combiner-reduced) -----------
-    from .relational import grouped_agg
+    from .relational import arrow_type, grouped_agg
 
     def l_chunks(t: pa.Table) -> pa.Table:
         ch = _chunks_of(t, left_ts)
@@ -496,16 +496,8 @@ def _presplit_chunked_join(
         [key, "_chunk"], {"_n": (key, "count")})
 
     # ---- carry-in per left chunk: latest summary from an earlier chunk --
-    def _pt(t) -> pa.DataType:
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
     rschema = summaries.schema()
-    rtypes = {n: _pt(t) for n, t in zip(rschema.names, rschema.types)}
+    rtypes = {n: arrow_type(t) for n, t in zip(rschema.names, rschema.types)}
     rtypes["_chunk"] = pa.int64()
     all_cols = sorted(set(rcols) | {key, "_chunk", "_tag"})
 

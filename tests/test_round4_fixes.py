@@ -18,6 +18,12 @@ import ray
 import ray.data
 
 
+def _one_bucket(ids: np.ndarray) -> pd.DataFrame:
+    """A banded frame whose rows all share one bucket."""
+    return pd.DataFrame({"band": np.zeros(len(ids), dtype=np.int64),
+                         "doc_id": ids})
+
+
 # ---------------------------------------------------------------------------
 # advice (medium) — byte-identical WHOLE batches must not clobber each other
 # ---------------------------------------------------------------------------
@@ -291,15 +297,16 @@ def test_pairs_rebanded_identical_groups_connectivity():
     """Unit: a bucket of several identical-signature groups over the pair
     cap emits a connectivity-preserving set — union-find over the output
     reconstructs exactly the planted groups, at linear pair volume."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
 
     rng = np.random.default_rng(7)
     d, groups, per = 8, 5, 60
     sigs = np.repeat(rng.integers(0, 2**63, (groups, d), dtype=np.uint64),
                      per, axis=0)
     ids = rng.permutation(groups * per).astype(np.int64)
-    ia, ib, sc = _bucket_pair_arrays(
-        ids, sigs, lambda a, b: (a == b).mean(axis=-1),
+    ia, ib, sc = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", sigs,
+        lambda a, b: (a == b).mean(axis=-1),
         lambda s: s >= 0.5, max_bucket_pairs=100, op_name="unit")
     # linear volume: per-group chains, not the 44,850-pair complete set
     assert len(ia) == groups * (per - 1)
@@ -335,7 +342,7 @@ def test_pairs_rebanded_distinct_sigs_extends_band():
     """Unit: an oversized bucket of fully DISTINCT signatures recurses by
     extending the band (doubling signature-row prefix); pairs agreeing on
     the extended prefix — the highest-similarity candidates — survive."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
 
     rng = np.random.default_rng(11)
     d, n = 8, 120
@@ -344,8 +351,9 @@ def test_pairs_rebanded_distinct_sigs_extends_band():
     for i in range(10):
         sigs[2 * i + 1, :6] = sigs[2 * i, :6]
     ids = np.arange(n, dtype=np.int64)
-    ia, ib, sc = _bucket_pair_arrays(
-        ids, sigs, lambda a, b: (a == b).mean(axis=-1),
+    ia, ib, sc = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", sigs,
+        lambda a, b: (a == b).mean(axis=-1),
         lambda s: s >= 0.5, max_bucket_pairs=500, op_name="unit")
     got = {(int(a), int(b)) for a, b in zip(ia, ib)}
     for i in range(10):

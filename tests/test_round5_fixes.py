@@ -27,19 +27,26 @@ import ray
 import ray.data
 
 
+def _one_bucket(ids: np.ndarray) -> pd.DataFrame:
+    """A banded frame whose rows all share one bucket."""
+    return pd.DataFrame({"band": np.zeros(len(ids), dtype=np.int64),
+                         "doc_id": ids})
+
+
 def test_pairs_rebanded_width1_distinct_sigs_emit_pairs():
     """d=1 oversized bucket, ALL-distinct signatures: the old extended-
     band recursion split on the single column -> every sub-bucket a
     singleton -> zero pairs.  The chunk-rotation re-band emits a
     bounded (far sub-quadratic) pair set that keeps every member
     connected."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
 
     n = 120
     sigs = (np.arange(n, dtype=np.uint64) * np.uint64(7919)).reshape(-1, 1)
     ids = np.arange(n, dtype=np.int64)
-    ia, ib, sc = _bucket_pair_arrays(
-        ids, sigs, lambda a, b: np.ones(a.shape[:-1], dtype=np.float64),
+    ia, ib, sc = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", sigs,
+        lambda a, b: np.ones(a.shape[:-1], dtype=np.float64),
         lambda s: s >= 0.0, max_bucket_pairs=100, op_name="unit")
     uniq = set(zip(ia.tolist(), ib.tolist()))
     assert n - 1 <= len(uniq) <= 8 * n            # bounded, not quadratic
@@ -64,7 +71,7 @@ def test_pairs_rebanded_width1_nonadjacent_close_pair_recovered():
     the HIGH chunk sorts far apart (the old neighbor-chain-only
     fallback never paired it), but shares chunks 1-3 — the chunk
     passes must emit it with its true score."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
     from osf_data_validator_tool_ray.functions.text import hamming64
 
     rng = np.random.default_rng(11)
@@ -78,8 +85,9 @@ def test_pairs_rebanded_width1_nonadjacent_close_pair_recovered():
     def score(sa, sb):
         return hamming64(sa.ravel(), sb.ravel()).astype(np.float64)
 
-    ia, ib, sc = _bucket_pair_arrays(
-        ids, sigs, score, lambda s: s <= 3.0,
+    ia, ib, sc = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", sigs,
+        score, lambda s: s <= 3.0,
         max_bucket_pairs=1000, op_name="unit")
     got = {(int(x), int(y)): s for x, y, s in zip(ia, ib, sc)}
     assert (0, 1) in got and got[(0, 1)] == 2.0
@@ -89,13 +97,13 @@ def test_pairs_rebanded_width1_mixed_dups_and_distinct():
     """d=1 bucket mixing duplicate chains with distinct representatives:
     dup chains emit as before AND the distinct reps emit the neighbor
     chain instead of vanishing."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
 
     vals = np.concatenate([np.full(50, 5, dtype=np.uint64),
                            np.arange(100, 160, dtype=np.uint64)])
     ids = np.arange(len(vals), dtype=np.int64)
-    ia, ib, _ = _bucket_pair_arrays(
-        ids, vals.reshape(-1, 1),
+    ia, ib, _ = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", vals.reshape(-1, 1),
         lambda a, b: np.ones(a.shape[:-1], dtype=np.float64),
         lambda s: s >= 0.0, max_bucket_pairs=200, op_name="unit")
     got = set(zip(ia.tolist(), ib.tolist()))
@@ -230,7 +238,7 @@ def test_pairs_rebanded_width1_shared_band_close_pair_recovered():
     band (whole-set sub-bucket, skipped) — the varying-bits grouping
     must still recover a hamming-3 pair whose 3 differing bits sit in
     3 different 16-bit regions."""
-    from osf_data_validator_tool_ray.checks.dedup import _bucket_pair_arrays
+    from osf_data_validator_tool_ray.checks.dedup import _vector_bucket_pairs
     from osf_data_validator_tool_ray.functions.text import hamming64
 
     rng = np.random.default_rng(23)
@@ -250,8 +258,9 @@ def test_pairs_rebanded_width1_shared_band_close_pair_recovered():
     def score(sa, sb):
         return hamming64(sa.ravel(), sb.ravel()).astype(np.float64)
 
-    ia, ib, sc = _bucket_pair_arrays(
-        ids, sigs, score, lambda s: s <= 3.0,
+    ia, ib, sc = _vector_bucket_pairs(
+        _one_bucket(ids), ["band"], "doc_id", sigs,
+        score, lambda s: s <= 3.0,
         max_bucket_pairs=1000, op_name="unit")
     got = {(int(x), int(y)): s for x, y, s in zip(ia, ib, sc)}
     assert (0, 1) in got and got[(0, 1)] == 3.0
