@@ -26,7 +26,7 @@ def _read(sf_dir: str, table: str, columns=None) -> "ray.data.Dataset":
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
-def _stable_empty(ds: "ray.data.Dataset", cols: list[str], dtypes: list) -> Any:
+def _stable_empty(ds: "ray.data.Dataset | pa.Table", cols: list[str], dtypes: list) -> Any:
     """Materialize a possibly-empty result with a stable schema: Ray's
     to_pandas on a fully-empty Dataset drops columns, which would break
     the driver's schema compare.  Small results only."""
@@ -129,13 +129,13 @@ def _lineitem_spec():
 
 
 def entry() -> Any:
-    """Flagship: the validation suite planned over sf0.001 lineitem;
-    returns the violation rows (stable VIOLATION_SCHEMA)."""
-    from osf_data_validator_tool_ray.pipelines.runner import run_suite
+    """Flagship: the validation suite's one scan over sf0.001 lineitem;
+    returns its violation rows (stable VIOLATION_SCHEMA) — the driver's
+    schema-level checks excluded."""
+    from osf_data_validator_tool_ray.pipelines.runner import ROW_CHECKS, SUITE, scan_checks
 
     ds = _read("/root/testdata/sf0.001", "lineitem")
-    res = run_suite(ds, _lineitem_spec())
-    return res.violations.to_pandas()
+    return scan_checks(ds, _lineitem_spec(), ROW_CHECKS & frozenset(SUITE)).to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,7 @@ def _keyed(sf_dir: str, spec, check_id: str, key_as: str,
 
     out = scan_checks(ds, spec, frozenset({"keyed"}), refs=refs,
                       expected_keys=expected_keys)
-    return _stable_empty(out.map_batches(shape, batch_format="pyarrow", batch_size=None),
-                         cols, ["int64"] * len(cols))
+    return _stable_empty(shape(out.to_arrow()), cols, ["int64"] * len(cols))
 
 
 def _card(sf_dir: str, table: str, key: str, check_id: str,

@@ -29,6 +29,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 VIOLATION_SCHEMA = pa.schema(
     [
@@ -88,16 +89,20 @@ def mask_violations(
     expected: str,
     severity: str = "error",
 ) -> Optional[pa.Table]:
-    """Build violation rows for masked rows of a batch (vectorized)."""
+    """Build violation rows for masked rows of a batch (vectorized).
+    Only the key and the reported column are taken from the batch; a
+    binary column reports each value's length, not its bytes."""
     if not mask.any():
         return None
-    idx = np.flatnonzero(mask)
-    sub = batch.take(pa.array(idx))
-    keys = sub.column(key_column).to_pylist() if key_column and key_column in batch.column_names else [None] * len(idx)
-    if column in batch.column_names:
-        col = sub.column(column)
+    idx = pa.array(np.flatnonzero(mask))
+    names = batch.column_names
+    keys = (batch.column(key_column).take(idx).to_pylist()
+            if key_column and key_column in names else [None] * len(idx))
+    if column in names:
+        col = batch.column(column).take(idx)
         if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-            observed = [f"<binary:{len(v) if v is not None else 0}B>" for v in col.to_pylist()]
+            lengths = pc.fill_null(pc.binary_length(col), 0).to_pylist()
+            observed = [f"<binary:{n}B>" for n in lengths]
         else:
             observed = col.to_pylist()
     else:

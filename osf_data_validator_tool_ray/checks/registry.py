@@ -27,7 +27,7 @@ import ray.data
 from ..pipelines.runner import ROW_CHECKS, SuiteResult, scan_checks
 from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
-from .base import empty_violations, make_violations, union_all
+from .base import empty_violations, make_violations
 from .schema import schema_violations, spec_completeness_violations, unevaluable_warnings
 
 
@@ -60,12 +60,12 @@ def parse_check_entry(entry: str) -> tuple[str, dict[str, str]]:
 
 
 def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
-    """Plan every configured check into one SuiteResult: violation
-    Datasets go into ``violations``, driver-side pyarrow Tables into
-    ``driver_violations`` (unknown names raise, like an unloadable
-    class).  The row-level entries run in one scan, followed by the -50
-    warnings for every constraint they skip as unevaluable."""
-    datasets, tables, row_checks = [], [empty_violations()], set()
+    """Plan every configured check into one SuiteResult: driver-side
+    pyarrow Tables join its in-process ``violations``, violation
+    Datasets its ``cluster_violations`` (unknown names raise, like an
+    unloadable class).  The row-level entries run in one scan, followed
+    by the -50 warnings for every constraint they skip as unevaluable."""
+    parts, row_checks, summary = [], set(), {}
     for entry in entries:
         name, params = parse_check_entry(entry)
         if name not in CHECKS:
@@ -77,14 +77,17 @@ def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
             continue
         res = CHECKS[name](ctx, **params)
         if res is not None:
-            (tables if isinstance(res, pa.Table) else datasets).append(res)
+            parts.append(res)
     if row_checks:
-        datasets.append(scan_checks(ctx.ds, ctx.spec, frozenset(row_checks),
-                                    refs=ctx.refs, expected_keys=ctx.expected_keys))
-        tables.append(unevaluable_warnings(
+        scan = scan_checks(ctx.ds, ctx.spec, frozenset(row_checks),
+                           refs=ctx.refs, expected_keys=ctx.expected_keys)
+        parts += [scan.violations, unevaluable_warnings(
             arrow_schema(ctx.ds), ctx.spec,
-            ref_tables=set(ctx.refs) if ctx.refs is not None else None))
-    return SuiteResult(union_all(datasets), pa.concat_tables(tables))
+            ref_tables=set(ctx.refs) if ctx.refs is not None else None)]
+        if scan.cluster_violations is not None:
+            parts.append(scan.cluster_violations)
+        summary = scan.summary
+    return SuiteResult.of(parts, summary)
 
 
 # ---------------------------------------------------------------------------

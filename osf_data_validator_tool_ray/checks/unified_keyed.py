@@ -156,26 +156,45 @@ def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
 
 
 def keyed_violations(
-    partials: "ray.data.Dataset",
+    partials: "pa.Table | ray.data.Dataset",
     plan: KeyedPlan,
     spec: ConstraintSpec,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
     expected_key_column: str = "key",
-) -> "ray.data.Dataset":
+) -> "pa.Table | ray.data.Dataset":
     """Every keyed verdict from ``partials`` (``plan.aggregator()`` rows:
     key, card{i}_n, ext{j}_n, dext{j}_n, n_rows) plus the refs /
-    expected-key sides, in one merge."""
+    expected-key sides, in one merge.
+
+    Partials already on the driver (a ``pa.Table``) keep the merge there:
+    each refs / expected-key marker Dataset is materialized and, when it
+    passes the driver gate, pulled once, and the verdicts come back as a
+    ``pa.Table``.  A marker side over the gate (or partials given as a
+    Dataset) puts the merge on the cluster and returns a Dataset."""
+    from ..pipelines import relational
+
     all_cols = ["key"] + plan.sum_columns + list(_MARKERS)
-    parts = [partials.map_batches(lambda t: _pad(t, all_cols),
-                                  batch_format="pyarrow", batch_size=None)]
     ref_tables = [ri for ri in spec.ref_integrity if refs and ri.ref_table in refs]
-    for ri in ref_tables:
-        parts.append(_marker_partial(refs[ri.ref_table], ri.ref_column,
-                                     "is_ref", all_cols))
+    markers = [_marker_partial(refs[ri.ref_table], ri.ref_column, "is_ref", all_cols)
+               for ri in ref_tables]
     if expected_keys is not None:
-        parts.append(_marker_partial(expected_keys, expected_key_column,
-                                     "is_expected", all_cols))
+        markers.append(_marker_partial(expected_keys, expected_key_column,
+                                       "is_expected", all_cols))
+    if isinstance(partials, pa.Table):
+        markers = [relational.driver_pull(m)[0] for m in markers]
+        parts = [_pad(partials, all_cols), *markers]
+    else:
+        parts = [partials.map_batches(lambda t: _pad(t, all_cols),
+                                      batch_format="pyarrow", batch_size=None),
+                 *markers]
+    if all(isinstance(p, pa.Table) for p in parts):
+        # empty parts may lack the key's type (no rows to infer it from)
+        merged = pa.concat_tables([p for p in parts if p.num_rows] or parts[:1],
+                                  promote_options="default")
+    else:
+        merged = union_all([ray.data.from_arrow(p) if isinstance(p, pa.Table) else p
+                            for p in parts])
 
     ref_col = spec.ref_integrity[0].ref_column if spec.ref_integrity else "key"
     have_expected = expected_keys is not None   # emit must not capture a Dataset
@@ -218,9 +237,8 @@ def keyed_violations(
                                            expected="key has >=1 row"))
         return pa.concat_tables(out).combine_chunks() if out else empty_violations()
 
-    from ..pipelines.relational import merge_partials
-    return merge_partials(
-        union_all(parts), "key",
+    return relational.merge_partials(
+        merged, "key",
         {**{c: "sum" for c in plan.sum_columns}, **{m: "max" for m in _MARKERS}},
         emit)
 

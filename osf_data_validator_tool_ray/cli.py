@@ -70,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
                  ignore_reinit_error=True, logging_level="ERROR")
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    from .checks.base import union_all
     from .pipelines.runner import SUITE, SuiteResult
     from .spec import clips_spec, spec_from_dict
 
@@ -99,17 +98,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.violations_dir:
         # every violation row, driver-side ones included, in a
         # deterministic order: reproducible violation files for parity
-        # diffs (SURVEY §7.4); the report then reads the sink, not the
-        # pipeline again
-        union_all([res.violations, ray.data.from_arrow(res.driver_violations)]) \
-            .sort(["check_id", "key", "column"]).write_parquet(args.violations_dir)
-        written = glob.glob(os.path.join(args.violations_dir, "*.parquet"))
-        res = SuiteResult(ray.data.read_parquet(written) if written else union_all([]),
-                          summary={**res.summary, "violations_dir": args.violations_dir})
+        # diffs (SURVEY §7.4)
+        res.to_dataset().sort(["check_id", "key", "column"]) \
+            .write_parquet(args.violations_dir)
+        if res.cluster_violations is not None:
+            # the report then reads the sink, not the pipeline again
+            written = glob.glob(os.path.join(args.violations_dir, "*.parquet"))
+            res = SuiteResult(cluster_violations=ray.data.read_parquet(written)
+                              if written else None, summary=res.summary)
+        res.summary["violations_dir"] = args.violations_dir
     report = res.report()
-    if args.stats:
+    if args.stats and res.cluster_violations is not None:
         try:
-            print(res.violations.stats(), file=sys.stderr)
+            print(res.cluster_violations.stats(), file=sys.stderr)
         except Exception:   # stats() availability varies by plan shape
             pass
     if args.output_xml:
@@ -152,9 +153,13 @@ def main(argv: list[str] | None = None) -> int:
                 }
 
     if args.fix:
+        import pyarrow.compute as pc
+
         from .pipelines.fix import quarantine
-        # only the distinct keys reach the driver, never the violation rows
-        bad = {k for k in res.violations.unique("key") or () if k is not None}
+        # rows on the cluster send only their distinct keys to the driver
+        keys = (res.to_dataset().unique("key") if res.cluster_violations is not None
+                else pc.unique(res.violations.column("key")).to_pylist())
+        bad = {k for k in keys or () if k is not None}
         # a CLI re-run owns its --fix-dir: clear stale parts rather than
         # refuse (the library default refuses so programmatic callers
         # can't silently mix runs)

@@ -27,11 +27,16 @@ atomic per-partition records keep resume semantics unchanged (store
 root must be on a filesystem all workers share — same contract as the
 artifact sinks).
 
-Final merge (cheap, always re-run; reads only stored artifacts and the
-first partition's footer):
+Final merge (cheap, always re-run; reads only stored artifacts, their
+parquet footers and the first partition's footer):
   * the suite's driver checks (runner.driver_checks: schema
     conformance, spec completeness, -50 unevaluable warnings) over the
     first partition's Arrow schema
+  * the stored artifacts' footers give their rows and bytes; when they
+    pass the driver gate (``relational.fits_driver_merge``) the
+    artifacts are read with pyarrow and everything below runs in
+    process, else they are read as Ray Datasets and merged on the
+    cluster.  ``summary["result_tier"]`` records the decision
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential (the decodable count included) and
@@ -39,12 +44,13 @@ first partition's footer):
     partitions — duplicate clip_ids in different partitions are caught
     here, which a purely per-partition design would miss).  Partials
     stored under another spec or decode setting lack a planned count
-    column, and the merge refuses them
-  * union with stored per-partition violations -> a SuiteResult
+    column (read off the footers), and the merge refuses them
+  * with the stored per-partition violations -> a SuiteResult
     (``run_partitioned``) whose ``summary`` carries the partition
     counts; ``validate_partitioned`` returns its report, built by
-    SuiteResult.report as the suite's is (without a violation sample,
-    so the merge runs one Ray Data execution: the count)
+    SuiteResult.report as the suite's is (without a violation sample;
+    below the gate the merge runs no Ray Data execution, save one per
+    refs table)
 
 Pass/fail is decided by ERROR-severity violations only; warnings are
 counted separately (the reference's -5x warning / -10x error id split).
@@ -63,14 +69,15 @@ import uuid
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
-from ..checks.base import union_all
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
 from ..sources.io import _cache_fsspec_http_import
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
+from . import relational
 from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks
 
 # concurrent partition threads issue Ray IO in parallel; make the
@@ -104,8 +111,6 @@ def _run_partition(
     either form ``sources.io.iter_partition_batches`` accepts (parquet
     file path or Lance ``<path>#<fragment_id>``), so Lance fragments are
     first-class resume units here, not just in the listing."""
-    import pyarrow.parquet as pq
-
     from ..sources.io import iter_partition_batches, partition_schema_and_rows
 
     store = CheckpointStore(store_root)
@@ -246,24 +251,37 @@ def run_partitioned(
         return [f for d in store.artifact_dirs(kind)
                 for f in sorted(glob.glob(os.path.join(d, "*.parquet")))]
 
-    parts = []
     viol_files = _files("violations")
+    partial_files = _files("partials") if plan.key else []
+    footers = [pq.read_metadata(f) for f in viol_files + partial_files]
+    missing = set().union(*(set(plan.sum_columns) - set(m.schema.to_arrow_schema().names)
+                            for m in footers[len(viol_files):]))
+    if missing:
+        raise ValueError(
+            f"checkpoint store {store.root} holds partials without "
+            f"{sorted(missing)}: written under another spec or decode setting")
+    rows = sum(m.num_rows for m in footers)
+    size = sum(m.row_group(i).total_byte_size for m in footers
+               for i in range(m.num_row_groups))
+    on_driver = relational.fits_driver_merge((rows, size))
+    gate = {"tier": "driver" if on_driver else "exchange", "rows": rows, "bytes": size}
+
+    def read(files: list[str]) -> "pa.Table | ray.data.Dataset":
+        if not on_driver:
+            return ray.data.read_parquet(files)
+        return pa.concat_tables([pq.read_table(f) for f in files],
+                                promote_options="default")
+
+    parts = [driver_checks(schema0, spec, refs)]
     if viol_files:
-        parts.append(ray.data.read_parquet(viol_files))
-    partial_files = _files("partials")
-    if plan.key and partial_files:
-        partials = ray.data.read_parquet(partial_files)
-        missing = set(plan.sum_columns) - set(partials.schema().names)
-        if missing:
-            raise ValueError(
-                f"checkpoint store {store.root} holds partials without "
-                f"{sorted(missing)}: written under another spec or decode setting")
-        parts.append(keyed_violations(partials, plan, spec, refs=refs))
+        parts.append(read(viol_files))
+    if partial_files:
+        parts.append(keyed_violations(read(partial_files), plan, spec, refs=refs))
 
     recs = store.records()
     summary = {
         "partitions_total": len(files), "partitions_skipped": n_skipped,
-        "partitions_ran": len(todo),
+        "partitions_ran": len(todo), "result_tier": gate,
         "n_rows": sum(r.get("n_rows", 0) for r in recs),
         "partitions": {
             r["partition_id"]: {"pass": r.get("pass", True),
@@ -274,7 +292,7 @@ def run_partitioned(
             for r in recs
         },
     }
-    return SuiteResult(union_all(parts), driver_checks(schema0, spec, refs), summary)
+    return SuiteResult.of(parts, summary)
 
 
 def validate_partitioned(

@@ -4,10 +4,12 @@
 ``fits_driver_merge``, one hash exchange above it): the keyed pass
 (checks/unified_keyed.py, which evaluates every cardinality,
 existential, referential-existence and zero-edge constraint),
-``grouped_agg`` and the exact-dedup aggregate merge through it.  The
-rest are table operators the registry, the drift and corpus pipelines
-and the driver contract in __ray_entry__.py build on.  Each mirrors a
-reference dataflow shape (SURVEY.md §2.2):
+``grouped_agg`` and the exact-dedup aggregate merge through it.
+``driver_pull`` applies the same gate to a result pulled to the driver
+whole (the suite's scan output).  The rest are table operators the
+registry, the drift and corpus pipelines and the driver contract in
+__ray_entry__.py build on.  Each mirrors a reference dataflow shape
+(SURVEY.md §2.2):
 
   * facet/row filters        <- per-value scalar validation loops
   * universal counterexamples <- owl:allValuesFrom negated filter
@@ -44,14 +46,34 @@ DRIVER_MERGE_THRESHOLD = 5_000_000
 DRIVER_MERGE_MAX_BYTES = 512 * 1024 * 1024
 
 
-def fits_driver_merge(materialized_ds: "ray.data.Dataset",
+def fits_driver_merge(materialized: "ray.data.Dataset | tuple[int, int]",
                       threshold: int = DRIVER_MERGE_THRESHOLD) -> bool:
     """Row- AND byte-gated check for the adaptive driver-merge fast
-    path.  Call only on a materialized Dataset (count/size are O(1))."""
-    if materialized_ds.count() > threshold:
-        return False
-    size = materialized_ds.size_bytes()
-    return size is None or size <= DRIVER_MERGE_MAX_BYTES
+    path.  ``materialized`` is a materialized Dataset (count/size are
+    O(1)) or the ``(rows, bytes)`` already read off one (``driver_pull``)
+    or off stored parquet footers."""
+    rows, size = (materialized if isinstance(materialized, tuple)
+                  else (materialized.count(), materialized.size_bytes()))
+    return rows <= threshold and (size is None or size <= DRIVER_MERGE_MAX_BYTES)
+
+
+def driver_pull(ds: "ray.data.Dataset", threshold: int = DRIVER_MERGE_THRESHOLD,
+                ) -> "tuple[pa.Table | ray.data.Dataset, dict]":
+    """Materialize ``ds`` and, when it passes ``fits_driver_merge``, pull
+    it to the driver ONCE as one Arrow table (blocks in order; no columns
+    when Ray knows none for an empty result); else hand back the
+    materialized Dataset.  The second value records the gate decision:
+    ``{"tier": "driver" | "exchange", "rows", "bytes"}``."""
+    mat = ds.materialize()
+    rows, size = mat.count(), mat.size_bytes() or 0
+    if not fits_driver_merge((rows, size), threshold):
+        return mat, {"tier": "exchange", "rows": rows, "bytes": size}
+    blocks = list(mat.iter_batches(batch_format="pyarrow", batch_size=None))
+    if not blocks:
+        base = arrow_schema(mat)
+        blocks = [base.empty_table() if base is not None else pa.table({})]
+    return (pa.concat_tables(blocks, promote_options="default"),
+            {"tier": "driver", "rows": rows, "bytes": size})
 
 
 def arrow_type(typ) -> pa.DataType:
@@ -90,21 +112,23 @@ def _fill_value(typ: pa.DataType) -> pa.Scalar:
 
 
 def merge_partials(
-    partials: "ray.data.Dataset",
+    partials: "pa.Table | ray.data.Dataset",
     keys: "str | list[str]",
     aggs: dict[str, str],
     finish: Callable[[pa.Table], pa.Table],
     threshold: int = DRIVER_MERGE_THRESHOLD,
-) -> "ray.data.Dataset":
+) -> "pa.Table | ray.data.Dataset":
     """The adaptive final merge of per-key combiner partials.
 
     ``aggs`` maps each partial column to "sum", "min" or "max";
     ``finish`` turns the merged table (one row per key) into the
-    result.  The partials are materialized (one row per key per block);
-    a set that passes ``fits_driver_merge`` merges in process with
-    Arrow's group_by and ``finish`` runs right here, with no further Ray
-    task.  Larger sets take ONE hash exchange over ~#CPU coalesced
-    blocks and ``finish`` maps over its output.
+    result.  Partials already on the driver (a ``pa.Table``) merge in
+    process with Arrow's group_by and ``finish``'s table is returned.  A
+    Dataset is materialized (one row per key per block); a set that
+    passes ``fits_driver_merge`` merges the same way, with no further
+    Ray task, and comes back as a one-block Dataset.  Larger sets take
+    ONE hash exchange over ~#CPU coalesced blocks and ``finish`` maps
+    over its output.
 
     Null keys form one group on both tiers.  The exchange sorts on the
     keys and cannot order a null against a value, so there each key
@@ -113,21 +137,19 @@ def merge_partials(
     combiner."""
     keylist = [keys] if isinstance(keys, str) else list(keys)
     cols = list(aggs)
-    mat = partials.materialize()
-    if fits_driver_merge(mat, threshold):
-        tables = list(mat.iter_batches(batch_format="pyarrow", batch_size=None))
-        if not tables:
-            # zero blocks: an empty table in the partials' own types when
-            # Ray still knows them, so ``finish`` always runs
-            base = arrow_schema(mat)
-            tables = [base.empty_table() if base is not None else
-                      pa.table({c: pa.array([], pa.int64()) for c in keylist + cols})]
-        t = pa.concat_tables(tables, promote_options="default")
-        g = t.group_by(keylist, use_threads=False).aggregate(
+    if isinstance(partials, pa.Table):
+        if not partials.num_columns:
+            # an empty pull whose types Ray lost: int64 columns, so
+            # ``finish`` always runs
+            partials = pa.table({c: pa.array([], pa.int64()) for c in keylist + cols})
+        g = partials.group_by(keylist, use_threads=False).aggregate(
             [(c, fn) for c, fn in aggs.items()])
         arrow_names = {f"{c}_{fn}": c for c, fn in aggs.items()}
         g = g.rename_columns([arrow_names.get(n, n) for n in g.column_names])
-        return ray.data.from_arrow(finish(g.select(keylist + cols)))
+        return finish(g.select(keylist + cols))
+    mat, _ = driver_pull(partials, threshold)
+    if isinstance(mat, pa.Table):
+        return ray.data.from_arrow(merge_partials(mat, keylist, aggs, finish))
 
     flags = [f"_null_{k}" for k in keylist]
 

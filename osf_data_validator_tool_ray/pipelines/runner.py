@@ -13,18 +13,24 @@ ONE scan of the input, ``scan_checks``:
      ``decode`` findings (BytesSuitePass, which then owns the payload
      universals, DECODE-100/101) and the combiner partials of ALL
      ``keyed`` constraints
-  2. the small tagged output is materialized once and split into
-     violation rows and partials
+  2. the tagged output is materialized once; when it passes the driver
+     gate (``relational.fits_driver_merge``) it is pulled to the driver
+     ONCE and split into violation rows and partials in process, else it
+     is split by two ``map_batches`` on the cluster
   3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over those partials
      (checks/unified_keyed.keyed_violations, shared with the partitioned
      runner, which calls the same ``SuitePass`` in its per-partition loop)
 
 Trade-off: the keyed merge follows the scan instead of overlapping it.
-Below the driver-merge gate (``relational.fits_driver_merge``) the merge
-runs in process, so what it adds is an Arrow group_by, not a Ray
-execution; above it, one hash exchange.  In return each input row is
-read and scheduled once.
+Below the driver gate everything after the scan (split, keyed merge,
+severity counts, report sample) runs in process on Arrow tables: the
+rows are few, and a Ray execution per step would cost ~25 ms of
+scheduling for ~4 ms of work.  Only the refs / expected-key sides, which
+arrive as Datasets, take one execution each (materialized, gated and
+pulled once).  Above the gate the split is two maps and the merge one
+hash exchange, and the result stays a Dataset.  In return each input row
+is read and scheduled once.
 
 ``SuiteResult`` is the one result type of every executor (this suite,
 the partitioned runner, the check registry) and ``SuiteResult.report``
@@ -54,6 +60,7 @@ from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
+from . import relational
 
 # the registry entries that read rows: all planned into one scan
 ROW_CHECKS = frozenset({"stateless", "keyed", "decode"})
@@ -78,36 +85,84 @@ ALL_CHECK_IDS = [
 
 @dataclass
 class SuiteResult:
-    violations: "ray.data.Dataset"
-    # driver-side checks (already materialized)
-    driver_violations: pa.Table = field(default_factory=empty_violations)
-    # executor facts merged into the report (e.g. partition counts)
+    """The violation rows of a run, where they live: ``violations`` on
+    the driver (driver-side checks plus every small scan result, one
+    ``pa.Table``), ``cluster_violations`` on the cluster (a Dataset, only
+    for rows over the driver gate or from Dataset-returning registry
+    entries; None when there are none).  ``summary`` carries executor
+    facts merged into the report (partition counts, ``result_tier``)."""
+
+    violations: pa.Table = field(default_factory=empty_violations)
+    cluster_violations: Optional["ray.data.Dataset"] = None
     summary: dict = field(default_factory=dict)
 
-    _counts: Optional[tuple] = field(default=None, repr=False)
+    @classmethod
+    def of(cls, parts: list, summary: Optional[dict] = None) -> "SuiteResult":
+        """One result from violation parts: ``pa.Table`` parts concatenate
+        on the driver, Dataset parts union on the cluster."""
+        tables = [p for p in parts if isinstance(p, pa.Table)]
+        datasets = [p for p in parts if not isinstance(p, pa.Table)]
+        return cls(pa.concat_tables([empty_violations(), *tables]),
+                   union_all(datasets) if datasets else None, summary or {})
+
+    def to_arrow(self) -> pa.Table:
+        """Every violation row as one table (pulls the cluster part)."""
+        if self.cluster_violations is None:
+            return self.violations
+        return pa.concat_tables(
+            [self.violations, *self.cluster_violations.iter_batches(
+                batch_format="pyarrow", batch_size=None)],
+            promote_options="default")
+
+    def to_pandas(self):
+        """``to_arrow()`` as a DataFrame."""
+        return self.to_arrow().to_pandas()
+
+    def to_dataset(self) -> "ray.data.Dataset":
+        """Every violation row as one Dataset, for Dataset consumers (the
+        CLI's parquet sink)."""
+        return union_all([ray.data.from_arrow(self.violations),
+                          *([self.cluster_violations]
+                            if self.cluster_violations is not None else [])])
 
     def severity_counts(self) -> tuple[dict[str, int], dict[str, int]]:
         """(errors, warnings): violation count per check id — warnings
         and errors are structurally separated like the reference's -5x /
-        -10x id split.  Each block is counted where it lives and the
-        per-block counts merge on the driver (tiny), so the count takes
-        no hash exchange."""
-        if self._counts is None:
-            def count(t: pa.Table) -> pa.Table:
-                return t.group_by(["check_id", "severity"]).aggregate([([], "count_all")])
+        -10x id split.  The driver rows are counted in process; a cluster
+        part is counted per block where it lives and the per-block counts
+        merge on the driver (tiny), so the count takes no hash exchange."""
+        def count(t: pa.Table) -> pa.Table:
+            return t.group_by(["check_id", "severity"]).aggregate([([], "count_all")])
 
-            blocks = self.violations.map_batches(count, batch_format="pyarrow",
-                                                 batch_size=None)
-            total = pa.concat_tables(
-                [count(self.driver_violations),
-                 *blocks.iter_batches(batch_format="pyarrow", batch_size=None)]
-            ).group_by(["check_id", "severity"]).aggregate([("count_all", "sum")]) \
-                .to_pydict()
-            self._counts = ({}, {})
-            for cid, sev, n in zip(total["check_id"], total["severity"],
-                                   total["count_all_sum"]):
-                self._counts[sev == "warning"][cid] = n
-        return self._counts
+        parts = [count(self.violations)]
+        if self.cluster_violations is not None:
+            parts += self.cluster_violations.map_batches(
+                count, batch_format="pyarrow", batch_size=None).iter_batches(
+                batch_format="pyarrow", batch_size=None)
+        total = pa.concat_tables(parts).group_by(["check_id", "severity"]) \
+            .aggregate([("count_all", "sum")]).to_pydict()
+        counts = ({}, {})
+        for cid, sev, n in zip(total["check_id"], total["severity"],
+                               total["count_all_sum"]):
+            counts[sev == "warning"][cid] = n
+        return counts
+
+    def _sample(self, n: int) -> list[dict]:
+        """``n`` violation rows: the driver rows first, in a fixed order
+        (errors before warnings, then by check id, key, column, observed,
+        expected), so equal runs give equal samples; a cluster part tops
+        them up in the order Ray returns it."""
+        if not n:
+            return []
+        t = self.violations
+        order = [(c, "ascending") for c in ("severity", "check_id", "key",
+                                             "column", "observed", "expected")]
+        k = min(n, t.num_rows)
+        rows = t.take(pc.select_k_unstable(t, k, order)).to_pylist() if k else []
+        if len(rows) < n and self.cluster_violations is not None:
+            rows += self.cluster_violations.limit(n - len(rows)).to_pandas() \
+                .to_dict("records")
+        return rows
 
     def report_xml(self, sample: int = 20) -> str:
         """XML report — mirrors the reference's dual XML/JSON report
@@ -142,16 +197,13 @@ class SuiteResult:
             for cid in [*ALL_CHECK_IDS,
                         *sorted((errors.keys() | warns.keys()) - set(ALL_CHECK_IDS))]
         }
-        sample_rows = (self.driver_violations.slice(0, sample).to_pylist()
-                       + self.violations.limit(sample).to_pandas().to_dict("records")
-                       )[:sample] if sample else []
         return {
             **self.summary,
             "pass": not errors,
             "checks": checks,
             "violations": errors,
             "warnings": warns,
-            "violations_sample": sample_rows,
+            "violations_sample": self._sample(sample),
         }
 
 
@@ -260,30 +312,43 @@ def scan_checks(
     checks: frozenset,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
-) -> "ray.data.Dataset":
+) -> SuiteResult:
     """The violations of the row-level ``checks`` (a subset of
-    ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per batch,
-    output materialized here), then the keyed merge.  Expected keys are
-    read from their ``key`` column."""
+    ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per batch),
+    then the keyed merge.  Expected keys are read from their ``key``
+    column.
+
+    The scan's tagged output is materialized; when it passes the driver
+    gate it is pulled once and split and merged in process (the result's
+    ``violations``), else both run on the cluster (``cluster_violations``).
+    ``summary["result_tier"]`` records the decision."""
     names = set(arrow_schema(ds).names)
     plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
             else KeyedPlan(None))
     body = SuitePass(spec, names, plan, checks,
                      frozenset(u.predicate for u in spec.universals))
     if not body.columns:        # no selected check reads a column ds has
-        return union_all([])
-    out = ds.select_columns(body.columns).map_batches(
-        body, batch_format="pyarrow", batch_size=body.batch_size).materialize()
+        return SuiteResult()
+    tagged, gate = relational.driver_pull(ds.select_columns(body.columns).map_batches(
+        body, batch_format="pyarrow", batch_size=body.batch_size))
+    summary = {"result_tier": gate}
+    if isinstance(tagged, pa.Table) and not tagged.num_rows:
+        # nothing found; Ray may not know an empty output's columns
+        violations, partials = empty_violations(), pa.table({})
+    elif body.agg is None:
+        violations = tagged
+    elif isinstance(tagged, pa.Table):
+        violations, partials = tagged_violations(tagged), tagged_partials(tagged)
+    else:
+        violations = tagged.map_batches(tagged_violations, batch_format="pyarrow",
+                                        batch_size=None)
+        partials = tagged.map_batches(tagged_partials, batch_format="pyarrow",
+                                      batch_size=None)
     if body.agg is None:
-        return out
-
-    violations = out.map_batches(tagged_violations, batch_format="pyarrow",
-                                 batch_size=None)
-    partials = out.map_batches(tagged_partials, batch_format="pyarrow",
-                               batch_size=None)
+        return SuiteResult.of([violations], summary)
     keyed = keyed_violations(partials, plan, spec, refs=refs,
                              expected_keys=expected_keys)
-    return union_all([violations, keyed])
+    return SuiteResult.of([violations, keyed], summary)
 
 
 def run_suite(

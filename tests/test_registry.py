@@ -18,9 +18,7 @@ from osf_data_validator_tool_ray.synth import synth_clips, synth_refs
 def _rows(res):
     """Every violation row of a plan_checks result, driver-side ones
     included, as one DataFrame."""
-    import pandas as pd
-    return pd.concat([res.driver_violations.to_pandas(), res.violations.to_pandas()],
-                     ignore_index=True)
+    return res.to_pandas()
 
 
 def test_parse_check_entry():

@@ -1,0 +1,122 @@
+"""Small results stay on the driver: below the driver gate the suite's
+tagged scan output and the partitioned runner's stored artifacts are
+pulled once and split, merged, counted and sampled in process; above it
+(forced with ``test_keyed_tiers._tier``) they stay Datasets.  Both tiers
+give the same report, and the report records the tier it took."""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+import ray.data
+
+from osf_data_validator_tool_ray.checks.base import mask_violations
+from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
+from osf_data_validator_tool_ray.pipelines.runner import run_suite
+from osf_data_validator_tool_ray.spec import clips_spec
+from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
+from osf_data_validator_tool_ray.synth import write_clips_dataset
+from tests.test_keyed_tiers import _tier
+
+
+@pytest.fixture(scope="module")
+def clips(tmp_path_factory):
+    return write_clips_dataset(str(tmp_path_factory.mktemp("clips")), n_rows=300,
+                               seed=11, defect_rate=0.05, num_shards=3)
+
+
+def _suite(meta, decode=True):
+    return run_suite(ray.data.read_parquet(meta["clips_dir"]), clips_spec(),
+                     refs={"refs": ray.data.read_parquet(meta["refs_path"])},
+                     decode=decode)
+
+
+def _partitioned(meta, root, decode=True):
+    return validate_partitioned(meta["clips_dir"] + "/*.parquet", clips_spec(),
+                                CheckpointStore(str(root)), decode=decode,
+                                refs={"refs": ray.data.read_parquet(meta["refs_path"])})
+
+
+@pytest.fixture(scope="module")
+def reports(clips, tmp_path_factory):
+    out = {}
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            res = _suite(clips)
+            out[tier] = (res, res.report(),
+                         _partitioned(clips, tmp_path_factory.mktemp(tier)))
+    return out
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_reports_record_the_result_tier(reports, tier):
+    res, suite, part = reports[tier]
+    for rep in (suite, part):
+        gate = rep["result_tier"]
+        assert gate["tier"] == tier
+        assert gate["rows"] > 0 and gate["bytes"] > 0
+    # the driver tier leaves nothing on the cluster
+    assert (res.cluster_violations is None) == (tier == "driver")
+
+
+def test_tiers_report_the_same_verdicts(reports, clips):
+    (_, s_drv, p_drv), (_, s_exc, p_exc) = reports["driver"], reports["exchange"]
+    for key in ("violations", "warnings", "pass"):
+        assert s_drv[key] == s_exc[key] == p_drv[key] == p_exc[key], key
+    assert s_drv["violations"]["REF-EXISTENCE-100"] == len(clips["dangling_refs"])
+
+
+def test_tiers_hold_the_same_rows(reports):
+    def rows(res):
+        return sorted(map(tuple, res.to_pandas().astype(str).values))
+
+    assert rows(reports["driver"][0]) == rows(reports["exchange"][0])
+
+
+def test_equal_runs_give_equal_samples(clips):
+    first = _suite(clips).report(sample=15)["violations_sample"]
+    second = _suite(clips).report(sample=15)["violations_sample"]
+    assert len(first) == 15
+    assert first == second
+    # errors come before warnings
+    sev = [r["severity"] for r in first]
+    assert sev == sorted(sev)
+
+
+def test_report_xml_lists_the_sampled_rows(clips):
+    import xml.etree.ElementTree as ET
+
+    res = _suite(clips, decode=False)
+    sample = res.report(sample=10)["violations_sample"]
+    root = ET.fromstring(res.report_xml(sample=10))
+    listed = sorted((el.get("id"), v.get("key"), v.get("column"), v.get("observed"))
+                    for el in root for v in el)
+    assert listed == sorted((r["check_id"], str(r["key"]), str(r["column"]),
+                             str(r["observed"])) for r in sample)
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+@pytest.mark.parametrize("stored,merged", [(True, False), (False, True)])
+def test_partitioned_refuses_partials_of_another_decode_setting_on_both_tiers(
+        clips, tmp_path, tier, stored, merged):
+    """A store written under one decode setting lacks the other's keyed
+    count column; the global merge refuses it whichever tier reads the
+    stored artifacts."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = clips["clips_dir"] + "/*.parquet"
+    validate_partitioned(pattern, clips_spec(), store, decode=stored)
+    with _tier(tier), pytest.raises(ValueError, match="decode setting"):
+        validate_partitioned(pattern, clips_spec(), store, decode=merged)
+
+
+def test_mask_violations_reports_binary_lengths():
+    t = pa.table({"id": ["a", "b", "c", "d"],
+                  "bytes": pa.array([b"abc", None, b"", b"x" * 70], pa.binary()),
+                  "n": [1, 2, 3, 4]})
+    v = mask_violations(t, np.array([True, True, False, True]), "X-100", "id",
+                        "bytes", "ok")
+    assert v.column("key").to_pylist() == ["a", "b", "d"]
+    assert v.column("observed").to_pylist() == ["<binary:3B>", "<binary:0B>",
+                                                "<binary:70B>"]
+    v = mask_violations(t, np.array([False, True, False, False]), "X-100", None, "n", "ok")
+    assert v.column("key").to_pylist() == [None]
+    assert v.column("observed").to_pylist() == ["2"]

@@ -134,7 +134,7 @@ def test_clean_table_passes():
     table, _ = synth_clips(200, seed=7, defect_rate=0.0)
     ds = ray.data.from_arrow(table).repartition(2)
     res = run_suite(ds, clips_spec())
-    assert res.violations.count() == 0
+    assert res.violations.num_rows == 0
     assert res.report()["pass"] is True
 
 
