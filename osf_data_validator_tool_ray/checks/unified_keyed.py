@@ -140,10 +140,18 @@ def _pad(t: pa.Table, all_cols: list[str]) -> pa.Table:
 
 
 def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
-                    all_cols: list[str]) -> "ray.data.Dataset":
+                    all_cols: list[str]) -> "pa.Table | ray.data.Dataset":
     """Distinct non-null values of ``col`` tagged with ``marker``; the key
     dtype is preserved so it matches the metadata partials' key type for
-    the union (ints stay ints)."""
+    the union (ints stay ints).  A plain parquet read that passes the
+    driver gate on its footers is read by its files, ``col`` only, and
+    tagged in process (a ``pa.Table``); any other side is tagged by one
+    map over the Dataset."""
+    import pyarrow.parquet as pq
+
+    from ..pipelines import relational
+    from ..sources.io import footer_size, parquet_read_files
+
     def fn(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         u = pc.unique(pc.drop_null(t.column(col).combine_chunks()))
@@ -151,6 +159,10 @@ def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
                          marker: pa.array(np.ones(len(u), dtype=np.int64))})
         return _pad(base, all_cols)
 
+    files = parquet_read_files(ds)
+    if files is not None and relational.fits_driver_merge(
+            footer_size([pq.read_metadata(f) for f in files])):
+        return fn(pa.concat_tables([pq.read_table(f, columns=[col]) for f in files]))
     return ds.select_columns([col]).map_batches(
         fn, batch_format="pyarrow", batch_size=None)
 
@@ -168,10 +180,12 @@ def keyed_violations(
     expected-key sides, in one merge.
 
     Partials already on the driver (a ``pa.Table``) keep the merge there:
-    each refs / expected-key marker Dataset is materialized and, when it
-    passes the driver gate, pulled once, and the verdicts come back as a
-    ``pa.Table``.  A marker side over the gate (or partials given as a
-    Dataset) puts the merge on the cluster and returns a Dataset."""
+    each refs / expected-key side is read by its files when it is a plain
+    parquet read under the driver gate, else its marker Dataset is
+    materialized and, when it passes the gate, pulled once; the verdicts
+    come back as a ``pa.Table``.  A marker side over the gate (or partials
+    given as a Dataset) puts the merge on the cluster and returns a
+    Dataset."""
     from ..pipelines import relational
 
     all_cols = ["key"] + plan.sum_columns + list(_MARKERS)
@@ -182,7 +196,8 @@ def keyed_violations(
         markers.append(_marker_partial(expected_keys, expected_key_column,
                                        "is_expected", all_cols))
     if isinstance(partials, pa.Table):
-        markers = [relational.driver_pull(m)[0] for m in markers]
+        markers = [m if isinstance(m, pa.Table) else relational.driver_pull(m)[0]
+                   for m in markers]
         parts = [_pad(partials, all_cols), *markers]
     else:
         parts = [partials.map_batches(lambda t: _pad(t, all_cols),

@@ -9,7 +9,10 @@ inject context -> run() -> optional fix() -> append XML/JSON report).
         [--output-xml report.xml] [--mode strict|loose] [--num-cpus N]
 
 Differences from the reference, by design:
-  * checks run as streaming Ray Data pipelines, not sequential SPARQL
+  * checks run as Ray tasks, not sequential SPARQL: the row-level
+    checks scan the input once, one task per parquet file, and the
+    per-key checks merge on the driver or, over the driver gate, in one
+    Ray Data hash exchange
   * every run writes a JSON report and can also write the reference's
     XML report (--output-xml); violations also land as a parquet sink
     for downstream use (--violations-dir)
@@ -70,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
                  ignore_reinit_error=True, logging_level="ERROR")
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    from .pipelines.runner import SUITE, SuiteResult
+    from .pipelines.runner import SUITE, SuiteResult, render_xml
     from .spec import clips_spec, spec_from_dict
 
     if args.spec:
@@ -115,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             pass
     if args.output_xml:
         with open(args.output_xml, "w") as f:
-            f.write(res.report_xml())
+            f.write(render_xml(report))
 
     if args.baseline_profile or args.write_profile:
         from .checks.drift import TableProfile, build_profile, drift_violations

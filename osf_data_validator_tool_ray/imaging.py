@@ -38,6 +38,9 @@ import numpy as np
 PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 _CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
+# the largest image decode_png inflates (64 Mpx: at most 256 MiB of
+# scanlines for RGBA); a header past it is refused before inflating
+MAX_PIXELS = 1 << 26
 
 
 def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -93,13 +96,20 @@ def decode_png(buf) -> tuple[np.ndarray, int, int]:
         raise ValueError("interlaced PNG not supported")
     if w == 0 or h == 0:
         raise ValueError("zero-dimension image")
+    if w * h > MAX_PIXELS:
+        raise ValueError(f"image of {w}x{h} pixels exceeds {MAX_PIXELS}")
     ch = _CHANNELS[color]
     stride = w * ch
+    size = h * (1 + stride)
+    # inflate at most one byte past what the header allows: a stream that
+    # inflates further (a deflate bomb) is refused without being inflated,
+    # and one that stops short or never ends is refused too
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(b"".join(idat))
+        raw = inflate.decompress(b"".join(idat), size + 1)
     except zlib.error as e:
         raise ValueError(f"bad IDAT stream: {e}") from None
-    if len(raw) != h * (1 + stride):
+    if len(raw) != size or not inflate.eof:
         raise ValueError("IDAT length does not match dimensions")
     raw = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + stride)
     ftypes = raw[:, 0]

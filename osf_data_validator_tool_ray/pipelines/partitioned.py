@@ -5,8 +5,10 @@ is available); ONE FILE = ONE PARTITION = the resume/lineage unit.
 
 Per incomplete partition (skipped when its checkpoint record is done):
   1. ONE streamed loop over the partition's batches, each through the
-     suite's own per-batch body (runner.SuitePass: stateless facets,
-     decode findings with decode=True, keyed combiner partials)
+     suite's own per-batch body: ``runner.SuitePass.scan``, the same
+     per-file loop the suite's file route runs for a plain parquet read
+     (stateless facets, decode findings with decode=True, keyed combiner
+     partials)
   2. its violation rows -> violations parquet artifact; its grouped-
      constraint PARTIAL aggregates per key (decodable count included)
      -> partials artifact (the combiner half of the two-phase
@@ -29,28 +31,30 @@ artifact sinks).
 
 Final merge (cheap, always re-run; reads only stored artifacts, their
 parquet footers and the first partition's footer):
-  * the suite's driver checks (runner.driver_checks: schema
-    conformance, spec completeness, -50 unevaluable warnings) over the
-    first partition's Arrow schema
-  * the stored artifacts' footers give their rows and bytes; when they
-    pass the driver gate (``relational.fits_driver_merge``) the
-    artifacts are read with pyarrow and everything below runs in
-    process, else they are read as Ray Datasets and merged on the
-    cluster.  ``summary["result_tier"]`` records the decision
+  * partials stored under another spec or decode setting lack a planned
+    count column (read off the footers), and the merge refuses them
+  * the stored artifacts' footers give their rows and bytes, and the
+    suite's own gate-and-merge (``runner.merge_scan``, which the file
+    route of ``runner.scan_checks`` runs on its task outputs) does the
+    rest: below the driver gate (``relational.fits_driver_merge``) the
+    artifacts are read with pyarrow and merged in process, else read as
+    Ray Datasets and merged on the cluster; ``summary["result_tier"]``
+    records the decision
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential (the decodable count included) and
     referential-existence verdicts (these hold GLOBALLY across
     partitions — duplicate clip_ids in different partitions are caught
-    here, which a purely per-partition design would miss).  Partials
-    stored under another spec or decode setting lack a planned count
-    column (read off the footers), and the merge refuses them
-  * with the stored per-partition violations -> a SuiteResult
-    (``run_partitioned``) whose ``summary`` carries the partition
-    counts; ``validate_partitioned`` returns its report, built by
-    SuiteResult.report as the suite's is (without a violation sample;
-    below the gate the merge runs no Ray Data execution, save one per
-    refs table)
+    here, which a purely per-partition design would miss)
+  * with the suite's driver checks (runner.driver_checks: schema
+    conformance, spec completeness, -50 unevaluable warnings, over the
+    first partition's Arrow schema) and the stored per-partition
+    violations -> a SuiteResult (``run_partitioned``) whose ``summary``
+    carries the partition counts; ``validate_partitioned`` returns its
+    report, built by SuiteResult.report as the suite's is (without a
+    violation sample; below the gate the merge runs no Ray Data
+    execution, and a refs table that is a plain parquet read is read by
+    its files)
 
 Pass/fail is decided by ERROR-severity violations only; warnings are
 counted separately (the reference's -5x warning / -10x error id split).
@@ -73,12 +77,11 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
-from ..sources.io import _cache_fsspec_http_import
+from ..checks.unified_keyed import KeyedPlan, keyed_plan
+from ..sources.io import _cache_fsspec_http_import, footer_size
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
-from . import relational
-from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks
+from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks, merge_scan
 
 # concurrent partition threads issue Ray IO in parallel; make the
 # path-resolver's per-call fsspec import race-free first
@@ -111,7 +114,7 @@ def _run_partition(
     either form ``sources.io.iter_partition_batches`` accepts (parquet
     file path or Lance ``<path>#<fragment_id>``), so Lance fragments are
     first-class resume units here, not just in the listing."""
-    from ..sources.io import iter_partition_batches, partition_schema_and_rows
+    from ..sources.io import partition_schema_and_rows
 
     store = CheckpointStore(store_root)
     pid = _partition_id(path)
@@ -170,9 +173,7 @@ def _run_partition(
                                      pa.int64())).as_py() or 0
         viol_stream.append(tbl)
 
-    for rb in iter_partition_batches(path, batch_size=body.batch_size,
-                                     columns=body.columns):
-        violations, partials = body.findings(pa.Table.from_batches([rb]))
+    for violations, partials in body.scan(path):
         _add_viol(violations)
         if part_stream is not None:
             part_stream.append(partials)
@@ -186,6 +187,13 @@ def _run_partition(
                "pass": n_err == 0, "runtime_s": time.time() - t0}
     store.record(pid, metrics)
     return metrics
+
+
+def _files_on_tier(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
+    """Stored artifacts: read with pyarrow, or as a Dataset on the cluster."""
+    if not on_driver:
+        return ray.data.read_parquet(files)
+    return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
 
 
 # one Ray task per partition; _run_partition stays directly callable so
@@ -260,28 +268,11 @@ def run_partitioned(
         raise ValueError(
             f"checkpoint store {store.root} holds partials without "
             f"{sorted(missing)}: written under another spec or decode setting")
-    rows = sum(m.num_rows for m in footers)
-    size = sum(m.row_group(i).total_byte_size for m in footers
-               for i in range(m.num_row_groups))
-    on_driver = relational.fits_driver_merge((rows, size))
-    gate = {"tier": "driver" if on_driver else "exchange", "rows": rows, "bytes": size}
-
-    def read(files: list[str]) -> "pa.Table | ray.data.Dataset":
-        if not on_driver:
-            return ray.data.read_parquet(files)
-        return pa.concat_tables([pq.read_table(f) for f in files],
-                                promote_options="default")
-
-    parts = [driver_checks(schema0, spec, refs)]
-    if viol_files:
-        parts.append(read(viol_files))
-    if partial_files:
-        parts.append(keyed_violations(read(partial_files), plan, spec, refs=refs))
 
     recs = store.records()
     summary = {
         "partitions_total": len(files), "partitions_skipped": n_skipped,
-        "partitions_ran": len(todo), "result_tier": gate,
+        "partitions_ran": len(todo),
         "n_rows": sum(r.get("n_rows", 0) for r in recs),
         "partitions": {
             r["partition_id"]: {"pass": r.get("pass", True),
@@ -292,7 +283,9 @@ def run_partitioned(
             for r in recs
         },
     }
-    return SuiteResult.of(parts, summary)
+    return merge_scan(footer_size(footers), _files_on_tier, viol_files, partial_files,
+                      plan, spec, refs=refs, checks=(driver_checks(schema0, spec, refs),),
+                      summary=summary)
 
 
 def validate_partitioned(

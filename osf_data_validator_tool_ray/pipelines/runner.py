@@ -6,47 +6,58 @@ The reference's built-in suite is its default ``tests/checks[]`` list
 ``decode``).  The registry's row-level entries (``ROW_CHECKS``) share
 ONE scan of the input, ``scan_checks``:
 
-  1. ONE ``map_batches`` of ``SuitePass`` over a column-pruned ``ds``
-     (``SuitePass.batch_size`` rows a batch): per batch, whichever
-     entries are selected — the ``stateless`` facets (enums,
-     cross-domain, universal predicates, payload headers sniffed), the
-     ``decode`` findings (BytesSuitePass, which then owns the payload
-     universals, DECODE-100/101) and the combiner partials of ALL
-     ``keyed`` constraints
-  2. the tagged output is materialized once; when it passes the driver
-     gate (``relational.fits_driver_merge``) it is pulled to the driver
-     ONCE and split into violation rows and partials in process, else it
-     is split by two ``map_batches`` on the cluster
+  1. ONE pass of ``SuitePass`` over the rows, column-pruned, in
+     ``SuitePass.batch_size`` batches: per batch, whichever entries are
+     selected — the ``stateless`` facets (enums, cross-domain, universal
+     predicates, payload headers sniffed), the ``decode`` findings
+     (BytesSuitePass, which then owns the payload universals,
+     DECODE-100/101) and the combiner partials of ALL ``keyed``
+     constraints.  A plain parquet read (``sources.io.parquet_read_files``:
+     what the CLI and the benchmarks pass) runs as one plain Ray task per
+     file, the partitioned runner's per-file loop (``SuitePass.scan``),
+     each returning its violations and partials as Arrow tables plus
+     their rows and bytes.  Any other Dataset (``from_arrow``; a mapped,
+     limited, filtered or hive-partitioned read; a remote filesystem)
+     runs as ONE ``map_batches`` whose tagged output is materialized once
+  2. the driver gate (``relational.fits_driver_merge``) on the output's
+     rows and bytes: below it the output is pulled to the driver ONCE and
+     split in process, above it it stays on the cluster (the task tables
+     as ``ray.data.from_arrow_refs``; the tagged output split by two maps)
   3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over those partials
-     (checks/unified_keyed.keyed_violations, shared with the partitioned
-     runner, which calls the same ``SuitePass`` in its per-partition loop)
+     (checks/unified_keyed.keyed_violations).  The file route's gate and
+     merge, ``merge_scan``, is also the partitioned runner's global merge
 
 Trade-off: the keyed merge follows the scan instead of overlapping it.
 Below the driver gate everything after the scan (split, keyed merge,
 severity counts, report sample) runs in process on Arrow tables: the
 rows are few, and a Ray execution per step would cost ~25 ms of
-scheduling for ~4 ms of work.  Only the refs / expected-key sides, which
-arrive as Datasets, take one execution each (materialized, gated and
-pulled once).  Above the gate the split is two maps and the merge one
-hash exchange, and the result stays a Dataset.  In return each input row
-is read and scheduled once.
+scheduling for ~4 ms of work.  For the same reason a refs / expected-key
+side that is a plain parquet read under the gate is read by its files
+(key column only); any other side takes one execution.  The file route
+skips Ray Data's fixed cost per run and parallelizes by file (one file is
+one task, as it is one read task in Ray's parquet reader); each task
+holds its file's findings in memory.  Other Datasets stay on
+``map_batches``: streaming their block refs into plain tasks measured
+slower.  Above the gate the merge is one hash exchange, and the result
+stays a Dataset.  In return each input row is read and scheduled once.
 
 ``SuiteResult`` is the one result type of every executor (this suite,
 the partitioned runner, the check registry) and ``SuiteResult.report``
-the one report builder: its ``checks`` cover ``ALL_CHECK_IDS`` plus
-every id a run actually emitted, and a run passes only with no
-ERROR-severity row of any id.
+the one report builder (``render_xml`` renders one as XML): its
+``checks`` cover ``ALL_CHECK_IDS`` plus every id a run actually emitted,
+and a run passes only with no ERROR-severity row of any id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from ..checks.base import VIOLATION_SCHEMA, empty_violations, union_all
@@ -56,7 +67,7 @@ from ..checks.schema import (
     unevaluable_warnings,
 )
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
-from ..sources.io import arrow_schema
+from ..sources.io import arrow_schema, iter_partition_batches, parquet_read_files
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
@@ -148,40 +159,33 @@ class SuiteResult:
         return counts
 
     def _sample(self, n: int) -> list[dict]:
-        """``n`` violation rows: the driver rows first, in a fixed order
-        (errors before warnings, then by check id, key, column, observed,
-        expected), so equal runs give equal samples; a cluster part tops
-        them up in the order Ray returns it."""
-        if not n:
-            return []
-        t = self.violations
+        """``n`` violation rows in a fixed order (errors before warnings,
+        then by check id, key, column, observed, expected), so equal
+        results give equal samples: the driver rows first; a cluster part
+        tops them up with its first rows in the same order (each block's
+        first ``n``, merged on the driver)."""
         order = [(c, "ascending") for c in ("severity", "check_id", "key",
                                              "column", "observed", "expected")]
-        k = min(n, t.num_rows)
-        rows = t.take(pc.select_k_unstable(t, k, order)).to_pylist() if k else []
+
+        def first(t: pa.Table) -> pa.Table:
+            k = min(n, t.num_rows)
+            return t.take(pc.select_k_unstable(t, k, order)) if k else t.slice(0, 0)
+
+        if not n:
+            return []
+        rows = first(self.violations).to_pylist()
         if len(rows) < n and self.cluster_violations is not None:
-            rows += self.cluster_violations.limit(n - len(rows)).to_pandas() \
-                .to_dict("records")
+            tops = list(self.cluster_violations.map_batches(
+                first, batch_format="pyarrow", batch_size=None).iter_batches(
+                batch_format="pyarrow", batch_size=None))
+            if tops:
+                rows += first(pa.concat_tables(tops, promote_options="default")) \
+                    .to_pylist()[:n - len(rows)]
         return rows
 
     def report_xml(self, sample: int = 20) -> str:
-        """XML report — mirrors the reference's dual XML/JSON report
-        surface (dvt:174-191): a <checks> document, one <check> element
-        per check id with status + violation sample."""
-        import xml.etree.ElementTree as ET
-
-        rep = self.report(sample=sample)
-        root = ET.Element("checks")
-        for cid, info in rep["checks"].items():
-            el = ET.SubElement(root, "check", id=cid,
-                               status="pass" if info["pass"] else "fail",
-                               violations=str(info["n_violations"]))
-            for row in (r for r in rep["violations_sample"] if r["check_id"] == cid):
-                ET.SubElement(el, "violation", severity=str(row["severity"]),
-                              key=str(row["key"]), column=str(row["column"]),
-                              observed=str(row["observed"]),
-                              expected=str(row["expected"]))
-        return ET.tostring(root, encoding="unicode")
+        """``render_xml`` of ``report(sample)``."""
+        return render_xml(self.report(sample=sample))
 
     def report(self, sample: int = 20) -> dict:
         """pass/fail is decided by ERROR-severity violations only (of
@@ -205,6 +209,27 @@ class SuiteResult:
             "warnings": warns,
             "violations_sample": self._sample(sample),
         }
+
+
+def render_xml(report: dict) -> str:
+    """An XML report from a ``SuiteResult.report`` dict — mirrors the
+    reference's dual XML/JSON report surface (dvt:174-191): a <checks>
+    document, one <check> element per check id with status + violation
+    sample.  It reads no rows, so a caller holding the report renders it
+    without counting the violations again."""
+    import xml.etree.ElementTree as ET
+
+    root = ET.Element("checks")
+    for cid, info in report["checks"].items():
+        el = ET.SubElement(root, "check", id=cid,
+                           status="pass" if info["pass"] else "fail",
+                           violations=str(info["n_violations"]))
+        for row in (r for r in report["violations_sample"] if r["check_id"] == cid):
+            ET.SubElement(el, "violation", severity=str(row["severity"]),
+                          key=str(row["key"]), column=str(row["column"]),
+                          observed=str(row["observed"]),
+                          expected=str(row["expected"]))
+    return ET.tostring(root, encoding="unicode")
 
 
 def driver_checks(schema: pa.Schema, spec: ConstraintSpec,
@@ -247,7 +272,9 @@ class SuitePass:
         ``keyed`` the caller passes ``KeyedPlan(None)``.
 
     ``findings`` returns ``(violations, partials)`` (partials None when
-    the table lacks the plan's key).  Calling the instance returns both
+    the table lacks the plan's key); ``scan`` yields them for each batch
+    of one partition, the per-file loop of the file route and of the
+    partitioned runner's tasks.  Calling the instance returns both
     as ONE tagged table for ``map_batches``: partial rows carry their key
     in ``_pkey``, violation rows leave it null; ``tagged_violations`` and
     ``tagged_partials`` split it.
@@ -287,6 +314,12 @@ class SuitePass:
         return (pa.concat_tables(violations) if violations else empty_violations(),
                 partials)
 
+    def scan(self, partition: str) -> Iterator[tuple[pa.Table, Optional[pa.Table]]]:
+        """``findings`` of each batch of one partition (a parquet file or
+        a Lance fragment id), read with only ``columns``."""
+        for rb in iter_partition_batches(partition, self.batch_size, self.columns):
+            yield self.findings(pa.Table.from_batches([rb]))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         violations, partials = self.findings(batch)
         if partials is None:
@@ -306,6 +339,55 @@ def tagged_partials(t: pa.Table) -> pa.Table:
     return p.rename_columns(["key", *p.column_names[1:]])
 
 
+def _file_findings(path: str, body: SuitePass):
+    """The file route's task: ``body.scan`` of one file, returned as
+    (violations, partials, their (rows, bytes)) through the object store;
+    partials have no columns when the file yields none."""
+    found = list(body.scan(path))
+    violations = pa.concat_tables([empty_violations(), *(v for v, _ in found)])
+    partials = [p for _, p in found if p is not None]
+    partials = pa.concat_tables(partials) if partials else pa.table({})
+    return violations, partials, tuple((t.num_rows, t.nbytes)
+                                       for t in (violations, partials))
+
+
+_file_task = ray.remote(num_returns=3)(_file_findings)
+
+
+def _refs_on_tier(refs: list, on_driver: bool) -> "pa.Table | ray.data.Dataset":
+    """The file route's output tables: pulled, or left on the cluster."""
+    if on_driver:
+        return pa.concat_tables(ray.get(refs), promote_options="default")
+    return ray.data.from_arrow_refs(refs)
+
+
+def merge_scan(
+    size: tuple[int, int], read: Callable[[list, bool], "pa.Table | ray.data.Dataset"],
+    violations: list, partials: list, plan: KeyedPlan, spec: ConstraintSpec,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+    expected_keys: Optional["ray.data.Dataset"] = None,
+    checks: tuple = (), summary: Optional[dict] = None,
+) -> SuiteResult:
+    """The one gate-and-merge after a scan whose output is in pieces of
+    ``size`` (rows, bytes) in total: the file route's task outputs and
+    the partitioned runner's stored artifacts.  ``relational.
+    fits_driver_merge`` picks the tier, ``read(pieces, on_driver)`` reads
+    the non-empty violation and partial pieces on it (a ``pa.Table`` on
+    the driver, a Dataset on the cluster), and the keyed pass merges the
+    partials when ``plan`` has a key.  ``checks`` (driver-side violation
+    tables) join the result; ``summary["result_tier"]`` records the
+    decision."""
+    on_driver = relational.fits_driver_merge(size)
+    gate = {"tier": "driver" if on_driver else "exchange",
+            "rows": size[0], "bytes": size[1]}
+    parts = [*checks, *([read(violations, on_driver)] if violations else [])]
+    if plan.key is not None:
+        parts.append(keyed_violations(read(partials, on_driver) if partials
+                                      else pa.table({}), plan, spec, refs=refs,
+                                      expected_keys=expected_keys))
+    return SuiteResult.of(parts, {**(summary or {}), "result_tier": gate})
+
+
 def scan_checks(
     ds: "ray.data.Dataset",
     spec: ConstraintSpec,
@@ -318,10 +400,13 @@ def scan_checks(
     then the keyed merge.  Expected keys are read from their ``key``
     column.
 
-    The scan's tagged output is materialized; when it passes the driver
-    gate it is pulled once and split and merged in process (the result's
-    ``violations``), else both run on the cluster (``cluster_violations``).
-    ``summary["result_tier"]`` records the decision."""
+    A plain parquet read runs as one task per file (``merge_scan`` gates
+    and merges their outputs); any other Dataset as one ``map_batches``
+    whose tagged output is materialized and, when it passes the driver
+    gate, pulled once and split and merged in process.  Either way small
+    results land in the result's ``violations``, larger ones stay in
+    ``cluster_violations``, and ``summary["result_tier"]`` records the
+    decision."""
     names = set(arrow_schema(ds).names)
     plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
             else KeyedPlan(None))
@@ -329,6 +414,16 @@ def scan_checks(
                      frozenset(u.predicate for u in spec.universals))
     if not body.columns:        # no selected check reads a column ds has
         return SuiteResult()
+    files = parquet_read_files(ds)
+    if files is not None:
+        outs = [_file_task.remote(f, body) for f in files]
+        sizes = ray.get([out[2] for out in outs])
+        pieces = [[out[i] for out, size in zip(outs, sizes) if size[i][0]]
+                  for i in (0, 1)]
+        total = (sum(n for size in sizes for n, _ in size),
+                 sum(b for size in sizes for _, b in size))
+        return merge_scan(total, _refs_on_tier, *pieces, plan, spec, refs=refs,
+                          expected_keys=expected_keys)
     tagged, gate = relational.driver_pull(ds.select_columns(body.columns).map_batches(
         body, batch_format="pyarrow", batch_size=body.batch_size))
     summary = {"result_tier": gate}

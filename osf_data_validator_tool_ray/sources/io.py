@@ -171,6 +171,44 @@ def partition_schema_and_rows(partition: str) -> tuple[pa.Schema, int]:
     return pf.schema_arrow, pf.metadata.num_rows
 
 
+def parquet_read_files(ds: "ray.data.Dataset") -> Optional[list[str]]:
+    """The files of ``ds``, in read order and with repeats, when ``ds`` is
+    a plain parquet read: a bare ``read_parquet`` on the local filesystem
+    without ``filter=``, partition columns, ``include_paths`` or a block
+    UDF, whose schema is the first file's projected to its columns.  Such
+    a Dataset holds exactly its files' rows, so reading the files with
+    pyarrow gives the same table.  None for any other Dataset.
+
+    This is the one reader of Ray's plan internals.  It takes the
+    datasource's path list, not ``input_files()``, which is a set:
+    ``read_parquet([f, f])`` holds ``f``'s rows twice."""
+    import pyarrow.fs as pafs
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    dag = getattr(getattr(ds, "_logical_plan", None), "dag", None)
+    if not isinstance(dag, Read) or not isinstance(dag._datasource, ParquetDatasource):
+        return None
+    src = dag._datasource
+    if (not isinstance(src._filesystem, pafs.LocalFileSystem) or not src._pq_paths
+            or src._to_batches_kwargs or src._partition_columns
+            or src._include_paths or src._block_udf is not None):
+        return None
+    schema, first = arrow_schema(ds), pq.read_schema(src._pq_paths[0])
+    if schema is None or not set(schema.names) <= set(first.names) \
+            or not schema.equals(pa.schema([first.field(n) for n in schema.names])):
+        return None
+    return list(src._pq_paths)
+
+
+def footer_size(footers: Sequence[pq.FileMetaData]) -> tuple[int, int]:
+    """(rows, bytes) of parquet files from their footers: row counts and
+    row-group byte sizes, with no page read."""
+    return (sum(m.num_rows for m in footers),
+            sum(m.row_group(i).total_byte_size for m in footers
+                for i in range(m.num_row_groups)))
+
+
 def arrow_schema(ds: "ray.data.Dataset") -> Optional[pa.Schema]:
     """A Dataset's schema as a ``pa.Schema``; None when Ray knows none
     (e.g. zero blocks).  For pandas blocks Ray maps each numpy dtype to

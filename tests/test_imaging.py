@@ -200,3 +200,29 @@ def test_bmp_round_trip_property():
         assert (out == px).all()
 
     check()
+
+
+def test_deflate_bomb_is_refused_without_inflating_it():
+    """A 1x1 greyscale PNG whose IDAT inflates to 64 MiB: the decoder
+    stops inflating at the size the header allows and raises, holding
+    well under 1 MiB."""
+    import struct
+    import tracemalloc
+    import zlib
+
+    def chunk(ctype, data):
+        return (struct.pack(">I", len(data)) + ctype + data
+                + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF))
+
+    deflate = zlib.compressobj(9)
+    idat = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(64)) + deflate.flush()
+    bomb = (PNG_SIG + chunk(b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="length"):
+            decode_png(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -120,3 +120,27 @@ def test_mask_violations_reports_binary_lengths():
     v = mask_violations(t, np.array([False, True, False, False]), "X-100", None, "n", "ok")
     assert v.column("key").to_pylist() == [None]
     assert v.column("observed").to_pylist() == ["2"]
+
+
+def test_cli_counts_the_violations_once_above_the_gate(clips, tmp_path):
+    """With --output-xml the CLI renders the XML from the report it
+    already built, so the cluster part (the keyed exchange, above the
+    gate) is counted once, not once per report."""
+    import xml.etree.ElementTree as ET
+    from unittest import mock
+
+    from osf_data_validator_tool_ray import cli
+    from osf_data_validator_tool_ray.pipelines.runner import SuiteResult
+
+    xml = tmp_path / "r.xml"
+    with _tier("exchange"), mock.patch("ray.shutdown"), mock.patch.object(
+            SuiteResult, "severity_counts", autospec=True,
+            side_effect=SuiteResult.severity_counts) as counts:
+        code = cli.main(["--input", clips["clips_dir"] + "/*.parquet",
+                         "--refs", clips["refs_path"],
+                         "--output-json", str(tmp_path / "r.json"),
+                         "--output-xml", str(xml)])
+    assert code == 1
+    assert counts.call_count == 1
+    checks = {el.get("id"): el.get("violations") for el in ET.parse(xml).getroot()}
+    assert checks["REF-EXISTENCE-100"] == str(len(clips["dangling_refs"]))
