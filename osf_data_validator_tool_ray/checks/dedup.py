@@ -19,11 +19,12 @@ Large-scale training-data dedup expressed Ray-Data-first:
 
 Every LSH operator here, and embedding near-dup in checks/similarity.py,
 runs ONE banded path, ``banded_pairs``: the same pair function runs
-over the whole band table on the driver tier and per bucket on the
-exchange tier, so both tiers give the same pairs.  MinHash, SimHash and
-audio build that function with ``vector_pairs``, where a pathological
-bucket (all-identical docs) re-bands (``_pairs_rebanded``) instead of
-emitting its quadratic pair set.
+over the whole band table on the driver tier and once per hash
+partition of the bucket keys on the exchange tier, so both tiers give
+the same pairs.  MinHash, SimHash and audio build that function with
+``vector_pairs``, where a pathological bucket (all-identical docs)
+re-bands (``_pairs_rebanded``) instead of emitting its quadratic pair
+set.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def minhash_near_dup_pairs(
     across buckets.  Wall-clock shape: one map_batches (signatures,
     bands=16x duplication of 8B*num_perm sig per doc), then
     ``banded_pairs``: one vectorized pass over the whole band table on
-    the driver tier, or one groupby exchange on (band_id, band_key) and
-    one dedup exchange on the pair key on the exchange tier.
+    the driver tier, or the same pass once per hash partition of
+    (band_id, band_key) and one dedup exchange on the pair key on the
+    exchange tier.
     """
     banded = ds.map_batches(
         _MinHashStage(text_col, id_col, num_perm, bands, shingle_k),
@@ -393,26 +395,31 @@ def banded_pairs(
     of every LSH near-dup operator.
 
     ``pairs(df) -> (id_a, id_b, score)`` pairs every bucket of a frame
-    of banded rows, id_a < id_b.  The banded rows are materialized once.
-    A table that passes ``fits_driver_merge`` runs ``pairs`` over the
-    whole frame and keeps ``how`` of ``score_col`` per pair in process;
-    a larger one runs the same ``pairs`` per bucket in one
-    groupby(keys).map_groups, and the pairs dedup in one exchange."""
-    from ..pipelines.relational import _adaptive_dedup_agg, fits_driver_merge
+    of banded rows, id_a < id_b; ``how`` of ``score_col`` is kept per
+    pair.  The banded rows are materialized once.  A table that passes
+    ``fits_driver_merge`` runs ``pairs`` plus the per-pair ``how`` once
+    over the whole frame in process; a larger one runs that same
+    function once per hash partition of ``keys`` (``by_partition``, which
+    keeps every bucket in one partition), then the per-pair ``how`` once
+    per hash partition of (id_a, id_b)."""
+    from ..pipelines import relational
 
-    def frame(ia, ib, sc) -> pd.DataFrame:
-        return pd.DataFrame({"id_a": ia, "id_b": ib, score_col: sc})
+    def keep(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
+            return df
+        return df.groupby(["id_a", "id_b"], sort=False)[score_col] \
+            .agg(how).reset_index()
+
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        ia, ib, sc = pairs(df)
+        return keep(pd.DataFrame({"id_a": ia, "id_b": ib, score_col: sc}))
 
     mat = banded.materialize()
-    if fits_driver_merge(mat):
-        out = frame(*pairs(mat.to_pandas()))
-        if len(out):
-            out = out.groupby(["id_a", "id_b"], sort=False)[score_col] \
-                .agg(how).reset_index()
-        return ray.data.from_pandas(out)
-    per_bucket = mat.groupby(keys).map_groups(
-        lambda g: frame(*pairs(g)), batch_format="pandas")
-    return _adaptive_dedup_agg(per_bucket, ["id_a", "id_b"], score_col, how)
+    if relational.fits_driver_merge(mat):
+        return ray.data.from_pandas(bucket_pairs(mat.to_pandas()))
+    per_bucket = relational.by_partition(mat, keys, lambda t: bucket_pairs(t.to_pandas()))
+    return relational.by_partition(per_bucket, ["id_a", "id_b"],
+                                   lambda t: keep(t.to_pandas()))
 
 
 def near_dup_clusters(

@@ -1,15 +1,18 @@
 """Generic, reusable Ray-Data relational operators over any table.
 
-``merge_partials`` is the one adaptive per-key merge (driver tier below
-``fits_driver_merge``, one hash exchange above it): the keyed pass
+``merge_partials`` is the one adaptive per-key merge: the keyed pass
 (checks/unified_keyed.py, which evaluates every cardinality,
 existential, referential-existence and zero-edge constraint),
-``grouped_agg`` and the exact-dedup aggregate merge through it.
-``driver_pull`` applies the same gate to a result pulled to the driver
-whole (the suite's scan output).  The rest are table operators the
-registry, the drift and corpus pipelines and the driver contract in
-__ray_entry__.py build on.  Each mirrors a reference dataflow shape
-(SURVEY.md §2.2):
+``grouped_agg``, ``distinct_values`` / ``distinct_counts`` and the
+exact-dedup aggregate merge through it.  Every adaptive operator has
+one in-process function: below ``fits_driver_merge`` it runs once over
+the whole input on the driver, above it ``by_partition`` runs the same
+function once per hash partition of the keys, so the two tiers differ
+only in how the rows are partitioned.  ``driver_pull`` applies the gate
+to a result pulled to the driver whole (the suite's scan output).  The
+rest are table operators the registry, the drift and corpus pipelines
+and the driver contract in __ray_entry__.py build on.  Each mirrors a
+reference dataflow shape (SURVEY.md §2.2):
 
   * facet/row filters        <- per-value scalar validation loops
   * universal counterexamples <- owl:allValuesFrom negated filter
@@ -32,7 +35,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.io import arrow_schema
 
@@ -57,23 +59,115 @@ def fits_driver_merge(materialized: "ray.data.Dataset | tuple[int, int]",
     return rows <= threshold and (size is None or size <= DRIVER_MERGE_MAX_BYTES)
 
 
-def driver_pull(ds: "ray.data.Dataset", threshold: int = DRIVER_MERGE_THRESHOLD,
-                ) -> "tuple[pa.Table | ray.data.Dataset, dict]":
-    """Materialize ``ds`` and, when it passes ``fits_driver_merge``, pull
-    it to the driver ONCE as one Arrow table (blocks in order; no columns
-    when Ray knows none for an empty result); else hand back the
-    materialized Dataset.  The second value records the gate decision:
-    ``{"tier": "driver" | "exchange", "rows", "bytes"}``."""
-    mat = ds.materialize()
-    rows, size = mat.count(), mat.size_bytes() or 0
-    if not fits_driver_merge((rows, size), threshold):
-        return mat, {"tier": "exchange", "rows": rows, "bytes": size}
+def _pull(mat: "ray.data.Dataset") -> pa.Table:
+    """A materialized Dataset as one Arrow table (blocks in order; the
+    schema's empty table, or no columns when Ray knows none, for an
+    empty one)."""
     blocks = list(mat.iter_batches(batch_format="pyarrow", batch_size=None))
     if not blocks:
         base = arrow_schema(mat)
         blocks = [base.empty_table() if base is not None else pa.table({})]
-    return (pa.concat_tables(blocks, promote_options="default"),
-            {"tier": "driver", "rows": rows, "bytes": size})
+    return pa.concat_tables(blocks, promote_options="default")
+
+
+def driver_pull(ds: "ray.data.Dataset") -> "tuple[pa.Table | ray.data.Dataset, dict]":
+    """Materialize ``ds`` and, when it passes ``fits_driver_merge``, pull
+    it to the driver ONCE as one Arrow table; else hand back the
+    materialized Dataset.  The second value records the gate decision:
+    ``{"tier": "driver" | "exchange", "rows", "bytes"}``."""
+    mat = ds.materialize()
+    rows, size = mat.count(), mat.size_bytes() or 0
+    if not fits_driver_merge((rows, size)):
+        return mat, {"tier": "exchange", "rows": rows, "bytes": size}
+    return _pull(mat), {"tier": "driver", "rows": rows, "bytes": size}
+
+
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over a uint64 array (wrapping)."""
+    h = h ^ (h >> np.uint64(30))
+    h = h * np.uint64(0xBF58476D1CE4E5B9)
+    h = h ^ (h >> np.uint64(27))
+    h = h * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def stable_hash(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
+    """A uint64 per row that depends on the values of ``keys`` alone, not
+    on the block they sit in: numbers hash through their float64 value
+    (an int64 key and the same key in a block that holds a null, or that
+    pandas widened to float64, hash alike), strings and binaries through
+    their bytes, and a null or NaN key hashes to one constant.  Distinct
+    values may collide; equal values never differ."""
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for k in keys:
+        col = t.column(k)
+        if pa.types.is_dictionary(col.type):
+            col = col.cast(col.type.value_type)
+        null = pc.is_null(col, nan_is_null=True).to_numpy(zero_copy_only=False)
+        typ = col.type
+        if (pa.types.is_string(typ) or pa.types.is_large_string(typ)
+                or pa.types.is_binary(typ) or pa.types.is_large_binary(typ)):
+            vals = col.to_numpy(zero_copy_only=False).astype(object)
+            vals[null] = b""
+            hk = pd.util.hash_array(vals, categorize=False)
+        else:
+            if pa.types.is_temporal(typ):
+                col = col.cast(pa.int64(), safe=False)
+            # + 0.0 folds -0.0 into 0.0
+            v = col.cast(pa.float64(), safe=False).to_numpy(zero_copy_only=False) + 0.0
+            v[null] = 0.0
+            hk = _mix(v.view(np.uint64))
+        hk = np.where(null, _NULL_HASH, hk)
+        h = _mix(h * np.uint64(31) + hk)
+    return h
+
+
+def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
+                 fn: Callable[[pa.Table], "pa.Table | pd.DataFrame"],
+                 ) -> "ray.data.Dataset":
+    """The exchange tier of every adaptive operator: run ``fn`` (the same
+    in-process function the driver tier runs once over everything) once
+    per hash partition of ``keys``.
+
+    One ``map_batches`` tags each row with ``_part = stable_hash(keys) %
+    P``; one sort on ``_part`` then puts each partition in one block, and
+    ``fn`` gets each block's rows as one Arrow table (without ``_part``),
+    so all rows of a key meet in one call and ``fn`` runs at most P
+    times, never once per key.  P is at least 2 and at least the
+    cluster's CPU count, and large enough that a partition of evenly
+    spread keys stays within the ``fits_driver_merge`` budget.
+
+    This is ``groupby("_part").map_groups(fn)`` with the sort's
+    boundaries set to the partitions that hold rows: groupby samples its
+    boundaries, and a sort range that holds no rows comes out as a
+    column-less block.  An empty input runs ``fn`` once on its empty
+    table, so the result keeps ``fn``'s column types."""
+    import ray as _ray
+
+    mat = ds.materialize()
+    rows, size = mat.count(), mat.size_bytes() or 0
+    if rows == 0:
+        out = fn(_pull(mat))
+        return (ray.data.from_arrow(out) if isinstance(out, pa.Table)
+                else ray.data.from_pandas(out))
+    parts = max(2, int(_ray.cluster_resources().get("CPU", 1)),
+                -(-rows // DRIVER_MERGE_THRESHOLD),
+                -(-size // DRIVER_MERGE_MAX_BYTES))
+    keylist = list(keys)
+
+    def tag(t: pa.Table) -> pa.Table:
+        part = stable_hash(t, keylist) % np.uint64(parts)
+        return t.append_column("_part", pa.array(part.astype(np.int64)))
+
+    tagged = mat.map_batches(tag, batch_format="pyarrow", batch_size=None).materialize()
+    present = sorted(tagged.unique("_part"))
+    grouped = (tagged.sort("_part", boundaries=present[1:]) if len(present) > 1
+               else tagged.repartition(1))
+    return grouped.map_batches(lambda t: fn(t.drop_columns(["_part"])),
+                               batch_format="pyarrow", batch_size=None)
 
 
 def arrow_type(typ) -> pa.DataType:
@@ -88,53 +182,24 @@ def arrow_type(typ) -> pa.DataType:
         return pa.string()
 
 
-def coalesce_partials(ds: "ray.data.Dataset", per_cpu: int = 1) -> "ray.data.Dataset":
-    """Coalesce combiner output before a hash exchange.
-
-    Partial-aggregate datasets inherit the input's block count (hundreds
-    of tiny blocks), and a groupby's cost scales with map-blocks x
-    reduce-partitions — fixed task overhead dominates.  Since partials
-    are orders of magnitude smaller than the input, coalescing them to
-    ~#CPU blocks is nearly free and collapses the exchange fan-out."""
-    import ray as _ray
-    n = max(2, int(_ray.cluster_resources().get("CPU", 8)) * per_cpu)
-    return ds.repartition(n)
-
-
-def _fill_value(typ: pa.DataType) -> pa.Scalar:
-    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        return pa.scalar("", typ)
-    if pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-        return pa.scalar(b"", typ)
-    if pa.types.is_boolean(typ):
-        return pa.scalar(False)
-    return pa.scalar(0).cast(typ)
-
-
 def merge_partials(
     partials: "pa.Table | ray.data.Dataset",
     keys: "str | list[str]",
     aggs: dict[str, str],
     finish: Callable[[pa.Table], pa.Table],
-    threshold: int = DRIVER_MERGE_THRESHOLD,
 ) -> "pa.Table | ray.data.Dataset":
     """The adaptive final merge of per-key combiner partials.
 
-    ``aggs`` maps each partial column to "sum", "min" or "max";
-    ``finish`` turns the merged table (one row per key) into the
-    result.  Partials already on the driver (a ``pa.Table``) merge in
-    process with Arrow's group_by and ``finish``'s table is returned.  A
-    Dataset is materialized (one row per key per block); a set that
-    passes ``fits_driver_merge`` merges the same way, with no further
-    Ray task, and comes back as a one-block Dataset.  Larger sets take
-    ONE hash exchange over ~#CPU coalesced blocks and ``finish`` maps
-    over its output.
-
-    Null keys form one group on both tiers.  The exchange sorts on the
-    keys and cannot order a null against a value, so there each key
-    travels as a filled value plus a null flag and is restored before
-    ``finish``.  A caller that must not see null keys drops them in its
-    combiner."""
+    ``aggs`` maps each partial column to "sum", "min" or "max" (none: the
+    distinct keys); ``finish`` turns the merged table (one row per key)
+    into the result.  Partials already on the driver (a ``pa.Table``)
+    merge in process with Arrow's group_by, which groups null keys as one
+    key, and ``finish``'s table is returned.  A Dataset is materialized
+    (one row per key per block); a set that passes ``fits_driver_merge``
+    merges the same way, with no further Ray task, and comes back as a
+    one-block Dataset.  A larger set runs that same merge once per hash
+    partition of the keys (``by_partition``).  A caller that must not see
+    null keys drops them in its combiner."""
     keylist = [keys] if isinstance(keys, str) else list(keys)
     cols = list(aggs)
     if isinstance(partials, pa.Table):
@@ -147,33 +212,11 @@ def merge_partials(
         arrow_names = {f"{c}_{fn}": c for c, fn in aggs.items()}
         g = g.rename_columns([arrow_names.get(n, n) for n in g.column_names])
         return finish(g.select(keylist + cols))
-    mat, _ = driver_pull(partials, threshold)
+    mat, _ = driver_pull(partials)
     if isinstance(mat, pa.Table):
         return ray.data.from_arrow(merge_partials(mat, keylist, aggs, finish))
-
-    flags = [f"_null_{k}" for k in keylist]
-
-    def encode(t: pa.Table) -> pa.Table:
-        for k, f in zip(keylist, flags):
-            col = t.column(k)
-            t = t.set_column(t.schema.get_field_index(k), k,
-                             pc.fill_null(col, _fill_value(col.type)))
-            t = t.append_column(f, pc.cast(pc.is_null(col), pa.int8()))
-        return t
-
-    def decode(t: pa.Table) -> pa.Table:
-        for k, f in zip(keylist, flags):
-            col = t.column(k)
-            t = t.set_column(t.schema.get_field_index(k), k, pc.if_else(
-                pc.equal(t.column(f), 1), pa.nulls(len(t), col.type), col))
-        return finish(t.select(keylist + cols))
-
-    agg_cls = {"sum": Sum, "min": Min, "max": Max}
-    merged = coalesce_partials(mat.map_batches(
-        encode, batch_format="pyarrow", batch_size=None)) \
-        .groupby(keylist + flags) \
-        .aggregate(*[agg_cls[fn](c, alias_name=c) for c, fn in aggs.items()])
-    return merged.map_batches(decode, batch_format="pyarrow")
+    return by_partition(mat, keylist,
+                        lambda t: merge_partials(t, keylist, aggs, finish))
 
 
 def filter_rows(
@@ -192,20 +235,6 @@ def filter_rows(
         return out.select(list(columns)) if columns else out
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
-
-
-def _adaptive_dedup_agg(
-    ds: "ray.data.Dataset", keys: list[str], value_col: str, how: str,
-    threshold: int = DRIVER_MERGE_THRESHOLD,
-) -> "ray.data.Dataset":
-    """groupby(keys).agg(min/max of value_col) with the driver fast path;
-    pairs with a null id are dropped."""
-    def valid_pairs(t: pa.Table) -> pa.Table:
-        for k in keys:
-            t = t.filter(pc.is_valid(t.column(k)))
-        return t
-
-    return merge_partials(ds, keys, {value_col: how}, valid_pairs, threshold)
 
 
 def group_quantiles(
@@ -316,7 +345,6 @@ def grouped_agg(
     ds: "ray.data.Dataset",
     keys: "str | list[str]",
     specs: dict[str, tuple[str, str]],
-    threshold: int = DRIVER_MERGE_THRESHOLD,
 ) -> "ray.data.Dataset":
     """GROUP BY ``keys`` with per-batch combiner partials (the two-phase
     pattern): each block pre-aggregates, so the exchange/merge moves one
@@ -325,7 +353,8 @@ def grouped_agg(
     ``specs``: out_col -> (in_col, fn) with fn in {'count','sum','min',
     'max'}; 'count' counts rows (in_col ignored).  Means are derived by
     the caller from count+sum.  Small partial sets (low-cardinality
-    keys) merge on the driver; large ones take ONE hash exchange.
+    keys) merge on the driver; large ones take ONE hash exchange
+    (``merge_partials``).
     """
     keylist = [keys] if isinstance(keys, str) else list(keys)
     in_cols = sorted({c for c, fn in specs.values() if fn != "count"}
@@ -356,9 +385,8 @@ def grouped_agg(
         def col_for(out: str):
             c = g.column(arrow_name[out])
             # Arrow sums an all-null group to NULL; the pandas combiner
-            # this replaced (and the distributed Ray Sum final merge)
-            # say 0 — pin the partial to 0 so the driver-merge and
-            # exchange paths can't diverge on all-null groups
+            # this replaced says 0 — pin the partial to 0 so the merged
+            # sum of an all-null group is 0 on either tier
             if part_fns[out][1] in ("sum", "size"):
                 c = pc.fill_null(c, 0)
             return c
@@ -392,13 +420,13 @@ def grouped_agg(
                     t = pa.int64()   # integer sums widen to int64
             cols[o] = pa.array([], type=t)
         return ray.data.from_arrow(pa.table(cols))
-    return merge_partials(partials, keylist, merge_fns, lambda t: t, threshold)
+    return merge_partials(partials, keylist, merge_fns, lambda t: t)
 
 
 def distinct_values(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
     """Global DISTINCT of one column: per-batch unique partial (combiner)
-    then one groupby — the `select distinct ?p` shape
-    (CheckPropertiesDefined.php:40-51)."""
+    then one adaptive merge of the partials (``merge_partials``) — the
+    `select distinct ?p` shape (CheckPropertiesDefined.php:40-51)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         # Arrow-native distinct partial (no pandas copy).  Float NaN is
@@ -411,26 +439,25 @@ def distinct_values(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
                              col)
         return pa.table({column: pc.unique(col)})
 
-    return coalesce_partials(ds.map_batches(partial, batch_format="pyarrow", batch_size=None)) \
-             .groupby(column).aggregate(Count(alias_name="_c")) \
-             .map_batches(lambda t: t.select([column]), batch_format="pyarrow")
+    return merge_partials(ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+                          column, {}, lambda t: t)
 
 
 def distinct_counts(
     ds: "ray.data.Dataset",
     columns: Sequence[str],
     approx: bool = False,
-    threshold: int = DRIVER_MERGE_THRESHOLD,
 ) -> pa.Table:
     """COUNT(DISTINCT col) for several columns.
 
     approx=False (default): EXACT, adaptive like every other merge here
     (round-2 verdict item #3 — the set merge is now row+byte-gated):
-    one pass builds per-batch distinct partials; when the materialized
-    partials pass ``fits_driver_merge`` they union on the driver,
-    otherwise each overflowed column takes a scale-safe
-    groupby(col).count-groups exchange over its own partials (the
-    exchange moves per-batch-distinct values, never raw rows).
+    one pass builds per-batch distinct partials; each column's partial
+    values take the distinct merge (``merge_partials`` with no
+    aggregates, which decides the tier: on the driver when the column's
+    partials pass ``fits_driver_merge``, else once per hash partition, so
+    the exchange moves per-batch-distinct values, never raw rows), and
+    the distinct count is the merged row count.
 
     approx=True: the unbounded-cardinality tier — ONE pass shipping a
     HyperLogLog(p=14) sketch per (batch, column); driver merges ~16 KiB
@@ -481,43 +508,16 @@ def distinct_counts(
     # blocks (row-group granularity); coalescing to 64k-row batches cuts
     # the per-batch Python overhead ~5x (measured at sf0.1/32cpu)
     parts = ds.select_columns(cols).map_batches(
-        partial, batch_format="pyarrow", batch_size=65536)
+        partial, batch_format="pyarrow", batch_size=65536).materialize()
 
-    # stream the partials ONCE, gating AS we merge: the moment any
-    # column's set passes the row threshold or the partial bytes pass
-    # the byte cap, abandon the driver merge (no materialize() — the
-    # common path costs a single Dataset execution, like every other
-    # streaming consumer here)
-    sets: "Optional[dict[str, set]]" = {c: set() for c in cols}
-    bytes_acc = 0
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        bytes_acc += b.nbytes
-        for c in cols:
-            sets[c].update(b.column(c).drop_null().to_pylist())
-        if (bytes_acc > DRIVER_MERGE_MAX_BYTES
-                or max(len(s) for s in sets.values()) > threshold):
-            sets = None
-            break
-    if sets is not None:
-        return pa.table({f"n_{c}": pa.array([len(sets[c])], type=pa.int64())
-                         for c in cols})
+    def n_distinct(c: str) -> int:
+        # the distinct merge of the column's per-batch distinct values
+        return merge_partials(parts.map_batches(
+            lambda t: t.select([c]).drop_null(), batch_format="pyarrow",
+            batch_size=None), c, {}, lambda t: t).count()
 
-    # overflow: materialize the long-format partials ONCE (one re-execution
-    # of the single combiner pass — never a per-column rescan of the raw
-    # table), then per-column groupby over the partial values: the number
-    # of groups IS the distinct count; the exchange moves partial values,
-    # never raw rows, and no driver set
-
-    parts_mat = parts.materialize()
-    counts = {}
-    for c in cols:
-        col_parts = parts_mat.map_batches(
-            lambda t, c=c: t.select([c]).drop_null(),
-            batch_format="pyarrow", batch_size=None)
-        grouped = coalesce_partials(col_parts).groupby(c) \
-            .aggregate(Count(alias_name="_c"))
-        counts[f"n_{c}"] = pa.array([grouped.count()], type=pa.int64())
-    return pa.table(counts)
+    return pa.table({f"n_{c}": pa.array([n_distinct(c)], type=pa.int64())
+                     for c in cols})
 
 
 def reconcile_sum(

@@ -334,7 +334,6 @@ def sequence_regressions(
     key: str,
     ts_col: str,
     seq_col: str,
-    driver_threshold: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Sequence-integrity check: rows whose ``ts_col`` goes BACKWARD
     relative to the previous row of the same key in ``seq_col`` order
@@ -351,44 +350,36 @@ def sequence_regressions(
     sort+shift on the driver — a per-group map_groups over many small
     keys costs ~1 ms of Python per group (measured: ~20 s for 15 k
     orders), while the vectorized path is milliseconds.  Large inputs
-    take the keyed map_groups exchange."""
+    run the same sort+shift once per hash partition of the key
+    (``relational.by_partition``)."""
 
-    def _flag(df: pd.DataFrame) -> pd.DataFrame:
-        # df must be sorted by (key, seq, ts); vectorized lag + key mask.
+    cols = list(dict.fromkeys([key, seq_col, ts_col]))
+
+    def flag(t: pa.Table) -> pa.Table:
+        # vectorized lag + key mask over the rows sorted by (key, seq, ts).
         # NaT converts to int64 min — rows with a NULL timestamp (or a
         # NULL predecessor) are NOT evaluable, matching the SQL oracle's
-        # NULL-propagating `ts < prev_ts` comparison.
+        # NULL-propagating `ts < prev_ts` comparison.  The flagged rows
+        # are taken from ``t`` by position, so their types never depend on
+        # how many there are; the index is reset because ``to_pandas``
+        # restores a RangeIndex stored in the pandas metadata, which need
+        # not start at 0.
+        df = t.to_pandas().reset_index(drop=True) \
+            .sort_values([key, seq_col, ts_col], kind="stable")
         ts = df[ts_col].astype("datetime64[us]").astype("int64").to_numpy()
         nat = np.iinfo(np.int64).min
         prev = np.concatenate([[nat], ts[:-1]])
         same_key = np.concatenate(
             [[False], df[key].to_numpy()[1:] == df[key].to_numpy()[:-1]])
         bad = same_key & (ts != nat) & (prev != nat) & (ts < prev)
-        out = df.loc[bad, [key, seq_col, ts_col]].copy()
-        out["prev_ts"] = pd.to_datetime(prev[bad], unit="us")
-        return out
+        return t.select(cols).take(pa.array(df.index.to_numpy()[bad], pa.int64())) \
+            .append_column("prev_ts", pa.array(prev[bad], pa.timestamp("us")))
 
-    cols = list(dict.fromkeys([key, seq_col, ts_col]))
-    from .relational import DRIVER_MERGE_THRESHOLD, fits_driver_merge
-    mat = ds.select_columns(cols).materialize()
-    if fits_driver_merge(mat, driver_threshold
-                         if driver_threshold is not None
-                         else DRIVER_MERGE_THRESHOLD):
-        df = mat.to_pandas().sort_values([key, seq_col, ts_col],
-                                         kind="stable")
-        out = _flag(df)
-        if len(out) == 0:
-            return ray.data.from_pandas(pd.DataFrame({
-                key: pd.Series(dtype=df[key].dtype),
-                seq_col: pd.Series(dtype=df[seq_col].dtype),
-                ts_col: pd.Series(dtype="datetime64[us]"),
-                "prev_ts": pd.Series(dtype="datetime64[us]")}))
-        return ray.data.from_pandas(out.reset_index(drop=True))
-
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        return _flag(g.sort_values([seq_col, ts_col], kind="stable"))
-
-    return mat.groupby(key).map_groups(per_key, batch_format="pandas")
+    from . import relational
+    pulled, _ = relational.driver_pull(ds.select_columns(cols))
+    if isinstance(pulled, pa.Table):
+        return ray.data.from_arrow(flag(pulled))
+    return relational.by_partition(pulled, [key], flag)
 
 
 def _asof_join_presplit(

@@ -153,7 +153,6 @@ def unigram_logprob_scores(
     text_col: str,
     id_col: str,
     max_vocab: int = 65536,
-    driver_threshold: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Unigram language-model quality score per document: mean
     ``ln p(token)`` under the corpus's OWN unigram distribution (the
@@ -173,7 +172,7 @@ def unigram_logprob_scores(
 
     import ray as _ray
 
-    from .relational import grouped_agg
+    from .relational import fits_driver_merge, grouped_agg
 
     from ..functions.text import segment_sums, tokenize_flat
 
@@ -186,10 +185,7 @@ def unigram_logprob_scores(
         tok_partial, batch_format="pyarrow", batch_size=65536)
     counts_ds = grouped_agg(tokens, "token", {"c": ("token", "count")}) \
         .materialize()
-    from .relational import DRIVER_MERGE_THRESHOLD, fits_driver_merge
-    if fits_driver_merge(counts_ds, driver_threshold
-                         if driver_threshold is not None
-                         else DRIVER_MERGE_THRESHOLD):
+    if fits_driver_merge(counts_ds):
         counts = counts_ds.to_pandas()
         total = int(counts["c"].sum())
         vocab = counts.sort_values(["c", "token"],

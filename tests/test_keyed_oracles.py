@@ -2,7 +2,10 @@
 (``runner.scan_checks`` over the ``keyed`` entry); each must hash-match
 its DuckDB ``oracle_sql()`` on both merge tiers: max/min/exact and
 qualified counts, uniqueness, the existential, referential existence and
-the zero-occurrence edge."""
+the zero-occurrence edge.  So must the other queries whose exchange tier
+runs their driver tier's function per hash partition
+(``relational.by_partition``): grouped aggregates, exact dedup, distinct
+counts, windows, reconciliation and sequence regressions."""
 
 import duckdb
 import pytest
@@ -13,13 +16,15 @@ from tools.check_correctness import to_pandas, value_hash
 
 SF_DIR = "/root/testdata/sf0.001"
 KEYED = ["card_max", "card_min", "card_exact", "card_max_qualified",
-         "existential_missing", "uniqueness", "ri_missing", "zero_edge"]
+         "existential_missing", "uniqueness", "ri_missing", "zero_edge",
+         "group_stats", "dedup_exact", "distinct_counts", "windowed_events",
+         "sliding_windows", "reconcile_sum", "sequence_regressions"]
 
 
 @pytest.fixture(scope="module")
 def oracle():
     con = duckdb.connect()
-    for t in ("lineitem", "orders", "customer", "supplier", "events"):
+    for t in ("lineitem", "orders", "customer", "supplier", "events", "documents"):
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')")
     sql = entrymod.oracle_sql()
     yield lambda name: con.execute(sql[name]).df()

@@ -1,12 +1,18 @@
 """The one keyed pass and the one partial merge: the driver and exchange
 merge tiers agree (null keys included), and the suite and the
-partitioned runner report the same per-check counts."""
+partitioned runner report the same per-check counts.  The exchange
+primitive (``relational.by_partition``) hashes a key by its value alone,
+calls its function at most once per partition and keeps empty results
+typed."""
 
 import contextlib
+import logging
 from unittest import mock
 
+import numpy as np
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from osf_data_validator_tool_ray.pipelines import relational as rel
@@ -22,6 +28,29 @@ def _tier(tier: str):
         return contextlib.nullcontext()
     return mock.patch.object(rel, "fits_driver_merge",
                              lambda ds, threshold=None: False)
+
+
+@contextlib.contextmanager
+def _schema_warnings():
+    """Ray Data's warnings about a block whose schema differs from the
+    blocks before it, as a column-less empty block's does."""
+    got = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                got.append(record.getMessage())
+
+    handler = Collect()
+    logging.getLogger("ray.data").addHandler(handler)
+    try:
+        yield got
+    finally:
+        logging.getLogger("ray.data").removeHandler(handler)
+
+
+def _blocks(ds) -> list:
+    return [ray.get(r) for r in ds.to_arrow_refs()]
 
 
 def _rows(ds, cols):
@@ -85,3 +114,72 @@ def test_partitioned_runs_the_suite_schema_checks(tmp_path):
     assert rep["violations"] == errors
     assert rep["warnings"] == warnings
     assert rep["pass"] is False
+
+
+# keys 0..49 sit in both blocks; the second block also holds null keys,
+# so pandas would convert it to float64 and hash its key 1 apart from the
+# first block's
+KEY_CASES = {
+    "int64_null_in_one_block": (["k"], [
+        pa.table({"k": pa.array(range(50), pa.int64()), "v": np.arange(50)}),
+        pa.table({"k": pa.array([*range(50), None, None], pa.int64()),
+                  "v": np.arange(52)})]),
+    "string": (["k"], [
+        pa.table({"k": [f"key{i}" for i in range(50)], "v": np.arange(50)}),
+        pa.table({"k": [f"key{i}" for i in range(50, 0, -1)], "v": np.arange(50)})]),
+    "two_columns_with_nulls": (["a", "b"], [
+        pa.table({"a": pa.array([i % 7 for i in range(60)], pa.int64()),
+                  "b": [f"b{i % 5}" for i in range(60)], "v": np.arange(60)}),
+        pa.table({"a": pa.array([None if i % 9 == 0 else i % 7 for i in range(60)],
+                                pa.int64()),
+                  "b": [None if i % 4 == 0 else f"b{i % 5}" for i in range(60)],
+                  "v": np.arange(60)})]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_exchange_tier_hashes_the_key_value_alone(case):
+    keys, blocks = KEY_CASES[case]
+    specs = {"n": ("v", "count"), "s": ("v", "sum"), "lo": ("v", "min")}
+    got = {}
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            out = rel.grouped_agg(ray.data.from_arrow(blocks), keys, specs)
+            got[tier] = sorted(
+                (tuple(r.values()) for b in _blocks(out)
+                 for r in b.select(keys + list(specs)).to_pylist()), key=repr)
+    distinct = pa.concat_tables(blocks).group_by(keys).aggregate([]).num_rows
+    assert len(got["driver"]) == distinct
+    assert got["exchange"] == got["driver"]
+
+
+def test_by_partition_calls_fn_at_most_once_per_partition():
+    keys = np.arange(5000)
+    ds = ray.data.from_arrow(pa.table({"k": np.concatenate([keys, keys[::-1]])})) \
+        .repartition(8)
+    with _schema_warnings() as warned:
+        out = rel.by_partition(ds, ["k"], lambda t: pa.table({
+            "n": [t.num_rows], "keys": [sorted(set(t.column("k").to_pylist()))]}))
+        calls = [r for b in _blocks(out) for r in b.to_pylist()]
+    assert len(calls) <= 4          # P = the session's 4 CPUs
+    assert sum(c["n"] for c in calls) == 10_000
+    # every key meets all its rows in exactly one call
+    assert sorted(k for c in calls for k in c["keys"]) == keys.tolist()
+    assert not warned
+
+
+@pytest.mark.parametrize("empty", ["zero_rows", "zero_blocks"])
+def test_empty_input_gives_a_typed_result_on_the_exchange_tier(empty):
+    t = pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
+    if empty == "zero_rows":
+        ds, want = ray.data.from_arrow(t), t.schema
+    else:
+        # Ray knows no types for a zero-block Dataset: int64 columns
+        ds = ray.data.from_arrow(pa.table({"k": ["a"], "v": [1]})).limit(0)
+        want = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    with _tier("exchange"), _schema_warnings() as warned:
+        out = rel.merge_partials(ds, "k", {"v": "sum"}, lambda t: t)
+        blocks = _blocks(out)
+    assert sum(b.num_rows for b in blocks) == 0
+    assert blocks and all(b.schema == want for b in blocks)
+    assert not warned

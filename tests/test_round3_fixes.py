@@ -11,6 +11,8 @@ import pyarrow as pa
 import pytest
 import ray.data
 
+from tests.test_keyed_tiers import _tier
+
 
 # ---------------------------------------------------------------------------
 # verdict #3 — distinct_counts adaptive gating
@@ -31,9 +33,11 @@ def test_distinct_counts_overflow_path_matches_exact():
     df = _dc_frame()
     ds = ray.data.from_pandas(df).repartition(5)
     exact = distinct_counts(ds, ["a", "b"])
-    # threshold=0 forces the overflow (exchange) path on the same input
-    forced = distinct_counts(ray.data.from_pandas(df).repartition(5),
-                             ["a", "b"], threshold=0)
+    # failing the driver gate forces the overflow (exchange) path on the
+    # same input
+    with _tier("exchange"):
+        forced = distinct_counts(ray.data.from_pandas(df).repartition(5),
+                                 ["a", "b"])
     assert exact.to_pydict() == forced.to_pydict()
     assert exact.column("n_a")[0].as_py() == df["a"].nunique()
     assert exact.column("n_b")[0].as_py() == df["b"].nunique()
@@ -387,13 +391,43 @@ def test_sequence_regressions_paths_agree():
     a = sequence_regressions(ray.data.from_pandas(df).repartition(5),
                              "k", "ts", "seq").to_pandas() \
         .sort_values(["k", "seq"]).reset_index(drop=True)
-    b = sequence_regressions(ray.data.from_pandas(df).repartition(5),
-                             "k", "ts", "seq", driver_threshold=0) \
-        .to_pandas().sort_values(["k", "seq"]).reset_index(drop=True)
+    with _tier("exchange"):
+        b = sequence_regressions(ray.data.from_pandas(df).repartition(5),
+                                 "k", "ts", "seq") \
+            .to_pandas().sort_values(["k", "seq"]).reset_index(drop=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(
         a[["k", "seq"]], b[["k", "seq"]])
     assert (a["ts"].to_numpy() == b["ts"].to_numpy()).all()
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_sequence_regressions_ignore_a_stored_pandas_index(tier):
+    """A table converted from a sliced frame stores a RangeIndex that does
+    not start at 0 in its pandas metadata; the flagged rows must still be
+    the rows that regress, on both tiers."""
+    from osf_data_validator_tool_ray.pipelines.streaming import (
+        sequence_regressions)
+
+    rng = np.random.default_rng(23)
+    n = 4000
+    df = pd.DataFrame({
+        "k": rng.integers(0, 300, n),
+        "seq": np.arange(n),
+        "ts": pd.to_datetime(rng.integers(0, 10_000, n), unit="s"),
+    }).iloc[1000:]
+    ref = df.sort_values(["k", "seq", "ts"], kind="stable")
+    prev = ref.groupby("k")["ts"].shift()
+    ref = ref.assign(prev_ts=prev)[ref["ts"] < prev] \
+        .sort_values(["k", "seq"]).reset_index(drop=True)
+    with _tier(tier):
+        got = sequence_regressions(
+            ray.data.from_arrow(pa.Table.from_pandas(df)), "k", "ts", "seq") \
+            .to_pandas().sort_values(["k", "seq"]).reset_index(drop=True)
+    assert len(ref) > 0
+    pd.testing.assert_frame_equal(got[["k", "seq"]], ref[["k", "seq"]])
+    assert (got["ts"].to_numpy() == ref["ts"].to_numpy()).all()
+    assert (got["prev_ts"].to_numpy() == ref["prev_ts"].to_numpy()).all()
 
 
 # ---------------------------------------------------------------------------

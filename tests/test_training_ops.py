@@ -7,6 +7,7 @@ import ray.data
 
 from osf_data_validator_tool_ray.pipelines.training import (
     pack_sequences, stratified_sample)
+from tests.test_keyed_tiers import _tier
 
 
 def _greedy_reference(tokens, budget):
@@ -114,11 +115,11 @@ def test_unigram_logprob_paths_agree_and_floor_ooc():
     ds = ray.data.from_pandas(df).repartition(2)
     a = unigram_logprob_scores(ds, "text", "doc_id", max_vocab=3) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    # driver_threshold=0 forces the distributed sort-limit vocab path
-    b = unigram_logprob_scores(ray.data.from_pandas(df).repartition(2),
-                               "text", "doc_id", max_vocab=3,
-                               driver_threshold=0) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    # failing the driver gate forces the distributed sort-limit vocab path
+    with _tier("exchange"):
+        b = unigram_logprob_scores(ray.data.from_pandas(df).repartition(2),
+                                   "text", "doc_id", max_vocab=3) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert a["doc_id"].tolist() == [1, 2, 3] == b["doc_id"].tolist()
     assert np.allclose(a["logprob"], b["logprob"])
     # common-token doc scores higher than the OOV doc
