@@ -8,12 +8,16 @@ string/token/normalizedString, XMLLiteral/PlainLiteral) and its XSP
 custom-datatype facet evaluator (checks/Check.php:559-953).
 
 These are NOT ports of the PHP code: each validator is written from the
-public XSD 1.1 datatype definitions (https://www.w3.org/TR/xmlschema11-2/)
-as a *vectorized* kernel — one compiled regex / numpy pass over a whole
-column per batch, never a Python loop over rows in the hot path.
+public XSD 1.1 datatype definitions (https://www.w3.org/TR/xmlschema11-2/).
+A lexical check is one Python loop over the column's values calling a
+compiled regex's own ``match`` / ``fullmatch`` / ``search`` on each str
+(the calls pandas' ``.str`` methods make, without building a Series);
+integer lexicals with bounds are compared as exact Python ints.  Nulls,
+numeric bounds of numeric columns and byte lengths are one numpy or
+Arrow compute pass over the whole column.
 
-All validators:  np.ndarray[object] of str|None  ->  np.ndarray[bool]
-(None is invalid at this layer; nullability is a separate facet).
+All validators:  sequence of Python values (str|None|any)  ->  np.ndarray[bool]
+(a non-str is invalid at this layer; nullability is a separate facet).
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import xml.etree.ElementTree as ET
 from typing import Callable, Optional
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..spec import Facets
 
@@ -79,135 +84,79 @@ _INT_BOUNDS = {
 }
 
 
-def _as_str_series(values) -> pd.Series:
-    if isinstance(values, pd.Series):
-        return values
-    return pd.Series(values, dtype="object")
+def _str_test(test: Callable[[str], object], values) -> np.ndarray:
+    """True where the value is a str that passes ``test`` (a compiled
+    regex's ``match`` / ``search``: a match object is truthy)."""
+    return np.array([isinstance(v, str) and bool(test(v)) for v in values], dtype=bool)
 
 
-def _all_str(s: pd.Series) -> bool:
-    """True iff every non-null entry is a str — decided by ONE C pass
-    (pandas infer_dtype), not a per-value Python map.  Columns arriving
-    from Arrow string arrays (the workhorse case) hit this fast path."""
-    kind = pd.api.types.infer_dtype(s, skipna=True)
-    return kind in ("string", "empty", "unicode")
-
-
-def _only_strings(s: pd.Series) -> pd.Series:
-    """Mask non-str entries to NaN so .str accessors never crash on mixed
-    object columns (non-strings are lexically invalid by definition)."""
-    if s.dtype == object and len(s) and not _all_str(s):
-        return s.where(s.map(lambda v: isinstance(v, str)))
-    return s
-
-
-def _regex_valid(values, rx: re.Pattern) -> np.ndarray:
-    s = _only_strings(_as_str_series(values))
-    if len(s) == 0 or s.isna().all():
-        return np.zeros(len(s), dtype=bool)
-    out = s.str.match(rx, na=False)
-    return out.to_numpy(dtype=bool)
+def _as_float(v) -> float:
+    """One value as a number the way ``pandas.to_numeric(errors="coerce")``
+    reads it: ``float(v)``, NaN where that fails.  Text must be ASCII
+    without "_", and a finite number beyond the float range is NaN."""
+    if isinstance(v, str) and (not v.isascii() or "_" in v):
+        return np.nan
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
+    return np.nan if isinstance(v, str) and np.isinf(x) and "inf" not in v.lower() else x
 
 
 def _int_family(values, lo, hi) -> np.ndarray:
-    s = _only_strings(_as_str_series(values))
-    if len(s) == 0 or s.isna().all():
-        return np.zeros(len(s), dtype=bool)
-    ok = s.str.match(RE_INTEGER, na=False)
-    if lo is None and hi is None:
-        return ok.to_numpy(dtype=bool)
-    okn = ok.to_numpy(dtype=bool)
-    if not okn.any():
-        return okn
-    sub = s.where(ok)
-    # Fast path: lexicals of <= 15 chars are < 10^15 < 2^53 in absolute
-    # value, so a float64 parse is EXACT and the bounds compare with the
-    # _INT_BOUNDS constants (all either <= 2^31 exactly-representable or
-    # >= 2^63-ish, far above any 15-digit value) is exact too — one
-    # vectorized to_numeric instead of a per-value Python int().
-    lens = sub.str.len()
-    short = ((lens <= 15).fillna(False) & ok).to_numpy(dtype=bool)
-    out = okn.copy()
-    if short.any():
-        vals = pd.to_numeric(
-            sub.where(pd.Series(short, index=sub.index)),
-            errors="coerce").to_numpy(dtype=np.float64)
-        good = np.ones(len(s), dtype=bool)
-        if lo is not None:
-            good &= vals >= lo
-        if hi is not None:
-            good &= vals <= hi
-        out &= np.where(short, good, True)
-    # Slow path (rare: 16+ chars, e.g. near the long/unsignedLong
-    # bounds): exact arbitrary-precision Python ints — floats would
-    # round 2^64 onto the unsignedLong max.
-    long_mask = okn & ~short
-    for i in np.flatnonzero(long_mask):
-        v = int(s.iloc[i])
-        out[i] = ((lo is None or v >= lo) and (hi is None or v <= hi))
-    return out
+    """Integer lexicals within [lo, hi], compared as exact Python ints."""
+    def ok(v: str) -> bool:
+        if RE_INTEGER.match(v) is None:
+            return False
+        n = int(v)
+        return (lo is None or n >= lo) and (hi is None or n <= hi)
+    return _str_test(ok, values)
 
 
 def _valid_string(values) -> np.ndarray:
     """xsd:string — any well-formed character data.  The reference
     validates by round-tripping through an XML parser
-    (checks/Check.php:469-538); here any non-null str is valid (Arrow
-    strings are guaranteed valid UTF-8)."""
-    s = _as_str_series(values)
-    if s.dtype == object:
-        if _all_str(s):
-            return s.notna().to_numpy(dtype=bool)
-        return s.map(lambda v: isinstance(v, str)).to_numpy(dtype=bool)
-    return s.notna().to_numpy(dtype=bool)
+    (checks/Check.php:469-538); here any str is valid (Arrow strings are
+    guaranteed valid UTF-8)."""
+    return np.array([isinstance(v, str) for v in values], dtype=bool)
 
 
 def _valid_xmlliteral(values) -> np.ndarray:
-    """rdf:XMLLiteral — value must parse as an XML fragment.  Inherently
-    per-value (XML parsing has no vectorized kernel); only used for
-    explicitly XML-typed columns, never in the hot default path."""
-    s = _as_str_series(values)
-    out = np.zeros(len(s), dtype=bool)
-    for i, v in enumerate(s):
-        if isinstance(v, str):
-            try:
-                ET.fromstring(f"<r>{v}</r>")
-                out[i] = True
-            except ET.ParseError:
-                out[i] = False
-    return out
+    """rdf:XMLLiteral — value must parse as an XML fragment (only used
+    for explicitly XML-typed columns, never in the hot default path)."""
+    def ok(v: str) -> bool:
+        try:
+            ET.fromstring(f"<r>{v}</r>")
+            return True
+        except ET.ParseError:
+            return False
+    return _str_test(ok, values)
 
 
 VALIDATORS: dict[str, Callable[..., np.ndarray]] = {
-    "dateTime": lambda v: _regex_valid(v, RE_DATETIME),
-    "dateTimeStamp": lambda v: _regex_valid(v, RE_DATETIMESTAMP),
-    "date": lambda v: _regex_valid(v, RE_DATE_ONLY),
-    "time": lambda v: _regex_valid(v, RE_TIME_ONLY),
-    "base64Binary": lambda v: _regex_valid(v, RE_BASE64),
-    "hexBinary": lambda v: _regex_valid(v, RE_HEX),
-    "anyURI": lambda v: _regex_valid(v, RE_ANYURI),
-    "boolean": lambda v: _regex_valid(v, RE_BOOLEAN),
-    "decimal": lambda v: _regex_valid(v, RE_DECIMAL),
-    "double": lambda v: _regex_valid(v, RE_FLOATING),
-    "float": lambda v: _regex_valid(v, RE_FLOATING),
-    "language": lambda v: _regex_valid(v, RE_LANGUAGE),
-    "Name": lambda v: _regex_valid(v, RE_NAME),
-    "NCName": lambda v: _regex_valid(v, RE_NCNAME),
-    "NMTOKEN": lambda v: _regex_valid(v, RE_NMTOKEN),
+    "dateTime": lambda v: _str_test(RE_DATETIME.match, v),
+    "dateTimeStamp": lambda v: _str_test(RE_DATETIMESTAMP.match, v),
+    "date": lambda v: _str_test(RE_DATE_ONLY.match, v),
+    "time": lambda v: _str_test(RE_TIME_ONLY.match, v),
+    "base64Binary": lambda v: _str_test(RE_BASE64.match, v),
+    "hexBinary": lambda v: _str_test(RE_HEX.match, v),
+    "anyURI": lambda v: _str_test(RE_ANYURI.match, v),
+    "boolean": lambda v: _str_test(RE_BOOLEAN.match, v),
+    "decimal": lambda v: _str_test(RE_DECIMAL.match, v),
+    "double": lambda v: _str_test(RE_FLOATING.match, v),
+    "float": lambda v: _str_test(RE_FLOATING.match, v),
+    "language": lambda v: _str_test(RE_LANGUAGE.match, v),
+    "Name": lambda v: _str_test(RE_NAME.match, v),
+    "NCName": lambda v: _str_test(RE_NCNAME.match, v),
+    "NMTOKEN": lambda v: _str_test(RE_NMTOKEN.match, v),
     "string": _valid_string,
-    "normalizedString": lambda v: _valid_string(v) & ~_regex_contains(v, RE_HAS_WS_CHARS),
-    "token": lambda v: _valid_string(v) & ~_regex_contains(v, RE_TOKEN_BAD),
+    "normalizedString": lambda v: _valid_string(v) & ~_str_test(RE_HAS_WS_CHARS.search, v),
+    "token": lambda v: _valid_string(v) & ~_str_test(RE_TOKEN_BAD.search, v),
     "XMLLiteral": _valid_xmlliteral,
-    "PlainLiteral": lambda v: _regex_valid(v, RE_PLAINLITERAL),
+    "PlainLiteral": lambda v: _str_test(RE_PLAINLITERAL.match, v),
 }
 for _name, (_lo, _hi) in _INT_BOUNDS.items():
     VALIDATORS[_name] = (lambda lo, hi: lambda v: _int_family(v, lo, hi))(_lo, _hi)
-
-
-def _regex_contains(values, rx: re.Pattern) -> np.ndarray:
-    s = _only_strings(_as_str_series(values))
-    if len(s) == 0 or s.isna().all():
-        return np.zeros(len(s), dtype=bool)
-    return s.str.contains(rx, na=False).to_numpy(dtype=bool)
 
 
 def validate(datatype: str, value: Optional[str]) -> bool:
@@ -224,39 +173,57 @@ def validate(datatype: str, value: Optional[str]) -> bool:
 # Facet evaluation over a batch column
 # ---------------------------------------------------------------------------
 
+def column_values(col) -> np.ndarray:
+    """An Arrow column as numpy values (str/None objects for text).  A
+    dictionary column is decoded first: numpy conversion of a chunked
+    dictionary array fills its null slots with values."""
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    return col.to_numpy(zero_copy_only=False)
+
+
 def facet_violations(values, facets: Facets) -> dict[str, np.ndarray]:
     """Evaluate all declared facets conjunctively over one column.
 
-    Returns {facet_name: boolean violation mask}.  Null handling: nulls
-    only violate ``not_null``; every other facet treats null as pass
-    (absence is the cardinality checks' concern, mirroring how the
-    reference only validates values that exist).
+    ``values`` is an Arrow (Chunked)Array or a sequence of Python values
+    (an object ndarray may mix types).  Returns {facet_name: boolean
+    violation mask}.  Null handling: nulls only violate ``not_null``;
+    every other facet treats null as pass (absence is the cardinality
+    checks' concern, mirroring how the reference only validates values
+    that exist).  Text facets only ever judge str values, byte facets
+    bytes values.
     """
-    s = _as_str_series(values)
-    isnull = s.isna().to_numpy(dtype=bool)
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        isnull = pc.is_null(values, nan_is_null=True).to_numpy(zero_copy_only=False)
+        is_bytes = pa.types.is_binary(values.type) or pa.types.is_large_binary(values.type)
+        # payloads are measured in Arrow, never copied out
+        py = None if is_bytes else column_values(values)
+    else:
+        py = np.asarray(values, dtype=object)
+        # missing: None, or a float NaN (a float column's null in numpy)
+        isnull = np.array([v is None or (isinstance(v, float) and v != v) for v in py],
+                          dtype=bool)
+        first = next((v for v, null in zip(py, isnull) if not null), None)
+        is_bytes = isinstance(first, (bytes, bytearray))
     notnull = ~isnull
+    # str values only live in object arrays; numeric columns hold none
+    texts = py if py is not None and py.dtype == object else None
+    none = np.zeros(len(isnull), dtype=bool)
     out: dict[str, np.ndarray] = {}
 
     if facets.not_null:
         out["not_null"] = isnull
 
-    is_bytes = len(s) > 0 and isinstance(s.dropna().iloc[0] if notnull.any() else None, (bytes, bytearray))
-
     if facets.not_empty:
         if is_bytes:
-            lens = s.map(lambda b: len(b) if isinstance(b, (bytes, bytearray)) else None)
-            out["not_empty"] = (lens.fillna(1) == 0).to_numpy(dtype=bool) & notnull
+            out["not_empty"] = (_lengths(values, py, is_bytes) == 0) & notnull
         else:
-            out["not_empty"] = (s.fillna("x") == "").to_numpy(dtype=bool) & notnull
+            out["not_empty"] = none if texts is None else _str_test(lambda v: v == "", texts)
 
     if facets.pattern is not None:
-        rx = _compiled(facets.pattern)
-        s2 = _only_strings(s)
-        if len(s2) == 0 or s2.isna().all():
-            out["pattern"] = np.zeros(len(s), dtype=bool)
-        else:
-            ok = s2.str.fullmatch(rx, na=True)
-            out["pattern"] = (~ok.to_numpy(dtype=bool)) & notnull
+        fullmatch = _compiled(facets.pattern).fullmatch
+        out["pattern"] = (none if texts is None else
+                          _str_test(lambda v: fullmatch(v) is None, texts))
 
     numeric_needed = any(
         x is not None
@@ -264,51 +231,54 @@ def facet_violations(values, facets: Facets) -> dict[str, np.ndarray]:
                   facets.min_exclusive, facets.max_exclusive)
     )
     if numeric_needed:
-        nums = pd.to_numeric(s, errors="coerce")
-        bad = np.zeros(len(s), dtype=bool)
+        if py is None:
+            nums = np.full(len(isnull), np.nan)
+        elif py.dtype.kind in "biuf":
+            nums = py
+        else:
+            nums = np.array([_as_float(v) for v in py], dtype=np.float64)
+        bad = none.copy()
         if facets.min_inclusive is not None:
-            bad |= (nums < facets.min_inclusive).to_numpy(dtype=bool)
+            bad |= nums < facets.min_inclusive
         if facets.max_inclusive is not None:
-            bad |= (nums > facets.max_inclusive).to_numpy(dtype=bool)
+            bad |= nums > facets.max_inclusive
         if facets.min_exclusive is not None:
-            bad |= (nums <= facets.min_exclusive).to_numpy(dtype=bool)
+            bad |= nums <= facets.min_exclusive
         if facets.max_exclusive is not None:
-            bad |= (nums >= facets.max_exclusive).to_numpy(dtype=bool)
+            bad |= nums >= facets.max_exclusive
         out["bounds"] = bad & notnull
 
     length_needed = any(x is not None for x in (facets.min_length, facets.max_length, facets.length))
     if length_needed:
-        if is_bytes:
-            lens = s.map(lambda b: len(b) if isinstance(b, (bytes, bytearray)) else np.nan)
-        else:
-            s2 = _only_strings(s)
-            lens = (pd.Series(np.nan, index=s2.index)
-                    if (len(s2) == 0 or s2.isna().all()) else s2.str.len())
-        lens = pd.to_numeric(lens, errors="coerce")
-        bad = np.zeros(len(s), dtype=bool)
+        lens = _lengths(values, py, is_bytes)
+        bad = none.copy()
         if facets.min_length is not None:
-            bad |= (lens < facets.min_length).to_numpy(dtype=bool)
+            bad |= lens < facets.min_length
         if facets.max_length is not None:
-            bad |= (lens > facets.max_length).to_numpy(dtype=bool)
+            bad |= lens > facets.max_length
         if facets.length is not None:
-            bad |= (lens != facets.length).to_numpy(dtype=bool) & notnull
+            bad |= lens != facets.length
         out["length"] = bad & notnull
 
-    # lexical datatype validation only applies to string-typed data; numeric
+    # lexical datatype validation only applies to str values; numeric
     # columns arrive as Arrow ints/floats whose type conformance is the
     # schema check's concern
-    if facets.dtype in VALIDATORS and not is_bytes and s.dtype == object and notnull.any():
-        if facets.dtype not in ("string",):
-            valid = VALIDATORS[facets.dtype](s)
-            if _all_str(s):
-                strish = notnull
-            else:
-                strish = s.map(lambda v: isinstance(v, str)) \
-                    .to_numpy(dtype=bool)
-            mask = (~valid) & notnull & strish
-            if mask.any():
-                out["datatype"] = mask
+    if (facets.dtype in VALIDATORS and facets.dtype != "string" and not is_bytes
+            and texts is not None and notnull.any()):
+        mask = ~VALIDATORS[facets.dtype](texts) & _valid_string(texts)
+        if mask.any():
+            out["datatype"] = mask
     return out
+
+
+def _lengths(values, py, is_bytes: bool) -> np.ndarray:
+    """Each value's length; NaN where the value is not of the column's
+    kind (bytes-like in a binary column, else str)."""
+    if py is None:
+        return pc.binary_length(values).to_numpy(zero_copy_only=False)
+    kind = (bytes, bytearray) if is_bytes else str
+    return np.array([len(v) if isinstance(v, kind) else np.nan for v in py],
+                    dtype=np.float64)
 
 
 _RX_CACHE: dict[str, re.Pattern] = {}

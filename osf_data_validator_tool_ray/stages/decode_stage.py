@@ -8,8 +8,10 @@ existential; the suite's one per-batch body
 (``pipelines.runner.SuitePass``) calls it, and ``bytes_suite_pass`` runs
 it alone over a Dataset.
 
-``AudioDecodeValidator.__call__`` fully decodes every payload of the
-batch (``audio.decode_ints``) and emits only what the findings read:
+``AudioDecodeValidator.stats`` fully decodes every payload of the batch
+(``audio.decode_ints`` on each zero-copy view) and returns, as numpy
+arrays that ``BytesSuitePass.findings`` reads directly, only what the
+findings read; ``__call__`` packs them into a table:
 
   clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, error.
 
@@ -30,6 +32,7 @@ import pyarrow as pa
 
 from .. import audio
 from ..checks.base import empty_violations, make_violations
+from ..functions.facets import column_values
 from ..stages.base_ids import DECODE_100, DECODE_101
 
 # the columns the payload findings read
@@ -48,26 +51,22 @@ STATS_SCHEMA = pa.schema(
 
 
 class AudioDecodeValidator:
-    def __init__(self):
-        # worker-lifetime state: one-time setup (decoder dispatch; this is
-        # where codec tables / models load at fleet scale)
-        self._decode = audio.decode_ints
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("clip_id").to_pylist()
+    def stats(self, batch: pa.Table) -> tuple[np.ndarray, ...]:
+        """(decoded_ok, frames, payload_sr_hz, payload_codec, error) of
+        each row, as numpy arrays (the last two of objects)."""
         payloads = audio.binary_views(batch.column("bytes"))  # zero-copy
-        n = len(ids)
+        n = len(payloads)
         ok = np.zeros(n, dtype=bool)
         frames = np.zeros(n, dtype=np.int64)
         srs = np.zeros(n, dtype=np.int32)
-        codecs: list = [None] * n
-        errs: list = [None] * n
+        codecs = np.full(n, None, dtype=object)
+        errs = np.full(n, None, dtype=object)
         for i, buf in enumerate(payloads):
             if buf is None:
                 errs[i] = "null payload"
                 continue
             try:
-                ints, sr, codec = self._decode(buf)
+                ints, sr, codec = audio.decode_ints(buf)
             except audio.DecodeError as e:
                 errs[i] = str(e)
                 continue
@@ -75,8 +74,12 @@ class AudioDecodeValidator:
             frames[i] = len(ints)
             srs[i] = sr
             codecs[i] = codec
+        return ok, frames, srs, codecs, errs
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ok, frames, srs, codecs, errs = self.stats(batch)
         return pa.table({
-            "clip_id": pa.array(ids, type=pa.string()),
+            "clip_id": batch.column("clip_id").cast(pa.string()),
             "decoded_ok": pa.array(ok),
             "frames": pa.array(frames),
             "payload_sr_hz": pa.array(srs),
@@ -148,16 +151,10 @@ class BytesSuitePass:
 
     def findings(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
         """(violation rows, per-row decoded_ok) of one batch."""
-        frame_tolerance = self.frame_tolerance
         universal_predicates = self.universal_predicates
-        stats = self.validator(batch)
+        ok, frames, psr, pcodec, errs = self.validator.stats(batch)
+        keys = column_values(batch.column("clip_id"))
         out = []
-        ok = stats.column("decoded_ok").to_numpy(zero_copy_only=False)
-        keys = np.asarray(stats.column("clip_id").to_pylist(), dtype=object)
-        errs = np.asarray(stats.column("error").to_pylist(), dtype=object)
-        frames = stats.column("frames").to_numpy(zero_copy_only=False)
-        psr = stats.column("payload_sr_hz").to_numpy(zero_copy_only=False)
-        pcodec = np.asarray(stats.column("payload_codec").to_pylist(), dtype=object)
 
         if (~ok).any():
             m = ~ok
@@ -169,7 +166,7 @@ class BytesSuitePass:
                     "DATATYPE-FACET-101", keys[null_m], "bytes",
                     [None] * int(null_m.sum()), expected="binary:not_null"))
         if "codec" in batch.column_names:
-            dec = np.asarray(batch.column("codec").to_pylist(), dtype=object)
+            dec = column_values(batch.column("codec"))
             m = ok & (pcodec != dec)
             if m.any():
                 out.append(make_violations(DECODE_101, keys[m], "codec", pcodec[m],
@@ -192,7 +189,7 @@ class BytesSuitePass:
             if "dur_ms" in batch.column_names:
                 dur = batch.column("dur_ms").to_numpy(zero_copy_only=False)
                 expect = sr.astype(np.float64) * dur.astype(np.float64) / 1000.0
-                tol = np.maximum(1.0, frame_tolerance * expect)
+                tol = np.maximum(1.0, self.frame_tolerance * expect)
                 m = ok & (np.abs(frames - expect) > tol)
                 if m.any():
                     out.append(make_violations(DECODE_101, keys[m], "dur_ms",

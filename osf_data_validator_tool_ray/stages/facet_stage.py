@@ -6,7 +6,9 @@ Arrow batches — the engine's equivalent of the reference's per-value
 scalar loops in CheckDatatypePropertiesDatatype.php:142-480,
 CheckClassesDefined.php:40-51, CheckObjectDatatypePropertiesDomain.php and
 CheckOwlRestrictionOnly.php:119-163, but evaluated columnar and fused so
-the table is scanned once, not once per check.
+the table is scanned once, not once per check.  Columns reach the facet
+kernel as Arrow arrays; enum and cross-column domains are ``pc.is_in``
+over value sets built once.
 
 The stage is a callable CLASS: spec compilation (facet regexes, enum
 closures, per-type allowed sets) happens once per actor/worker in
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.facets import facet_violations
 from ..spec import ConstraintSpec
@@ -45,7 +48,11 @@ class StatelessValidator:
         self.spec = spec
         self.key = spec.key_column
         self.skip_columns = set(skip_columns)
-        self.enum_closures = [(e.column, e.closure()) for e in spec.enums]
+        self.enum_closures = [(e.column, pa.array(sorted(e.closure()))) for e in spec.enums]
+        self.cross_domains = [
+            (cd, pa.array(list(cd.allowed)),
+             [(pa.array([t]), pa.array(list(allowed))) for t, allowed in cd.allowed.items()])
+            for cd in spec.cross_domains]
         # unknown predicate ids are skipped here and reported by the
         # driver's unevaluable_warnings sweep (ONLY-50)
         self.universals = ([(u.predicate, PREDICATES[u.predicate])
@@ -82,8 +89,7 @@ class StatelessValidator:
         for column, facets in spec.facets.items():
             if column not in batch.column_names or column in self.skip_columns:
                 continue
-            values = batch.column(column).to_pandas()
-            for facet_name, mask in facet_violations(values, facets).items():
+            for facet_name, mask in facet_violations(batch.column(column), facets).items():
                 v = mask_violations(
                     batch, mask, DATATYPE_FACET_101, self.key, column,
                     expected=f"{facets.dtype}:{facet_name}",
@@ -92,29 +98,29 @@ class StatelessValidator:
                     out.append(v)
 
         # 2. enum domains with hierarchy closure (ENUM-DOMAIN-100)
-        for column, closure in self.enum_closures:
+        for column, members in self.enum_closures:
             if column not in batch.column_names:
                 continue
-            vals = batch.column(column).to_pandas()
-            bad = (~vals.isin(closure)).to_numpy(dtype=bool) & vals.notna().to_numpy(dtype=bool)
+            vals = batch.column(column)
+            bad = ~_is_in(vals, members) & _notnull(vals)
             v = mask_violations(batch, bad, ENUM_DOMAIN_100, self.key, column,
-                                expected=f"in closure of {sorted(closure)[:8]}")
+                                expected=f"in closure of {members.to_pylist()[:8]}")
             if v is not None:
                 out.append(v)
 
         # 3. cross-column domains (CROSS-DOMAIN-100)
-        for cd in spec.cross_domains:
+        for cd, type_values, domains in self.cross_domains:
             if cd.type_column not in batch.column_names or cd.column not in batch.column_names:
                 continue
-            types = batch.column(cd.type_column).to_pandas()
-            vals = batch.column(cd.column).to_pandas()
+            types = batch.column(cd.type_column)
+            vals = batch.column(cd.column)
             bad = np.zeros(batch.num_rows, dtype=bool)
-            known = types.isin(cd.allowed.keys()).to_numpy(dtype=bool)
-            for tval, allowed in cd.allowed.items():
-                sel = (types == tval).to_numpy(dtype=bool)
+            vals_notnull = _notnull(vals)
+            for tval, allowed in domains:
+                sel = _is_in(types, tval)
                 if sel.any():
-                    bad |= sel & (~vals.isin(allowed)).to_numpy(dtype=bool) & vals.notna().to_numpy(dtype=bool)
-            unknown = ~known & types.notna().to_numpy(dtype=bool)
+                    bad |= sel & ~_is_in(vals, allowed) & vals_notnull
+            unknown = ~_is_in(types, type_values) & _notnull(types)
             if not cd.unknown_type_ok:
                 bad |= unknown
             elif unknown.any():
@@ -154,8 +160,7 @@ class StatelessValidator:
                 scope = PREDICATES[qname](batch)
             else:
                 scope = np.ones(batch.num_rows, dtype=bool)
-            values = batch.column(column).to_pandas()
-            for facet_name, mask in facet_violations(values, vf).items():
+            for facet_name, mask in facet_violations(batch.column(column), vf).items():
                 v = mask_violations(
                     batch, mask & scope, cid, self.key, column,
                     expected=f"{vf.dtype}:{facet_name} within restriction"
@@ -167,6 +172,25 @@ class StatelessValidator:
         if not out:
             return empty_violations()
         return pa.concat_tables(out).combine_chunks()
+
+
+def _notnull(col) -> np.ndarray:
+    return ~pc.is_null(col, nan_is_null=True).to_numpy(zero_copy_only=False)
+
+
+def _is_in(col, members: pa.Array) -> np.ndarray:
+    """Rows of ``col`` whose value is one of ``members`` (never a null).
+    As in Python, text is never equal to a non-text value (Arrow would
+    cast "8000" to a member of an integer column); a column typed null
+    has no values."""
+    if pa.types.is_null(col.type) or _is_text(col.type) != _is_text(members.type):
+        return np.zeros(len(col), dtype=bool)
+    return pc.is_in(col, value_set=members).to_numpy(zero_copy_only=False)
+
+
+def _is_text(t: pa.DataType) -> bool:
+    t = t.value_type if pa.types.is_dictionary(t) else t
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
 
 
 def stateless_columns(spec: ConstraintSpec, skip_columns: tuple = (),

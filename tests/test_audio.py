@@ -88,3 +88,78 @@ def test_mulaw_inverse_is_exactish():
     rt = audio.mulaw_decode(audio.mulaw_encode(x))
     # mu-law is lossy but monotone; max quantization error bounded
     assert np.max(np.abs(rt.astype(np.int32) - x.astype(np.int32))) < 1024
+
+
+def test_mulaw_table_is_g711_for_every_codeword():
+    codes = np.arange(256, dtype=np.uint8)
+    got = audio.mulaw_decode(codes)
+    assert got.dtype == np.int16
+    assert got.tolist() == [_naive_ulaw(int(c)) for c in codes]
+
+
+def _chunk(cid: bytes, body: bytes) -> bytes:
+    return cid + struct.pack("<I", len(body)) + body + b"\0" * (len(body) & 1)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_FMT16 = _chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16))
+_FMT_ULAW = _chunk(b"fmt ", struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8))
+
+# (payload, the header dict parse_header returns or its DecodeError message)
+PARSE_CASES = {
+    "canonical 44-byte header": (
+        _riff(_FMT16, _chunk(b"data", b"\1\0\2\0")),
+        {"format_tag": 1, "channels": 1, "sr_hz": 16000, "bits": 16,
+         "data_offset": 44, "data_len": 4}),
+    "LIST chunk before fmt": (
+        _riff(_chunk(b"LIST", b"INFOISFT\4\0\0\0abc\0"), _FMT16, _chunk(b"data", b"\0" * 6)),
+        {"format_tag": 1, "channels": 1, "sr_hz": 16000, "bits": 16,
+         "data_offset": 68, "data_len": 6}),
+    "odd-length chunk and its pad byte": (
+        _riff(_chunk(b"junk", b"xyz"), _FMT_ULAW, _chunk(b"data", b"\xff" * 9)),
+        {"format_tag": 7, "channels": 1, "sr_hz": 8000, "bits": 8,
+         "data_offset": 56, "data_len": 9}),
+    "truncated fmt": (
+        _riff(_chunk(b"fmt ", b"\1\0\1\0"), _chunk(b"data", b"\0" * 20)),
+        "truncated fmt chunk"),
+    "data before fmt": (
+        _riff(_chunk(b"data", b"\0" * 4), _FMT16),
+        "data chunk before fmt chunk"),
+    "odd-length 16-bit data": (
+        _riff(_FMT16, _chunk(b"data", b"\0" * 5)),
+        "data chunk is not a whole number of samples"),
+    "data longer than the payload": (
+        _riff(_FMT16, _chunk(b"data", b"\0" * 8))[:-2],
+        "truncated data chunk"),
+    "no data chunk": (
+        _riff(_FMT16, _chunk(b"LIST", b"\0" * 8)),
+        "missing data chunk"),
+    "under 44 bytes": (
+        _riff(_FMT16, _chunk(b"data", b""))[:43],
+        "not a RIFF/WAVE payload"),
+    "wrong magic": (
+        b"RIFX" + _riff(_FMT16, _chunk(b"data", b"\0\0"))[4:],
+        "not a RIFF/WAVE payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_parse_header_table_bytes_and_views(case):
+    """parse_header gives the same answer on bytes and on the memoryview
+    ``binary_views`` hands the kernels."""
+    import pyarrow as pa
+
+    buf, want = PARSE_CASES[case]
+    (view,) = audio.binary_views(pa.array([buf], type=pa.binary()))
+    assert isinstance(view, memoryview)
+    for payload in (buf, view):
+        if isinstance(want, dict):
+            assert audio.parse_header(payload) == want
+        else:
+            with pytest.raises(audio.DecodeError) as err:
+                audio.parse_header(payload)
+            assert str(err.value) == want
