@@ -144,9 +144,9 @@ def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
     """Distinct non-null values of ``col`` tagged with ``marker``; the key
     dtype is preserved so it matches the metadata partials' key type for
     the union (ints stay ints).  A plain parquet read that passes the
-    driver gate on its footers is read by its files, ``col`` only, and
-    tagged in process (a ``pa.Table``); any other side is tagged by one
-    map over the Dataset."""
+    driver gate on its footers is read by its files through those
+    footers, ``col`` only, and tagged in process (a ``pa.Table``); any
+    other side is tagged by one map over the Dataset."""
     import pyarrow.parquet as pq
 
     from ..pipelines import relational
@@ -160,9 +160,11 @@ def _marker_partial(ds: "ray.data.Dataset", col: str, marker: str,
         return _pad(base, all_cols)
 
     files = parquet_read_files(ds)
-    if files is not None and relational.fits_driver_merge(
-            footer_size([pq.read_metadata(f) for f in files])):
-        return fn(pa.concat_tables([pq.read_table(f, columns=[col]) for f in files]))
+    if files is not None:
+        footers = [pq.read_metadata(f) for f in files]
+        if relational.fits_driver_merge(footer_size(footers)):
+            return fn(pa.concat_tables([pq.ParquetFile(f, metadata=m).read(columns=[col])
+                                        for f, m in zip(files, footers)]))
     return ds.select_columns([col]).map_batches(
         fn, batch_format="pyarrow", batch_size=None)
 

@@ -33,24 +33,26 @@ import pyarrow.compute as pc
 from ..spec import Facets
 
 # ---------------------------------------------------------------------------
-# regexes (XSD 1.1 lexical spaces, ASCII-pragmatic where the spec allows
-# full Unicode name characters)
+# regexes (XSD 1.1 lexical spaces).  The numeric, date and time patterns
+# are ASCII: their lexical spaces allow only the digits 0-9, and without
+# re.ASCII ``\d`` matches every Unicode decimal digit ("١٢").  The XML
+# Name patterns stay Unicode, as XML Names allow.
 # ---------------------------------------------------------------------------
 
 _TZ = r"(Z|[+-](0\d|1[0-4]):[0-5]\d)"
 _DATE = r"-?\d{4,}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])"
 _TIME = r"([01]\d|2[0-3]):[0-5]\d:[0-5]\d(\.\d+)?|24:00:00(\.0+)?"
-RE_DATETIME = re.compile(rf"{_DATE}T({_TIME}){_TZ}?$")
-RE_DATETIMESTAMP = re.compile(rf"{_DATE}T({_TIME}){_TZ}$")
-RE_DATE_ONLY = re.compile(rf"{_DATE}{_TZ}?$")
-RE_TIME_ONLY = re.compile(rf"({_TIME}){_TZ}?$")
+RE_DATETIME = re.compile(rf"{_DATE}T({_TIME}){_TZ}?$", re.ASCII)
+RE_DATETIMESTAMP = re.compile(rf"{_DATE}T({_TIME}){_TZ}$", re.ASCII)
+RE_DATE_ONLY = re.compile(rf"{_DATE}{_TZ}?$", re.ASCII)
+RE_TIME_ONLY = re.compile(rf"({_TIME}){_TZ}?$", re.ASCII)
 
 RE_BASE64 = re.compile(r"(?:[A-Za-z0-9+/]\s?)*(?:[A-Za-z0-9+/](\s?=\s?=|\s?=)?)?$")
 RE_HEX = re.compile(r"(?:[0-9a-fA-F]{2})*$")
 RE_BOOLEAN = re.compile(r"(true|false|1|0)$")
-RE_INTEGER = re.compile(r"[+-]?\d+$")
-RE_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)$")
-RE_FLOATING = re.compile(r"([+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?|[+-]?INF|NaN)$")
+RE_INTEGER = re.compile(r"[+-]?\d+$", re.ASCII)
+RE_DECIMAL = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)$", re.ASCII)
+RE_FLOATING = re.compile(r"([+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?|[+-]?INF|NaN)$", re.ASCII)
 # RFC 3986-shaped URI: scheme ':' hier-part [? query] [# fragment]
 RE_ANYURI = re.compile(
     r"[A-Za-z][A-Za-z0-9+.\-]*:"          # scheme

@@ -89,8 +89,8 @@ class _StageCheckpoints:
         between artifact publish and record write counts as incomplete
         and the stage re-runs (idempotent — publish replaces)."""
         pid = f"stage-{name}"
-        rec = self.store.read_record(pid)
-        if not rec or rec.get("status") != "done":
+        rec = self.store.completed_record(pid)
+        if rec is None:
             return None
         art = self.store.artifact_dir(pid, "parquet")
         if not (os.path.isdir(art) and os.listdir(art)):
@@ -137,8 +137,8 @@ class _StageCheckpoints:
         import pyarrow.parquet as pq
 
         pid = f"stage-{name}"
-        rec = self.store.read_record(pid)
-        if not rec or rec.get("status") != "done":
+        rec = self.store.completed_record(pid)
+        if rec is None:
             return None
         art = self.store.artifact_dir(pid, "parquet")
         if not (os.path.isdir(art) and os.listdir(art)):

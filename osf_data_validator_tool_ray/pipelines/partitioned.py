@@ -16,18 +16,19 @@ Per incomplete partition (skipped when its checkpoint record is done):
      again)
   3. metrics + lineage record -> checkpoint store (atomic)
 
-Execution model: ONE Ray task per partition.  The partition is the unit
-of parallelism — a fleet processes thousands of fragments concurrently,
-each task streaming its file batch-by-batch through the same per-batch
-body the Dataset path maps (runner.SuitePass).  This avoids paying a
-full Ray Dataset execution's fixed cost (planning + scheduling +
-barrier) per partition, which dominates when fragments are small; for
-large fragments the in-task loop is memory-bounded (iter_batches
-streams).  Reads are pruned AT THE SCAN: iter_batches(columns=...)
-reads only the columns the body touches.  The checkpoint store's
-atomic per-partition records keep resume semantics unchanged (store
-root must be on a filesystem all workers share — same contract as the
-artifact sinks).
+Execution model: ONE Ray task per contiguous SHARE of the incomplete
+partitions (``relational.shares``, as in the suite's file route: one per
+CPU slot unless the files are large, one per Lance fragment).  The share
+is the unit of parallelism and the partition stays the unit of resume:
+a share task runs the steps above for each of its partitions in turn,
+recording each as it finishes, so a task's ~10 ms of scheduling is paid
+once per slot rather than once per small partition.  A share records
+every healthy partition before it re-raises the first failure, skips
+partitions already recorded when Ray retries it, and the driver waits
+for every share before it re-raises.  Reads are pruned AT THE SCAN and
+streamed (iter_batches(columns=...) reads only the columns the body
+touches).  The store root must be on a filesystem all workers share —
+same contract as the artifact sinks.
 
 Final merge (cheap, always re-run; reads only stored artifacts, their
 parquet footers and the first partition's footer):
@@ -37,9 +38,9 @@ parquet footers and the first partition's footer):
     suite's own gate-and-merge (``runner.merge_scan``, which the file
     route of ``runner.scan_checks`` runs on its task outputs) does the
     rest: below the driver gate (``relational.fits_driver_merge``) the
-    artifacts are read with pyarrow and merged in process, else read as
-    Ray Datasets and merged on the cluster; ``summary["result_tier"]``
-    records the decision
+    artifacts are read with pyarrow through those footers and merged in
+    process, else read as Ray Datasets and merged on the cluster;
+    ``summary["result_tier"]`` records the decision
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential (the decodable count included) and
@@ -78,14 +79,11 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..checks.unified_keyed import KeyedPlan, keyed_plan
-from ..sources.io import _cache_fsspec_http_import, footer_size
+from ..sources.io import footer_size
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
+from . import relational
 from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks, merge_scan
-
-# concurrent partition threads issue Ray IO in parallel; make the
-# path-resolver's per-call fsspec import race-free first
-_cache_fsspec_http_import()
 
 
 def _partition_id(partition: str) -> str:
@@ -107,7 +105,7 @@ def _run_partition(
     plan: KeyedPlan,
     declared_universals: frozenset,
 ) -> dict:
-    """Process ONE partition inside one Ray task: stream the partition's
+    """Process ONE partition inside a share's Ray task: stream its
     batches through the vectorized kernels, write artifacts, record the
     checkpoint.  No nested Ray Data execution — at fleet scale the outer
     task fan-out IS the parallelism.  ``path`` is a partition id in
@@ -138,7 +136,6 @@ def _run_partition(
             os.makedirs(self.dir, exist_ok=True)
             self.writer = None
             self.schema = None
-            self.n = 0
 
         def append(self, tbl: pa.Table) -> None:
             if tbl.num_rows == 0:
@@ -150,7 +147,6 @@ def _run_partition(
             if tbl.schema != self.schema:
                 tbl = tbl.select(self.schema.names).cast(self.schema)
             self.writer.write_table(tbl)
-            self.n += tbl.num_rows
 
         def publish(self, kind: str) -> None:
             if self.writer is not None:
@@ -162,19 +158,11 @@ def _run_partition(
     viol_stream = _ArtifactStream("_violations")
     part_stream = _ArtifactStream("_partials") if body.agg is not None else None
     n_err = n_warn = 0
-
-    def _add_viol(tbl: pa.Table) -> None:
-        nonlocal n_err, n_warn
-        if tbl.num_rows:
-            sev = tbl.column("severity")
-            n_err += pc.sum(pc.cast(pc.equal(sev, "error"),
-                                    pa.int64())).as_py() or 0
-            n_warn += pc.sum(pc.cast(pc.equal(sev, "warning"),
-                                     pa.int64())).as_py() or 0
-        viol_stream.append(tbl)
-
     for violations, partials in body.scan(path):
-        _add_viol(violations)
+        sev = violations.column("severity")
+        n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
+        n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
+        viol_stream.append(violations)
         if part_stream is not None:
             part_stream.append(partials)
 
@@ -185,21 +173,37 @@ def _run_partition(
     metrics = {"n_rows": n_rows, "lineage": path,
                "n_violations": n_err, "n_warnings": n_warn,
                "pass": n_err == 0, "runtime_s": time.time() - t0}
-    store.record(pid, metrics)
-    return metrics
+    return store.record(pid, metrics)
 
 
-def _files_on_tier(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
-    """Stored artifacts: read with pyarrow, or as a Dataset on the cluster."""
-    if not on_driver:
-        return ray.data.read_parquet(files)
-    return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
+def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str,
+               *args) -> list[dict]:
+    """``_run_partition(path, spec, store_root, *args)`` for each partition
+    of one contiguous share (``relational.shares``), in one Ray task;
+    returns their records.  A partition already recorded (by an earlier
+    attempt of this task) is skipped.  A partition that raises does not
+    stop the share: every healthy one is recorded first, then the first
+    error is re-raised."""
+    store = CheckpointStore(store_root)
+    recs, error = [], None
+    for path in paths:
+        rec = store.completed_record(_partition_id(path))
+        if rec is None:
+            try:
+                rec = _run_partition(path, spec, store_root, *args)
+            except Exception as e:
+                error = error or e
+                continue
+        recs.append(rec)
+    if error is not None:
+        raise error
+    return recs
 
 
-# one Ray task per partition; _run_partition stays directly callable so
-# the per-partition wiring is testable in-process (e.g. with a stub
-# Lance backend that exists only in the driver's module table)
-_partition_task = ray.remote(_run_partition)
+# one Ray task per share; _run_partition and _run_share stay directly
+# callable so the per-partition wiring is testable in-process (e.g. with
+# a stub Lance backend that exists only in the driver's module table)
+_share_task = ray.remote(_run_share)
 
 
 def run_partitioned(
@@ -208,27 +212,28 @@ def run_partitioned(
     store: CheckpointStore,
     decode: bool = False,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
-    max_inflight: Optional[int] = None,
-    task_num_cpus: float = 1,
 ) -> SuiteResult:
     """Run/resume the partitioned validation; returns the merged result.
 
-    One Ray task per partition; the cluster scheduler runs as many as
-    CPU slots allow.  ``max_inflight`` optionally caps submitted-but-
-    unfinished tasks (for memory-constrained artifact stores); resume
-    granularity stays one partition (atomic checkpoint records).
+    The partitions without a complete record run in contiguous shares
+    (``relational.shares``), one Ray task each, which record their
+    partitions one by one: resume granularity stays one partition.
+    Every share finishes before the first failure is re-raised.
 
     ``input_glob`` may be a parquet glob/dir or a Lance table path
     (``*.lance``): Lance tables list one partition per FRAGMENT via
-    ``sources.io.partition_files`` and each task scans exactly its
-    fragment — the fragment is the resume/lineage unit end-to-end.
+    ``sources.io.partition_files``, and each fragment gets a task and a
+    record of its own — the fragment is the resume/lineage unit
+    end-to-end.
     """
     from ..sources.io import partition_files, partition_schema_and_rows
 
     files = partition_files(input_glob)
     if not files:
         raise FileNotFoundError(f"no input files match {input_glob}")
-    done = store.completed()
+    # every complete record, read once: the done set, the summary and the
+    # artifact files come from it
+    done = {r["partition_id"]: r for r in store.records()}
 
     # the keyed plan is made against the FIRST partition's schema (all
     # partitions of one table share it) so the partials' positional
@@ -238,38 +243,43 @@ def run_partitioned(
     # refuses stored partials that lack a planned column.
     schema0, _ = partition_schema_and_rows(files[0])
     plan = keyed_plan(spec, set(schema0.names), decode)
-    declared_universals = {u.predicate for u in spec.universals}
+    declared_universals = frozenset(u.predicate for u in spec.universals)
 
     todo = [p for p in files if _partition_id(p) not in done]
     n_skipped = len(files) - len(todo)
     if todo:
-        task = _partition_task.options(num_cpus=task_num_cpus)
-        pending: list = []
-        finished: list = []
-        for path in todo:
-            if max_inflight and len(pending) >= max_inflight:
-                ready, pending = ray.wait(pending, num_returns=1)
-                finished.extend(ready)
-            pending.append(task.remote(path, spec, store.root, decode, plan,
-                                       frozenset(declared_universals)))
-        ray.get(finished + pending)     # re-raises the first task failure
+        outs = [_share_task.remote(share, spec, store.root, decode, plan,
+                                   declared_universals)
+                for share in relational.shares(todo)]
+        ray.wait(outs, num_returns=len(outs))   # every share ends first
+        done.update((r["partition_id"], r)
+                    for share in ray.get(outs) for r in share)   # re-raises
+    recs = [done[pid] for pid in sorted(done)]
 
     # ---- global merge (always re-run; reads only stored artifacts) -------
     def _files(kind: str) -> list[str]:
-        return [f for d in store.artifact_dirs(kind)
-                for f in sorted(glob.glob(os.path.join(d, "*.parquet")))]
+        return [f for r in recs for f in sorted(glob.glob(os.path.join(
+            store.artifact_dir(r["partition_id"], kind), "*.parquet")))]
 
     viol_files = _files("violations")
     partial_files = _files("partials") if plan.key else []
-    footers = [pq.read_metadata(f) for f in viol_files + partial_files]
-    missing = set().union(*(set(plan.sum_columns) - set(m.schema.to_arrow_schema().names)
-                            for m in footers[len(viol_files):]))
+    footers = {f: pq.read_metadata(f) for f in viol_files + partial_files}
+    missing = set().union(*(set(plan.sum_columns)
+                            - set(footers[f].schema.to_arrow_schema().names)
+                            for f in partial_files))
     if missing:
         raise ValueError(
             f"checkpoint store {store.root} holds partials without "
             f"{sorted(missing)}: written under another spec or decode setting")
 
-    recs = store.records()
+    def read(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
+        """Stored artifacts: read with pyarrow through the footers already
+        read, or as a Dataset on the cluster."""
+        if not on_driver:
+            return ray.data.read_parquet(files)
+        return pa.concat_tables([pq.ParquetFile(f, metadata=footers[f]).read()
+                                 for f in files], promote_options="default")
+
     summary = {
         "partitions_total": len(files), "partitions_skipped": n_skipped,
         "partitions_ran": len(todo),
@@ -283,9 +293,9 @@ def run_partitioned(
             for r in recs
         },
     }
-    return merge_scan(footer_size(footers), _files_on_tier, viol_files, partial_files,
-                      plan, spec, refs=refs, checks=(driver_checks(schema0, spec, refs),),
-                      summary=summary)
+    return merge_scan(footer_size(list(footers.values())), read, viol_files,
+                      partial_files, plan, spec, refs=refs,
+                      checks=(driver_checks(schema0, spec, refs),), summary=summary)
 
 
 def validate_partitioned(
@@ -294,10 +304,6 @@ def validate_partitioned(
     store: CheckpointStore,
     decode: bool = False,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
-    max_inflight: Optional[int] = None,
-    task_num_cpus: float = 1,
 ) -> dict:
     """``run_partitioned``'s report, without a violation sample."""
-    return run_partitioned(input_glob, spec, store, decode, refs,
-                           max_inflight, task_num_cpus).report(sample=0)
-
+    return run_partitioned(input_glob, spec, store, decode, refs).report(sample=0)

@@ -27,6 +27,7 @@ aggregation (combiner) so the shuffle moves per-key partials, not rows.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,25 @@ def fits_driver_merge(materialized: "ray.data.Dataset | tuple[int, int]",
     rows, size = (materialized if isinstance(materialized, tuple)
                   else (materialized.count(), materialized.size_bytes()))
     return rows <= threshold and (size is None or size <= DRIVER_MERGE_MAX_BYTES)
+
+
+def cpu_slots() -> int:
+    """The cluster's CPU slots: how many one-CPU tasks run at once."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def shares(partitions: Sequence[str]) -> list[list[str]]:
+    """Non-empty ``partitions`` (files or Lance fragment ids) cut in order
+    into P contiguous shares of near-equal count, one scan task each: P =
+    min(partitions, max(``cpu_slots()``, ceil(file bytes /
+    DRIVER_MERGE_MAX_BYTES))), as a task costs ~10 ms of scheduling, about
+    a small file's scan.  An id that is no file (a Lance fragment) counts
+    as the whole byte budget, so it keeps a task of its own."""
+    size = sum(os.path.getsize(p) if os.path.isfile(p) else DRIVER_MERGE_MAX_BYTES
+               for p in partitions)
+    n = min(len(partitions), max(cpu_slots(), -(-size // DRIVER_MERGE_MAX_BYTES)))
+    cuts = [len(partitions) * i // n for i in range(n + 1)]
+    return [list(partitions[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _pull(mat: "ray.data.Dataset") -> pa.Table:
@@ -145,15 +165,13 @@ def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
     boundaries, and a sort range that holds no rows comes out as a
     column-less block.  An empty input runs ``fn`` once on its empty
     table, so the result keeps ``fn``'s column types."""
-    import ray as _ray
-
     mat = ds.materialize()
     rows, size = mat.count(), mat.size_bytes() or 0
     if rows == 0:
         out = fn(_pull(mat))
         return (ray.data.from_arrow(out) if isinstance(out, pa.Table)
                 else ray.data.from_pandas(out))
-    parts = max(2, int(_ray.cluster_resources().get("CPU", 1)),
+    parts = max(2, cpu_slots(),
                 -(-rows // DRIVER_MERGE_THRESHOLD),
                 -(-size // DRIVER_MERGE_MAX_BYTES))
     keylist = list(keys)
@@ -736,9 +754,7 @@ def hash_join(
     is reused as the broadcast copy — no second execution.  Caveat:
     the pandas-kernel paths NaN-promote unmatched left-join columns
     per batch, as pandas merges do."""
-    import ray as _ray
-
-    n = num_partitions or max(2, int(_ray.cluster_resources().get("CPU", 8)))
+    n = num_partitions or max(2, cpu_slots())
     small_right = False
     if use_native is not True:
         probe = right.limit(broadcast_threshold + 1).materialize()

@@ -14,10 +14,11 @@ ONE scan of the input, ``scan_checks``:
      DECODE-100/101) and the combiner partials of ALL ``keyed``
      constraints.  A plain parquet read (``sources.io.parquet_read_files``:
      what the CLI and the benchmarks pass) runs as one plain Ray task per
-     file, the partitioned runner's per-file loop (``SuitePass.scan``),
-     each returning its violations and partials as Arrow tables plus
-     their rows and bytes.  Any other Dataset (``from_arrow``; a mapped,
-     limited, filtered or hive-partitioned read; a remote filesystem)
+     contiguous share of its files (``relational.shares``), each running
+     the partitioned runner's per-file loop (``SuitePass.scan``) over its
+     files and returning their violations and partials as Arrow tables
+     plus their rows and bytes.  Any other Dataset (``from_arrow``; a
+     mapped, limited, filtered or hive-partitioned read; a remote filesystem)
      runs as ONE ``map_batches`` whose tagged output is materialized once
   2. the driver gate (``relational.fits_driver_merge``) on the output's
      rows and bytes: below it the output is pulled to the driver ONCE and
@@ -35,9 +36,10 @@ rows are few, and a Ray execution per step would cost ~25 ms of
 scheduling for ~4 ms of work.  For the same reason a refs / expected-key
 side that is a plain parquet read under the gate is read by its files
 (key column only); any other side takes one execution.  The file route
-skips Ray Data's fixed cost per run and parallelizes by file (one file is
-one task, as it is one read task in Ray's parquet reader); each task
-holds its file's findings in memory.  Other Datasets stay on
+skips Ray Data's fixed cost per run and submits one task per CPU slot
+(unless the files are large), not one per file as Ray's parquet reader
+does: a task's scheduling costs about a small file's scan.  Each task
+holds its share's findings in memory.  Other Datasets stay on
 ``map_batches``: streaming their block refs into plain tasks measured
 slower.  Above the gate the merge is one hash exchange, and the result
 stays a Dataset.  In return each input row is read and scheduled once.
@@ -339,11 +341,12 @@ def tagged_partials(t: pa.Table) -> pa.Table:
     return p.rename_columns(["key", *p.column_names[1:]])
 
 
-def _file_findings(path: str, body: SuitePass):
-    """The file route's task: ``body.scan`` of one file, returned as
+def _share_findings(paths: list[str], body: SuitePass):
+    """The file route's task: ``body.scan`` of each file of one share
+    (``relational.shares``), concatenated in file order and returned as
     (violations, partials, their (rows, bytes)) through the object store;
-    partials have no columns when the file yields none."""
-    found = list(body.scan(path))
+    partials have no columns when the share yields none."""
+    found = [f for path in paths for f in body.scan(path)]
     violations = pa.concat_tables([empty_violations(), *(v for v, _ in found)])
     partials = [p for _, p in found if p is not None]
     partials = pa.concat_tables(partials) if partials else pa.table({})
@@ -351,7 +354,7 @@ def _file_findings(path: str, body: SuitePass):
                                        for t in (violations, partials))
 
 
-_file_task = ray.remote(num_returns=3)(_file_findings)
+_share_task = ray.remote(num_returns=3)(_share_findings)
 
 
 def _refs_on_tier(refs: list, on_driver: bool) -> "pa.Table | ray.data.Dataset":
@@ -400,8 +403,9 @@ def scan_checks(
     then the keyed merge.  Expected keys are read from their ``key``
     column.
 
-    A plain parquet read runs as one task per file (``merge_scan`` gates
-    and merges their outputs); any other Dataset as one ``map_batches``
+    A plain parquet read runs as one task per contiguous share of its
+    files (``relational.shares``; ``merge_scan`` gates and merges their
+    outputs in file order); any other Dataset as one ``map_batches``
     whose tagged output is materialized and, when it passes the driver
     gate, pulled once and split and merged in process.  Either way small
     results land in the result's ``violations``, larger ones stay in
@@ -416,7 +420,7 @@ def scan_checks(
         return SuiteResult()
     files = parquet_read_files(ds)
     if files is not None:
-        outs = [_file_task.remote(f, body) for f in files]
+        outs = [_share_task.remote(share, body) for share in relational.shares(files)]
         sizes = ray.get([out[2] for out in outs])
         pieces = [[out[i] for out, size in zip(outs, sizes) if size[i][0]]
                   for i in (0, 1)]

@@ -31,11 +31,10 @@ def _cache_fsspec_http_import() -> None:
     `from fsspec.implementations.http import HTTPFileSystem` on EVERY
     read/write call.  When aiohttp is absent the import fails each time
     (a failed module import is never cached), and two driver threads
-    issuing IO concurrently (multi-partition overlap in
-    pipelines/partitioned.py) can observe each other's partially
-    initialized module — surfacing as `ImportError: cannot import name
-    'HTTPFileSystem'`, which path_util does not catch (it only handles
-    ModuleNotFoundError).  Importing the module successfully ONCE (with
+    issuing IO concurrently (the package starts none, but a caller may)
+    can observe each other's partially initialized module — surfacing
+    as `ImportError: cannot import name 'HTTPFileSystem'`, which
+    path_util does not catch (it only handles ModuleNotFoundError).  Importing the module successfully ONCE (with
     empty placeholder modules for the absent aiohttp/yarl, which
     fsspec's http module only touches at call time) caches it in
     sys.modules, making all later imports race-free dict lookups.

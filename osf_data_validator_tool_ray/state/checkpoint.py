@@ -34,19 +34,11 @@ class CheckpointStore:
         return os.path.join(self.root, "records", f"{partition_id}.json")
 
     def completed(self) -> set[str]:
-        out = set()
-        rec_dir = os.path.join(self.root, "records")
-        for f in os.listdir(rec_dir):
-            if f.endswith(".json"):
-                try:
-                    with open(os.path.join(rec_dir, f)) as fh:
-                        if json.load(fh).get("status") == "done":
-                            out.add(f[:-5])
-                except (json.JSONDecodeError, OSError):
-                    continue   # half-written record = not complete
-        return out
+        """The ids of the complete records."""
+        return {r["partition_id"] for r in self.records()}
 
-    def record(self, partition_id: str, payload: dict) -> None:
+    def record(self, partition_id: str, payload: dict) -> dict:
+        """Write the partition's record atomically; returns it as written."""
         payload = dict(payload, partition_id=partition_id, ts=time.time(),
                        status=payload.get("status", "done"))
         path = self._record_path(partition_id)
@@ -54,21 +46,25 @@ class CheckpointStore:
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh)
         os.replace(tmp, path)   # atomic
+        return payload
 
-    def read_record(self, partition_id: str) -> Optional[dict]:
+    def completed_record(self, partition_id: str) -> Optional[dict]:
+        """The partition's record when it is complete, else None (a
+        missing or half-written record is not complete)."""
         try:
             with open(self._record_path(partition_id)) as fh:
-                return json.load(fh)
+                r = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
+        return r if r.get("status") == "done" else None
 
     def records(self) -> list[dict]:
-        out = []
-        for pid in sorted(self.completed()):
-            r = self.read_record(pid)
-            if r:
-                out.append(r)
-        return out
+        """Every complete record in partition-id order, each file read
+        once: a caller derives the done set, the summary and the artifact
+        dirs from this one list."""
+        rec_dir = os.path.join(self.root, "records")
+        ids = sorted(f[:-5] for f in os.listdir(rec_dir) if f.endswith(".json"))
+        return [r for r in map(self.completed_record, ids) if r]
 
     # -- artifacts (per-partition parquet dirs) ---------------------------
 
@@ -89,11 +85,7 @@ class CheckpointStore:
         return final
 
     def artifact_dirs(self, kind: str) -> list[str]:
-        """All published artifact dirs of a kind, one per completed
-        partition (for the final merge)."""
-        out = []
-        for pid in sorted(self.completed()):
-            d = self.artifact_dir(pid, kind)
-            if os.path.isdir(d) and os.listdir(d):
-                out.append(d)
-        return out
+        """All non-empty published artifact dirs of a kind, one per
+        completed partition."""
+        dirs = (self.artifact_dir(r["partition_id"], kind) for r in self.records())
+        return [d for d in dirs if os.path.isdir(d) and os.listdir(d)]

@@ -212,3 +212,64 @@ def test_partitioned_clean_input_passes(tmp_path):
 def _partition_basename(path):
     import os
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def test_bad_partition_fails_no_other_partition(tmp_path, monkeypatch):
+    """9 partitions in 2 shares (4 + 5), the middle file of the second
+    truncated: the run raises only after both shares end, every other
+    partition is recorded, and after the repair the rerun runs just the
+    one partition."""
+    from osf_data_validator_tool_ray.pipelines import relational
+
+    monkeypatch.setattr(relational, "cpu_slots", lambda: 2)
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=270, seed=9,
+                               defect_rate=0.03, num_shards=9, max_dur_ms=600)
+    shards = sorted(glob.glob(meta["clips_dir"] + "/*.parquet"))
+    assert [len(s) for s in relational.shares(shards)] == [4, 5]
+    victim = shards[6]
+    good_bytes = open(victim, "rb").read()
+    with open(victim, "wb") as fh:
+        fh.write(good_bytes[: len(good_bytes) // 3])
+
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = meta["clips_dir"] + "/*.parquet"
+    with pytest.raises(Exception):
+        validate_partitioned(pattern, clips_spec(), store, decode=True)
+    assert store.completed() == {_partition_basename(p) for p in shards} \
+        - {_partition_basename(victim)}
+
+    with open(victim, "wb") as fh:
+        fh.write(good_bytes)
+    rep = validate_partitioned(pattern, clips_spec(), store, decode=True)
+    assert rep["partitions_ran"] == 1 and rep["partitions_skipped"] == 8
+    assert rep["n_rows"] == 270
+
+
+def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
+    """A share run again (as Ray retries a task) leaves a partition that is
+    already recorded as it is: its record's ``ts`` and its artifacts."""
+    from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
+    from osf_data_validator_tool_ray.pipelines.partitioned import (
+        _run_partition, _run_share)
+
+    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    spec = clips_spec()
+    plan = keyed_plan(spec, set(pq.read_schema(files[0]).names), False)
+    universals = frozenset(u.predicate for u in spec.universals)
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    first = _run_partition(files[0], spec, store.root, False, plan, universals)
+    pid = first["partition_id"]
+
+    def artifacts():
+        return {f: (os.stat(f).st_ino, os.stat(f).st_mtime_ns)
+                for kind in ("violations", "partials")
+                for f in glob.glob(os.path.join(store.artifact_dir(pid, kind), "*"))}
+
+    before = artifacts()
+    assert before
+    recs = _run_share(files, spec, store.root, False, plan, universals)
+    assert [r["partition_id"] for r in recs] == \
+        [_partition_basename(f) for f in files]
+    assert recs[0] == first == store.completed_record(pid)
+    assert artifacts() == before
+    assert store.completed() == {_partition_basename(f) for f in files}

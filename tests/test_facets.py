@@ -9,6 +9,11 @@ import pytest
 from osf_data_validator_tool_ray.functions.facets import VALIDATORS, facet_violations, validate
 from osf_data_validator_tool_ray.spec import Facets
 
+# Arabic-Indic digits: Unicode decimal digits, which the numeric, date and
+# time lexical spaces (ASCII 0-9 only) reject
+AR_12 = "\u0661\u0662"
+AR_YEAR = "\u0662\u0660\u0660\u0662"
+
 VECTORS = {
     "dateTime": {
         True: ["2002-10-10T12:00:00-05:00", "2002-10-10T17:00:00Z",
@@ -16,7 +21,12 @@ VECTORS = {
                "-0400-01-01T00:00:00"],
         False: ["2002-10-10", "12:00:00", "2002-13-10T12:00:00",
                 "2002-10-32T12:00:00", "2002-10-10T25:00:00",
-                "2002-10-10T12:61:00", "not a date", ""],
+                "2002-10-10T12:61:00", "not a date", "",
+                AR_YEAR + "-10-10T12:00:00"],
+    },
+    "date": {
+        True: ["2002-10-10", "2002-10-10Z", "-0400-01-01+05:00"],
+        False: ["2002-10-10T12:00:00", "2002-13-10", AR_YEAR + "-10-10"],
     },
     "dateTimeStamp": {
         True: ["2002-10-10T12:00:00-05:00", "2002-10-10T17:00:00Z"],
@@ -41,10 +51,11 @@ VECTORS = {
     },
     "byte": {True: ["-128", "127", "0", "+100"], False: ["128", "-129", "1.0", "a", ""]},
     "short": {True: ["-32768", "32767"], False: ["32768", "-32769", "3.5"]},
-    "int": {True: ["-2147483648", "2147483647"], False: ["2147483648", "abc"]},
+    "int": {True: ["-2147483648", "2147483647"], False: ["2147483648", "abc", AR_12]},
     "long": {True: ["-9223372036854775808", "9223372036854775807"],
              False: ["9223372036854775808", "1e4"]},
-    "integer": {True: ["-1", "0", "123456789012345678901234567890"], False: ["1.5", "", "a"]},
+    "integer": {True: ["-1", "0", "123456789012345678901234567890"],
+                False: ["1.5", "", "a", AR_12, "-" + AR_12 * 10]},
     "nonNegativeInteger": {True: ["0", "12"], False: ["-1"]},
     "nonPositiveInteger": {True: ["0", "-12"], False: ["1"]},
     "negativeInteger": {True: ["-1"], False: ["0", "1"]},
@@ -53,8 +64,10 @@ VECTORS = {
     "unsignedShort": {True: ["65535"], False: ["65536", "-1"]},
     "unsignedInt": {True: ["4294967295"], False: ["4294967296", "-1"]},
     "unsignedLong": {True: ["18446744073709551615"], False: ["18446744073709551616", "-1"]},
-    "decimal": {True: ["3.14", "-.5", "+12", "210."], False: ["1e10", "NaN", "", "1,5"]},
-    "double": {True: ["1e10", "-1E-10", "NaN", "INF", "-INF", "3.14"], False: ["1e", "inf", ""]},
+    "decimal": {True: ["3.14", "-.5", "+12", "210."],
+                False: ["1e10", "NaN", "", "1,5", AR_12, AR_12 + "." + AR_12]},
+    "double": {True: ["1e10", "-1E-10", "NaN", "INF", "-INF", "3.14"],
+               False: ["1e", "inf", "", AR_12, "1e" + AR_12]},
     "float": {True: ["1e10", "NaN", "INF"], False: ["1d10", ""]},
     "language": {True: ["en", "en-US", "fr-CA", "x-klingon"], False: ["123", "en_US", "toolonglang1", ""]},
     "Name": {True: ["name", "_name", ":name", "na-me.1"], False: ["1name", "-name", "", "na me"]},

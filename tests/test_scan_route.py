@@ -1,7 +1,9 @@
-"""The scan's two routes: a plain parquet read runs as one task per file,
-any other Dataset as one ``map_batches``.  Both routes give the same
-rows, counts and sample on both merge tiers (the exchange tier forced
-with ``test_keyed_tiers._tier``)."""
+"""The scan's two routes: a plain parquet read runs as one task per
+contiguous share of its files (``relational.shares``), any other Dataset
+as one ``map_batches``.  Both routes give the same rows, counts and
+sample on both merge tiers (the exchange tier forced with
+``test_keyed_tiers._tier``), and the file route's rows do not depend on
+how its files are shared out."""
 
 import glob
 import os
@@ -13,9 +15,12 @@ import pytest
 import ray.data
 
 from osf_data_validator_tool_ray.checks.registry import RunContext, plan_checks
+from osf_data_validator_tool_ray.pipelines import partitioned, relational, runner
+from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
 from osf_data_validator_tool_ray.pipelines.runner import SUITE, run_suite, scan_checks
 from osf_data_validator_tool_ray.sources.io import parquet_read_files
 from osf_data_validator_tool_ray.spec import clips_spec
+from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 from osf_data_validator_tool_ray.synth import write_clips_dataset
 from tests.test_keyed_tiers import _tier
 
@@ -126,3 +131,73 @@ def test_zero_row_file_same_on_both_routes(clips, tmp_path, tier):
         by_map = run_suite(ray.data.from_arrow(pq.read_table(empty)), clips_spec(),
                            decode=True)
     _same(by_file, by_map)
+
+
+class _Submissions:
+    """A share task stand-in that records the share of each submission."""
+
+    def __init__(self, task):
+        self.task, self.shares = task, []
+
+    def remote(self, share, *args):
+        self.shares.append(share)
+        return self.task.remote(share, *args)
+
+
+def _sharing(monkeypatch, module, slots: int) -> _Submissions:
+    """Force ``slots`` CPU slots on the share helper and count the share
+    tasks ``module`` submits."""
+    monkeypatch.setattr(relational, "cpu_slots", lambda: slots)
+    sub = _Submissions(module._share_task)
+    monkeypatch.setattr(module, "_share_task", sub)
+    return sub
+
+
+@pytest.fixture(scope="module")
+def five(tmp_path_factory):
+    return write_clips_dataset(str(tmp_path_factory.mktemp("five")), n_rows=200,
+                               seed=23, defect_rate=0.05, num_shards=5, max_dur_ms=600)
+
+
+@pytest.mark.parametrize("decode", [False, True])
+def test_shares_keep_file_order(five, monkeypatch, decode):
+    """2 slots share 5 files as 2 + 3 in 2 tasks; the violations are those
+    of one file per task, row for row."""
+    files = _files(five)
+
+    def run(slots):
+        sub = _sharing(monkeypatch, runner, slots)
+        res = run_suite(ray.data.read_parquet(files), clips_spec(), decode=decode,
+                        refs={"refs": ray.data.read_parquet(five["refs_path"])})
+        return res, sub.shares
+
+    shared, shares = run(2)
+    assert shares == [files[:2], files[2:]]
+    by_file, shares = run(5)
+    assert shares == [[f] for f in files]
+    assert shared.violations.num_rows and shared.violations.equals(by_file.violations)
+    assert shared.report(sample=12) == by_file.report(sample=12)
+
+
+def test_shares_never_exceed_the_partitions(clips, monkeypatch):
+    sub = _sharing(monkeypatch, runner, 4)
+    scan_checks(ray.data.read_parquet(clips["clips_dir"]), clips_spec(),
+                frozenset({"stateless", "keyed"}))
+    assert sub.shares == [[f] for f in _files(clips)]
+
+
+def test_partitioned_shares_record_every_partition(five, tmp_path, monkeypatch):
+    pattern = five["clips_dir"] + "/*.parquet"
+
+    def run(slots, tag):
+        sub = _sharing(monkeypatch, partitioned, slots)
+        store = CheckpointStore(str(tmp_path / tag))
+        rep = validate_partitioned(pattern, clips_spec(), store, decode=True)
+        return rep, store, sub.shares
+
+    shared, store, shares = run(2, "two")
+    assert len(shares) == 2 and sum(shares, []) == _files(five)
+    assert len(store.records()) == 5 and shared["partitions_ran"] == 5
+    by_file, _, shares = run(5, "five")
+    assert len(shares) == 5
+    assert shared == by_file
