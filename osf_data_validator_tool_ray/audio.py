@@ -10,17 +10,23 @@ format specifications:
 
 Headers are read with ``struct``, samples are ``np.frombuffer`` views,
 mu-law is one gather through a 256-entry table.  decode returns float32
-PCM in [-1, 1] and ``decode_ints`` the bit-exact integer samples.  The
-decode stage
-(``stages/decode_stage``) runs ``decode_ints`` on every payload; an
-independent scalar decoder in tests/ is the per-row parity oracle
+PCM in [-1, 1] and ``decode_ints`` the bit-exact integer samples; an
+independent scalar decoder in tests/ is their per-row parity oracle
 (decoded-PCM allclose, SNR >= 30 dB — BASELINE.json input_hint).
+
+``wav_headers`` is the batch form of ``parse_header`` + ``decode_ints``
+over a whole payload column: one numpy gather of the canonical 44-byte
+header of every row, the per-row parse only for the other rows.  The
+decode stage (``stages/decode_stage``) and the sniff predicates
+(``checks/predicates``) read their verdicts from it.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,6 +141,15 @@ _CODECS = {(WAVE_FORMAT_PCM, 16): ("pcm_s16le", np.dtype("<i2")),
            (WAVE_FORMAT_MULAW, 8): ("ulaw", np.dtype(np.uint8))}
 
 
+def _codec(h: dict) -> tuple[str, np.dtype]:
+    """(codec, sample dtype) of a parsed header; raises DecodeError."""
+    try:
+        return _CODECS[(h["format_tag"], h["bits"])]
+    except KeyError:
+        raise DecodeError(f"unsupported format tag={h['format_tag']} "
+                          f"bits={h['bits']}") from None
+
+
 def sniff_codec(buf: bytes) -> Optional[str]:
     """Container sniffing: which codec does the payload's header declare?
     (the magic-byte facet of the `bytes` column; returns None when the
@@ -162,9 +177,7 @@ def decode_ints(buf: bytes) -> tuple[np.ndarray, int, str]:
     the per-row parity token compared against the naive oracle decoder.
     """
     h = parse_header(buf)
-    if (h["format_tag"], h["bits"]) not in _CODECS:
-        raise DecodeError(f"unsupported format tag={h['format_tag']} bits={h['bits']}")
-    codec, dtype = _CODECS[(h["format_tag"], h["bits"])]
+    codec, dtype = _codec(h)
     samples = np.frombuffer(buf, dtype=dtype, count=h["data_len"] // dtype.itemsize,
                             offset=h["data_offset"])
     return (mulaw_decode(samples) if codec == "ulaw" else samples), h["sr_hz"], codec
@@ -195,6 +208,138 @@ def binary_views(arr) -> list:
         out.extend(None if null else mv[a:b]
                    for null, a, b in zip(nulls, offsets, offsets[1:]))
     return out
+
+
+class Headers(NamedTuple):
+    """Per-row header facts of a payload column, one numpy array each:
+    ``valid`` (not null); ``parse_header``'s ``parsed``, ``sr_hz`` and
+    ``data_len`` (False/0 where it raises); ``decode_ints``' ``ok``,
+    ``codec`` (also ``sniff_codec``'s answer) and ``frames`` (its sample
+    count), False/None/0 where it raises; and ``error``, the message it
+    raises ("null payload" for a null, None where it decodes)."""
+
+    valid: np.ndarray
+    parsed: np.ndarray
+    sr_hz: np.ndarray
+    data_len: np.ndarray
+    ok: np.ndarray
+    codec: np.ndarray
+    frames: np.ndarray
+    error: np.ndarray
+
+
+# the canonical 44-byte header: "RIFF", "WAVE", a 16-byte fmt chunk, "data"
+_CANONICAL = np.dtype([
+    ("riff", "<u4"), ("riff_len", "<u4"), ("wave", "<u4"), ("fmt", "<u4"),
+    ("fmt_len", "<u4"), ("tag", "<u2"), ("channels", "<u2"), ("sr", "<u4"),
+    ("byte_rate", "<u4"), ("block_align", "<u2"), ("bits", "<u2"),
+    ("data", "<u4"), ("data_len", "<u4")])
+_ID = {cid: int.from_bytes(cid, "little") for cid in (b"RIFF", b"WAVE", b"fmt ", b"data")}
+# the columns parsed inside the current ``one_parse_per_column`` block:
+# {buffer key: (column, Headers)}, None outside any block
+_parsed: ContextVar[Optional[dict]] = ContextVar("wav_headers_parsed", default=None)
+
+
+@contextmanager
+def one_parse_per_column():
+    """Within this block ``wav_headers`` parses each payload column once:
+    a second call on the same buffers (the three sniff predicates of one
+    batch) returns the first call's read-only answer.  The block keeps
+    the columns it parsed alive, so equal buffer addresses, offsets and
+    lengths mean the same rows (Arrow buffers are immutable), and lets
+    them go at its end.  A nested block shares its outer block's."""
+    if _parsed.get() is not None:
+        yield
+        return
+    token = _parsed.set({})
+    try:
+        yield
+    finally:
+        _parsed.reset(token)
+
+
+def wav_headers(arr) -> Headers:
+    """``Headers`` of every row of a binary or large_binary (Chunked)Array,
+    chunk by chunk from its offsets and data buffers (the payload column
+    is never copied or combined).  A row in the canonical layout
+    ("RIFF"@0, "WAVE"@8, "fmt "@12 of length 16, "data"@36) whose data
+    chunk passes ``parse_header``'s checks and whose codec is supported
+    is read by one numpy gather of its first 44 bytes; every other row
+    (null, short, another chunk layout, truncated, unsupported) by
+    ``parse_header`` and ``decode_ints``' codec rule, so the answers and
+    error strings are theirs.
+
+    Inside a ``one_parse_per_column`` block a column is parsed once."""
+    import pyarrow as pa
+
+    if pa.types.is_binary(arr.type):
+        offset_dtype = np.int32
+    elif pa.types.is_large_binary(arr.type):
+        offset_dtype = np.int64
+    else:
+        raise TypeError(f"wav_headers needs binary or large_binary, got {arr.type}")
+    chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
+    key = (arr.type, *((c.offset, len(c), *(b.address if b is not None else 0
+                                            for b in c.buffers()))
+                       for c in chunks))
+    parsed = _parsed.get()
+    if parsed is not None and key in parsed:
+        return parsed[key][1]
+    parts = [_chunk_headers(c, offset_dtype) for c in chunks if len(c)] \
+        or [_chunk_headers(pa.array([], type=arr.type), offset_dtype)]
+    out = Headers(*(np.concatenate(cols) for cols in zip(*parts)))
+    for col in out:
+        col.flags.writeable = False
+    if parsed is not None:
+        parsed[key] = (arr, out)
+    return out
+
+
+def _chunk_headers(chunk, offset_dtype) -> Headers:
+    n = len(chunk)
+    _, offsets_buf, data_buf = chunk.buffers()
+    offsets = np.frombuffer(offsets_buf, dtype=offset_dtype)[
+        chunk.offset: chunk.offset + n + 1].astype(np.int64)
+    starts, lens = offsets[:-1], np.diff(offsets)
+    valid = (chunk.is_valid().to_numpy(zero_copy_only=False) if chunk.null_count
+             else np.ones(n, dtype=bool))
+    h = Headers(valid, np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+                np.full(n, None, dtype=object), np.zeros(n, dtype=np.int64),
+                np.where(valid, None, "null payload"))
+
+    rows = np.flatnonzero(valid & (lens >= 44))
+    data = np.frombuffer(data_buf if rows.size else b"", dtype=np.uint8)
+    hdr = data[starts[rows, None] + np.arange(44)].view(_CANONICAL)[:, 0]
+    data_len = hdr["data_len"].astype(np.int64)
+    codec = np.full(len(rows), None, dtype=object)
+    itemsize = np.zeros(len(rows), dtype=np.int64)     # 0: unsupported
+    for (tag, bits), (name, dtype) in _CODECS.items():
+        m = (hdr["tag"] == tag) & (hdr["bits"] == bits)
+        codec[m], itemsize[m] = name, dtype.itemsize
+    fast = ((hdr["riff"] == _ID[b"RIFF"]) & (hdr["wave"] == _ID[b"WAVE"])
+            & (hdr["fmt"] == _ID[b"fmt "]) & (hdr["fmt_len"] == 16)
+            & (hdr["data"] == _ID[b"data"]) & (itemsize > 0)
+            & (44 + data_len <= lens[rows])
+            & (data_len % np.maximum(itemsize, 1) == 0))
+    at = rows[fast]
+    h.parsed[at] = h.ok[at] = True
+    h.sr_hz[at], h.data_len[at], h.codec[at] = hdr["sr"][fast], data_len[fast], codec[fast]
+    h.frames[at] = data_len[fast] // itemsize[fast]
+
+    slow = valid.copy()
+    slow[at] = False
+    view = memoryview(data_buf if data_buf is not None else b"")
+    for i in np.flatnonzero(slow).tolist():
+        try:
+            p = parse_header(view[starts[i]: starts[i] + lens[i]])
+            h.parsed[i], h.sr_hz[i], h.data_len[i] = True, p["sr_hz"], p["data_len"]
+            h.codec[i], dtype = _codec(p)
+        except DecodeError as e:
+            h.error[i] = str(e)
+            continue
+        h.ok[i], h.frames[i] = True, p["data_len"] // dtype.itemsize
+    return h
 
 
 def vad_segments(pcm: np.ndarray, sr: int, frame_ms: int = 20,

@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import audio
+from ..functions.facets import column_values
 
 
 def nonempty_transcript(batch: pa.Table) -> np.ndarray:
@@ -24,51 +25,35 @@ def nonempty_transcript(batch: pa.Table) -> np.ndarray:
     return ok.to_numpy(zero_copy_only=False)
 
 
-def _payloads(batch: pa.Table) -> list:
-    return audio.binary_views(batch.column("bytes"))  # zero-copy views
-
-
 def decodable_bytes(batch: pa.Table) -> np.ndarray:
-    """Payload header parses as a supported container (cheap sniff; the
-    full PCM decode + SNR parity lives in the decode actor stage)."""
-    out = np.zeros(batch.num_rows, dtype=bool)
-    for i, buf in enumerate(_payloads(batch)):
-        out[i] = buf is not None and audio.sniff_codec(buf) is not None
-    return out
+    """Payload header parses as a supported container (the header sniff:
+    ``audio.sniff_codec`` of each row, read from ``audio.wav_headers``;
+    the decode check lives in the decode stage)."""
+    return audio.wav_headers(batch.column("bytes")).ok
 
 
 def bytes_matches_codec(batch: pa.Table) -> np.ndarray:
-    """Universal: the container header's codec equals the declared codec
-    column (magic-byte facet; ONLY-100 flagship)."""
-    codecs = batch.column("codec").to_pylist()
-    out = np.zeros(batch.num_rows, dtype=bool)
-    for i, buf in enumerate(_payloads(batch)):
-        out[i] = buf is not None and audio.sniff_codec(buf) == codecs[i]
-    return out
+    """Universal: the container header's codec (``audio.sniff_codec``,
+    read from ``audio.wav_headers``) equals the declared codec column
+    (magic-byte facet; ONLY-100 flagship).  A null payload never
+    matches."""
+    h = audio.wav_headers(batch.column("bytes"))
+    return h.valid & (h.codec == column_values(batch.column("codec")))
 
 
 def frames_match_dur(batch: pa.Table, tolerance: float = 0.02) -> np.ndarray:
     """Universal cross-column: encoded frame count from the container
-    header must match dur_ms * sr_hz / 1000 within ``tolerance``.
-    Undecodable payloads pass here (bytes_matches_codec owns those)."""
-    srs = batch.column("sr_hz").to_numpy(zero_copy_only=False)
-    durs = batch.column("dur_ms").to_numpy(zero_copy_only=False)
-    out = np.ones(batch.num_rows, dtype=bool)
-    for i, buf in enumerate(_payloads(batch)):
-        if buf is None:
-            continue
-        try:
-            h = audio.parse_header(buf)
-        except audio.DecodeError:
-            continue
-        bps = 2 if (h["format_tag"] == audio.WAVE_FORMAT_PCM and h["bits"] == 16) else 1
-        frames = h["data_len"] // bps
-        expect = int(srs[i]) * int(durs[i]) / 1000.0
-        if expect <= 0:
-            out[i] = frames == 0
-        else:
-            out[i] = abs(frames - expect) <= max(1.0, tolerance * expect)
-    return out
+    header (``audio.wav_headers``; an unsupported codec counts one byte
+    per frame) must match dur_ms * sr_hz / 1000 within ``tolerance``.
+    Unparseable payloads pass here (bytes_matches_codec owns those)."""
+    h = audio.wav_headers(batch.column("bytes"))
+    frames = np.where(h.ok, h.frames, h.data_len)
+    sr = batch.column("sr_hz").to_numpy(zero_copy_only=False)
+    dur = batch.column("dur_ms").to_numpy(zero_copy_only=False)
+    expect = sr.astype(np.float64) * dur.astype(np.float64) / 1000.0
+    match = np.where(expect <= 0, frames == 0,
+                     np.abs(frames - expect) <= np.maximum(1.0, tolerance * expect))
+    return ~h.parsed | match
 
 
 def lang_en(batch: pa.Table) -> np.ndarray:

@@ -20,12 +20,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-
-def _cluster_cpus() -> int:
-    try:
-        return max(2, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:       # not initialized yet
-        return 8
+from ..pipelines import relational
 
 
 def _batch_matrix(batch: pa.Table, emb_col: str,
@@ -109,7 +104,7 @@ def ann_topk_bruteforce(
         partials = ds.select_columns([emb_col, id_col]).map_batches(
             _TopKStage, batch_format="pyarrow",
             fn_constructor_args=(emb_col, id_col, query_ref, k),
-            concurrency=(1, _cluster_cpus()),
+            concurrency=(1, max(2, relational.cpu_slots())),
         )
     df = partials.to_pandas()
     out = (
@@ -175,7 +170,7 @@ def ann_topk_lsh(
             return batch.filter(pa.array(mask))
 
     candidates = ds.select_columns([emb_col, id_col]).map_batches(
-        Filter, batch_format="pyarrow", concurrency=(1, _cluster_cpus()))
+        Filter, batch_format="pyarrow", concurrency=(1, max(2, relational.cpu_slots())))
     return ann_topk_bruteforce(candidates, emb_col, id_col, queries, k)
 
 
@@ -262,7 +257,7 @@ def ann_topk_ivf(
             return batch.filter(pa.array(np.isin(assign, self.probe)))
 
     candidates = ds.select_columns([emb_col, id_col]).map_batches(
-        Filter, batch_format="pyarrow", concurrency=(1, _cluster_cpus()))
+        Filter, batch_format="pyarrow", concurrency=(1, max(2, relational.cpu_slots())))
     return ann_topk_bruteforce(candidates, emb_col, id_col, queries, k)
 
 

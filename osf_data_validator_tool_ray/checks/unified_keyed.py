@@ -39,8 +39,8 @@ expected-key partials and resolves every constraint from ONE merge
     CARD-MIN-102  n_rows == 0 and is_expected == 1 (zero-occurrence edge)
 
 In decode mode the ``decodable_bytes`` existential counts the rows whose
-payload the suite pass fully decoded (``dext{j}_n``) instead of the
-header sniff (``ext{j}_n``).  The two names differ on purpose: partials
+payload passed the suite pass's decode check (``dext{j}_n``) instead of
+the header sniff (``ext{j}_n``).  The two names differ on purpose: partials
 stored under one decode setting lack the other's column, so a merge
 under the other setting refuses them.
 """
@@ -108,8 +108,10 @@ def keyed_plan(spec: ConstraintSpec, names: Optional[set],
 
     Constraints on absent columns or unknown predicates are skipped; the
     driver's unevaluable_warnings sweep reports them.  With ``decode``
-    every payload is fully decoded, so ``decodable_bytes`` existentials
-    move to ``decode_exts`` and count decoded rows, not sniffed headers."""
+    every payload goes through the decode check (its header and data
+    chunk: everything ``audio.decode_ints`` can reject), so
+    ``decodable_bytes`` existentials move to ``decode_exts`` and count the
+    rows that pass it, not sniffed headers."""
     key = spec.key_column
     if not key or (names is not None and key not in names):
         return KeyedPlan(None)

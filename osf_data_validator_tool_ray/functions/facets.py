@@ -95,8 +95,11 @@ def _str_test(test: Callable[[str], object], values) -> np.ndarray:
 def _as_float(v) -> float:
     """One value as a number the way ``pandas.to_numeric(errors="coerce")``
     reads it: ``float(v)``, NaN where that fails.  Text must be ASCII
-    without "_", and a finite number beyond the float range is NaN."""
-    if isinstance(v, str) and (not v.isascii() or "_" in v):
+    without "_", and a finite number beyond the float range is NaN.
+    Bytes are never a number, as in a binary Arrow column (``float``
+    would read b"10" as 10)."""
+    if isinstance(v, (bytes, bytearray)) or (
+            isinstance(v, str) and (not v.isascii() or "_" in v)):
         return np.nan
     try:
         x = float(v)

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 import time
 import uuid
 from typing import Optional
@@ -79,7 +80,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..checks.unified_keyed import KeyedPlan, keyed_plan
-from ..sources.io import footer_size
+from ..sources.io import Partition, footer_size
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
 from . import relational
@@ -104,23 +105,30 @@ def _run_partition(
     decode: bool,
     plan: KeyedPlan,
     declared_universals: frozenset,
+    bodies: Optional[dict] = None,
 ) -> dict:
     """Process ONE partition inside a share's Ray task: stream its
     batches through the vectorized kernels, write artifacts, record the
     checkpoint.  No nested Ray Data execution — at fleet scale the outer
     task fan-out IS the parallelism.  ``path`` is a partition id in
-    either form ``sources.io.iter_partition_batches`` accepts (parquet
-    file path or Lance ``<path>#<fragment_id>``), so Lance fragments are
-    first-class resume units here, not just in the listing."""
-    from ..sources.io import partition_schema_and_rows
-
+    either form ``sources.io.Partition`` accepts (parquet file path or
+    Lance ``<path>#<fragment_id>``), so Lance fragments are first-class
+    resume units here, not just in the listing.  The partition is opened
+    once: the footer that gives its schema and row count is the one the
+    scan reads.  ``bodies`` keeps the share's ``SuitePass`` per column
+    set, built once for the partitions that share one.  A partition that
+    fails leaves no temp artifact dir or open writer behind."""
     store = CheckpointStore(store_root)
     pid = _partition_id(path)
     t0 = time.time()
-    schema, n_rows = partition_schema_and_rows(path)   # metadata, no scan
-    body = SuitePass(spec, set(schema.names), plan,
-                     ROW_CHECKS if decode else ROW_CHECKS - {"decode"},
-                     declared_universals)
+    part = Partition(path)
+    names = frozenset(part.schema.names)
+    bodies = {} if bodies is None else bodies
+    if names not in bodies:
+        bodies[names] = SuitePass(spec, names, plan,
+                                  ROW_CHECKS if decode else ROW_CHECKS - {"decode"},
+                                  declared_universals)
+    body = bodies[names]
 
     tmp_base = os.path.join(store.root, f"_tmp_{pid}_{uuid.uuid4().hex[:6]}")
 
@@ -153,24 +161,34 @@ def _run_partition(
                 self.writer.close()
             store.publish_artifact(pid, kind, self.dir)
 
+        def discard(self) -> None:
+            """Close the writer and remove the temp dir (a no-op once
+            published: the dir has moved)."""
+            if self.writer is not None:
+                self.writer.close()
+            shutil.rmtree(self.dir, ignore_errors=True)
+
     import pyarrow.compute as pc
 
-    viol_stream = _ArtifactStream("_violations")
-    part_stream = _ArtifactStream("_partials") if body.agg is not None else None
+    streams = {"violations": _ArtifactStream("_violations")}
+    if body.agg is not None:
+        streams["partials"] = _ArtifactStream("_partials")
     n_err = n_warn = 0
-    for violations, partials in body.scan(path):
-        sev = violations.column("severity")
-        n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
-        n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
-        viol_stream.append(violations)
-        if part_stream is not None:
-            part_stream.append(partials)
+    try:
+        for violations, partials in body.scan(part):
+            sev = violations.column("severity")
+            n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
+            n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
+            streams["violations"].append(violations)
+            if "partials" in streams:
+                streams["partials"].append(partials)
+        for kind, stream in streams.items():
+            stream.publish(kind)
+    finally:
+        for stream in streams.values():
+            stream.discard()
 
-    viol_stream.publish("violations")
-    if part_stream is not None:
-        part_stream.publish("partials")
-
-    metrics = {"n_rows": n_rows, "lineage": path,
+    metrics = {"n_rows": part.num_rows, "lineage": path,
                "n_violations": n_err, "n_warnings": n_warn,
                "pass": n_err == 0, "runtime_s": time.time() - t0}
     return store.record(pid, metrics)
@@ -180,17 +198,19 @@ def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str,
                *args) -> list[dict]:
     """``_run_partition(path, spec, store_root, *args)`` for each partition
     of one contiguous share (``relational.shares``), in one Ray task;
-    returns their records.  A partition already recorded (by an earlier
-    attempt of this task) is skipped.  A partition that raises does not
-    stop the share: every healthy one is recorded first, then the first
-    error is re-raised."""
+    returns their records.  The partitions with one column set share one
+    ``SuitePass``.  A partition already recorded (by an earlier attempt
+    of this task) is skipped.  A partition that raises does not stop the
+    share: every healthy one is recorded first, then the first error is
+    re-raised."""
     store = CheckpointStore(store_root)
+    bodies: dict = {}
     recs, error = [], None
     for path in paths:
         rec = store.completed_record(_partition_id(path))
         if rec is None:
             try:
-                rec = _run_partition(path, spec, store_root, *args)
+                rec = _run_partition(path, spec, store_root, *args, bodies)
             except Exception as e:
                 error = error or e
                 continue
@@ -226,7 +246,7 @@ def run_partitioned(
     record of its own — the fragment is the resume/lineage unit
     end-to-end.
     """
-    from ..sources.io import partition_files, partition_schema_and_rows
+    from ..sources.io import partition_files
 
     files = partition_files(input_glob)
     if not files:
@@ -241,7 +261,7 @@ def run_partitioned(
     # partitions.  NOTE: one store assumes one spec and decode setting
     # across its lifetime (those positions follow the plan); the merge
     # refuses stored partials that lack a planned column.
-    schema0, _ = partition_schema_and_rows(files[0])
+    schema0 = Partition(files[0]).schema
     plan = keyed_plan(spec, set(schema0.names), decode)
     declared_universals = frozenset(u.predicate for u in spec.universals)
 

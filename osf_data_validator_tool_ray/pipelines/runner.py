@@ -62,6 +62,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .. import audio
 from ..checks.base import VIOLATION_SCHEMA, empty_violations, union_all
 from ..checks.schema import (
     schema_violations,
@@ -69,7 +70,7 @@ from ..checks.schema import (
     unevaluable_warnings,
 )
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
-from ..sources.io import arrow_schema, iter_partition_batches, parquet_read_files
+from ..sources.io import Partition, arrow_schema, parquet_read_files
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
@@ -306,20 +307,25 @@ class SuitePass:
 
     def findings(self, batch: pa.Table) -> tuple[pa.Table, Optional[pa.Table]]:
         violations = []
-        if self.stateless is not None:
-            violations.append(self.stateless(batch.select(self.stateless_columns)))
-        decoded = None
-        if self.payload is not None:
-            v, decoded = self.payload.findings(batch.select(self.bytes_columns))
-            violations.append(v)
-        partials = self.agg(batch, decoded) if self.agg is not None else None
+        with audio.one_parse_per_column():     # the sniff predicates share it
+            if self.stateless is not None:
+                violations.append(self.stateless(batch.select(self.stateless_columns)))
+            decoded = None
+            if self.payload is not None:
+                v, decoded = self.payload.findings(batch.select(self.bytes_columns))
+                violations.append(v)
+            partials = self.agg(batch, decoded) if self.agg is not None else None
         return (pa.concat_tables(violations) if violations else empty_violations(),
                 partials)
 
-    def scan(self, partition: str) -> Iterator[tuple[pa.Table, Optional[pa.Table]]]:
+    def scan(self, partition: "str | Partition") -> Iterator[
+            tuple[pa.Table, Optional[pa.Table]]]:
         """``findings`` of each batch of one partition (a parquet file or
-        a Lance fragment id), read with only ``columns``."""
-        for rb in iter_partition_batches(partition, self.batch_size, self.columns):
+        a Lance fragment id, or that partition already opened), read with
+        only ``columns``."""
+        if not isinstance(partition, Partition):
+            partition = Partition(partition)
+        for rb in partition.iter_batches(self.batch_size, self.columns):
             yield self.findings(pa.Table.from_batches([rb]))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -462,10 +468,11 @@ def run_suite(
     """Run every check of ``spec`` against ``ds``: the registry's run of
     ``SUITE``, so the driver-side checks plus ONE scan of ``ds``.
 
-    decode=True adds the ``decode`` entry: every payload is fully decoded
-    in the same scan (universal predicates, bytes facets, DECODE-100/101
-    and the decodable existential come from the decode); without it the
-    stateless pass sniffs payload headers instead.
+    decode=True adds the ``decode`` entry: every payload goes through the
+    decode check in the same scan (its header and data chunk: everything
+    ``audio.decode_ints`` can reject; universal predicates, bytes facets,
+    DECODE-100/101 and the decodable existential come from it); without
+    it the stateless pass sniffs payload headers instead.
 
     ``metadata_ds`` is accepted and unused: the one scan of ``ds`` reads
     every column the checks need.  ``decode_profile`` is accepted and

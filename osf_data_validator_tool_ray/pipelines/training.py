@@ -172,6 +172,7 @@ def unigram_logprob_scores(
 
     import ray as _ray
 
+    from . import relational
     from .relational import fits_driver_merge, grouped_agg
 
     from ..functions.text import segment_sums, tokenize_flat
@@ -229,8 +230,7 @@ def unigram_logprob_scores(
 
     return ds.select_columns([id_col, text_col]).map_batches(
         Score, batch_format="pyarrow", batch_size=65536,
-        concurrency=(1, max(2, int(_ray.cluster_resources()
-                                   .get("CPU", 8)))))
+        concurrency=(1, max(2, relational.cpu_slots())))
 
 
 def stratified_sample(

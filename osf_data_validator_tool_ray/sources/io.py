@@ -142,32 +142,40 @@ def _lance_fragment(partition: str):
     return ds, ds.get_fragment(int(frag_id))
 
 
-def iter_partition_batches(partition: str, batch_size: int = 65536,
-                           columns: Optional[Sequence[str]] = None):
-    """Stream one partition's record batches (the per-partition scan the
-    partitioned pipeline uses).  Accepts a parquet file path or a Lance
-    ``<path>#<fragment_id>`` partition id — the Lance side reads ONLY
-    that fragment (projection pushed down), proving the
-    fragment -> partition lineage mapping end-to-end."""
-    columns = list(columns) if columns else None
-    lance_part = _lance_fragment(partition)
-    if lance_part is not None:
-        yield from lance_part[1].to_batches(columns=columns, batch_size=batch_size)
-        return
-    yield from pq.ParquetFile(partition).iter_batches(batch_size=batch_size,
-                                                      columns=columns)
+class Partition:
+    """One partition, opened once: a parquet file path (its footer read
+    once, memory-mapped) or a Lance ``<path>#<fragment_id>`` id (that
+    fragment's metadata).  The one open gives the partition's Arrow
+    schema, its row count and its scan, so a task that checks the schema
+    and then scans reads the footer once."""
 
+    def __init__(self, partition: str):
+        self._lance = _lance_fragment(partition)
+        self._file = (None if self._lance is not None
+                      else pq.ParquetFile(partition, memory_map=True))
 
-def partition_schema_and_rows(partition: str) -> tuple[pa.Schema, int]:
-    """(Arrow schema, row count) of one partition from METADATA only —
-    no page reads.  Accepts the same two id forms as
-    ``iter_partition_batches``: a parquet file path (footer) or a Lance
-    ``<path>#<fragment_id>`` id (fragment metadata)."""
-    lance_part = _lance_fragment(partition)
-    if lance_part is not None:
-        return lance_part[0].schema, lance_part[1].count_rows()
-    pf = pq.ParquetFile(partition)
-    return pf.schema_arrow, pf.metadata.num_rows
+    @property
+    def schema(self) -> pa.Schema:
+        return self._lance[0].schema if self._file is None else self._file.schema_arrow
+
+    @property
+    def num_rows(self) -> int:
+        """From metadata only, no page reads."""
+        if self._file is None:
+            return self._lance[1].count_rows()
+        return self._file.metadata.num_rows
+
+    def iter_batches(self, batch_size: int = 65536,
+                     columns: Optional[Sequence[str]] = None):
+        """Stream the record batches, reading only ``columns``.  A Lance
+        fragment reads only itself (projection pushed down); a parquet
+        file is read on the calling thread (``use_threads=False``): the
+        scan runs inside a task that holds one CPU slot."""
+        columns = list(columns) if columns else None
+        if self._file is None:
+            return self._lance[1].to_batches(columns=columns, batch_size=batch_size)
+        return self._file.iter_batches(batch_size=batch_size, columns=columns,
+                                       use_threads=False)
 
 
 def parquet_read_files(ds: "ray.data.Dataset") -> Optional[list[str]]:

@@ -14,7 +14,7 @@ CARD_MIN_102 = "CARD-MIN-102"                # zero-edge (key absent entirely)
 CARD_EXACT_100 = "CARD-EXACT-100"
 SOME_100 = "SOME-100"
 ONLY_100 = "ONLY-100"
-DECODE_100 = "DECODE-100"                    # payload fails full decode
+DECODE_100 = "DECODE-100"                    # payload fails decode
 DECODE_101 = "DECODE-101"                    # decoded stats contradict metadata
 DRIFT_100 = "DRIFT-100"                      # KS/PSI distribution drift
 RECONCILE_100 = "RECONCILE-100"              # cross-table aggregate mismatch

@@ -8,10 +8,13 @@ existential; the suite's one per-batch body
 (``pipelines.runner.SuitePass``) calls it, and ``bytes_suite_pass`` runs
 it alone over a Dataset.
 
-``AudioDecodeValidator.stats`` fully decodes every payload of the batch
-(``audio.decode_ints`` on each zero-copy view) and returns, as numpy
-arrays that ``BytesSuitePass.findings`` reads directly, only what the
-findings read; ``__call__`` packs them into a table:
+``AudioDecodeValidator.stats`` checks every payload of the batch for
+everything ``audio.decode_ints`` can reject (the container header and
+the data chunk's length: once a payload passes them, its samples are a
+``np.frombuffer`` view and a table gather that cannot fail) with one
+``audio.wav_headers`` pass over the column, and returns, as numpy arrays
+that ``BytesSuitePass.findings`` reads directly, only what the findings
+read; ``__call__`` packs them into a table:
 
   clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, error.
 
@@ -53,28 +56,12 @@ STATS_SCHEMA = pa.schema(
 class AudioDecodeValidator:
     def stats(self, batch: pa.Table) -> tuple[np.ndarray, ...]:
         """(decoded_ok, frames, payload_sr_hz, payload_codec, error) of
-        each row, as numpy arrays (the last two of objects)."""
-        payloads = audio.binary_views(batch.column("bytes"))  # zero-copy
-        n = len(payloads)
-        ok = np.zeros(n, dtype=bool)
-        frames = np.zeros(n, dtype=np.int64)
-        srs = np.zeros(n, dtype=np.int32)
-        codecs = np.full(n, None, dtype=object)
-        errs = np.full(n, None, dtype=object)
-        for i, buf in enumerate(payloads):
-            if buf is None:
-                errs[i] = "null payload"
-                continue
-            try:
-                ints, sr, codec = audio.decode_ints(buf)
-            except audio.DecodeError as e:
-                errs[i] = str(e)
-                continue
-            ok[i] = True
-            frames[i] = len(ints)
-            srs[i] = sr
-            codecs[i] = codec
-        return ok, frames, srs, codecs, errs
+        each row, as read-only numpy arrays (the last two of objects):
+        what ``audio.decode_ints`` of each payload returns or raises
+        (frames: its sample count; "null payload" for a null)."""
+        h = audio.wav_headers(batch.column("bytes"))
+        return (h.ok, h.frames, np.where(h.ok, h.sr_hz, 0).astype(np.int32),
+                h.codec, h.error)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ok, frames, srs, codecs, errs = self.stats(batch)
@@ -130,7 +117,7 @@ class BytesSuitePass:
 
       * DECODE-100/-101 violations (undecodable; stats contradict metadata)
       * ONLY-100 counterexamples for bytes_matches_codec / frames_match_dur
-        (universal checks — full decode subsumes the header sniff)
+        (universal checks — the decode check subsumes the header sniff)
       * DATATYPE-FACET-101 for the bytes not_null / not_empty facets
 
     ``findings`` also returns the per-row decoded flags, which the keyed

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import audio
 from ..functions.facets import facet_violations
 from ..spec import ConstraintSpec
 from .base_ids import (
@@ -82,6 +83,10 @@ class StatelessValidator:
                     ("ONLY-102", u.column, u.value_facets, None))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        with audio.one_parse_per_column():     # the sniff predicates share it
+            return self._violations(batch)
+
+    def _violations(self, batch: pa.Table) -> pa.Table:
         spec = self.spec
         out: list[pa.Table] = []
 

@@ -273,3 +273,38 @@ def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
     assert recs[0] == first == store.completed_record(pid)
     assert artifacts() == before
     assert store.completed() == {_partition_basename(f) for f in files}
+
+
+def test_failed_partition_leaves_no_temp_artifacts(tmp_path):
+    """A partition whose scan fails mid-file (its footer reads, a page
+    header does not) closes its artifact writers and removes their temp
+    dirs, on every attempt; the healthy partition is recorded, and after
+    the repair the rerun runs just the failed one and reports what a
+    clean run reports."""
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=120, seed=7,
+                               defect_rate=0.05, num_shards=2, max_dur_ms=600)
+    shards = sorted(glob.glob(meta["clips_dir"] + "/*.parquet"))
+    victim = shards[1]
+    good_bytes = open(victim, "rb").read()
+    with open(victim, "r+b") as fh:
+        fh.seek(4)
+        fh.write(b"\xff" * 396)
+    pq.read_metadata(victim)   # the footer still reads
+
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = meta["clips_dir"] + "/*.parquet"
+    for _ in range(2):
+        with pytest.raises(Exception):
+            validate_partitioned(pattern, clips_spec(), store, decode=True)
+        assert store.completed() == {_partition_basename(shards[0])}
+        assert not glob.glob(os.path.join(store.root, "**", "_tmp_*"), recursive=True)
+
+    with open(victim, "wb") as fh:
+        fh.write(good_bytes)
+    rep = validate_partitioned(pattern, clips_spec(), store, decode=True)
+    assert rep["partitions_ran"] == 1 and rep["partitions_skipped"] == 1
+    clean = validate_partitioned(pattern, clips_spec(),
+                                 CheckpointStore(str(tmp_path / "clean")), decode=True)
+    runs = ("partitions_ran", "partitions_skipped")
+    assert {k: v for k, v in rep.items() if k not in runs} \
+        == {k: v for k, v in clean.items() if k not in runs}

@@ -165,8 +165,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
     from osf_data_validator_tool_ray.pipelines.partitioned import (
         _run_partition, validate_partitioned)
-    from osf_data_validator_tool_ray.sources.io import (
-        partition_files, partition_schema_and_rows)
+    from osf_data_validator_tool_ray.sources.io import Partition, partition_files
     from osf_data_validator_tool_ray.spec import clips_spec
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
     from osf_data_validator_tool_ray.synth import write_clips_dataset
@@ -183,8 +182,8 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
 
     parts = partition_files(lance_dir)
     assert len(parts) == 3 and all("#" in p for p in parts)
-    schema0, n0 = partition_schema_and_rows(parts[0])
-    names0 = set(schema0.names)
+    part0 = Partition(parts[0])
+    names0, n0 = set(part0.schema.names), part0.num_rows
     assert "clip_id" in names0 and n0 == 30
 
     spec = clips_spec()

@@ -3,7 +3,7 @@ import pytest
 import ray.data
 
 from osf_data_validator_tool_ray.sources.io import (
-    HAVE_LANCE, iter_partition_batches, partition_files, read_table)
+    HAVE_LANCE, Partition, partition_files, read_table)
 from osf_data_validator_tool_ray.synth import write_clips_dataset
 
 
@@ -23,8 +23,7 @@ def test_iter_partition_batches_parquet(tmp_path):
     meta = write_clips_dataset(str(tmp_path), n_rows=60, seed=5,
                                defect_rate=0.0, num_shards=3)
     [f0, _, _] = partition_files(meta["clips_dir"])
-    batches = list(iter_partition_batches(f0, batch_size=8,
-                                          columns=["clip_id"]))
+    batches = list(Partition(f0).iter_batches(batch_size=8, columns=["clip_id"]))
     assert sum(b.num_rows for b in batches) == 20
     assert batches[0].schema.names == ["clip_id"]
 
@@ -46,7 +45,7 @@ def test_lance_round_trip_fragment_lineage(tmp_path):
     assert len(parts) == 4                      # ceil(100 / 30) fragments
     seen = []
     for p in parts:
-        rows = [r for b in iter_partition_batches(p, columns=["clip_id"])
+        rows = [r for b in Partition(p).iter_batches(columns=["clip_id"])
                 for r in b.column("clip_id").to_pylist()]
         assert rows                              # each fragment non-empty
         seen.extend(rows)
