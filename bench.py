@@ -52,14 +52,15 @@ def _clips_meta(sf: float) -> dict:
 
 
 def _clips_suite_once(meta: dict) -> int:
-    import ray, ray.data
+    import ray.data
+    from osf_data_validator_tool_ray.pipelines.relational import cpu_slots
     from osf_data_validator_tool_ray.pipelines.runner import run_suite
     from osf_data_validator_tool_ray.spec import clips_spec
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
     spec = clips_spec()
     ds = ray.data.read_parquet(meta["clips_dir"])
-    refs = ray.data.read_parquet(meta["refs_path"], override_num_blocks=max(2, ncpu // 4))
+    refs = ray.data.read_parquet(meta["refs_path"],
+                                 override_num_blocks=max(2, cpu_slots() // 4))
     res = run_suite(ds, spec, refs={"refs": refs}, decode=True)
     return res.to_arrow().num_rows
 

@@ -43,8 +43,12 @@ VIOLATION_SCHEMA = pa.schema(
 )
 
 
+_EMPTY_VIOLATIONS = VIOLATION_SCHEMA.empty_table()
+
+
 def empty_violations() -> pa.Table:
-    return VIOLATION_SCHEMA.empty_table()
+    """The one empty violations table (Arrow tables are immutable)."""
+    return _EMPTY_VIOLATIONS
 
 
 def union_all(parts: list) -> "ray.data.Dataset":

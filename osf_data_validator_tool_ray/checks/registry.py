@@ -64,7 +64,12 @@ def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
     pyarrow Tables join its in-process ``violations``, violation
     Datasets its ``cluster_violations`` (unknown names raise, like an
     unloadable class).  The row-level entries run in one scan, followed
-    by the -50 warnings for every constraint they skip as unevaluable."""
+    by the -50 warnings for every constraint they skip as unevaluable.
+    A Dataset whose schema Ray cannot know (no blocks, e.g. a filter
+    that drops every row) raises before any entry runs."""
+    if arrow_schema(ctx.ds) is None:
+        raise ValueError("the Dataset has no blocks, so its schema is unknown "
+                         "and no check can be planned against it")
     parts, row_checks, summary = [], set(), {}
     for entry in entries:
         name, params = parse_check_entry(entry)

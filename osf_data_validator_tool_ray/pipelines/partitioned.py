@@ -4,11 +4,14 @@ Input layout: a directory of parquet files (Lance fragments when Lance
 is available); ONE FILE = ONE PARTITION = the resume/lineage unit.
 
 Per incomplete partition (skipped when its checkpoint record is done):
-  1. ONE streamed loop over the partition's batches, each through the
-     suite's own per-batch body: ``runner.SuitePass.scan``, the same
-     per-file loop the suite's file route runs for a plain parquet read
-     (stateless facets, decode findings with decode=True, keyed combiner
-     partials)
+  1. ONE streamed scan of the partition through the suite's own body:
+     ``runner.SuitePass.scan``, the loop the suite's file route runs over
+     a share of a plain parquet read (stateless facets, decode findings
+     with decode=True, keyed combiner partials), here over one partition
+     so that its artifacts and counts stay its own.  The scan reads
+     record batches of about ``runner.READ_BYTES`` (rows from the footer
+     the partition was opened with) and checks runs of up to
+     ``runner.BATCH_BYTES``: a small file is one ``findings`` call
   2. its violation rows -> violations parquet artifact; its grouped-
      constraint PARTIAL aggregates per key (decodable count included)
      -> partials artifact (the combiner half of the two-phase
@@ -175,7 +178,7 @@ def _run_partition(
         streams["partials"] = _ArtifactStream("_partials")
     n_err = n_warn = 0
     try:
-        for violations, partials in body.scan(part):
+        for violations, partials in body.scan([part]):
             sev = violations.column("severity")
             n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
             n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0

@@ -6,20 +6,25 @@ The reference's built-in suite is its default ``tests/checks[]`` list
 ``decode``).  The registry's row-level entries (``ROW_CHECKS``) share
 ONE scan of the input, ``scan_checks``:
 
-  1. ONE pass of ``SuitePass`` over the rows, column-pruned, in
-     ``SuitePass.batch_size`` batches: per batch, whichever entries are
-     selected — the ``stateless`` facets (enums, cross-domain, universal
-     predicates, payload headers sniffed), the ``decode`` findings
-     (BytesSuitePass, which then owns the payload universals,
-     DECODE-100/101) and the combiner partials of ALL ``keyed``
-     constraints.  A plain parquet read (``sources.io.parquet_read_files``:
-     what the CLI and the benchmarks pass) runs as one plain Ray task per
-     contiguous share of its files (``relational.shares``), each running
-     the partitioned runner's per-file loop (``SuitePass.scan``) over its
-     files and returning their violations and partials as Arrow tables
-     plus their rows and bytes.  Any other Dataset (``from_arrow``; a
-     mapped, limited, filtered or hive-partitioned read; a remote filesystem)
-     runs as ONE ``map_batches`` whose tagged output is materialized once
+  1. ONE pass of ``SuitePass`` over the rows, column-pruned: per batch,
+     whichever entries are selected — the ``stateless`` facets (enums,
+     cross-domain, universal predicates, payload headers sniffed), the
+     ``decode`` findings (BytesSuitePass, which then owns the payload
+     universals, DECODE-100/101) and the combiner partials of ALL
+     ``keyed`` constraints.  A plain parquet read
+     (``sources.io.parquet_read_files``: what the CLI and the benchmarks
+     pass) runs as one plain Ray task per contiguous share of its files
+     (``relational.shares``), each scanning its share as one stream
+     (``SuitePass.scan``, also the partitioned runner's loop) and
+     returning its violations and partials as Arrow tables plus their
+     rows and bytes.  The scan sizes batches in bytes from the footers:
+     reads of about ``READ_BYTES``, checked in runs of up to
+     ``BATCH_BYTES`` that cross file boundaries, so a share of small files
+     pays the per-call cost once.  Any other Dataset (``from_arrow``; a
+     mapped, limited, filtered or hive-partitioned read; a remote
+     filesystem) runs as ONE ``map_batches`` in ``SuitePass.batch_size``
+     rows (Ray batches by rows, and such a Dataset's row width is unknown
+     until it runs), whose tagged output is materialized once
   2. the driver gate (``relational.fits_driver_merge``) on the output's
      rows and bytes: below it the output is pulled to the driver ONCE and
      split in process, above it it stays on the cluster (the task tables
@@ -70,7 +75,7 @@ from ..checks.schema import (
     unevaluable_warnings,
 )
 from ..checks.unified_keyed import KeyedPlan, keyed_plan, keyed_violations
-from ..sources.io import Partition, arrow_schema, parquet_read_files
+from ..sources.io import MAX_BATCH_ROWS, Partition, arrow_schema, parquet_read_files
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
@@ -80,6 +85,10 @@ from . import relational
 ROW_CHECKS = frozenset({"stateless", "keyed", "decode"})
 # the built-in suite, as a registry entry list (dvt.ini's tests/checks[])
 SUITE = ("schema", "spec_completeness", "stateless", "keyed")
+# ``SuitePass.scan`` reads record batches of about READ_BYTES and checks
+# runs of them of up to BATCH_BYTES (or MAX_BATCH_ROWS rows) per call
+READ_BYTES = 4 << 20
+BATCH_BYTES = 64 << 20
 
 ALL_CHECK_IDS = [
     "SCHEMA-COLUMN-100", "SCHEMA-COLUMN-101", "SPEC-COMPLETENESS-100",
@@ -275,22 +284,25 @@ class SuitePass:
         ``keyed`` the caller passes ``KeyedPlan(None)``.
 
     ``findings`` returns ``(violations, partials)`` (partials None when
-    the table lacks the plan's key); ``scan`` yields them for each batch
-    of one partition, the per-file loop of the file route and of the
-    partitioned runner's tasks.  Calling the instance returns both
+    the table lacks the plan's key); ``scan`` yields them for a list of
+    partitions read as one stream, the loop of the file route's tasks
+    and of the partitioned runner's.  Calling the instance returns both
     as ONE tagged table for ``map_batches``: partial rows carry their key
     in ``_pkey``, violation rows leave it null; ``tagged_violations`` and
     ``tagged_partials`` split it.
 
-    ``batch_size`` is the one batch rule of both executors: 256 rows
-    when the pass decodes payloads (the wide decoded rows stay within
-    the task heap), else 65,536 (the per-batch overhead dominates small
-    batches)."""
+    ``scan`` sizes its batches in bytes from the parquet footers: small
+    reads of ``READ_BYTES`` keep the decoded payloads within the task
+    heap, and runs of up to ``BATCH_BYTES`` per call pay a call's fixed
+    cost, most of a small batch's, once.  ``batch_size`` is the rule
+    where no footer gives the row width, the ``map_batches`` route (Ray
+    batches by rows) and a Lance fragment: 256 rows when the pass decodes
+    payloads, else ``MAX_BATCH_ROWS``."""
 
     def __init__(self, spec: ConstraintSpec, names: set, plan: KeyedPlan,
                  checks: frozenset, universal_predicates: frozenset):
         self.decode = "decode" in checks and "bytes" in names
-        self.batch_size = 256 if self.decode else 65_536
+        self.batch_size = 256 if self.decode else MAX_BATCH_ROWS
         skip = ("bytes",) if self.decode else ()
         self.stateless = (StatelessValidator(spec, skip_columns=skip, include_universals=True)
                           if "stateless" in checks else None)
@@ -318,15 +330,31 @@ class SuitePass:
         return (pa.concat_tables(violations) if violations else empty_violations(),
                 partials)
 
-    def scan(self, partition: "str | Partition") -> Iterator[
+    def scan(self, partitions: "list[str | Partition]") -> Iterator[
             tuple[pa.Table, Optional[pa.Table]]]:
-        """``findings`` of each batch of one partition (a parquet file or
-        a Lance fragment id, or that partition already opened), read with
-        only ``columns``."""
-        if not isinstance(partition, Partition):
-            partition = Partition(partition)
-        for rb in partition.iter_batches(self.batch_size, self.columns):
-            yield self.findings(pa.Table.from_batches([rb]))
+        """``findings`` of ``partitions`` (parquet files or Lance fragment
+        ids, or those already opened) read in order as ONE stream, with
+        only ``columns``: each partition in record batches of about
+        ``READ_BYTES`` (``Partition.read_rows``; ``batch_size`` rows for a
+        Lance fragment), one ``findings`` call per run of batches of up to
+        ``BATCH_BYTES`` or ``MAX_BATCH_ROWS`` rows across partition
+        boundaries, cut early where the next batch's schema differs (a
+        file with a dictionary-encoded column)."""
+        run, rows, size = [], 0, 0
+        for part in partitions:
+            if not isinstance(part, Partition):
+                part = Partition(part)
+            read = part.read_rows(self.columns, READ_BYTES) or self.batch_size
+            for rb in part.iter_batches(read, self.columns):
+                if run and (rows + rb.num_rows > MAX_BATCH_ROWS
+                            or size + rb.nbytes > BATCH_BYTES
+                            or not rb.schema.equals(run[0].schema)):
+                    yield self.findings(pa.Table.from_batches(run))
+                    run, rows, size = [], 0, 0
+                run.append(rb)
+                rows, size = rows + rb.num_rows, size + rb.nbytes
+        if run:
+            yield self.findings(pa.Table.from_batches(run))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         violations, partials = self.findings(batch)
@@ -348,11 +376,11 @@ def tagged_partials(t: pa.Table) -> pa.Table:
 
 
 def _share_findings(paths: list[str], body: SuitePass):
-    """The file route's task: ``body.scan`` of each file of one share
-    (``relational.shares``), concatenated in file order and returned as
+    """The file route's task: ``body.scan`` of one share's files
+    (``relational.shares``) as one stream, concatenated and returned as
     (violations, partials, their (rows, bytes)) through the object store;
     partials have no columns when the share yields none."""
-    found = [f for path in paths for f in body.scan(path)]
+    found = list(body.scan(paths))
     violations = pa.concat_tables([empty_violations(), *(v for v, _ in found)])
     partials = [p for _, p in found if p is not None]
     partials = pa.concat_tables(partials) if partials else pa.table({})

@@ -142,6 +142,10 @@ def _lance_fragment(partition: str):
     return ds, ds.get_fragment(int(frag_id))
 
 
+# the most rows a scan reads or checks at once, however narrow the rows
+MAX_BATCH_ROWS = 65_536
+
+
 class Partition:
     """One partition, opened once: a parquet file path (its footer read
     once, memory-mapped) or a Lance ``<path>#<fragment_id>`` id (that
@@ -165,9 +169,26 @@ class Partition:
             return self._lance[1].count_rows()
         return self._file.metadata.num_rows
 
-    def iter_batches(self, batch_size: int = 65536,
+    def read_rows(self, columns: Optional[Sequence[str]], read_bytes: int) -> Optional[int]:
+        """Rows per record batch that hold about ``read_bytes`` of
+        ``columns`` (all when None), from the open footer's uncompressed
+        column-chunk sizes (no page read), at most ``MAX_BATCH_ROWS``.
+        None for a Lance fragment: its metadata gives no column sizes."""
+        if self._file is None:
+            return None
+        md, wanted = self._file.metadata, set(columns) if columns else None
+        size = sum(chunk.total_uncompressed_size
+                   for rg in map(md.row_group, range(md.num_row_groups))
+                   for chunk in map(rg.column, range(rg.num_columns))
+                   if wanted is None or chunk.path_in_schema.split(".")[0] in wanted)
+        if not size:
+            return MAX_BATCH_ROWS
+        return max(1, min(MAX_BATCH_ROWS, md.num_rows * read_bytes // size))
+
+    def iter_batches(self, batch_size: int = MAX_BATCH_ROWS,
                      columns: Optional[Sequence[str]] = None):
-        """Stream the record batches, reading only ``columns``.  A Lance
+        """Stream record batches of ``batch_size`` rows, reading only
+        ``columns`` (``read_rows`` sizes them by bytes).  A Lance
         fragment reads only itself (projection pushed down); a parquet
         file is read on the calling thread (``use_threads=False``): the
         scan runs inside a task that holds one CPU slot."""

@@ -18,9 +18,16 @@ read; ``__call__`` packs them into a table:
 
   clip_id, decoded_ok, frames, payload_sr_hz, payload_codec, error.
 
-Batch sizing: `bytes` dominates row width (sr*dur*2 bytes/row); keep
-batch_size small (256) so a batch fits the worker heap
-(SURVEY.md §4: memory-aware decode stage).
+Batch sizing: `bytes` dominates row width (sr*dur*2 bytes/row), so the
+suite's scan sizes batches in bytes, not rows (SURVEY.md §4:
+memory-aware decode stage): ``runner.SuitePass.scan`` reads record
+batches of about ``runner.READ_BYTES`` (4 MiB; rows from the parquet
+footer's column sizes), so a read's decoded rows stay within the worker
+heap, and checks runs of them of up to ``runner.BATCH_BYTES`` (64 MiB)
+per call, as a call's fixed cost is most of a small batch's.  Where no
+footer gives the row width (``map_batches``, which Ray batches by rows;
+a Lance fragment) a decoding pass reads 256 rows per batch
+(``SuitePass.batch_size``).
 
 Violations derived from the stats:
   DECODE-100  payload fails decode

@@ -1,8 +1,10 @@
 """The row kernels are pinned to the pandas-based kernels they replaced.
 
-``SuitePass.scan`` output, order included, must hash to the digests
-recorded from that earlier implementation on the same seeded tables, in
-decode and in sniff mode; and ``facet_violations`` must give the same
+``SuitePass.findings`` output over fixed ``SuitePass.batch_size``-row
+batches (not ``scan``'s byte-sized ones, so the pin stays on the
+kernels), order included, must hash to the digests recorded from that
+earlier implementation on the same seeded tables, in decode and in
+sniff mode; and ``facet_violations`` must give the same
 masks for a column whether it arrives as an Arrow array or as an object
 ndarray of the same values.  Null-typed columns and text domains over
 an integer column keep their pandas answers, and a dictionary-encoded
@@ -26,7 +28,7 @@ from osf_data_validator_tool_ray.stages.decode_stage import BytesSuitePass
 from osf_data_validator_tool_ray.stages.facet_stage import StatelessValidator
 from osf_data_validator_tool_ray.synth import synth_clips
 
-# (seed, defect rate, decode) -> digest of the scan's (violations, partials)
+# (seed, defect rate, decode) -> digest of the findings' (violations, partials)
 DIGESTS = {
     (41, 0.01, True): "1d81cdf0b2d6bad7",
     (41, 0.01, False): "b9b503345f1a0277",
@@ -48,7 +50,8 @@ def test_suite_pass_scan_matches_recorded_digest(tmp_path, seed, rate, decode):
                      frozenset(u.predicate for u in spec.universals))
     h = hashlib.sha256()
     n_violations = 0
-    for violations, partials in body.scan(path):
+    for rb in pq.ParquetFile(path).iter_batches(body.batch_size, columns=body.columns):
+        violations, partials = body.findings(pa.Table.from_batches([rb]))
         n_violations += violations.num_rows
         h.update(json.dumps([violations.to_pylist(), partials.to_pylist()],
                             default=str).encode())

@@ -197,3 +197,19 @@ def test_registry_image_check():
     ctx2 = RunContext(ds=ray.data.from_pandas(
         pd.DataFrame({"a": [1]})), spec=clips_spec())
     assert len(_rows(plan_checks(ctx2, ["image"]))) == 0
+
+
+def test_unknown_schema_fails_closed(tmp_path):
+    """A Dataset with no blocks has no schema Ray can know: the plan
+    refuses it by name before any entry runs.  A zero-row limit keeps
+    its schema and still runs (and passes)."""
+    import pyarrow.parquet as pq
+
+    from osf_data_validator_tool_ray.pipelines.runner import run_suite
+
+    path = str(tmp_path / "clips.parquet")
+    pq.write_table(synth_clips(20, seed=1, defect_rate=0.0)[0], path)
+    ds = ray.data.read_parquet(path)
+    with pytest.raises(ValueError, match="schema is unknown"):
+        run_suite(ds.filter(lambda r: False), clips_spec())
+    assert run_suite(ds.limit(0), clips_spec(), decode=True).report()["pass"]

@@ -94,16 +94,19 @@ def test_hash_join_big_right_still_works():
 # verdict #8 — partition artifacts stream through ParquetWriter
 # ---------------------------------------------------------------------------
 
-def test_partitioned_all_violating_streams_incrementally(tmp_path):
+def test_partitioned_all_violating_streams_incrementally(tmp_path, monkeypatch):
     """A pathological partition where EVERY row violates must flush
     violations batch-by-batch (multiple parquet row groups), not
-    accumulate the whole violation set in a task-heap list.  A decode
-    run reads 256-row batches (``SuitePass.batch_size``), so 1,100 rows
-    are five batches."""
+    accumulate the whole violation set in a task-heap list.  With reads of
+    1 MiB checked in runs of 4 MiB (``runner.READ_BYTES``/``BATCH_BYTES``
+    patched small; the partition's task body runs in process so the
+    patch holds), 1,100 rows of ~15 KB flush in at least four runs."""
     import pyarrow.parquet as pq
 
+    from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
+    from osf_data_validator_tool_ray.pipelines import runner
     from osf_data_validator_tool_ray.pipelines.partitioned import (
-        validate_partitioned)
+        _run_share, validate_partitioned)
     from osf_data_validator_tool_ray.spec import clips_spec
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
     from osf_data_validator_tool_ray.synth import write_clips_dataset
@@ -116,16 +119,23 @@ def test_partitioned_all_violating_streams_incrementally(tmp_path):
                          pa.array([-5] * src.num_rows, type=pa.int32()))
     part_dir = tmp_path / "badclips"
     part_dir.mkdir()
-    pq.write_table(bad, str(part_dir / "part-00000.parquet"))
+    path = str(part_dir / "part-00000.parquet")
+    pq.write_table(bad, path)
 
+    spec = clips_spec()
     store = CheckpointStore(str(tmp_path / "store"))
-    rep = validate_partitioned(str(part_dir / "*.parquet"), clips_spec(),
-                               store, decode=True)
+    monkeypatch.setattr(runner, "READ_BYTES", 1 << 20)
+    monkeypatch.setattr(runner, "BATCH_BYTES", 4 << 20)
+    _run_share([path], spec, store.root, True,
+               keyed_plan(spec, set(bad.column_names), True),
+               frozenset(u.predicate for u in spec.universals))
+    rep = validate_partitioned(str(part_dir / "*.parquet"), spec, store, decode=True)
+    assert rep["partitions_skipped"] == 1
     assert sum(rep["violations"].values()) >= 1100
     [vdir] = store.artifact_dirs("violations")
     [f] = [os.path.join(vdir, x) for x in os.listdir(vdir)]
     pf = pq.ParquetFile(f)
-    assert pf.num_row_groups >= 4          # one row group per flushed batch
+    assert pf.num_row_groups >= 4          # one row group per flushed run
     assert pf.metadata.num_rows >= 1100
 
 
