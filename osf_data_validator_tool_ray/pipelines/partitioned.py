@@ -12,12 +12,15 @@ Per incomplete partition (skipped when its checkpoint record is done):
      record batches of about ``runner.READ_BYTES`` (rows from the footer
      the partition was opened with) and checks runs of up to
      ``runner.BATCH_BYTES``: a small file is one ``findings`` call
-  2. its violation rows -> violations parquet artifact; its grouped-
-     constraint PARTIAL aggregates per key (decodable count included)
-     -> partials artifact (the combiner half of the two-phase
-     aggregate: stored, so the global merge never needs the raw rows
-     again)
-  3. metrics + lineage record -> checkpoint store (atomic)
+  2. the scan's tagged tables (its violation rows and its grouped-
+     constraint PARTIAL aggregates per key, decodable count included:
+     the combiner half of the two-phase aggregate, stored so the global
+     merge never needs the raw rows again) stream into ONE artifact,
+     ``artifacts/<pid>/findings.parquet``: one ParquetWriter on a temp
+     file in that directory, renamed once (no file when the partition
+     found nothing)
+  3. metrics + lineage record, naming the artifact -> checkpoint store
+     (atomic)
 
 Execution model: ONE Ray task per contiguous SHARE of the incomplete
 partitions (``relational.shares``, as in the suite's file route: one per
@@ -33,17 +36,21 @@ streamed (iter_batches(columns=...) reads only the columns the body
 touches).  The store root must be on a filesystem all workers share —
 same contract as the artifact sinks.
 
-Final merge (cheap, always re-run; reads only stored artifacts, their
-parquet footers and the first partition's footer):
-  * partials stored under another spec or decode setting lack a planned
-    count column (read off the footers), and the merge refuses them
-  * the stored artifacts' footers give their rows and bytes, and the
-    suite's own gate-and-merge (``runner.merge_scan``, which the file
-    route of ``runner.scan_checks`` runs on its task outputs) does the
-    rest: below the driver gate (``relational.fits_driver_merge``) the
-    artifacts are read with pyarrow through those footers and merged in
-    process, else read as Ray Datasets and merged on the cluster;
-    ``summary["result_tier"]`` records the decision
+Final merge (cheap, always re-run; reads only the artifacts the
+records name, their parquet footers and the first partition's footer):
+  * it fails closed: a record without an ``artifact`` field (a store of
+    the old two-artifact layout), a named artifact that is missing, and
+    partials stored under another spec or decode setting (an artifact
+    holding ``_pkey`` lacks a planned count column, read off the
+    footers) each raise a ``ValueError``
+  * the artifacts' footers give their rows and bytes, and the suite's
+    one gate-and-merge (``runner.merge_scan``, which ``runner.
+    scan_checks`` runs on either route's tagged output) does the rest:
+    below the driver gate (``relational.fits_driver_merge``) the
+    artifacts are read with pyarrow through those footers, split and
+    merged in process, else read once as a materialized Ray Dataset and
+    split and merged on the cluster; ``summary["result_tier"]`` records
+    the decision
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential (the decodable count included) and
@@ -70,14 +77,13 @@ SURVEY.md §4).
 
 from __future__ import annotations
 
-import glob
 import os
-import shutil
 import time
 import uuid
 from typing import Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
@@ -120,7 +126,7 @@ def _run_partition(
     once: the footer that gives its schema and row count is the one the
     scan reads.  ``bodies`` keeps the share's ``SuitePass`` per column
     set, built once for the partitions that share one.  A partition that
-    fails leaves no temp artifact dir or open writer behind."""
+    fails leaves no temp artifact file or open writer behind."""
     store = CheckpointStore(store_root)
     pid = _partition_id(path)
     t0 = time.time()
@@ -133,67 +139,39 @@ def _run_partition(
                                   declared_universals)
     body = bodies[names]
 
-    tmp_base = os.path.join(store.root, f"_tmp_{pid}_{uuid.uuid4().hex[:6]}")
-
-    class _ArtifactStream:
-        """Incremental artifact writer: each appended table flushes
-        straight into an open ParquetWriter, so a pathological
-        partition (every row violating) holds at most one BATCH of
-        violations in task memory, never the partition's whole
-        violation set (round-2 verdict item #8)."""
-
-        def __init__(self, suffix: str):
-            self.dir = tmp_base + suffix
-            os.makedirs(self.dir, exist_ok=True)
-            self.writer = None
-            self.schema = None
-
-        def append(self, tbl: pa.Table) -> None:
-            if tbl.num_rows == 0:
-                return
-            if self.writer is None:
-                self.schema = tbl.schema
-                self.writer = pq.ParquetWriter(
-                    os.path.join(self.dir, "part-0.parquet"), self.schema)
-            if tbl.schema != self.schema:
-                tbl = tbl.select(self.schema.names).cast(self.schema)
-            self.writer.write_table(tbl)
-
-        def publish(self, kind: str) -> None:
-            if self.writer is not None:
-                self.writer.close()
-            store.publish_artifact(pid, kind, self.dir)
-
-        def discard(self) -> None:
-            """Close the writer and remove the temp dir (a no-op once
-            published: the dir has moved)."""
-            if self.writer is not None:
-                self.writer.close()
-            shutil.rmtree(self.dir, ignore_errors=True)
-
-    import pyarrow.compute as pc
-
-    streams = {"violations": _ArtifactStream("_violations")}
-    if body.agg is not None:
-        streams["partials"] = _ArtifactStream("_partials")
-    n_err = n_warn = 0
+    # one artifact: every tagged table streams into one ParquetWriter, so
+    # a partition where every row violates holds one run of findings in
+    # task memory, never its whole set; a temp file, renamed once
+    art_dir = store.artifact_dir(pid)
+    os.makedirs(art_dir, exist_ok=True)
+    tmp = os.path.join(art_dir, f"_tmp_{uuid.uuid4().hex}.parquet")
+    final = os.path.join(art_dir, "findings.parquet")
+    writer, n_err, n_warn = None, 0, 0
     try:
-        for violations, partials in body.scan([part]):
-            sev = violations.column("severity")
+        for tagged in body.scan([part]):
+            sev = tagged.column("severity")
             n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
             n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
-            streams["violations"].append(violations)
-            if "partials" in streams:
-                streams["partials"].append(partials)
-        for kind, stream in streams.items():
-            stream.publish(kind)
-    finally:
-        for stream in streams.values():
-            stream.discard()
+            if not tagged.num_rows:
+                continue
+            if writer is None:
+                writer = pq.ParquetWriter(tmp, tagged.schema)
+            elif tagged.schema != writer.schema:
+                tagged = tagged.select(writer.schema.names).cast(writer.schema)
+            writer.write_table(tagged)
+    except BaseException:
+        if writer is not None:
+            writer.close()
+            os.remove(tmp)
+        raise
+    if writer is not None:
+        writer.close()
+        os.replace(tmp, final)
 
     metrics = {"n_rows": part.num_rows, "lineage": path,
                "n_violations": n_err, "n_warnings": n_warn,
-               "pass": n_err == 0, "runtime_s": time.time() - t0}
+               "pass": n_err == 0, "runtime_s": time.time() - t0,
+               "artifact": None if writer is None else os.path.relpath(final, store.root)}
     return store.record(pid, metrics)
 
 
@@ -280,16 +258,26 @@ def run_partitioned(
     recs = [done[pid] for pid in sorted(done)]
 
     # ---- global merge (always re-run; reads only stored artifacts) -------
-    def _files(kind: str) -> list[str]:
-        return [f for r in recs for f in sorted(glob.glob(os.path.join(
-            store.artifact_dir(r["partition_id"], kind), "*.parquet")))]
-
-    viol_files = _files("violations")
-    partial_files = _files("partials") if plan.key else []
-    footers = {f: pq.read_metadata(f) for f in viol_files + partial_files}
-    missing = set().union(*(set(plan.sum_columns)
-                            - set(footers[f].schema.to_arrow_schema().names)
-                            for f in partial_files))
+    footers = {}
+    for r in recs:
+        if "artifact" not in r:
+            raise ValueError(
+                f"checkpoint store {store.root}: the record of partition "
+                f"{r['partition_id']} has no artifact field, so it was written by "
+                "the old two-artifact layout (violations/ and partials/ dirs); "
+                "validate into a new store")
+        if r["artifact"] is None:
+            continue
+        path = os.path.join(store.root, r["artifact"])
+        try:
+            footers[path] = pq.read_metadata(path)
+        except FileNotFoundError:
+            raise ValueError(
+                f"checkpoint store {store.root}: partition {r['partition_id']} "
+                f"is recorded done but its artifact {path} is missing; "
+                "remove its record to validate it again") from None
+    missing = set().union(*(set(plan.sum_columns) - set(m.schema.names)
+                            for m in footers.values() if "_pkey" in m.schema.names))
     if missing:
         raise ValueError(
             f"checkpoint store {store.root} holds partials without "
@@ -297,9 +285,9 @@ def run_partitioned(
 
     def read(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
         """Stored artifacts: read with pyarrow through the footers already
-        read, or as a Dataset on the cluster."""
+        read, or read once as a materialized Dataset on the cluster."""
         if not on_driver:
-            return ray.data.read_parquet(files)
+            return ray.data.read_parquet(files).materialize()
         return pa.concat_tables([pq.ParquetFile(f, metadata=footers[f]).read()
                                  for f in files], promote_options="default")
 
@@ -316,8 +304,8 @@ def run_partitioned(
             for r in recs
         },
     }
-    return merge_scan(footer_size(list(footers.values())), read, viol_files,
-                      partial_files, plan, spec, refs=refs,
+    return merge_scan(footer_size(list(footers.values())), read, list(footers),
+                      plan, spec, refs=refs,
                       checks=(driver_checks(schema0, spec, refs),), summary=summary)
 
 

@@ -9,10 +9,10 @@ one in-process function: below ``fits_driver_merge`` it runs once over
 the whole input on the driver, above it ``by_partition`` runs the same
 function once per hash partition of the keys, so the two tiers differ
 only in how the rows are partitioned.  ``driver_pull`` applies the gate
-to a result pulled to the driver whole (the suite's scan output).  The
-rest are table operators the registry, the drift and corpus pipelines
-and the driver contract in __ray_entry__.py build on.  Each mirrors a
-reference dataflow shape (SURVEY.md §2.2):
+to a result pulled to the driver whole.  The rest are table operators
+the registry, the drift and corpus pipelines and the driver contract in
+__ray_entry__.py build on.  Each mirrors a reference dataflow shape
+(SURVEY.md §2.2):
 
   * facet/row filters        <- per-value scalar validation loops
   * universal counterexamples <- owl:allValuesFrom negated filter

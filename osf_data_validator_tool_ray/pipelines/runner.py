@@ -16,7 +16,8 @@ ONE scan of the input, ``scan_checks``:
      pass) runs as one plain Ray task per contiguous share of its files
      (``relational.shares``), each scanning its share as one stream
      (``SuitePass.scan``, also the partitioned runner's loop) and
-     returning its violations and partials as Arrow tables plus their
+     returning its findings as ONE tagged Arrow table (violation rows
+     and keyed partial rows, the partials' key in ``_pkey``) plus its
      rows and bytes.  The scan sizes batches in bytes from the footers:
      reads of about ``READ_BYTES``, checked in runs of up to
      ``BATCH_BYTES`` that cross file boundaries, so a share of small files
@@ -25,14 +26,16 @@ ONE scan of the input, ``scan_checks``:
      filesystem) runs as ONE ``map_batches`` in ``SuitePass.batch_size``
      rows (Ray batches by rows, and such a Dataset's row width is unknown
      until it runs), whose tagged output is materialized once
-  2. the driver gate (``relational.fits_driver_merge``) on the output's
-     rows and bytes: below it the output is pulled to the driver ONCE and
-     split in process, above it it stays on the cluster (the task tables
-     as ``ray.data.from_arrow_refs``; the tagged output split by two maps)
+  2. ``merge_scan``, the one merge of every route's tagged output (and
+     of the partitioned runner's stored artifacts, the same tables):
+     the driver gate (``relational.fits_driver_merge``) on its rows and
+     bytes; below it the output is pulled to the driver ONCE and split
+     in process (``tagged_violations`` / ``tagged_partials``), above it
+     it stays on the cluster (``ray.data.from_arrow_refs``) and is split
+     by two maps
   3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over those partials
-     (checks/unified_keyed.keyed_violations).  The file route's gate and
-     merge, ``merge_scan``, is also the partitioned runner's global merge
+     (checks/unified_keyed.keyed_violations), inside ``merge_scan``
 
 Trade-off: the keyed merge follows the scan instead of overlapping it.
 Below the driver gate everything after the scan (split, keyed merge,
@@ -284,12 +287,14 @@ class SuitePass:
         ``keyed`` the caller passes ``KeyedPlan(None)``.
 
     ``findings`` returns ``(violations, partials)`` (partials None when
-    the table lacks the plan's key); ``scan`` yields them for a list of
-    partitions read as one stream, the loop of the file route's tasks
-    and of the partitioned runner's.  Calling the instance returns both
-    as ONE tagged table for ``map_batches``: partial rows carry their key
-    in ``_pkey``, violation rows leave it null; ``tagged_violations`` and
-    ``tagged_partials`` split it.
+    the table lacks the plan's key).  Calling the instance returns both
+    as ONE tagged table, the one format every route hands on: partial
+    rows carry their key in ``_pkey``, violation rows leave it null (no
+    ``_pkey`` without partials).  ``scan`` yields tagged tables for a
+    list of partitions read as one stream, the loop of the file route's
+    tasks and of the partitioned runner's; ``map_batches`` calls the
+    instance.  ``merge_scan`` splits the output with
+    ``tagged_violations`` and ``tagged_partials``.
 
     ``scan`` sizes its batches in bytes from the parquet footers: small
     reads of ``READ_BYTES`` keep the decoded payloads within the task
@@ -330,13 +335,12 @@ class SuitePass:
         return (pa.concat_tables(violations) if violations else empty_violations(),
                 partials)
 
-    def scan(self, partitions: "list[str | Partition]") -> Iterator[
-            tuple[pa.Table, Optional[pa.Table]]]:
-        """``findings`` of ``partitions`` (parquet files or Lance fragment
-        ids, or those already opened) read in order as ONE stream, with
-        only ``columns``: each partition in record batches of about
-        ``READ_BYTES`` (``Partition.read_rows``; ``batch_size`` rows for a
-        Lance fragment), one ``findings`` call per run of batches of up to
+    def scan(self, partitions: "list[str | Partition]") -> Iterator[pa.Table]:
+        """The tagged findings of ``partitions`` (parquet files or Lance
+        fragment ids, or those already opened) read in order as ONE
+        stream, with only ``columns``: each partition in record batches
+        of about ``READ_BYTES`` (``Partition.read_rows``; ``batch_size``
+        rows for a Lance fragment), one call per run of batches of up to
         ``BATCH_BYTES`` or ``MAX_BATCH_ROWS`` rows across partition
         boundaries, cut early where the next batch's schema differs (a
         file with a dictionary-encoded column)."""
@@ -349,12 +353,12 @@ class SuitePass:
                 if run and (rows + rb.num_rows > MAX_BATCH_ROWS
                             or size + rb.nbytes > BATCH_BYTES
                             or not rb.schema.equals(run[0].schema)):
-                    yield self.findings(pa.Table.from_batches(run))
+                    yield self(pa.Table.from_batches(run))
                     run, rows, size = [], 0, 0
                 run.append(rb)
                 rows, size = rows + rb.num_rows, size + rb.nbytes
         if run:
-            yield self.findings(pa.Table.from_batches(run))
+            yield self(pa.Table.from_batches(run))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         violations, partials = self.findings(batch)
@@ -365,34 +369,40 @@ class SuitePass:
 
 
 def tagged_violations(t: pa.Table) -> pa.Table:
-    """The violation rows of ``SuitePass`` output."""
-    return t.filter(pc.is_null(t.column("_pkey"))).select(VIOLATION_SCHEMA.names)
+    """The violation rows of ``SuitePass`` output (every row when it
+    holds no partials; none when Ray lost an empty output's columns)."""
+    if "_pkey" in t.column_names:
+        t = t.filter(pc.is_null(t.column("_pkey")))
+    return t.select(VIOLATION_SCHEMA.names) if t.num_columns else empty_violations()
 
 
 def tagged_partials(t: pa.Table) -> pa.Table:
-    """The keyed partial rows of ``SuitePass`` output, key restored."""
+    """The keyed partial rows of ``SuitePass`` output, key restored (no
+    columns when it holds none)."""
+    if "_pkey" not in t.column_names:
+        return pa.table({})
     p = t.filter(pc.is_valid(t.column("_pkey"))).drop_columns(VIOLATION_SCHEMA.names)
     return p.rename_columns(["key", *p.column_names[1:]])
 
 
-def _share_findings(paths: list[str], body: SuitePass):
+def _share_findings(paths: list[str], body: SuitePass) -> tuple[pa.Table, tuple[int, int]]:
     """The file route's task: ``body.scan`` of one share's files
-    (``relational.shares``) as one stream, concatenated and returned as
-    (violations, partials, their (rows, bytes)) through the object store;
-    partials have no columns when the share yields none."""
-    found = list(body.scan(paths))
-    violations = pa.concat_tables([empty_violations(), *(v for v, _ in found)])
-    partials = [p for _, p in found if p is not None]
-    partials = pa.concat_tables(partials) if partials else pa.table({})
-    return violations, partials, tuple((t.num_rows, t.nbytes)
-                                       for t in (violations, partials))
+    (``relational.shares``) as one stream, returned through the object
+    store as one tagged table and its (rows, bytes).  The table is made
+    contiguous: a chunk that ``promote_options`` padded with nulls
+    pickles at about twice its bytes, which can push a small share's
+    output past Ray's 100 KiB inline-return limit into the object store."""
+    tagged = pa.concat_tables([empty_violations(), *body.scan(paths)],
+                              promote_options="default").combine_chunks()
+    return tagged, (tagged.num_rows, tagged.nbytes)
 
 
-_share_task = ray.remote(num_returns=3)(_share_findings)
+_share_task = ray.remote(num_returns=2)(_share_findings)
 
 
 def _refs_on_tier(refs: list, on_driver: bool) -> "pa.Table | ray.data.Dataset":
-    """The file route's output tables: pulled, or left on the cluster."""
+    """Either route's tagged tables (object refs): pulled, or left on the
+    cluster."""
     if on_driver:
         return pa.concat_tables(ray.get(refs), promote_options="default")
     return ray.data.from_arrow_refs(refs)
@@ -400,27 +410,36 @@ def _refs_on_tier(refs: list, on_driver: bool) -> "pa.Table | ray.data.Dataset":
 
 def merge_scan(
     size: tuple[int, int], read: Callable[[list, bool], "pa.Table | ray.data.Dataset"],
-    violations: list, partials: list, plan: KeyedPlan, spec: ConstraintSpec,
+    pieces: list, plan: KeyedPlan, spec: ConstraintSpec,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
     checks: tuple = (), summary: Optional[dict] = None,
 ) -> SuiteResult:
-    """The one gate-and-merge after a scan whose output is in pieces of
-    ``size`` (rows, bytes) in total: the file route's task outputs and
-    the partitioned runner's stored artifacts.  ``relational.
+    """The one gate-and-merge of every scan's output: pieces of
+    ``SuitePass``'s tagged table, ``size`` (rows, bytes) in total (the
+    file route's non-empty task tables, the blocks of the ``map_batches``
+    route's materialized output, the partitioned runner's stored
+    artifacts).  ``relational.
     fits_driver_merge`` picks the tier, ``read(pieces, on_driver)`` reads
-    the non-empty violation and partial pieces on it (a ``pa.Table`` on
-    the driver, a Dataset on the cluster), and the keyed pass merges the
+    them on it once (a ``pa.Table`` on the driver, a Dataset of blocks on
+    the cluster), ``tagged_violations`` / ``tagged_partials`` split
+    them (by one map each on the cluster), and the keyed pass merges the
     partials when ``plan`` has a key.  ``checks`` (driver-side violation
     tables) join the result; ``summary["result_tier"]`` records the
     decision."""
     on_driver = relational.fits_driver_merge(size)
     gate = {"tier": "driver" if on_driver else "exchange",
             "rows": size[0], "bytes": size[1]}
-    parts = [*checks, *([read(violations, on_driver)] if violations else [])]
+    tagged = read(pieces, on_driver) if pieces else pa.table({})
+
+    def split(fn: Callable[[pa.Table], pa.Table]) -> "pa.Table | ray.data.Dataset":
+        if isinstance(tagged, pa.Table):
+            return fn(tagged)
+        return tagged.map_batches(fn, batch_format="pyarrow", batch_size=None)
+
+    parts = [*checks, split(tagged_violations)]
     if plan.key is not None:
-        parts.append(keyed_violations(read(partials, on_driver) if partials
-                                      else pa.table({}), plan, spec, refs=refs,
+        parts.append(keyed_violations(split(tagged_partials), plan, spec, refs=refs,
                                       expected_keys=expected_keys))
     return SuiteResult.of(parts, {**(summary or {}), "result_tier": gate})
 
@@ -438,13 +457,12 @@ def scan_checks(
     column.
 
     A plain parquet read runs as one task per contiguous share of its
-    files (``relational.shares``; ``merge_scan`` gates and merges their
-    outputs in file order); any other Dataset as one ``map_batches``
-    whose tagged output is materialized and, when it passes the driver
-    gate, pulled once and split and merged in process.  Either way small
-    results land in the result's ``violations``, larger ones stay in
-    ``cluster_violations``, and ``summary["result_tier"]`` records the
-    decision."""
+    files (``relational.shares``), each returning its tagged table; any
+    other Dataset as one ``map_batches`` whose tagged output is
+    materialized.  Either way ``merge_scan`` gates, splits and merges the
+    output: small results land in the result's ``violations``, larger
+    ones stay in ``cluster_violations``, and ``summary["result_tier"]``
+    records the decision."""
     names = set(arrow_schema(ds).names)
     plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
             else KeyedPlan(None))
@@ -455,33 +473,15 @@ def scan_checks(
     files = parquet_read_files(ds)
     if files is not None:
         outs = [_share_task.remote(share, body) for share in relational.shares(files)]
-        sizes = ray.get([out[2] for out in outs])
-        pieces = [[out[i] for out, size in zip(outs, sizes) if size[i][0]]
-                  for i in (0, 1)]
-        total = (sum(n for size in sizes for n, _ in size),
-                 sum(b for size in sizes for _, b in size))
-        return merge_scan(total, _refs_on_tier, *pieces, plan, spec, refs=refs,
-                          expected_keys=expected_keys)
-    tagged, gate = relational.driver_pull(ds.select_columns(body.columns).map_batches(
-        body, batch_format="pyarrow", batch_size=body.batch_size))
-    summary = {"result_tier": gate}
-    if isinstance(tagged, pa.Table) and not tagged.num_rows:
-        # nothing found; Ray may not know an empty output's columns
-        violations, partials = empty_violations(), pa.table({})
-    elif body.agg is None:
-        violations = tagged
-    elif isinstance(tagged, pa.Table):
-        violations, partials = tagged_violations(tagged), tagged_partials(tagged)
+        sizes = ray.get([size for _, size in outs])
+        size = (sum(n for n, _ in sizes), sum(b for _, b in sizes))
+        pieces = [t for (t, _), (n, _) in zip(outs, sizes) if n]
     else:
-        violations = tagged.map_batches(tagged_violations, batch_format="pyarrow",
-                                        batch_size=None)
-        partials = tagged.map_batches(tagged_partials, batch_format="pyarrow",
-                                      batch_size=None)
-    if body.agg is None:
-        return SuiteResult.of([violations], summary)
-    keyed = keyed_violations(partials, plan, spec, refs=refs,
-                             expected_keys=expected_keys)
-    return SuiteResult.of([violations, keyed], summary)
+        mat = ds.select_columns(body.columns).map_batches(
+            body, batch_format="pyarrow", batch_size=body.batch_size).materialize()
+        size, pieces = (mat.count(), mat.size_bytes() or 0), mat.to_arrow_refs()
+    return merge_scan(size, _refs_on_tier, pieces, plan, spec, refs=refs,
+                      expected_keys=expected_keys)
 
 
 def run_suite(

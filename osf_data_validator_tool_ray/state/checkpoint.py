@@ -10,6 +10,15 @@ Idempotency: records and artifacts are keyed by partition id and written
 atomically (temp + rename), so a retried/duplicate task OVERWRITES
 rather than duplicates — the merge step reads exactly one record per
 partition (SURVEY.md §7.4 resume correctness).
+
+Layout: ``records/<pid>.json`` and one directory ``artifacts/<pid>/``
+per partition.  The partitioned runner keeps ONE artifact there,
+``findings.parquet``: the scan's tagged table (violation rows and keyed
+partial rows), written as a temp file in that directory and renamed
+once.  Its record names it (``artifact``, relative to the root; null
+when the partition found nothing), and the merge reads exactly the files
+the records name.  Corpus stages publish whole output directories
+(``publish_artifact``).
 """
 
 from __future__ import annotations
@@ -61,15 +70,16 @@ class CheckpointStore:
     def records(self) -> list[dict]:
         """Every complete record in partition-id order, each file read
         once: a caller derives the done set, the summary and the artifact
-        dirs from this one list."""
+        files from this one list."""
         rec_dir = os.path.join(self.root, "records")
         ids = sorted(f[:-5] for f in os.listdir(rec_dir) if f.endswith(".json"))
         return [r for r in map(self.completed_record, ids) if r]
 
-    # -- artifacts (per-partition parquet dirs) ---------------------------
+    # -- artifacts (one directory per partition) --------------------------
 
-    def artifact_dir(self, partition_id: str, kind: str) -> str:
-        return os.path.join(self.root, "artifacts", partition_id, kind)
+    def artifact_dir(self, partition_id: str, *kind: str) -> str:
+        """The partition's artifact directory, or its ``kind`` subdirectory."""
+        return os.path.join(self.root, "artifacts", partition_id, *kind)
 
     def publish_artifact(self, partition_id: str, kind: str, tmp_dir: str) -> str:
         """Atomically promote a temp output dir to the artifact location
@@ -79,13 +89,7 @@ class CheckpointStore:
         if os.path.exists(final):
             shutil.rmtree(final)
         # an all-empty Dataset writes nothing at all — publish an empty dir
-        # so "partition done, zero violations" is still a recorded state
+        # so an empty output is still a published state
         os.makedirs(tmp_dir, exist_ok=True)
         os.replace(tmp_dir, final)
         return final
-
-    def artifact_dirs(self, kind: str) -> list[str]:
-        """All non-empty published artifact dirs of a kind, one per
-        completed partition."""
-        dirs = (self.artifact_dir(r["partition_id"], kind) for r in self.records())
-        return [d for d in dirs if os.path.isdir(d) and os.listdir(d)]

@@ -7,12 +7,14 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
 
 from osf_data_validator_tool_ray.pipelines.fix import quarantine
 from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
+from osf_data_validator_tool_ray.pipelines.runner import tagged_partials
 from osf_data_validator_tool_ray.spec import clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 from osf_data_validator_tool_ray.synth import write_clips_dataset
@@ -64,7 +66,6 @@ def test_cross_partition_duplicates_caught(dataset, tmp_path):
     # copy a row from partition 0 into partition 1 (same clip_id)
     dup_row = t0.slice(5, 1)
     dup_key = dup_row.column("clip_id")[0].as_py()
-    import pyarrow as pa
     t1b = pa.concat_tables([t1, dup_row])
     pq.write_table(t0, str(dup_dir / "part-0.parquet"))
     pq.write_table(t1b, str(dup_dir / "part-1.parquet"))
@@ -74,10 +75,9 @@ def test_cross_partition_duplicates_caught(dataset, tmp_path):
     assert rep["violations"].get("CARD-MAX-100", 0) >= 1
 
     # the duplicate key appears via the partials merge: check the stored partials
-    pfiles = []
-    for d in store.artifact_dirs("partials"):
-        pfiles.extend(glob.glob(os.path.join(d, "*.parquet")))
-    parts = ray.data.read_parquet(pfiles).to_pandas()
+    pfiles = [os.path.join(store.artifact_dir(pid), "findings.parquet")
+              for pid in sorted(store.completed())]
+    parts = tagged_partials(pa.concat_tables(map(pq.read_table, pfiles))).to_pandas()
     merged = parts.groupby("key")["card0_n"].sum()
     assert merged[dup_key] == 2
 
@@ -126,6 +126,67 @@ def test_corrupt_record_revalidates(dataset, tmp_path):
     assert rep2["partitions_ran"] == 1 and rep2["partitions_skipped"] == 3
     # merged violation counts identical after the overwrite (no dupes)
     assert rep2["violations"] == rep1["violations"]
+
+
+def test_store_layout_survives_dropped_partitions(dataset, tmp_path):
+    """Each partition leaves one record and one artifact file in a
+    directory of its own, and no temp file; removing two partitions'
+    records and directories (as the benchmark's resume workload does)
+    makes the next run validate exactly those two and report what the
+    fresh run reported."""
+    from perfbench.workloads import drop_partitions
+
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    fresh = validate_partitioned(pattern, clips_spec(), store)
+    pids = sorted(store.completed())
+    assert len(pids) == 4
+    assert sorted(os.listdir(os.path.join(store.root, "records"))) == \
+        [f"{pid}.json" for pid in pids]
+    for pid in pids:
+        assert os.listdir(store.artifact_dir(pid)) == ["findings.parquet"]
+    assert sorted(os.listdir(os.path.join(store.root, "artifacts"))) == pids
+    assert not glob.glob(os.path.join(store.root, "**", "_tmp_*"), recursive=True)
+
+    drop_partitions(store.root, pids[1:3])
+    resumed = validate_partitioned(pattern, clips_spec(), store)
+    assert resumed["partitions_ran"] == 2 and resumed["partitions_skipped"] == 2
+    assert sorted(store.completed()) == pids
+    for key in ("violations", "warnings", "pass", "n_rows", "checks"):
+        assert resumed[key] == fresh[key], key
+
+
+def test_lost_artifact_fails_closed(dataset, tmp_path):
+    """A done partition whose artifact is gone must not drop its
+    violations from the merged report: the merge refuses the store,
+    naming the partition and the missing file."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    fresh = validate_partitioned(pattern, clips_spec(), store)
+    rec = next(r for r in store.records() if r["n_violations"])
+    path = os.path.join(store.root, rec["artifact"])
+    os.remove(path)
+    with pytest.raises(ValueError, match="is missing") as err:
+        validate_partitioned(pattern, clips_spec(), store)
+    assert rec["partition_id"] in str(err.value) and path in str(err.value)
+    assert sum(fresh["violations"].values()) > rec["n_violations"]
+
+
+def test_store_of_the_old_layout_fails_closed(dataset, tmp_path):
+    """A complete record without the ``artifact`` field was written by the
+    two-artifact layout (``violations/`` and ``partials/`` dirs), which
+    this merge cannot read: it refuses the store instead of reporting it
+    as holding no findings."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    for f in files:
+        pid = os.path.splitext(os.path.basename(f))[0]
+        os.makedirs(store.artifact_dir(pid, "violations"))
+        os.makedirs(store.artifact_dir(pid, "partials"))
+        store.record(pid, {"n_rows": 100, "lineage": f, "n_violations": 0,
+                           "n_warnings": 0, "pass": True, "runtime_s": 0.1})
+    with pytest.raises(ValueError, match="two-artifact layout"):
+        validate_partitioned(dataset["clips_dir"] + "/*.parquet", clips_spec(), store)
 
 
 def test_quarantine_fix_path(dataset, tmp_path):
@@ -262,8 +323,7 @@ def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
 
     def artifacts():
         return {f: (os.stat(f).st_ino, os.stat(f).st_mtime_ns)
-                for kind in ("violations", "partials")
-                for f in glob.glob(os.path.join(store.artifact_dir(pid, kind), "*"))}
+                for f in glob.glob(os.path.join(store.artifact_dir(pid), "*"))}
 
     before = artifacts()
     assert before

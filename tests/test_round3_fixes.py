@@ -132,9 +132,10 @@ def test_partitioned_all_violating_streams_incrementally(tmp_path, monkeypatch):
     rep = validate_partitioned(str(part_dir / "*.parquet"), spec, store, decode=True)
     assert rep["partitions_skipped"] == 1
     assert sum(rep["violations"].values()) >= 1100
-    [vdir] = store.artifact_dirs("violations")
-    [f] = [os.path.join(vdir, x) for x in os.listdir(vdir)]
-    pf = pq.ParquetFile(f)
+    [rec] = store.records()
+    [f] = os.listdir(store.artifact_dir(rec["partition_id"]))
+    assert os.path.join("artifacts", rec["partition_id"], f) == rec["artifact"]
+    pf = pq.ParquetFile(os.path.join(store.root, rec["artifact"]))
     assert pf.num_row_groups >= 4          # one row group per flushed run
     assert pf.metadata.num_rows >= 1100
 

@@ -72,7 +72,7 @@ def test_scan_across_files_matches_per_file_findings(five, monkeypatch, decode):
     monkeypatch.setattr(runner, "READ_BYTES", (1 << 20) * 15 // width)  # ~15 rows of file 0
     monkeypatch.setattr(runner, "BATCH_BYTES", (1 << 20) * 35 // width)  # ~35 rows of file 0
     calls = _calls(body)
-    found = list(body.scan(five))
+    found = pa.concat_tables(body.scan(five), promote_options="default")
 
     ends = [sum(calls[:i + 1]) for i in range(len(calls))]
     assert ends[-1] == 5 * ROWS_PER_FILE
@@ -80,9 +80,10 @@ def test_scan_across_files_matches_per_file_findings(five, monkeypatch, decode):
     assert any(e - n < b < e for e, n in zip(ends, calls)       # a call across files
                for b in range(ROWS_PER_FILE, ends[-1], ROWS_PER_FILE))
     assert {2 * ROWS_PER_FILE, 3 * ROWS_PER_FILE} <= set(ends)  # dictionary file cut out
-    assert _sorted_rows(pa.concat_tables([v for v, _ in found])) == \
+    assert _sorted_rows(runner.tagged_violations(found)) == \
         _sorted_rows(pa.concat_tables([v for v, _ in per_file]))
-    assert _partial_sums([p for _, p in found]) == _partial_sums([p for _, p in per_file])
+    assert _partial_sums([runner.tagged_partials(found)]) == \
+        _partial_sums([p for _, p in per_file])
 
 
 def test_reads_are_sized_from_the_footer(tmp_path, monkeypatch):
