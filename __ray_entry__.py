@@ -780,8 +780,8 @@ def _q_jaccard_clusters(sf_dir: str):
 def _q_ks_exact(sf_dir: str):
     """Exact two-sample KS between l_quantity distributions of returnflag
     'A' vs 'R' — the SQL-checkable tier of the drift family (count
-    partials per distinct value, tiny driver merge; the sketch tier is
-    drift_check)."""
+    partials per distinct value, a tiny driver merge or, above the gate,
+    a sorted exchange; the sketch tier is drift_check)."""
     import pandas as pd
     from osf_data_validator_tool_ray.checks.drift import exact_ks
 
@@ -817,26 +817,17 @@ def _q_psi_exact(sf_dir: str):
 
 
 def _q_approx_quantiles(sf_dir: str):
-    """Mergeable streaming-histogram quantiles of l_extendedprice (no
-    hash oracle — approximate).  Self-asserting (round-4, same pattern
-    as kll_quantiles): each estimate's TRUE rank, computed exactly by
-    DuckDB inline, must sit within 0.05 of the target quantile, so a
-    broken merge or interpolation fails the query loudly."""
+    """Quantiles of l_extendedprice from the drift profile's mergeable
+    KLL sketch (``build_profile``; no hash oracle — approximate).
+    Self-asserting (round-4, same pattern as kll_quantiles): each
+    estimate's TRUE rank, computed exactly by DuckDB inline, must sit
+    within 3/k of the target quantile, so a broken merge fails the
+    query loudly."""
     import duckdb
     import pandas as pd
-    from osf_data_validator_tool_ray.functions.sketches import StreamHist
-    ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = StreamHist()
-        h.update(batch.column("l_extendedprice").to_numpy(zero_copy_only=False))
-        return pa.table({"sketch": pa.array([h.to_bytes()], type=pa.binary())})
-
-    merged = StreamHist()
-    for b in ds.map_batches(partial, batch_format="pyarrow",
-                            batch_size=None).iter_batches(batch_format="pyarrow", batch_size=None):
-        for s in b.column("sketch").to_pylist():
-            merged.merge(StreamHist.from_bytes(s))
+    from osf_data_validator_tool_ray.checks.drift import build_profile
+    merged = build_profile(_read(sf_dir, "lineitem", ["l_extendedprice"]),
+                           ["l_extendedprice"], []).numeric["l_extendedprice"]
     qs = [0.1, 0.5, 0.9, 0.99]
     vals = merged.quantile(qs)
     truth = duckdb.sql(
@@ -845,7 +836,7 @@ def _q_approx_quantiles(sf_dir: str):
             f"::DOUBLE / COUNT(*) AS r{i}" for i, v in enumerate(vals))
         + f" FROM read_parquet('{sf_dir}/lineitem.parquet')").df()
     for i, q in enumerate(qs):
-        assert abs(truth[f"r{i}"].iloc[0] - q) < 0.05, (q, vals[i])
+        assert abs(truth[f"r{i}"].iloc[0] - q) < 3.0 / merged.k, (q, vals[i])
     return pd.DataFrame({"q": qs, "value": vals})
 
 
@@ -862,13 +853,13 @@ def _q_kll_quantiles(sf_dir: str):
     ds = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        s = KLL(200)
+        s = KLL()
         s.update(batch.column("l_extendedprice")
                  .to_numpy(zero_copy_only=False))
         return pa.table({"sketch": pa.array([s.to_bytes()],
                                             type=pa.binary())})
 
-    merged = KLL(200)
+    merged = KLL()
     for b in ds.map_batches(partial, batch_format="pyarrow",
                             batch_size=65536).iter_batches(
             batch_format="pyarrow", batch_size=None):
@@ -883,7 +874,7 @@ def _q_kll_quantiles(sf_dir: str):
             f"::DOUBLE / COUNT(*) AS r{i}" for i, v in enumerate(vals))
         + f" FROM read_parquet('{sf_dir}/lineitem.parquet')").df()
     for i, q in enumerate(qs):
-        assert abs(truth[f"r{i}"].iloc[0] - q) < 3.0 / 200, (q, vals[i])
+        assert abs(truth[f"r{i}"].iloc[0] - q) < 3.0 / merged.k, (q, vals[i])
     return pd.DataFrame({"q": qs, "value": vals})
 
 
@@ -1684,7 +1675,7 @@ def _q_grouped_drift(sf_dir: str):
     cur = build_profiles_by_group(cur_ds, "l_returnflag", ["l_quantity"])
     v = grouped_drift_violations(cur, base)
     # self-assert (round-4): the sketch KS for the PLANTED slice ("R",
-    # l_quantity > 25) must sit within histogram resolution of DuckDB's
+    # l_quantity > 25) must sit within the KLL rank error of DuckDB's
     # exact per-slice ECDF KS
     import duckdb
     from osf_data_validator_tool_ray.functions.sketches import (
@@ -1765,7 +1756,7 @@ def _q_drift_check(sf_dir: str):
     current slice (l_quantity > 25), per-block sketch partials merged
     driver-side, no shuffle.  Returns the drifted columns.
     Self-asserting: the sketch KS is checked inline against DuckDB's
-    exact ECDF KS (within histogram resolution)."""
+    exact ECDF KS (within the KLL rank error)."""
     from osf_data_validator_tool_ray.checks.drift import (
         build_profile, drift_violations)
     cols = ["l_quantity", "l_extendedprice", "l_returnflag", "l_orderkey"]
@@ -1779,9 +1770,9 @@ def _q_drift_check(sf_dir: str):
                         ["l_returnflag"], ["l_orderkey"])
     v = drift_violations(cur, base)
     # self-assert (round-4, the kll/hll pattern): the SKETCH KS for the
-    # planted l_quantity shift must sit within histogram resolution of
+    # planted l_quantity shift must sit within the KLL rank error of
     # the exact KS DuckDB computes from the raw column — a broken
-    # StreamHist merge or CDF interpolation fails the query loudly
+    # sketch merge fails the query loudly
     import duckdb
     from osf_data_validator_tool_ray.functions.sketches import (
         ks_statistic)

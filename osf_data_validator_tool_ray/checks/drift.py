@@ -1,13 +1,14 @@
 """Distribution-drift checks (KS / PSI) against a baseline profile.
 
 The "ontology" analog here is a *baseline profile* artifact: per-column
-streaming histograms (numeric), frequency tables (categorical) and HLL
+KLL quantile sketches (numeric), frequency tables (categorical) and HLL
 sketches (cardinality), built once from a reference run and stored as a
-small JSON/pickle file.  A validation run rebuilds the same profile from
-the current table — per-block partials in ONE map_batches, merged
-driver-side (sketches are monoids; no shuffle) — and compares:
+small versioned JSON file (the sketches in their fixed binary layouts,
+base64).  A validation run rebuilds the same profile from the current
+table — per-block partials in ONE map_batches, merged driver-side
+(sketches are monoids; no shuffle) — and compares:
 
-  * numeric columns: KS statistic over merged histogram CDFs -> DRIFT-100
+  * numeric columns: KS statistic between the merged KLL sketches -> DRIFT-100
   * categorical columns: PSI over frequency tables -> DRIFT-100
   * key columns: HLL distinct-count ratio (dedup-rate drift)
 """
@@ -19,19 +20,24 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from ..functions.sketches import (
+    KLL,
     HyperLogLog,
-    StreamHist,
     freq_table_psi,
     ks_statistic,
 )
 from ..checks.base import empty_violations, make_violations
 from ..stages.base_ids import DRIFT_100
+
+# ``TableProfile.to_json`` writes this; ``from_json`` reads nothing else
+PROFILE_FORMAT = "drift-profile/2 (kll)"
 
 
 def exact_ks(
@@ -44,21 +50,19 @@ def exact_ks(
     """EXACT two-sample Kolmogorov-Smirnov statistic between the rows
     where ``side_col == side_a`` and ``side_col == side_b`` — the
     SQL-checkable tier of the drift family (the sketch tier above is
-    the unbounded-cardinality path).
+    the baseline-profile path).
 
     ONE map_batches pass emits per-batch (value, n_a, n_b) count
     partials — bounded by the column's distinct-value count per batch,
-    never its row count — then a tiny driver merge sorts the distinct
-    values and takes max |ECDF_a - ECDF_b|.
+    never its row count.  Below the row+byte gate (``fits_driver_merge``,
+    same contract as distinct_counts) a tiny driver merge sorts the
+    distinct values and takes max |ECDF_a - ECDF_b|.
 
-    The driver merge is row+byte gated (``fits_driver_merge``, same
-    contract as distinct_counts): on overflow the partials first take a
-    grouped-count hash exchange (one row per GLOBAL distinct value —
-    collapses cross-block duplicates), and if even that exceeds the gate
-    (a genuinely continuous column: ~one distinct value per row) the
-    check falls back to the StreamHist sketch-tier KS, which is bounded
-    at max_bins centroids per side regardless of cardinality."""
-    import numpy as np
+    Above it the answer stays exact: the partials take a grouped-count
+    hash exchange (one row per GLOBAL distinct value, so no tie spans
+    two blocks) and one ``sort("v")``; each sorted block emits its side
+    totals and the min/max of its local ECDF difference, and the driver
+    prefix-sums those O(blocks) rows."""
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -78,13 +82,7 @@ def exact_ks(
     parts = ds.select_columns([value_col, side_col]).map_batches(
         partial, batch_format="pyarrow", batch_size=None).materialize()
     if not fits_driver_merge(parts):
-        # hash exchange: one row per global distinct value
-        from ray.data.aggregate import Sum
-        parts = parts.groupby("v").aggregate(
-            Sum("a", alias_name="a"), Sum("b", alias_name="b")).materialize()
-        if not fits_driver_merge(parts):
-            # continuous high-cardinality column: bounded sketch tier
-            return _streamhist_ks(ds, value_col, side_col, side_a, side_b)
+        return _sorted_exchange_ks(parts)
     frames = [t.to_pandas()
               for t in parts.iter_batches(batch_format="pyarrow",
                                           batch_size=None)]
@@ -102,57 +100,58 @@ def exact_ks(
     return float(np.abs(np.cumsum(na) / ta - np.cumsum(nb) / tb).max())
 
 
-def _streamhist_ks(
-    ds: "ray.data.Dataset",
-    value_col: str,
-    side_col: str,
-    side_a,
-    side_b,
-    max_bins: int = 256,
-) -> float:
-    """Sketch-tier two-slice KS: one map_batches pass builds a
-    StreamHist per side per block (bounded at max_bins centroids each),
-    the driver merges the bounded partials and evaluates the CDF gap.
-    The unbounded-cardinality path for exact_ks's overflow fallback."""
-    import numpy as np
+def _sorted_exchange_ks(parts: "ray.data.Dataset") -> float:
+    """``exact_ks``'s exchange tier over its (v, a, b) count partials."""
+    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vals = batch.column(value_col).to_numpy(zero_copy_only=False)
-        side = batch.column(side_col).to_numpy(zero_copy_only=False)
-        out = []
-        for tag, sel in (("a", side == side_a), ("b", side == side_b)):
-            v = vals[sel]
-            v = v[~pd.isna(v)]
-            if len(v) == 0:
-                continue
-            h = StreamHist(max_bins)
-            h.update(v.astype(np.float64))
-            out.append((tag, base64.b64encode(h.to_bytes()).decode()))
-        return pa.table({"side": pa.array([t for t, _ in out], type=pa.string()),
-                         "hist": pa.array([s for _, s in out], type=pa.string())})
-
-    merged: dict[str, StreamHist] = {}
-    parts = ds.select_columns([value_col, side_col]).map_batches(
-        partial, batch_format="pyarrow", batch_size=None)
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        for tag, s in zip(b.column("side").to_pylist(),
-                          b.column("hist").to_pylist()):
-            h = StreamHist.from_bytes(base64.b64decode(s))
-            merged[tag] = merged[tag].merge(h) if tag in merged else h
-    if "a" not in merged or "b" not in merged:
+    totals = parts.sum(["a", "b"]) or {}
+    ta, tb = totals.get("sum(a)", 0), totals.get("sum(b)", 0)
+    if not ta or not tb:
         return 0.0
-    return float(ks_statistic(merged["a"], merged["b"]))
+
+    def block_extremes(t: pa.Table) -> pa.Table:
+        # sort() leaves each block one sorted range of values: the rank
+        # difference is local to it here, and the driver adds what the
+        # blocks below ``lo`` hold (every column is empty for an empty block)
+        ca = np.cumsum(t.column("a").to_numpy(zero_copy_only=False))
+        cb = np.cumsum(t.column("b").to_numpy(zero_copy_only=False))
+        d = ca / ta - cb / tb
+        return pa.table({"lo": t.column("v").slice(0, 1), "a": ca[-1:], "b": cb[-1:],
+                         "dmin": np.minimum.accumulate(d)[-1:],
+                         "dmax": np.maximum.accumulate(d)[-1:]})
+
+    blocks = parts.groupby("v").aggregate(
+        Sum("a", alias_name="a"), Sum("b", alias_name="b")).sort("v") \
+        .map_batches(block_extremes, batch_format="pyarrow", batch_size=None) \
+        .to_pandas().sort_values("lo")
+    below = (blocks["a"].cumsum() - blocks["a"]) / ta \
+        - (blocks["b"].cumsum() - blocks["b"]) / tb
+    return float(max((below + blocks["dmin"]).abs().max(),
+                     (below + blocks["dmax"]).abs().max()))
 
 
 @dataclass
 class TableProfile:
     n_rows: int = 0
-    numeric: dict[str, StreamHist] = field(default_factory=dict)
+    numeric: dict[str, KLL] = field(default_factory=dict)
     categorical: dict[str, dict] = field(default_factory=dict)
     distinct: dict[str, HyperLogLog] = field(default_factory=dict)
 
+    def merge(self, other: "TableProfile") -> "TableProfile":
+        self.n_rows += other.n_rows
+        for mine, theirs in ((self.numeric, other.numeric),
+                             (self.distinct, other.distinct)):
+            for c, sk in theirs.items():
+                mine[c] = mine[c].merge(sk) if c in mine else sk
+        for c, t in other.categorical.items():
+            acc = self.categorical.setdefault(c, {})
+            for k, v in t.items():
+                acc[k] = acc.get(k, 0) + v
+        return self
+
     def to_json(self) -> str:
         return json.dumps({
+            "format": PROFILE_FORMAT,
             "n_rows": self.n_rows,
             "numeric": {c: base64.b64encode(h.to_bytes()).decode()
                         for c, h in self.numeric.items()},
@@ -163,15 +162,76 @@ class TableProfile:
 
     @classmethod
     def from_json(cls, s: str) -> "TableProfile":
+        """A profile ``to_json`` wrote.  Anything else — an unversioned
+        profile of StreamHist sketches, another format, a malformed
+        file — raises ``ValueError`` rather than being misread."""
         d = json.loads(s)
-        return cls(
-            n_rows=d["n_rows"],
-            numeric={c: StreamHist.from_bytes(base64.b64decode(v))
-                     for c, v in d["numeric"].items()},
-            categorical=d["categorical"],
-            distinct={c: HyperLogLog.from_bytes(base64.b64decode(v))
-                      for c, v in d["distinct"].items()},
-        )
+        fmt = d.get("format") if isinstance(d, dict) else None
+        if fmt != PROFILE_FORMAT:
+            raise ValueError(
+                f"drift profile format {fmt!r} is not {PROFILE_FORMAT!r}"
+                + ("; an unversioned (StreamHist) profile must be rebuilt"
+                   if fmt is None else ""))
+        try:
+            return cls(
+                n_rows=int(d["n_rows"]),
+                numeric={c: KLL.from_bytes(base64.b64decode(v, validate=True))
+                         for c, v in d["numeric"].items()},
+                categorical={c: {str(k): int(n) for k, n in t.items()}
+                             for c, t in d["categorical"].items()},
+                distinct={c: HyperLogLog.from_bytes(base64.b64decode(v, validate=True))
+                          for c, v in d["distinct"].items()},
+            )
+        except (KeyError, TypeError, AttributeError) as e:
+            raise ValueError(f"malformed {PROFILE_FORMAT} profile: {e!r}") from e
+
+
+def _profiles(
+    ds: "ray.data.Dataset",
+    group_col: Optional[str],
+    numeric_cols: list[str],
+    cat_cols: list[str],
+    key_cols: list[str],
+) -> "dict[Optional[str], TableProfile]":
+    """One streaming pass: per-(block, group) profile partials, merged on
+    the driver into one profile per ``str(group value)`` (nulls dropped),
+    or into one profile under ``None`` when ``group_col`` is None.
+    Categories are counted by Arrow, so they keep the column's type (an
+    int column's 16000 is "16000" in every block, null or not)."""
+    cols = sorted(set(numeric_cols) | set(cat_cols) | set(key_cols)
+                  | ({group_col} if group_col else set()))
+
+    def partial(batch: pa.Table) -> pa.Table:
+        if group_col is None:
+            slices = [(None, batch)]
+        else:
+            g = batch.column(group_col)
+            slices = [(str(v), batch.filter(pc.equal(g, v)))
+                      for v in pc.unique(g.drop_null()).to_pylist()]
+        profiles = []
+        for _, t in slices:
+            prof = TableProfile(n_rows=t.num_rows)
+            for c in numeric_cols:
+                prof.numeric[c] = KLL().update(
+                    t.column(c).to_numpy(zero_copy_only=False))
+            for c in cat_cols:
+                vc = pc.value_counts(t.column(c).drop_null())
+                prof.categorical[c] = dict(zip(
+                    map(str, vc.field("values").to_pylist()),
+                    vc.field("counts").to_pylist()))
+            for c in key_cols:
+                prof.distinct[c] = HyperLogLog().update(t.column(c).to_pandas())
+            profiles.append(prof.to_json())
+        return pa.table({"group": pa.array([k for k, _ in slices], type=pa.string()),
+                         "profile": pa.array(profiles, type=pa.string())})
+
+    merged: dict[Optional[str], TableProfile] = {}
+    parts = ds.select_columns(cols).map_batches(partial, batch_format="pyarrow")
+    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
+        for g, s in zip(b.column("group").to_pylist(),
+                        b.column("profile").to_pylist()):
+            merged.setdefault(g, TableProfile()).merge(TableProfile.from_json(s))
+    return merged
 
 
 def build_profile(
@@ -179,43 +239,11 @@ def build_profile(
     numeric_cols: list[str],
     cat_cols: list[str],
     key_cols: Optional[list[str]] = None,
-    max_bins: int = 128,
 ) -> TableProfile:
     """One streaming pass; per-block sketch partials merged on the driver.
     Partial size ~ KB/block regardless of block rows."""
-    key_cols = key_cols or []
-    cols = sorted(set(numeric_cols) | set(cat_cols) | set(key_cols))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        prof = TableProfile(n_rows=batch.num_rows)
-        for c in numeric_cols:
-            h = StreamHist(max_bins)
-            h.update(batch.column(c).to_numpy(zero_copy_only=False))
-            prof.numeric[c] = h
-        for c in cat_cols:
-            vc = pd.Series(batch.column(c).to_pandas()).value_counts()
-            prof.categorical[c] = {str(k): int(v) for k, v in vc.items()}
-        for c in key_cols:
-            hll = HyperLogLog()
-            hll.update(batch.column(c).to_pandas())
-            prof.distinct[c] = hll
-        return pa.table({"profile": pa.array([prof.to_json()], type=pa.string())})
-
-    merged = TableProfile()
-    parts = ds.select_columns(cols).map_batches(partial, batch_format="pyarrow")
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        for s in b.column("profile").to_pylist():
-            p = TableProfile.from_json(s)
-            merged.n_rows += p.n_rows
-            for c, h in p.numeric.items():
-                merged.numeric[c] = merged.numeric[c].merge(h) if c in merged.numeric else h
-            for c, t in p.categorical.items():
-                acc = merged.categorical.setdefault(c, {})
-                for k, v in t.items():
-                    acc[k] = acc.get(k, 0) + v
-            for c, h in p.distinct.items():
-                merged.distinct[c] = merged.distinct[c].merge(h) if c in merged.distinct else h
-    return merged
+    return _profiles(ds, None, numeric_cols, cat_cols, key_cols or []) \
+        .get(None, TableProfile())
 
 
 def build_profiles_by_group(
@@ -223,7 +251,6 @@ def build_profiles_by_group(
     group_col: str,
     numeric_cols: list[str],
     cat_cols: Optional[list[str]] = None,
-    max_bins: int = 128,
 ) -> dict[str, TableProfile]:
     """Per-slice profiles (TFDV-style segment drift): one TableProfile
     per distinct ``group_col`` value, built in ONE streaming pass —
@@ -231,41 +258,40 @@ def build_profiles_by_group(
     volume is O(blocks x groups x KB); assumes low group cardinality
     (codec, language, source — the slicing columns validation cares
     about)."""
-    cat_cols = cat_cols or []
-    cols = sorted(set(numeric_cols) | set(cat_cols) | {group_col})
+    return _profiles(ds, group_col, numeric_cols, cat_cols or [], [])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(cols).to_pandas()
-        out_g, out_p = [], []
-        for gval, sub in df.groupby(group_col, sort=False, dropna=True):
-            prof = TableProfile(n_rows=len(sub))
-            for c in numeric_cols:
-                h = StreamHist(max_bins)
-                h.update(sub[c].to_numpy())
-                prof.numeric[c] = h
-            for c in cat_cols:
-                vc = sub[c].value_counts()
-                prof.categorical[c] = {str(k): int(v) for k, v in vc.items()}
-            out_g.append(str(gval))
-            out_p.append(prof.to_json())
-        return pa.table({"group": pa.array(out_g, type=pa.string()),
-                         "profile": pa.array(out_p, type=pa.string())})
 
-    merged: dict[str, TableProfile] = {}
-    parts = ds.select_columns(cols).map_batches(partial, batch_format="pyarrow")
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        for g, s in zip(b.column("group").to_pylist(),
-                        b.column("profile").to_pylist()):
-            p = TableProfile.from_json(s)
-            acc = merged.setdefault(g, TableProfile())
-            acc.n_rows += p.n_rows
-            for c, h in p.numeric.items():
-                acc.numeric[c] = acc.numeric[c].merge(h) if c in acc.numeric else h
-            for c, t in p.categorical.items():
-                d = acc.categorical.setdefault(c, {})
-                for k, v in t.items():
-                    d[k] = d.get(k, 0) + v
-    return merged
+def drift_columns(names, key_column: Optional[str]) -> tuple[list[str], list[str], list[str]]:
+    """The (numeric, categorical, key) columns a validation run profiles
+    for drift: ``dur_ms`` (KS), ``codec`` and ``sr_hz`` (PSI) and the
+    spec's key column (distinct ratio), each only where the table, whose
+    column ``names`` are given, has it."""
+    return ([c for c in ("dur_ms",) if c in names],
+            [c for c in ("codec", "sr_hz") if c in names],
+            [key_column] if key_column in names else [])
+
+
+def _column_drift(
+    current: TableProfile,
+    baseline: TableProfile,
+    ks_threshold: float,
+    psi_threshold: float,
+) -> list[tuple[str, str, str]]:
+    """(column, observed, expected) for each numeric column both profiles
+    hold whose KS, and each categorical one whose PSI, is over its
+    threshold."""
+    out = []
+    for c, sk in current.numeric.items():
+        if c in baseline.numeric:
+            ks = ks_statistic(sk, baseline.numeric[c])
+            if ks > ks_threshold:
+                out.append((c, f"ks={ks:.4f}", f"ks<={ks_threshold}"))
+    for c, table in current.categorical.items():
+        if c in baseline.categorical:
+            v = freq_table_psi(baseline.categorical[c], table)
+            if v > psi_threshold:
+                out.append((c, f"psi={v:.4f}", f"psi<={psi_threshold}"))
+    return out
 
 
 def grouped_drift_violations(
@@ -286,23 +312,9 @@ def grouped_drift_violations(
                                        expected="slice present in both profiles",
                                        severity="warning"))
             continue
-        cur, base = current[g], baseline[g]
-        for c, hist in cur.numeric.items():
-            if c not in base.numeric:
-                continue
-            ks = ks_statistic(hist, base.numeric[c])
-            if ks > ks_threshold:
-                out.append(make_violations("DRIFT-101", [g], c,
-                                           [f"ks={ks:.4f}"],
-                                           expected=f"ks<={ks_threshold}"))
-        for c, table in cur.categorical.items():
-            if c not in base.categorical:
-                continue
-            v = freq_table_psi(base.categorical[c], table)
-            if v > psi_threshold:
-                out.append(make_violations("DRIFT-101", [g], c,
-                                           [f"psi={v:.4f}"],
-                                           expected=f"psi<={psi_threshold}"))
+        out += [make_violations("DRIFT-101", [g], c, [obs], expected=exp)
+                for c, obs, exp in _column_drift(current[g], baseline[g],
+                                                 ks_threshold, psi_threshold)]
     return pa.concat_tables(out) if out else empty_violations()
 
 
@@ -313,21 +325,9 @@ def drift_violations(
     psi_threshold: float = 0.2,
     distinct_ratio_band: tuple[float, float] = (0.5, 2.0),
 ) -> pa.Table:
-    out = []
-    for c, hist in current.numeric.items():
-        if c not in baseline.numeric:
-            continue
-        ks = ks_statistic(hist, baseline.numeric[c])
-        if ks > ks_threshold:
-            out.append(make_violations(DRIFT_100, [None], c, [f"ks={ks:.4f}"],
-                                       expected=f"ks<={ks_threshold}"))
-    for c, table in current.categorical.items():
-        if c not in baseline.categorical:
-            continue
-        v = freq_table_psi(baseline.categorical[c], table)
-        if v > psi_threshold:
-            out.append(make_violations(DRIFT_100, [None], c, [f"psi={v:.4f}"],
-                                       expected=f"psi<={psi_threshold}"))
+    out = [make_violations(DRIFT_100, [None], c, [obs], expected=exp)
+           for c, obs, exp in _column_drift(current, baseline,
+                                            ks_threshold, psi_threshold)]
     for c, hll in current.distinct.items():
         if c not in baseline.distinct:
             continue

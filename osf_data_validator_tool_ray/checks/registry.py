@@ -145,15 +145,12 @@ def check_image(ctx: RunContext, backend: str = "png",
 
 @register("drift")
 def check_drift(ctx: RunContext, ks_threshold: str = "0.1", psi_threshold: str = "0.2"):
-    from .drift import TableProfile, build_profile, drift_violations
+    from .drift import TableProfile, build_profile, drift_columns, drift_violations
     if not ctx.baseline_profile_path:
         return None
     with open(ctx.baseline_profile_path) as f:
         base = TableProfile.from_json(f.read())
-    prof = build_profile(ctx.ds,
-                         numeric_cols=[c for c in ("dur_ms",) if c in ctx.ds.schema().names],
-                         cat_cols=[c for c in ("codec", "sr_hz") if c in ctx.ds.schema().names],
-                         key_cols=[ctx.spec.key_column] if ctx.spec.key_column else [])
+    prof = build_profile(ctx.ds, *drift_columns(ctx.ds.schema().names, ctx.spec.key_column))
     return drift_violations(prof, base,
                             ks_threshold=float(ks_threshold),
                             psi_threshold=float(psi_threshold))
@@ -212,7 +209,7 @@ def check_drift_exact(ctx: RunContext, value: str = "", side: str = "",
     """Exact two-slice KS drift (DRIFT-102): the SQL-checkable tier —
     compares ``value``'s distribution between rows where side==a and
     side==b (codec cohorts, time buckets, sources).  Use the sketch
-    `drift` check for continuous columns / baseline profiles."""
+    `drift` check to compare against a stored baseline profile."""
     from ..stages.base_ids import DRIFT_102
     from .drift import exact_ks
 

@@ -121,10 +121,11 @@ def main(argv: list[str] | None = None) -> int:
             f.write(render_xml(report))
 
     if args.baseline_profile or args.write_profile:
-        from .checks.drift import TableProfile, build_profile, drift_violations
+        from .checks.drift import (TableProfile, build_profile, drift_columns,
+                                   drift_violations)
         ds = ray.data.read_parquet(files)
-        prof = build_profile(ds, numeric_cols=["dur_ms"],
-                             cat_cols=["codec", "sr_hz"], key_cols=["clip_id"])
+        numeric, categorical, keys = drift_columns(ds.schema().names, spec.key_column)
+        prof = build_profile(ds, numeric, categorical, keys)
         if args.write_profile:
             with open(args.write_profile, "w") as f:
                 f.write(prof.to_json())
@@ -138,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
             from .checks.drift import (build_profiles_by_group,
                                        grouped_drift_violations)
             slices = build_profiles_by_group(
-                ds, args.drift_slice_column, numeric_cols=["dur_ms"],
-                cat_cols=["sr_hz"])
+                ds, args.drift_slice_column, numeric,
+                [c for c in categorical if c != args.drift_slice_column])
             slice_base_path = (args.baseline_profile or "") + ".slices"
             if args.write_profile:
                 with open(args.write_profile + ".slices", "w") as f:

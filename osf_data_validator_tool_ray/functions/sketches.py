@@ -10,19 +10,54 @@ Implementations follow the public algorithms:
     corrections
   * Count-Min (Cormode & Muthukrishnan 2005)
   * Bloom filter (Bloom 1970), double hashing (Kirsch & Mitzenmacher)
-  * Streaming histogram (Ben-Haim & Tom-Tov 2010) for quantiles — the
-    mergeable t-digest-style quantile sketch
-  * KLL compactor sketch (Karnin-Lang-Liberty 2016) — the
-    provable-rank-error quantile tier
-  * KS statistic from merged CDFs; PSI over fixed baseline bins
+  * KLL compactor sketch (Karnin-Lang-Liberty 2016) — the one quantile
+    sketch, rank error ~O(1/k) whatever the stream length
+  * KS statistic between two KLL sketches; PSI over fixed baseline bins
+
+Each sketch serializes to one fixed binary layout: a 4-byte tag, an
+int64 header, then the numpy buffers whose sizes the header fixes.
+``from_bytes`` reads nothing else (a stored baseline profile is outside
+input): a wrong tag, an out-of-range header or a length that does not
+match raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pandas as pd
+
+
+def _pack(tag: bytes, header, *buffers: np.ndarray) -> bytes:
+    return b"".join([tag, np.asarray(header, dtype="<i8").tobytes(),
+                     *(np.ascontiguousarray(b).tobytes() for b in buffers)])
+
+
+class _Layout:
+    """Reads back what ``_pack`` wrote, checking every size on the way."""
+
+    def __init__(self, b: bytes, tag: bytes):
+        self.b, self.pos = memoryview(b).cast("B"), len(tag)
+        if bytes(self.b[:self.pos]) != tag:
+            raise ValueError(f"not a {tag.decode()} sketch")
+
+    def take(self, dtype: str, count: int) -> np.ndarray:
+        dt = np.dtype(dtype)
+        end = self.pos + dt.itemsize * int(count)
+        if count < 0 or end > len(self.b):
+            raise ValueError("sketch bytes are truncated")
+        out = np.frombuffer(self.b[self.pos:end], dtype=dt).astype(dt.newbyteorder("="))
+        self.pos = end
+        return out
+
+    def header(self, n: int, ok) -> list[int]:
+        h = [int(x) for x in self.take("<i8", n)]
+        if not ok(*h):
+            raise ValueError(f"sketch header {h} is out of range")
+        return h
+
+    def done(self) -> None:
+        if self.pos != len(self.b):
+            raise ValueError(f"{len(self.b) - self.pos} trailing bytes after the sketch")
 
 
 def _hash_u64(values) -> np.ndarray:
@@ -73,13 +108,14 @@ class HyperLogLog:
         return float(est)
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps((self.p, self.registers))
+        return _pack(b"HLL1", [self.p], self.registers)
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "HyperLogLog":
-        p, regs = pickle.loads(b)
-        s = cls(p)
-        s.registers = regs
+        r = _Layout(b, b"HLL1")
+        s = cls(*r.header(1, lambda p: 4 <= p <= 18))
+        s.registers = r.take("u1", s.m)
+        r.done()
         return s
 
 
@@ -116,13 +152,16 @@ class CountMin:
         return est
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps((self.width, self.depth, self.salts, self.table))
+        return _pack(b"CMS1", [self.width, self.depth], self.salts, self.table)
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "CountMin":
-        w, d, salts, table = pickle.loads(b)
+        r = _Layout(b, b"CMS1")
         s = cls.__new__(cls)
-        s.width, s.depth, s.salts, s.table = w, d, salts, table
+        s.width, s.depth = r.header(2, lambda w, d: w >= 1 and d >= 1)
+        s.salts = r.take("<u8", s.depth)
+        s.table = r.take("<i8", s.depth * s.width).reshape(s.depth, s.width)
+        r.done()
         return s
 
 
@@ -168,100 +207,15 @@ class BloomFilter:
         return self
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps((self.n_bits, self.k, np.packbits(np.unpackbits(self.bits))))
+        return _pack(b"BLM1", [self.n_bits, self.k], self.bits)
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "BloomFilter":
-        n_bits, k, bits = pickle.loads(b)
-        s = cls(n_bits, k)
-        s.bits = bits[: len(s.bits)].copy()
-        return s
-
-
-# ---------------------------------------------------------------------------
-# Streaming histogram (Ben-Haim & Tom-Tov) — mergeable quantiles
-# ---------------------------------------------------------------------------
-
-class StreamHist:
-    """Fixed-size (centroid, count) histogram; add/merge keep the closest
-    pair merged.  Quantile interpolation per the BHTT paper §2.2."""
-
-    def __init__(self, max_bins: int = 128):
-        self.max_bins = max_bins
-        self.centroids = np.empty(0, dtype=np.float64)
-        self.counts = np.empty(0, dtype=np.int64)
-        self.n = 0
-        self._min = np.inf
-        self._max = -np.inf
-
-    def update(self, values) -> "StreamHist":
-        v = np.asarray(values, dtype=np.float64)
-        v = v[~np.isnan(v)]
-        if v.size == 0:
-            return self
-        self._min = min(self._min, float(v.min()))
-        self._max = max(self._max, float(v.max()))
-        self.n += v.size
-        # bulk path: bin the batch into max_bins quantile-ish bins first
-        uniq, cnt = np.unique(v, return_counts=True)
-        self.centroids = np.concatenate([self.centroids, uniq])
-        self.counts = np.concatenate([self.counts, cnt])
-        self._compress()
-        return self
-
-    def merge(self, other: "StreamHist") -> "StreamHist":
-        self.centroids = np.concatenate([self.centroids, other.centroids])
-        self.counts = np.concatenate([self.counts, other.counts])
-        self.n += other.n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._compress()
-        return self
-
-    def _compress(self):
-        order = np.argsort(self.centroids, kind="stable")
-        c, w = self.centroids[order], self.counts[order]
-        while len(c) > self.max_bins:
-            gaps = np.diff(c)
-            n_merge = max(1, len(c) - self.max_bins)
-            merge_idx = np.argsort(gaps)[:n_merge]
-            keep = np.ones(len(c), dtype=bool)
-            new_c, new_w = c.copy(), w.copy()
-            merged_into = set()
-            for i in sorted(merge_idx):
-                if i in merged_into or i + 1 in merged_into:
-                    continue
-                tot = new_w[i] + new_w[i + 1]
-                new_c[i + 1] = (new_c[i] * new_w[i] + new_c[i + 1] * new_w[i + 1]) / tot
-                new_w[i + 1] = tot
-                keep[i] = False
-                merged_into.add(i)
-                merged_into.add(i + 1)
-            c, w = new_c[keep], new_w[keep]
-        self.centroids, self.counts = c, w
-
-    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(len(xs))
-        cum = np.cumsum(self.counts) - self.counts / 2.0
-        return np.interp(xs, self.centroids, cum / self.n, left=0.0, right=1.0)
-
-    def quantile(self, q: "float | np.ndarray") -> np.ndarray:
-        if self.n == 0:
-            return np.atleast_1d(np.nan)
-        cum = (np.cumsum(self.counts) - self.counts / 2.0) / self.n
-        return np.interp(np.atleast_1d(q), cum, self.centroids,
-                         left=self._min, right=self._max)
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps((self.max_bins, self.centroids, self.counts,
-                             self.n, self._min, self._max))
-
-    @classmethod
-    def from_bytes(cls, b: bytes) -> "StreamHist":
-        mb, c, w, n, mn, mx = pickle.loads(b)
-        s = cls(mb)
-        s.centroids, s.counts, s.n, s._min, s._max = c, w, n, mn, mx
+        r = _Layout(b, b"BLM1")
+        s = cls.__new__(cls)
+        s.n_bits, s.k = r.header(2, lambda n_bits, k: n_bits >= 1 and k >= 1)
+        s.bits = r.take("u1", s.n_bits // 8 + 1)
+        r.done()
         return s
 
 
@@ -269,15 +223,15 @@ class StreamHist:
 # Drift statistics
 # ---------------------------------------------------------------------------
 
-def ks_statistic(a: StreamHist, b: StreamHist, n_points: int = 256) -> float:
-    """Two-sample KS statistic approximated from the merged histograms'
-    CDFs on a shared evaluation grid."""
-    lo = min(a._min, b._min)
-    hi = max(a._max, b._max)
-    if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
+def ks_statistic(a: "KLL", b: "KLL") -> float:
+    """Two-sample KS statistic between two KLL sketches: the exact sup of
+    the difference of their estimated CDFs.  Both are step functions that
+    move only at retained items, so the sup is a max over the union of
+    the two sketches' items."""
+    if a.n == 0 or b.n == 0:
         return 0.0
-    xs = np.linspace(lo, hi, n_points)
-    return float(np.max(np.abs(a.cdf_at(xs) - b.cdf_at(xs))))
+    xs = np.concatenate([a._weighted()[0], b._weighted()[0]])
+    return float(np.abs(a.cdf(xs) - b.cdf(xs)).max())
 
 
 def psi(expected_counts: np.ndarray, actual_counts: np.ndarray,
@@ -301,8 +255,7 @@ def freq_table_psi(expected: dict, actual: dict) -> float:
 class KLL:
     """KLL quantile sketch (Karnin-Lang-Liberty, FOCS 2016): a mergeable
     multi-level compactor with O(k) space and rank error ~O(1/k),
-    independent of stream length — the provable-bound quantile tier
-    beside StreamHist's heuristic centroids.
+    independent of stream length.
 
     Levels hold value buffers; a full level sorts and keeps every other
     item (weight doubles), pushing survivors up.  Compaction offsets
@@ -378,31 +331,41 @@ class KLL:
 
     def quantile(self, qs) -> np.ndarray:
         v, w = self._weighted()
-        out = np.full(len(np.atleast_1d(qs)), np.nan)
+        qs = np.atleast_1d(np.asarray(qs, dtype=np.float64))
         if len(v) == 0:
-            return out
+            return np.full(len(qs), np.nan)
         cum = np.cumsum(w)
-        total = cum[-1]
-        for i, q in enumerate(np.atleast_1d(qs)):
-            target = q * total
-            out[i] = v[min(np.searchsorted(cum, target, side="left"),
-                           len(v) - 1)]
-        return out
+        return v[np.minimum(np.searchsorted(cum, qs * cum[-1], side="left"),
+                            len(v) - 1)]
+
+    def cdf(self, xs: np.ndarray) -> np.ndarray:
+        """Estimated fraction of items <= each of ``xs``."""
+        v, w = self._weighted()
+        if len(v) == 0:
+            return np.zeros(len(xs))
+        cum = np.concatenate([[0], np.cumsum(w)])
+        return cum[np.searchsorted(v, xs, side="right")] / cum[-1]
 
     def rank(self, x: float) -> float:
         """Estimated fraction of items <= x."""
-        v, w = self._weighted()
-        if len(v) == 0:
-            return 0.0
-        idx = np.searchsorted(v, x, side="right")
-        return float(np.sum(w[:idx]) / np.sum(w))
+        return float(self.cdf(np.array([x], dtype=np.float64))[0])
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps((self.k, self.n, self.levels, self._flips))
+        return _pack(b"KLL1", [self.k, self.n, len(self.levels)],
+                     np.array([len(b) for b in self.levels], dtype="<i8"),
+                     np.array(self._flips, dtype="u1"),
+                     np.concatenate(self.levels).astype("<f8"))
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "KLL":
-        k, n, levels, flips = pickle.loads(b)
+        r = _Layout(b, b"KLL1")
+        k, n, n_levels = r.header(3, lambda k, n, h: k >= 2 and n >= 0 and 1 <= h <= 64)
+        sizes, flips = r.take("<i8", n_levels), r.take("u1", n_levels)
+        if (sizes < 0).any() or (flips > 1).any():
+            raise ValueError("KLL level sizes or flips are out of range")
+        values = r.take("<f8", sizes.sum())
+        r.done()
         s = cls(k)
-        s.n, s.levels, s._flips = n, levels, flips
+        s.n, s._flips = n, [bool(f) for f in flips]
+        s.levels = np.split(values, np.cumsum(sizes)[:-1])
         return s

@@ -262,8 +262,6 @@ def group_quantiles(
     qs: Sequence[float],
     aliases: Optional[Sequence[str]] = None,
     approx: bool = False,
-    max_bins: int = 128,
-    sketch: str = "streamhist",
 ) -> "ray.data.Dataset":
     """Per-group quantiles.
 
@@ -271,25 +269,17 @@ def group_quantiles(
     quantile_cont — needs each group's full value set, so it shuffles
     rows by key (one-key-fits-heap assumption, like topk_per_group).
 
-    approx=True: the unbounded-key scale path — per-(block, key)
-    sketch partials; the exchange groups SKETCHES (one per key per
-    block), never rows, so a hot key costs O(blocks) tiny sketches
-    instead of its row count.  ``sketch`` picks the tier:
-    'streamhist' (Ben-Haim/Tom-Tov centroids, smooth interpolation) or
-    'kll' (Karnin-Lang-Liberty compactor, provable ~1/k rank error)."""
+    approx=True: the unbounded-key scale path — per-(block, key) KLL
+    sketch partials (rank error ~1/k, k = 200); the exchange groups
+    SKETCHES (one per key per block), never rows, so a hot key costs
+    O(blocks) tiny sketches instead of its row count."""
     keylist = [key] if isinstance(key, str) else list(key)
     names = list(aliases) if aliases else [f"q{int(q * 100)}" for q in qs]
     qarr = list(qs)
     gkey = key if len(keylist) > 1 else keylist[0]
 
     if approx:
-        from ..functions.sketches import KLL, StreamHist
-        if sketch == "kll":
-            make = lambda: KLL(max_bins)                      # noqa: E731
-            load = KLL.from_bytes
-        else:
-            make = lambda: StreamHist(max_bins)               # noqa: E731
-            load = StreamHist.from_bytes
+        from ..functions.sketches import KLL
 
         def partial(batch: pa.Table) -> pa.Table:
             df = batch.select(keylist + [value_col]).to_pandas()
@@ -299,7 +289,7 @@ def group_quantiles(
                 gvals = gval if isinstance(gval, tuple) else (gval,)
                 for k, v in zip(keylist, gvals):
                     rows[k].append(v)
-                h = make()
+                h = KLL()
                 h.update(sub[value_col].dropna().to_numpy(dtype=np.float64))
                 sketches.append(h.to_bytes())
             rows["_sketch"] = sketches
@@ -308,9 +298,9 @@ def group_quantiles(
                 .replace_schema_metadata(None)
 
         def merge(g: pd.DataFrame) -> pd.DataFrame:
-            h = make()
+            h = KLL()
             for s in g["_sketch"]:
-                h.merge(load(s))
+                h.merge(KLL.from_bytes(s))
             row = {k: [g[k].iloc[0]] for k in keylist}
             vals = h.quantile(qarr)
             for name, v in zip(names, vals):

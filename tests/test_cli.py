@@ -109,3 +109,28 @@ def test_cli_rejects_checks_under_checkpoint_dir(tmp_path):
               "--checkpoint-dir", str(tmp_path / "ckpt")])
     assert exc.value.code == 2
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_cli_drift_profiles_a_table_of_any_spec(tmp_path):
+    """--write-profile / --baseline-profile with --spec for a table with
+    none of the clips columns: the profile keeps the drift columns the
+    table has (here only its key) and the comparison runs."""
+    import pyarrow as pa
+
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "table": "users", "key_column": "uid",
+        "facets": {"uid": {"dtype": "string", "not_null": True},
+                   "age": {"dtype": "int", "min_inclusive": 0, "max_inclusive": 130}}}))
+    pq.write_table(pa.table({"uid": [f"u{i}" for i in range(300)],
+                             "age": [i % 90 for i in range(300)]}),
+                   str(tmp_path / "users.parquet"))
+    base = ["--input", str(tmp_path / "users.parquet"), "--spec", str(tmp_path / "spec.json")]
+    profile = tmp_path / "profile.json"
+    for extra in (["--write-profile", str(profile)], ["--baseline-profile", str(profile)]):
+        proc = _cli(*base, *extra, "--output-json", str(tmp_path / "r.json"))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    written = json.loads(profile.read_text())
+    assert (written["numeric"], written["categorical"], set(written["distinct"])) \
+        == ({}, {}, {"uid"})
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["drift"] == {"n_violations": 0, "columns": []}

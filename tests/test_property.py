@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from osf_data_validator_tool_ray import audio
 from osf_data_validator_tool_ray.functions.facets import VALIDATORS, facet_violations
-from osf_data_validator_tool_ray.functions.sketches import HyperLogLog, StreamHist
+from osf_data_validator_tool_ray.functions.sketches import KLL, HyperLogLog
 from osf_data_validator_tool_ray.functions import text as T
 from osf_data_validator_tool_ray.spec import Facets
 
@@ -91,11 +91,11 @@ def test_hll_merge_associative(values, splits):
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=500), st.integers(1, 4))
-def test_streamhist_merge_n_preserved(values, splits):
+def test_kll_merge_n_preserved(values, splits):
     parts = np.array_split(np.asarray(values), splits)
-    merged = StreamHist()
+    merged = KLL()
     for p in parts:
-        h = StreamHist()
+        h = KLL()
         h.update(p)
         merged.merge(h)
     assert merged.n == len(values)

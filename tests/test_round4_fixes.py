@@ -76,8 +76,9 @@ def ks_df():
 
 
 def test_exact_ks_exchange_tier_matches_exact(ks_df, monkeypatch):
-    """When the raw partials exceed the driver gate, the grouped-count
-    hash exchange must produce the identical exact statistic."""
+    """When the raw partials exceed the driver gate (its one check), the
+    grouped-count hash exchange must produce the identical exact
+    statistic."""
     import osf_data_validator_tool_ray.pipelines.relational as rel
     from osf_data_validator_tool_ray.checks.drift import exact_ks
 
@@ -91,23 +92,27 @@ def test_exact_ks_exchange_tier_matches_exact(ks_df, monkeypatch):
     monkeypatch.setattr(rel, "fits_driver_merge", fake)
     ds = ray.data.from_pandas(ks_df).repartition(8)
     got = exact_ks(ds, "v", "side", "a", "b")
-    assert calls["n"] >= 2          # overflow path actually taken
+    assert calls["n"] == 1          # overflow path taken: the one gate
     assert got == pytest.approx(_pandas_ks(ks_df, "v", "side", "a", "b"))
 
 
-def test_exact_ks_sketch_tier_bounded_and_close(ks_df, monkeypatch):
-    """When even the exchanged distinct-value table exceeds the gate
-    (continuous column), the StreamHist tier runs: bounded driver state,
-    answer within sketch tolerance of exact."""
+def test_exact_ks_exchange_tier_exact(ks_df, monkeypatch):
+    """With every gate forced to the exchange tier, exact_ks stays
+    exact: on the fixture, on the fixture rounded (values repeated
+    across blocks) and on a continuous column of 40,000 distinct values."""
     import osf_data_validator_tool_ray.pipelines.relational as rel
     from osf_data_validator_tool_ray.checks.drift import exact_ks
 
     monkeypatch.setattr(rel, "fits_driver_merge",
                         lambda ds, threshold=None: False)
-    ds = ray.data.from_pandas(ks_df).repartition(8)
-    got = exact_ks(ds, "v", "side", "a", "b")
-    exact = _pandas_ks(ks_df, "v", "side", "a", "b")
-    assert abs(got - exact) < 0.05  # sketch tolerance
+    rng = np.random.default_rng(8)
+    continuous = pd.DataFrame({"v": np.concatenate([rng.normal(0, 1, 20_000),
+                                                    rng.lognormal(0, 1, 20_000)]),
+                               "side": ["a"] * 20_000 + ["b"] * 20_000})
+    assert continuous["v"].nunique() == len(continuous)
+    for df in (ks_df, ks_df.assign(v=ks_df["v"].round(1)), continuous):
+        got = exact_ks(ray.data.from_pandas(df).repartition(8), "v", "side", "a", "b")
+        assert got == pytest.approx(_pandas_ks(df, "v", "side", "a", "b"))
 
 # ---------------------------------------------------------------------------
 # advice — Lance fragment partition ids wired end-to-end through

@@ -5,8 +5,8 @@ import pytest
 from osf_data_validator_tool_ray.functions.sketches import (
     BloomFilter,
     CountMin,
+    KLL,
     HyperLogLog,
-    StreamHist,
     freq_table_psi,
     ks_statistic,
     psi,
@@ -55,13 +55,13 @@ def test_bloom_no_false_negatives():
     assert m.contains(keys).all()
 
 
-def test_streamhist_quantiles_and_merge():
+def test_kll_quantiles_and_merge():
     rng = np.random.default_rng(3)
     x = rng.lognormal(3.0, 0.6, 200_000)
-    a, b = StreamHist(), StreamHist()
+    a, b = KLL(), KLL()
     a.update(x[:100_000])
     b.update(x[100_000:])
-    m = StreamHist.from_bytes(a.to_bytes()).merge(b)
+    m = KLL.from_bytes(a.to_bytes()).merge(b)
     for q in (0.1, 0.5, 0.9):
         true = np.quantile(x, q)
         got = m.quantile(q)[0]
@@ -71,9 +71,9 @@ def test_streamhist_quantiles_and_merge():
 
 def test_ks_detects_shift():
     rng = np.random.default_rng(4)
-    base = StreamHist().update(rng.normal(0, 1, 50_000))
-    same = StreamHist().update(rng.normal(0, 1, 50_000))
-    shifted = StreamHist().update(rng.normal(0.8, 1, 50_000))
+    base = KLL().update(rng.normal(0, 1, 50_000))
+    same = KLL().update(rng.normal(0, 1, 50_000))
+    shifted = KLL().update(rng.normal(0.8, 1, 50_000))
     assert ks_statistic(base, same) < 0.05
     assert ks_statistic(base, shifted) > 0.2
 
@@ -86,8 +86,6 @@ def test_psi():
 
 
 def test_kll_accuracy_merge_and_determinism():
-    from osf_data_validator_tool_ray.functions.sketches import KLL
-
     rng = np.random.default_rng(3)
     data = np.concatenate([rng.normal(0, 1, 120_000),
                            rng.exponential(4, 40_000)])
