@@ -604,10 +604,7 @@ def _q_session_windows(sf_dir: str):
     """Gap-based session windows (30 min gap) per user."""
     from osf_data_validator_tool_ray.pipelines.streaming import session_windows
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    # presplit exercises the two-level hot-key sessionizer under the
-    # oracle (parity-tested == plain path)
-    return session_windows(ds, "user_id", "ts", gap_s=1800,
-                           presplit_chunk_s=6 * 3600)
+    return session_windows(ds, "user_id", "ts", gap_s=1800)
 
 
 def _q_asof_join(sf_dir: str):

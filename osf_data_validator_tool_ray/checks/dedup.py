@@ -396,12 +396,11 @@ def banded_pairs(
 
     ``pairs(df) -> (id_a, id_b, score)`` pairs every bucket of a frame
     of banded rows, id_a < id_b; ``how`` of ``score_col`` is kept per
-    pair.  The banded rows are materialized once.  A table that passes
-    ``fits_driver_merge`` runs ``pairs`` plus the per-pair ``how`` once
-    over the whole frame in process; a larger one runs that same
-    function once per hash partition of ``keys`` (``by_partition``, which
-    keeps every bucket in one partition), then the per-pair ``how`` once
-    per hash partition of (id_a, id_b)."""
+    pair.  ``pairs`` plus the per-pair ``how`` run through
+    ``by_partition`` on ``keys`` (which keeps every bucket in one
+    partition), then the per-pair ``how`` through ``by_partition`` on
+    (id_a, id_b); each picks its tier: once over the whole frame on the
+    driver below its gate, else once per hash partition."""
     from ..pipelines import relational
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
@@ -414,10 +413,7 @@ def banded_pairs(
         ia, ib, sc = pairs(df)
         return keep(pd.DataFrame({"id_a": ia, "id_b": ib, score_col: sc}))
 
-    mat = banded.materialize()
-    if relational.fits_driver_merge(mat):
-        return ray.data.from_pandas(bucket_pairs(mat.to_pandas()))
-    per_bucket = relational.by_partition(mat, keys, lambda t: bucket_pairs(t.to_pandas()))
+    per_bucket = relational.by_partition(banded, keys, lambda t: bucket_pairs(t.to_pandas()))
     return relational.by_partition(per_bucket, ["id_a", "id_b"],
                                    lambda t: keep(t.to_pandas()))
 
@@ -759,9 +755,10 @@ def exact_jaccard_for_pairs(
          worker process from the object store, not re-shipped per batch)
       2. semi-join filter the corpus inside map_batches; shingle only
          surviving docs (the full text column never reaches the driver)
-      3. route each doc's shingle set to its pairs with a tagged-union
-         groupby on doc id, then compute Jaccard per pair with a second
-         small groupby on pair id
+      3. route each doc's shingle set to its pairs: one frame-wide merge
+         of a tagged union on doc id, then the Jaccard of every pair
+         whose two slots met, from a second frame-wide pass on pair id
+         (both through ``by_partition``)
 
     ``pairs`` (id_a, id_b, ...) is the candidate list — tiny relative to
     the corpus (near-dup rate bounds it), so it lives on the driver.
@@ -815,33 +812,35 @@ def exact_jaccard_for_pairs(
     pr = pr.append_column("sh", pa.nulls(pr.num_rows, type=sh_type))
     pair_ds = ray.data.from_arrow(pr.replace_schema_metadata(None))
 
-    def route(g: pd.DataFrame) -> pd.DataFrame:
-        # one shingle row per key + its pair slots
-        sh_rows = g[g["sh"].notna()]
-        slots = g[g["pair_id"].notna()]
-        if sh_rows.empty or slots.empty:
-            return pd.DataFrame({"pair_id": pd.Series(dtype="int64"),
-                                 "role": pd.Series(dtype="int8"),
-                                 "sh": pd.Series(dtype="object")})
-        sh = sh_rows["sh"].iloc[0]
-        return pd.DataFrame({"pair_id": slots["pair_id"].astype("int64"),
-                             "role": slots["role"].astype("int8"),
-                             "sh": [sh] * len(slots)})
+    def route(t: pa.Table) -> pa.Table:
+        # each pair slot takes the shingle set of its key's first row
+        sh_rows = t.filter(pc.is_valid(t.column("sh")))
+        slots = t.filter(pc.is_valid(t.column("pair_id")))
+        at = pc.index_in(slots.column("key"), value_set=sh_rows.column("key"),
+                         skip_nulls=True)
+        hit = pc.is_valid(at)
+        return pa.table({"pair_id": slots.column("pair_id").filter(hit),
+                         "role": slots.column("role").filter(hit),
+                         "sh": sh_rows.column("sh").take(at.filter(hit))})
 
-    def score(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) != 2:
-            return pd.DataFrame({"pair_id": pd.Series(dtype="int64"),
-                                 "jaccard": pd.Series(dtype="float64")})
-        a, b = g["sh"].iloc[0], g["sh"].iloc[1]
-        j = T.exact_jaccard(np.asarray(a, dtype=np.uint64),
-                            np.asarray(b, dtype=np.uint64))
-        return pd.DataFrame({"pair_id": [int(g["pair_id"].iloc[0])],
-                             "jaccard": [j]})
+    def score(t: pa.Table) -> pd.DataFrame:
+        # a pair scores once both of its slots met their shingle sets
+        ids = t.column("pair_id").to_numpy()
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        both = first[np.diff(np.r_[first, len(ids)]) == 2]
+        sh = t.column("sh")
+        return pd.DataFrame({
+            "pair_id": ids[both].astype(np.int64),
+            "jaccard": np.array([T.exact_jaccard(
+                np.asarray(sh[int(order[i])].as_py(), dtype=np.uint64),
+                np.asarray(sh[int(order[i + 1])].as_py(), dtype=np.uint64))
+                for i in both], dtype=np.float64)})
 
-    routed = shingles.union(pair_ds).groupby("key").map_groups(
-        route, batch_format="pandas")
-    scored = routed.groupby("pair_id").map_groups(
-        score, batch_format="pandas").to_pandas()
+    from ..pipelines import relational
+    routed = relational.by_partition(shingles.union(pair_ds), ["key"], route)
+    scored = relational.by_partition(routed, ["pair_id"], score).to_pandas()
 
     out = pairs.reset_index(drop=True).copy()
     out["pair_id"] = np.arange(len(out), dtype=np.int64)

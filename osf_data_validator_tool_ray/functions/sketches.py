@@ -179,7 +179,9 @@ class BloomFilter:
         pos = np.empty((self.k, len(h1)), dtype=np.uint64)
         for i in range(self.k):
             # splitmix64 finalizer per probe: decorrelates the k positions
-            z = h1 + np.uint64(i) * np.uint64(0x9E3779B97F4A7C15)
+            # the probe's offset wraps as a Python int: a numpy scalar
+            # product would warn on the overflow
+            z = h1 + np.uint64(i * 0x9E3779B97F4A7C15 % (1 << 64))
             z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             z = z ^ (z >> np.uint64(31))

@@ -1,18 +1,22 @@
 """Generic, reusable Ray-Data relational operators over any table.
 
-``merge_partials`` is the one adaptive per-key merge: the keyed pass
-(checks/unified_keyed.py, which evaluates every cardinality,
-existential, referential-existence and zero-edge constraint),
-``grouped_agg``, ``distinct_values`` / ``distinct_counts`` and the
-exact-dedup aggregate merge through it.  Every adaptive operator has
-one in-process function: below ``fits_driver_merge`` it runs once over
-the whole input on the driver, above it ``by_partition`` runs the same
-function once per hash partition of the keys, so the two tiers differ
-only in how the rows are partitioned.  ``driver_pull`` applies the gate
-to a result pulled to the driver whole.  The rest are table operators
-the registry, the drift and corpus pipelines and the driver contract in
-__ray_entry__.py build on.  Each mirrors a reference dataflow shape
-(SURVEY.md §2.2):
+``by_partition`` is the one per-key primitive: every operator whose
+answer for a key needs all of that key's rows (merges, top-k, sessions,
+joins, lags, quantiles, packing) hands it one frame-wide kernel, a
+function over a table that holds many keys.  ``by_partition``
+materializes its input once and picks the tier itself: below
+``fits_driver_merge`` (or on an empty input) the kernel runs once over
+the whole input on the driver; above it the kernel runs once per hash
+partition of the keys, so the two tiers differ only in how the rows are
+partitioned.  ``merge_partials`` is the adaptive per-key merge on top
+of it: the keyed pass (checks/unified_keyed.py, which evaluates every
+cardinality, existential, referential-existence and zero-edge
+constraint), ``grouped_agg``, ``distinct_values`` / ``distinct_counts``
+and the exact-dedup aggregate merge through it.  ``driver_pull``
+applies the same gate to a result pulled to the driver whole.  The rest
+are table operators the registry, the drift and corpus pipelines and
+the driver contract in __ray_entry__.py build on.  Each mirrors a
+reference dataflow shape (SURVEY.md §2.2):
 
   * facet/row filters        <- per-value scalar validation loops
   * universal counterexamples <- owl:allValuesFrom negated filter
@@ -21,8 +25,9 @@ __ray_entry__.py build on.  Each mirrors a reference dataflow shape
   * grouped aggregates, quantiles, reconciliation, joins
 
 All are streaming: vectorized map_batches (pyarrow/pandas kernels) plus
-at most ONE hash exchange, always preceded by a per-batch partial
-aggregation (combiner) so the shuffle moves per-key partials, not rows.
+at most ONE hash exchange, preceded by a per-batch partial aggregation
+(combiner) wherever the kernel merges, so the shuffle moves per-key
+partials, not rows.
 """
 
 from __future__ import annotations
@@ -148,26 +153,29 @@ def stable_hash(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
 def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
                  fn: Callable[[pa.Table], "pa.Table | pd.DataFrame"],
                  ) -> "ray.data.Dataset":
-    """The exchange tier of every adaptive operator: run ``fn`` (the same
-    in-process function the driver tier runs once over everything) once
-    per hash partition of ``keys``.
+    """The one per-key primitive: run the frame-wide kernel ``fn`` over
+    ``ds`` so that all rows of a key of ``keys`` meet in one call, and
+    choose the tier.
 
-    One ``map_batches`` tags each row with ``_part = stable_hash(keys) %
-    P``; one sort on ``_part`` then puts each partition in one block, and
-    ``fn`` gets each block's rows as one Arrow table (without ``_part``),
-    so all rows of a key meet in one call and ``fn`` runs at most P
-    times, never once per key.  P is at least 2 and at least the
-    cluster's CPU count, and large enough that a partition of evenly
-    spread keys stays within the ``fits_driver_merge`` budget.
-
-    This is ``groupby("_part").map_groups(fn)`` with the sort's
-    boundaries set to the partitions that hold rows: groupby samples its
-    boundaries, and a sort range that holds no rows comes out as a
-    column-less block.  An empty input runs ``fn`` once on its empty
-    table, so the result keeps ``fn``'s column types."""
+    ``ds`` is materialized once.  When it passes ``fits_driver_merge``,
+    or holds no rows, it is pulled to the driver as one Arrow table and
+    ``fn`` runs once over it; the result is a one-block Dataset (an
+    empty input thus keeps ``fn``'s column types).  Above the gate
+    ``fn`` runs once per hash partition of ``keys``: one
+    ``map_batches`` tags each row with ``_part = stable_hash(keys) %
+    P``, one sort on ``_part`` puts each partition in one block, and
+    ``fn`` gets each block's rows as one Arrow table (without
+    ``_part``), so it runs at most P times, never once per key.  P is
+    at least 2 and at least the cluster's CPU count, and large enough
+    that a partition of evenly spread keys stays within the
+    ``fits_driver_merge`` budget.  The sort's boundaries are the
+    partitions that hold rows (a sampled boundary range that holds no
+    rows would come out as a column-less block), and 0-row input blocks
+    are dropped before the tagging, so every block ``fn`` gets and
+    every block it returns has one schema."""
     mat = ds.materialize()
     rows, size = mat.count(), mat.size_bytes() or 0
-    if rows == 0:
+    if fits_driver_merge((rows, size)) or rows == 0:
         out = fn(_pull(mat))
         return (ray.data.from_arrow(out) if isinstance(out, pa.Table)
                 else ray.data.from_pandas(out))
@@ -180,12 +188,83 @@ def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
         part = stable_hash(t, keylist) % np.uint64(parts)
         return t.append_column("_part", pa.array(part.astype(np.int64)))
 
-    tagged = mat.map_batches(tag, batch_format="pyarrow", batch_size=None).materialize()
+    # Ray hands a 0-row block on without calling ``tag``; its schema,
+    # without ``_part``, would differ from the tagged blocks'
+    blocks = [ref for bundle in mat.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    tagged = ray.data.from_arrow_refs(blocks).map_batches(
+        tag, batch_format="pyarrow", batch_size=None).materialize()
     present = sorted(tagged.unique("_part"))
     grouped = (tagged.sort("_part", boundaries=present[1:]) if len(present) > 1
                else tagged.repartition(1))
     return grouped.map_batches(lambda t: fn(t.drop_columns(["_part"])),
                                batch_format="pyarrow", batch_size=None)
+
+
+def order_values(*cols: "pa.ChunkedArray | pa.Array") -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Order columns (timestamps, dates, numbers) as comparable numpy
+    values and validity masks: timestamps and dates in int64
+    microseconds, integers as int64, anything else as float64 (all of
+    them float64 when the columns disagree).  A null (or NaN) is not
+    valid; its value is 0."""
+    out = []
+    for col in cols:
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        typ = col.type
+        if pa.types.is_timestamp(typ) or pa.types.is_date(typ):
+            col = col.cast(pa.timestamp("us"), safe=False).cast(pa.int64())
+        else:
+            col = col.cast(pa.int64() if pa.types.is_integer(typ) else pa.float64())
+        valid = pc.invert(pc.is_null(col, nan_is_null=True)).to_numpy(zero_copy_only=False)
+        out.append((pc.fill_null(col, 0).to_numpy(zero_copy_only=False), valid))
+    if len({v.dtype for v, _ in out}) > 1:
+        out = [(v.astype(np.float64), ok) for v, ok in out]
+    return out
+
+
+def asof_positions(lt: pa.Table, rt: pa.Table, key: str, lon: str, ron: str,
+                   allow_exact_matches: bool = True) -> np.ndarray:
+    """For each row of ``lt``, the position in ``rt`` of the row with the
+    same ``key`` and the greatest ``ron`` at or before (strictly before
+    when not ``allow_exact_matches``) the row's ``lon``, or -1: ONE
+    ``pd.merge_asof`` over both whole frames, by key.  Keys are matched
+    by value through one dictionary encoding of both sides, so their
+    pandas types never need to agree; a null key or order value never
+    matches.  Among right rows tied on ``ron`` the last one wins."""
+    (lv, lok), (rv, rok) = order_values(lt.column(lon), rt.column(ron))
+    lkey = lt.column(key).combine_chunks()
+    codes = pc.dictionary_encode(pa.concat_arrays(
+        [lkey, rt.column(key).combine_chunks().cast(lkey.type)])).indices
+    lok &= pc.is_valid(codes[:lt.num_rows]).to_numpy(zero_copy_only=False)
+    rok &= pc.is_valid(codes[lt.num_rows:]).to_numpy(zero_copy_only=False)
+    codes = pc.fill_null(codes, -1).to_numpy(zero_copy_only=False).astype(np.int64)
+    lpos, rpos = np.flatnonzero(lok), np.flatnonzero(rok)
+    lf = pd.DataFrame({"_k": codes[:lt.num_rows][lpos], "_on": lv[lpos], "_l": lpos})
+    rf = pd.DataFrame({"_k": codes[lt.num_rows:][rpos], "_on": rv[rpos], "_r": rpos})
+    m = pd.merge_asof(lf.sort_values("_on", kind="stable"),
+                      rf.sort_values("_on", kind="stable"), on="_on", by="_k",
+                      direction="backward", allow_exact_matches=allow_exact_matches)
+    out = np.full(lt.num_rows, -1, dtype=np.int64)
+    out[m["_l"].to_numpy()] = m["_r"].fillna(-1).to_numpy().astype(np.int64)
+    return out
+
+
+def take_or_null(t: pa.Table, pos: np.ndarray) -> pa.Table:
+    """The rows of ``t`` at ``pos``; a negative position gives a row of
+    nulls (typed as ``t``'s columns)."""
+    return t.take(pa.array(np.maximum(pos, 0), mask=pos < 0))
+
+
+def split_sides(t: pa.Table, lcols: Sequence[str], rcols: Sequence[str]) -> "tuple[pa.Table, pa.Table]":
+    """A ``tagged_union``'s left (``_side == "l"``) and right rows, each
+    with its own columns.  The split runs in Arrow, before any pandas
+    conversion: the padded union holds nulls in every left column of a
+    right row, which a whole-table ``to_pandas`` would NaN-promote
+    (int64 keys above 2^53 would silently lose precision)."""
+    lmask = pc.equal(t.column("_side"), "l")
+    return (t.filter(lmask).select(list(lcols)),
+            t.filter(pc.invert(lmask)).select(list(rcols)))
 
 
 def arrow_type(typ) -> pa.DataType:
@@ -212,12 +291,12 @@ def merge_partials(
     distinct keys); ``finish`` turns the merged table (one row per key)
     into the result.  Partials already on the driver (a ``pa.Table``)
     merge in process with Arrow's group_by, which groups null keys as one
-    key, and ``finish``'s table is returned.  A Dataset is materialized
-    (one row per key per block); a set that passes ``fits_driver_merge``
-    merges the same way, with no further Ray task, and comes back as a
-    one-block Dataset.  A larger set runs that same merge once per hash
-    partition of the keys (``by_partition``).  A caller that must not see
-    null keys drops them in its combiner."""
+    key, and ``finish``'s table is returned.  A Dataset (one row per key
+    per block) runs that same merge through ``by_partition``, which
+    picks the tier: once on the driver below its gate, with no further
+    Ray task, as a one-block Dataset; else once per hash partition of
+    the keys.  A caller that must not see null keys drops them in its
+    combiner."""
     keylist = [keys] if isinstance(keys, str) else list(keys)
     cols = list(aggs)
     if isinstance(partials, pa.Table):
@@ -230,10 +309,7 @@ def merge_partials(
         arrow_names = {f"{c}_{fn}": c for c, fn in aggs.items()}
         g = g.rename_columns([arrow_names.get(n, n) for n in g.column_names])
         return finish(g.select(keylist + cols))
-    mat, _ = driver_pull(partials)
-    if isinstance(mat, pa.Table):
-        return ray.data.from_arrow(merge_partials(mat, keylist, aggs, finish))
-    return by_partition(mat, keylist,
+    return by_partition(partials, keylist,
                         lambda t: merge_partials(t, keylist, aggs, finish))
 
 
@@ -263,63 +339,89 @@ def group_quantiles(
     aliases: Optional[Sequence[str]] = None,
     approx: bool = False,
 ) -> "ray.data.Dataset":
-    """Per-group quantiles.
+    """Per-group quantiles: one frame-wide kernel through
+    ``by_partition``, which picks the tier.
 
     approx=False (default): EXACT, linear interpolation matching SQL
-    quantile_cont — needs each group's full value set, so it shuffles
-    rows by key (one-key-fits-heap assumption, like topk_per_group).
+    quantile_cont (numpy's ``linear`` method, evaluated for every group
+    of the frame at once over one sort) — needs each group's full value
+    set, so the rows go through the exchange (one key's rows must fit a
+    heap).
 
     approx=True: the unbounded-key scale path — per-(block, key) KLL
-    sketch partials (rank error ~1/k, k = 200); the exchange groups
-    SKETCHES (one per key per block), never rows, so a hot key costs
-    O(blocks) tiny sketches instead of its row count."""
+    sketch partials (rank error ~1/k, k = 200), and the kernel merges
+    each key's sketches; the exchange moves SKETCHES (one per key per
+    block), never rows, so a hot key costs O(blocks) tiny sketches
+    instead of its row count."""
     keylist = [key] if isinstance(key, str) else list(key)
     names = list(aliases) if aliases else [f"q{int(q * 100)}" for q in qs]
     qarr = list(qs)
-    gkey = key if len(keylist) > 1 else keylist[0]
+
+    def groups(t: pa.Table) -> "dict":
+        # row positions of each group, in first-seen order
+        return t.select(keylist).to_pandas().groupby(
+            keylist, sort=False, dropna=False).indices
 
     if approx:
         from ..functions.sketches import KLL
 
         def partial(batch: pa.Table) -> pa.Table:
-            df = batch.select(keylist + [value_col]).to_pandas()
-            rows: dict[str, list] = {k: [] for k in keylist}
-            sketches = []
-            for gval, sub in df.groupby(keylist, sort=False, dropna=False):
-                gvals = gval if isinstance(gval, tuple) else (gval,)
-                for k, v in zip(keylist, gvals):
-                    rows[k].append(v)
+            vals = batch.column(value_col).to_pandas()
+            first, sketches = [], []
+            for pos in groups(batch).values():
                 h = KLL()
-                h.update(sub[value_col].dropna().to_numpy(dtype=np.float64))
+                h.update(vals.iloc[pos].dropna().to_numpy(dtype=np.float64))
+                first.append(pos[0])
                 sketches.append(h.to_bytes())
-            rows["_sketch"] = sketches
-            return pa.Table.from_pandas(pd.DataFrame(rows),
-                                        preserve_index=False) \
-                .replace_schema_metadata(None)
+            return batch.select(keylist).take(pa.array(first, pa.int64())) \
+                .append_column("_sketch", pa.array(sketches, pa.binary()))
 
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            h = KLL()
-            for s in g["_sketch"]:
-                h.merge(KLL.from_bytes(s))
-            row = {k: [g[k].iloc[0]] for k in keylist}
-            vals = h.quantile(qarr)
-            for name, v in zip(names, vals):
-                row[name] = [float(v)]
-            return pd.DataFrame(row)
+        def merge(t: pa.Table) -> pa.Table:
+            sketches = t.column("_sketch").to_pylist()
+            first, rows = [], []
+            for pos in groups(t).values():
+                h = KLL()
+                for i in pos:
+                    h.merge(KLL.from_bytes(sketches[i]))
+                first.append(pos[0])
+                rows.append(h.quantile(qarr))
+            out = t.select(keylist).take(pa.array(first, pa.int64()))
+            for j, name in enumerate(names):
+                out = out.append_column(
+                    name, pa.array([float(r[j]) for r in rows], pa.float64()))
+            return out
 
-        partials = ds.map_batches(partial, batch_format="pyarrow",
-                                  batch_size=None)
-        return partials.groupby(gkey).map_groups(merge, batch_format="pandas")
+        return by_partition(ds.map_batches(partial, batch_format="pyarrow",
+                                           batch_size=None), keylist, merge)
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        vals = g[value_col].dropna().to_numpy(dtype=np.float64)
-        row = {k: [g[k].iloc[0]] for k in keylist}
+    def exact(t: pa.Table) -> pa.Table:
+        gid = np.empty(t.num_rows, dtype=np.int64)
+        first = []
+        for i, pos in enumerate(groups(t).values()):
+            gid[pos] = i
+            first.append(pos[0])
+        v = t.column(value_col).to_pandas()
+        ok = v.notna().to_numpy()
+        vals, g = v[ok].to_numpy(dtype=np.float64), gid[ok]
+        order = np.lexsort((vals, g))
+        vals = np.append(vals[order], np.nan)
+        n = np.bincount(g, minlength=len(first))
+        start = np.where(n > 0, np.cumsum(n) - n, len(vals) - 1)
+        out = t.select(keylist).take(pa.array(first, pa.int64()))
         for name, q in zip(names, qarr):
-            row[name] = [float(np.quantile(vals, q)) if len(vals) else None]
-        return pd.DataFrame(row)
+            # numpy's linear method: virtual index (n - 1) * q, and its
+            # two-sided lerp, so each group equals np.quantile bit for bit
+            vi = (n - 1) * q
+            lo = np.clip(np.floor(vi).astype(np.int64), 0, np.maximum(n - 1, 0))
+            hi = np.minimum(lo + 1, np.maximum(n - 1, 0))
+            gamma = vi - lo
+            a, b = vals[start + lo], vals[start + hi]
+            d = b - a
+            res = np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma)
+            out = out.append_column(name, pa.array(res, pa.float64(), mask=n == 0))
+        return out
 
-    return ds.select_columns(keylist + [value_col]).groupby(gkey).map_groups(
-        per_group, batch_format="pandas")
+    return by_partition(ds.select_columns(keylist + [value_col]), keylist, exact)
 
 
 def deterministic_sample(
@@ -620,16 +722,20 @@ def interval_join(
 
     Partitioning assumption (documented per SURVEY §2.2 custom
     operators): intervals of one key are NON-OVERLAPPING (sessions,
-    validity ranges).  One tagged-union hash exchange on ``key``;
-    per-key sorted-starts searchsorted, no per-row Python loop.
+    validity ranges), so the latest start at or before ts is the only
+    candidate.  Both sides go through ``by_partition`` on ``key`` as one
+    tagged union; the kernel is one ``asof_positions`` (merge_asof on
+    the interval start, by key) over the frame, then keeps the rows
+    with ts <= end.  Null keys or timestamps never match.
 
     ``presplit_chunk_s`` is the hot-key path (round-3 verdict item #6):
-    time is chunked so a group never exceeds one (key, chunk)'s rows;
-    each chunk joins against its own intervals plus ONE carry-in (the
-    latest-starting interval of an earlier chunk — the only earlier
+    time is chunked so one key's rows are spread over (key, chunk)
+    pairs; each chunk joins against its own intervals plus ONE carry-in
+    (the latest-starting interval of an earlier chunk — the only earlier
     interval that can span in, since per-key intervals are
     non-overlapping).  Identical output to the plain path
-    (parity-tested); without it one key's rows must fit a worker heap."""
+    (parity-tested); without it one key's rows must fit a worker heap,
+    as the join does not merge."""
     if presplit_chunk_s is not None:
         from .streaming import _presplit_chunked_join
         rcols = list(dict.fromkeys(
@@ -640,72 +746,43 @@ def interval_join(
                                          end_col, right_cols, how=how))
     lcols = list(left.schema().names)
     out_rcols = [c for c in right_cols if c not in lcols]
+    rcols = list(dict.fromkeys([key, start_col, end_col] + out_rcols))
 
+    def per_partition(t: pa.Table) -> pa.Table:
+        lt, rt = split_sides(t, lcols, rcols)
+        pos = asof_positions(lt, rt, key, ts_col, start_col)
+        (ts, ts_ok), (end, end_ok) = order_values(lt.column(ts_col), rt.column(end_col))
+        hit = pos >= 0
+        hit[hit] = ts_ok[hit] & end_ok[pos[hit]] & (ts[hit] <= end[pos[hit]])
+        picked = take_or_null(rt.select(out_rcols), np.where(hit, pos, -1))
+        out = pa.Table.from_arrays(lt.columns + picked.columns, lcols + out_rcols)
+        return out.filter(pa.array(hit)) if how == "inner" else out
+
+    return by_partition(tagged_union(left, right.select_columns(rcols)), [key], per_partition)
+
+
+def tagged_union(left: "ray.data.Dataset", right: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Both sides as one Dataset of one schema, the sorted union of their
+    columns plus ``_side`` ("l" or "r", the row's side): each side's
+    batches get the columns they lack as typed nulls (the left side's
+    type wins for a column both hold).  ``split_sides`` undoes it."""
     types: dict[str, pa.DataType] = {"_side": pa.string()}
-    rschema = right.schema()
-    for name, typ in zip(rschema.names, rschema.types):
-        if name in set(out_rcols) | {key, start_col, end_col}:
+    for schema in (right.schema(), left.schema()):
+        for name, typ in zip(schema.names, schema.types):
             types[name] = arrow_type(typ)
-    lschema = left.schema()
-    for name, typ in zip(lschema.names, lschema.types):
-        types[name] = arrow_type(typ)
-    all_cols = sorted(set(lcols) | set(out_rcols) | {key, start_col, end_col,
-                                                     "_side"})
+    all_cols = sorted(types)
 
-    def tag_and_pad(side):
+    def pad(side: str):
         def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column("_side", pa.array([side] * t.num_rows))
+            t = t.append_column("_side", pa.array([side] * t.num_rows, pa.string()))
             for c in all_cols:
                 if c not in t.column_names:
                     t = t.append_column(c, pa.nulls(t.num_rows, type=types[c]))
             return t.select(all_cols)
         return fn
 
-    out_cols = lcols + out_rcols
-
-    def per_key(g: pa.Table) -> pd.DataFrame:
-        # Side-split in ARROW before any pandas conversion: the padded
-        # union has nulls in every left column on right-side rows, and a
-        # whole-group to_pandas would NaN-promote them (int64 keys >
-        # 2^53 would silently lose precision — seen as float64 `k` in
-        # the presplit parity test, where the join key is the composite
-        # __kc and the real key is an ordinary left column).
-        lmask = pc.equal(g.column("_side"), "l")
-        gl = g.filter(lmask).select(lcols).to_pandas()
-        if gl.empty:
-            out = gl
-            for c in out_rcols:
-                out[c] = pd.Series(dtype=object)
-            return out.reindex(columns=out_cols)
-        gr = g.filter(pc.invert(lmask)) \
-            .select([start_col, end_col] + out_rcols).to_pandas() \
-            .sort_values(start_col, kind="stable")
-        ts = gl[ts_col].to_numpy()
-        if gr.empty:
-            idx = np.full(len(gl), -1)
-            hit = np.zeros(len(gl), dtype=bool)
-        else:
-            starts = gr[start_col].to_numpy()
-            ends = gr[end_col].to_numpy()
-            idx = np.searchsorted(starts, ts, side="right") - 1
-            hit = (idx >= 0) & (ts <= ends[np.clip(idx, 0, None)])
-        out = gl.copy()
-        for c in out_rcols:
-            vals = np.full(len(gl), None, dtype=object)
-            if hit.any():
-                vals[hit] = gr[c].to_numpy()[idx[hit]]
-            out[c] = vals
-        if how == "inner":
-            out = out[hit]
-        return out.reindex(columns=out_cols)
-
-    lp = left.map_batches(tag_and_pad("l"), batch_format="pyarrow",
-                          batch_size=None)
-    rp = right.select_columns(
-        list(dict.fromkeys([key, start_col, end_col] + out_rcols))
-    ).map_batches(tag_and_pad("r"), batch_format="pyarrow", batch_size=None)
-    return lp.union(rp).groupby(key).map_groups(per_key,
-                                                batch_format="pyarrow")
+    return left.map_batches(pad("l"), batch_format="pyarrow", batch_size=None).union(
+        right.map_batches(pad("r"), batch_format="pyarrow", batch_size=None))
 
 
 def hash_join(
@@ -727,9 +804,10 @@ def hash_join(
     right-side blocks (the sparse-right crash documented in
     checks/dedup.py near_dup_clusters).  Big-big joins use the native
     hash-partitioned join when present (Ray >= 2.46), else the portable
-    tagged-union fallback: union both sides with a side marker,
-    groupby(key), per-key pandas merge.  ``use_native`` pins a path for
-    testing.
+    tagged-union fallback: union both sides with a side marker and run
+    one pandas merge per ``by_partition`` call on the key (the whole
+    union on the driver below its gate).  ``use_native`` pins a path
+    for testing.
 
     Right-side non-key columns that duplicate a left column name are
     DROPPED on every path (the left side wins), so the output schema
@@ -751,60 +829,20 @@ def hash_join(
         small_right = fits_driver_merge(probe, broadcast_threshold)
         if small_right:
             right = probe       # the probe IS the whole right side
-        if small_right and how in ("inner", "left"):
-            lcols_b = set(left.schema().names)
-            r_keep_b = [c for c in right.schema().names
-                        if c == key or c not in lcols_b]
-            return broadcast_join(left, right.select_columns(r_keep_b), key,
-                                  how=how)
+    lcols = list(left.schema().names)
+    # right-side columns carried through the join: keep the key (merge
+    # needs it on both sides), drop non-key columns duplicated on the left
+    r_keep = [c for c in right.schema().names if c == key or c not in lcols]
+    right = right.select_columns(r_keep)
+    if small_right and how in ("inner", "left"):
+        return broadcast_join(left, right, key, how=how)
     if use_native is None:
         use_native = hasattr(ray.data.Dataset, "join") and not small_right
     if use_native:
-        lcols_n = set(left.schema().names)
-        r_keep_n = [c for c in right.schema().names
-                    if c == key or c not in lcols_n]
-        return left.join(right.select_columns(r_keep_n), join_type=how,
-                         num_partitions=n, on=(key,))
+        return left.join(right, join_type=how, num_partitions=n, on=(key,))
 
-    lschema = left.schema()
-    rschema = right.schema()
-    lcols = list(lschema.names)
-    # right-side columns carried through the join: keep the key (merge
-    # needs it on both sides), drop non-key columns duplicated on the left
-    r_keep = [c for c in rschema.names if c == key or c not in lcols]
+    def per_partition(t: pa.Table) -> pd.DataFrame:
+        lt, rt = split_sides(t, lcols, r_keep)
+        return lt.to_pandas().merge(rt.to_pandas(), on=key, how=how)
 
-    # both sides must share ONE schema for the union: pad each with
-    # typed null columns for the other side's fields
-    types: dict[str, pa.DataType] = {"_side": pa.string()}
-    for name, typ in zip(rschema.names, rschema.types):
-        if name in r_keep:
-            types[name] = arrow_type(typ)
-    for name, typ in zip(lschema.names, lschema.types):
-        types[name] = arrow_type(typ)
-    all_cols = sorted(set(lcols) | set(r_keep) | {"_side"})
-
-    def tag_and_pad(side):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column("_side", pa.array([side] * t.num_rows))
-            for c in all_cols:
-                if c not in t.column_names:
-                    t = t.append_column(c, pa.nulls(t.num_rows, type=types[c]))
-            return t.select(all_cols)
-        return fn
-
-    def per_key(g: pa.Table) -> pd.DataFrame:
-        # Arrow side-split before pandas (see interval_join.per_key):
-        # whole-group to_pandas would NaN-promote every left column on
-        # right-side padded rows, corrupting int64 ids > 2^53.  Only
-        # genuinely unmatched left-join right columns NaN-promote now
-        # (inherent to the pandas merge kernel, documented above).
-        lmask = pc.equal(g.column("_side"), "l")
-        gl = g.filter(lmask).select(lcols).to_pandas()
-        gr = g.filter(pc.invert(lmask)).select(r_keep).to_pandas()
-        return gl.merge(gr, on=key, how=how)
-
-    lp = left.map_batches(tag_and_pad("l"), batch_format="pyarrow", batch_size=None)
-    rp = right.select_columns(r_keep).map_batches(
-        tag_and_pad("r"), batch_format="pyarrow", batch_size=None)
-    return lp.union(rp).groupby(key).map_groups(per_key,
-                                                batch_format="pyarrow")
+    return by_partition(tagged_union(left, right), [key], per_partition)

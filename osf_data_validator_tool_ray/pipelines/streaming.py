@@ -8,17 +8,20 @@ batch formulation:
   * tumbling_window — GROUP BY (key, floor(ts / size)); stateless per
     row, so it is a plain two-phase grouped aggregate (no ordering
     assumption at all).
-  * session_windows — gap-based sessions; needs rows of one key sorted
-    by ts, so it shuffles by key and sorts *within the group* only
-    (groupby(key).map_groups with a pandas sort — group-local, no global
-    sort).
-  * asof_join — for each left row, the latest right row of the same key
-    with ts_right <= ts_left: hash-partition both sides by key (one
-    tagged union shuffle), per-key pandas merge_asof.
+  * session_windows, lag_deltas, sequence_regressions, topk_per_group,
+    asof_join — one frame-wide kernel each (a function over a table
+    that holds many keys: one sort by key and time, vectorized diffs or
+    one ``pd.merge_asof(..., by=key)``), run through
+    ``relational.by_partition``, which runs it once on the driver below
+    its gate and once per hash partition of the key above it.  No
+    global sort, no Python call per key.
 
-Partitioning assumption (documented per SURVEY §2.2 "custom operators"):
-one key's rows fit in a worker's heap.  Hot keys should be pre-split by
-time range before these operators at extreme skew.
+Sessions and top-k merge, so their kernel also runs once per block as a
+combiner: a hot key sends one row per session, or at most k rows, per
+block through the exchange.  The others move a key's rows, so one key's
+rows must fit a worker's heap; ``asof_join`` and
+``relational.interval_join`` take ``presplit_chunk_s`` to spread a hot
+key over time chunks.
 """
 
 from __future__ import annotations
@@ -114,105 +117,56 @@ def session_windows(
     key: str,
     ts_col: str,
     gap_s: int,
-    presplit_chunk_s: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Session windows: a new session starts when the gap to the previous
     event of the same key exceeds ``gap_s``.  Returns one row per session:
-    (key, session_id, session_start, session_end, n).
+    (key, session_id, session_start, session_end, n), with session_id
+    counting a key's sessions from 1 in time order and start and end in
+    epoch microseconds.  Events with a null timestamp are dropped.
 
-    ``presplit_chunk_s`` is the hot-key path: events are first grouped by
-    (key, time-chunk) so no single group ever holds more than one chunk's
-    events; per-chunk sessions (a MUCH smaller set — bounded by
-    chunk_s/gap_s per key per chunk) are then merged across chunk
-    boundaries by a second groupby over sessions, not events.  Identical
-    output to the plain path (parity-tested)."""
+    Sessions merge: each event starts as a one-event session, and one
+    kernel merges the sessions of a frame (sorted by key and start, a
+    new session begins where the key changes or where the start is more
+    than the gap after the key's running maximum end).  It runs once per
+    block as a combiner, then once through ``relational.by_partition``
+    on the key, so the exchange moves at most one row per session per
+    block, however hot the key."""
+    from . import relational
 
     gap_us = gap_s * 1_000_000
+    cols = [key, "session_start", "session_end", "n"]
 
-    if presplit_chunk_s is not None:
-        return _session_windows_presplit(ds, key, ts_col, gap_us,
-                                         presplit_chunk_s)
+    def events(t: pa.Table) -> pa.Table:
+        (ts, ok), = relational.order_values(t.column(ts_col))
+        us = pa.array(ts[ok], pa.int64())
+        return pa.Table.from_arrays(
+            [t.column(key).filter(pa.array(ok)), us, us,
+             pa.array(np.ones(len(us), dtype=np.int64))], cols)
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(ts_col, kind="stable")
-        ts = g[ts_col].astype("datetime64[us]").astype("int64").to_numpy()
-        new = np.ones(len(ts), dtype=np.int64)
-        if len(ts) > 1:
-            new[1:] = (np.diff(ts) > gap_us).astype(np.int64)
-        sid = np.cumsum(new)
-        out = pd.DataFrame({key: g[key].to_numpy(), "_sid": sid, "_ts": ts})
-        agg = out.groupby("_sid").agg(
-            session_start=("_ts", "min"), session_end=("_ts", "max"),
-            n=("_ts", "size")).reset_index()
-        agg[key] = g[key].iloc[0]
-        agg = agg.rename(columns={"_sid": "session_id"})
-        return agg[[key, "session_id", "session_start", "session_end", "n"]]
+    def merge(t: pa.Table) -> pa.Table:
+        t = t.select(cols)
+        if not t.num_rows:
+            return t.add_column(1, "session_id", pa.array([], pa.int64()))
+        code = pc.fill_null(pc.dictionary_encode(t.column(key).combine_chunks())
+                            .indices, -1).to_numpy(zero_copy_only=False)
+        start, end, n = (t.column(c).to_numpy() for c in cols[1:])
+        order = np.lexsort((start, code))
+        code, start, end, n = code[order], start[order], end[order], n[order]
+        new_key = np.r_[True, code[1:] != code[:-1]]
+        reach = pd.Series(end).groupby(code).cummax().to_numpy()
+        new = new_key | (start - np.r_[0, reach[:-1]] > gap_us)
+        first = np.flatnonzero(new)
+        sid = np.arange(len(first))
+        sid = sid - np.maximum.accumulate(np.where(new_key[first], sid, 0)) + 1
+        return pa.Table.from_arrays(
+            [t.column(key).take(pa.array(order[first])), pa.array(sid, pa.int64()),
+             pa.array(start[first]), pa.array(np.maximum.reduceat(end, first)),
+             pa.array(np.add.reduceat(n, first))],
+            [key, "session_id"] + cols[1:])
 
-    return ds.select_columns([key, ts_col]).groupby(key).map_groups(
-        sessions, batch_format="pandas")
-
-
-def _session_windows_presplit(
-    ds: "ray.data.Dataset",
-    key: str,
-    ts_col: str,
-    gap_us: int,
-    chunk_s: int,
-) -> "ray.data.Dataset":
-    """Two-level sessionization for hot keys (SURVEY §2.2 partitioning
-    assumption removed): stage 1 sessionizes each (key, time-chunk)
-    group — bounded memory per group regardless of key skew; stage 2
-    merges PER-CHUNK SESSIONS (intervals, not events) across chunk
-    boundaries with the same gap rule and renumbers in start order."""
-    chunk_us = np.int64(1_000_000) * chunk_s
-
-    def add_chunk(t: pa.Table) -> pa.Table:
-        ts = t.column(ts_col).cast(pa.timestamp("us")).cast(pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.table({key: t.column(key),
-                         "_ts": pa.array(ts, type=pa.int64()),
-                         "_chunk": pa.array(np.floor_divide(ts, chunk_us),
-                                            type=pa.int64())})
-
-    def chunk_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        ts = np.sort(g["_ts"].to_numpy())
-        new = np.ones(len(ts), dtype=bool)
-        if len(ts) > 1:
-            new[1:] = np.diff(ts) > gap_us
-        sid = np.cumsum(new)
-        df = pd.DataFrame({"_sid": sid, "_ts": ts})
-        agg = df.groupby("_sid").agg(session_start=("_ts", "min"),
-                                     session_end=("_ts", "max"),
-                                     n=("_ts", "size")).reset_index(drop=True)
-        agg[key] = g[key].iloc[0]
-        return agg[[key, "session_start", "session_end", "n"]]
-
-    def merge_sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("session_start", kind="stable")
-        starts = g["session_start"].to_numpy()
-        ends = g["session_end"].to_numpy()
-        ns = g["n"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            # merge when the gap from the previous session's end is small;
-            # per-chunk sessions of one key never overlap (chunks are
-            # disjoint time ranges), so running max of ends == prev end
-            new[1:] = (starts[1:] - ends[:-1]) > gap_us
-        sid = np.cumsum(new)
-        df = pd.DataFrame({"_sid": sid, "s": starts, "e": ends, "n": ns})
-        agg = df.groupby("_sid").agg(session_start=("s", "min"),
-                                     session_end=("e", "max"),
-                                     n=("n", "sum")).reset_index()
-        agg = agg.rename(columns={"_sid": "session_id"})
-        agg[key] = g[key].iloc[0]
-        return agg[[key, "session_id", "session_start", "session_end", "n"]]
-
-    chunked = ds.select_columns([key, ts_col]).map_batches(
-        add_chunk, batch_format="pyarrow", batch_size=None)
-    per_chunk = chunked.groupby([key, "_chunk"]).map_groups(
-        chunk_sessions, batch_format="pandas")
-    return per_chunk.groupby(key).map_groups(merge_sessions,
-                                             batch_format="pandas")
+    partials = ds.select_columns([key, ts_col]).map_batches(
+        lambda t: merge(events(t)), batch_format="pyarrow", batch_size=None)
+    return relational.by_partition(partials, [key], merge)
 
 
 def asof_join(
@@ -227,76 +181,38 @@ def asof_join(
     """As-of (backward) join: each left row picks the right row of the
     same key with the greatest right_ts <= left_ts.
 
-    One tagged-union hash shuffle on ``key``; per-key pd.merge_asof.
-    Output: left columns + requested right columns (null when no match).
+    Both sides go through ``relational.by_partition`` on ``key`` as one
+    tagged union; the kernel is one ``pd.merge_asof(..., by=key)`` over
+    the frame (``relational.asof_positions``).  Output: left columns +
+    requested right columns (null when no match; a null key or
+    timestamp never matches).
 
     ``presplit_chunk_s`` is the hot-key path: both sides are chunked by
-    time so a group never exceeds one (key, chunk)'s rows; each chunk's
-    join sees its own right rows plus ONE carry-in row (the latest right
-    row from any earlier chunk), computed from per-chunk argmax
-    summaries — the summary table holds one row per (key, chunk), never
-    raw rows.  Identical output to the plain path (parity-tested)."""
-    if presplit_chunk_s is not None:
-        return _asof_join_presplit(left, right, key, left_ts, right_ts,
-                                   right_cols, presplit_chunk_s)
+    time so one key's rows are spread over (key, chunk) pairs; each
+    chunk's join sees its own right rows plus ONE carry-in row (the
+    latest right row from any earlier chunk), computed from per-chunk
+    argmax summaries — the summary table holds one row per (key, chunk),
+    never raw rows.  Identical output to the plain path (parity-tested);
+    the join does not merge, so this is the only bound on how many rows
+    one key sends to one partition."""
+    from . import relational
 
-    lcols = [c for c in left.schema().names]
-    l = left.map_batches(
-        lambda t: t.append_column("_side", pa.array(["l"] * t.num_rows)),
-        batch_format="pyarrow", batch_size=None)
     rcols = list(dict.fromkeys([key, right_ts] + [c for c in right_cols if c != key]))
-    r = right.select_columns(rcols).map_batches(
-        lambda t: t.append_column("_side", pa.array(["r"] * t.num_rows)),
-        batch_format="pyarrow", batch_size=None)
+    if presplit_chunk_s is not None:
+        return _presplit_chunked_join(
+            left, right, key, left_ts, right_ts, rcols, presplit_chunk_s,
+            lambda l2, r2: asof_join(l2, r2, "__kc", left_ts, right_ts, right_cols))
+    lcols = list(left.schema().names)
+    rextra = [c for c in rcols if c != key and c not in lcols]
 
-    rextra = [c for c in rcols if c != key]          # right_ts + value cols
-    out_cols = lcols + [c for c in rextra if c not in lcols]
+    def per_partition(t: pa.Table) -> pa.Table:
+        lt, rt = relational.split_sides(t, lcols, rcols)
+        picked = relational.take_or_null(
+            rt.select(rextra), relational.asof_positions(lt, rt, key, left_ts, right_ts))
+        return pa.Table.from_arrays(lt.columns + picked.columns, lcols + rextra)
 
-    def _restore_left_ints(df: pd.DataFrame) -> pd.DataFrame:
-        # padding right-side rows nulls the left int columns -> float64;
-        # left rows are never null there, so cast back after the join
-        for c in lcols:
-            if c in df.columns and pa.types.is_integer(types[c]):
-                df[c] = df[c].astype("int64")
-        return df
-
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        gl = g[g["_side"] == "l"][lcols].sort_values(left_ts, kind="stable")
-        if gl.empty:
-            return pd.DataFrame({c: pd.Series(dtype=g[c].dtype) for c in out_cols})
-        gr = g[g["_side"] == "r"][rextra].sort_values(right_ts, kind="stable")
-        # unify timestamp resolution (grouped blocks can carry [s] vs [us])
-        gl[left_ts] = gl[left_ts].astype("datetime64[us]")
-        gr[right_ts] = gr[right_ts].astype("datetime64[us]")
-        if gr.empty:
-            out = gl.copy()
-            for c in rextra:
-                if c not in out.columns:
-                    out[c] = pd.NA
-            return _restore_left_ints(out.reindex(columns=out_cols))
-        merged = pd.merge_asof(gl, gr, left_on=left_ts, right_on=right_ts,
-                               direction="backward", suffixes=("", "_right"))
-        return _restore_left_ints(merged.reindex(columns=out_cols))
-
-    # union the two sides: pad each with TYPED null columns so both
-    # blocks share one schema (union requires identical schemas)
-    types: dict[str, pa.DataType] = {"_side": pa.string()}
-    for f in arrow_schema(right):
-        if f.name in rcols:
-            types[f.name] = f.type
-    for f in arrow_schema(left):
-        types[f.name] = f.type
-    all_cols = sorted(set(lcols) | set(rcols) | {"_side"})
-
-    def pad(t: pa.Table) -> pa.Table:
-        for c in all_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows, type=types[c]))
-        return t.select(all_cols)
-
-    lp = l.map_batches(pad, batch_format="pyarrow", batch_size=None)
-    rp = r.map_batches(pad, batch_format="pyarrow", batch_size=None)
-    return lp.union(rp).groupby(key).map_groups(per_key, batch_format="pandas")
+    return relational.by_partition(
+        relational.tagged_union(left, right.select_columns(rcols)), [key], per_partition)
 
 
 def lag_deltas(
@@ -308,25 +224,35 @@ def lag_deltas(
 ) -> "ray.data.Dataset":
     """Per-key LAG features: time delta (microseconds) and value delta
     vs the previous row in (ts, id) order — inter-event-time /
-    rate-of-change feature extraction.  Group-local sort only (no global
-    sort); first row of each key gets null deltas."""
+    rate-of-change feature extraction.  One frame-wide kernel through
+    ``relational.by_partition`` on the key: sort by (key, ts, id), then
+    diffs masked where the key changes (no global sort); the first row
+    of each key, and a row with a null timestamp or a null-timestamp
+    predecessor, gets a null time delta."""
+    from . import relational
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, id_col], kind="stable")
-        ts = g[ts_col].astype("datetime64[us]").astype("int64").to_numpy()
-        out = pd.DataFrame({id_col: g[id_col].to_numpy(),
-                            key: g[key].to_numpy()})
-        d = np.diff(ts).astype("float64")
-        out["delta_us"] = np.concatenate([[np.nan], d])
+    cols = list(dict.fromkeys([key, ts_col, id_col] + ([value_col] if value_col else [])))
+
+    def deltas(t: pa.Table) -> pa.Table:
+        df = t.select([key, ts_col, id_col]).to_pandas().reset_index(drop=True) \
+            .sort_values([key, ts_col, id_col], kind="stable")
+        t = t.take(pa.array(df.index.to_numpy(), pa.int64()))
+        k = df[key].to_numpy()
+        same = np.zeros(len(k), dtype=bool)
+        same[1:] = k[1:] == k[:-1]
+        (ts, ok), = relational.order_values(t.column(ts_col))
+        ok[1:] &= ok[:-1].copy()
+        ok &= same
+        d = np.diff(ts, prepend=ts[:1]).astype(np.float64)
+        out = {id_col: t.column(id_col), key: t.column(key),
+               "delta_us": pa.array(d, pa.float64(), mask=~ok)}
         if value_col is not None:
-            v = g[value_col].to_numpy(dtype=np.float64)
-            out["delta_value"] = np.concatenate([[np.nan], np.diff(v)])
-        return out
+            v = t.column(value_col).to_pandas().to_numpy(dtype=np.float64, na_value=np.nan)
+            out["delta_value"] = pa.array(np.diff(v, prepend=v[:1]), pa.float64(),
+                                          mask=~same)
+        return pa.table(out)
 
-    cols = [c for c in dict.fromkeys(
-        [key, ts_col, id_col] + ([value_col] if value_col else []))]
-    return ds.select_columns(cols).groupby(key).map_groups(
-        per_key, batch_format="pandas")
+    return relational.by_partition(ds.select_columns(cols), [key], deltas)
 
 
 def sequence_regressions(
@@ -346,12 +272,11 @@ def sequence_regressions(
     each other) and results are partitioning-independent, matching the
     SQL ``LAG ... ORDER BY seq, ts`` oracle exactly.
 
-    Adaptive: small inputs (row+byte gated) run ONE vectorized
-    sort+shift on the driver — a per-group map_groups over many small
-    keys costs ~1 ms of Python per group (measured: ~20 s for 15 k
-    orders), while the vectorized path is milliseconds.  Large inputs
-    run the same sort+shift once per hash partition of the key
-    (``relational.by_partition``)."""
+    One frame-wide kernel (one sort + shift) through
+    ``relational.by_partition`` on the key, which runs it once on the
+    driver below its gate and once per hash partition above it — a
+    Python call per key would cost ~1 ms each (measured: ~20 s for 15 k
+    orders), while the vectorized kernel takes milliseconds."""
 
     cols = list(dict.fromkeys([key, seq_col, ts_col]))
 
@@ -376,31 +301,7 @@ def sequence_regressions(
             .append_column("prev_ts", pa.array(prev[bad], pa.timestamp("us")))
 
     from . import relational
-    pulled, _ = relational.driver_pull(ds.select_columns(cols))
-    if isinstance(pulled, pa.Table):
-        return ray.data.from_arrow(flag(pulled))
-    return relational.by_partition(pulled, [key], flag)
-
-
-def _asof_join_presplit(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    key: str,
-    left_ts: str,
-    right_ts: str,
-    right_cols: list[str],
-    chunk_s: int,
-) -> "ray.data.Dataset":
-    """Hot-key as-of join: chunk time, join per (key, chunk) with ONE
-    carry-in right row per chunk (the latest right row of any earlier
-    chunk).  Delegates to the shared chunked-join scaffold with the
-    plain asof path as the per-chunk join."""
-    rcols = list(dict.fromkeys([key, right_ts]
-                               + [c for c in right_cols if c != key]))
-    return _presplit_chunked_join(
-        left, right, key, left_ts, right_ts, rcols, chunk_s,
-        lambda l2, r2: asof_join(l2, r2, "__kc", left_ts, right_ts,
-                                 right_cols))
+    return relational.by_partition(ds.select_columns(cols), [key], flag)
 
 
 def _presplit_chunked_join(
@@ -452,30 +353,24 @@ def _presplit_chunked_join(
         kc = _compose_kc(t.column(key), pa.array(ch, type=pa.int64()))
         return t.append_column("__kc", kc)
 
-    # ---- right per-(key, chunk) latest-row summaries (argmax) ----------
-    def r_partial(t: pa.Table) -> pa.Table:
-        df = t.select(rcols).to_pandas().dropna(subset=[right_ts])
-        if len(df) == 0:
-            df["_chunk"] = pd.Series(dtype="int64")
-            return pa.Table.from_pandas(df, preserve_index=False) \
-                .replace_schema_metadata(None)
-        ts_us = df[right_ts].astype("datetime64[us]").astype("int64")
-        df["_chunk"] = np.floor_divide(ts_us.to_numpy(), chunk_us)
-        idx = df.groupby([key, "_chunk"], sort=False)[right_ts].idxmax()
-        return pa.Table.from_pandas(df.loc[idx], preserve_index=False) \
-            .replace_schema_metadata(None)
+    from . import relational
+    from .relational import grouped_agg
 
-    def r_final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.loc[[g[right_ts].idxmax()]]
+    # ---- right per-(key, chunk) latest-row summaries (argmax merges) ---
+    def latest(t: pa.Table) -> pa.Table:
+        t = t.select(rcols)
+        (ts, ok), = relational.order_values(t.column(right_ts))
+        chunk = np.floor_divide(ts, chunk_us).astype(np.int64)
+        df = pd.DataFrame({"k": t.column(key).to_pandas(), "_chunk": chunk, "_ts": ts})
+        idx = df[ok].groupby(["k", "_chunk"], sort=False)["_ts"].idxmax().to_numpy()
+        return t.take(pa.array(idx, pa.int64())).append_column(
+            "_chunk", pa.array(chunk[idx], pa.int64()))
 
-    summaries = right.map_batches(r_partial, batch_format="pyarrow",
-                                  batch_size=None) \
-        .groupby([key, "_chunk"]).map_groups(r_final, batch_format="pandas") \
-        .materialize()
+    summaries = relational.by_partition(
+        right.map_batches(latest, batch_format="pyarrow", batch_size=None),
+        [key, "_chunk"], latest)
 
     # ---- distinct left (key, chunk) pairs (combiner-reduced) -----------
-    from .relational import arrow_type, grouped_agg
-
     def l_chunks(t: pa.Table) -> pa.Table:
         ch = _chunks_of(t, left_ts)
         return pa.table({key: t.column(key),
@@ -487,40 +382,19 @@ def _presplit_chunked_join(
         [key, "_chunk"], {"_n": (key, "count")})
 
     # ---- carry-in per left chunk: latest summary from an earlier chunk --
-    rschema = summaries.schema()
-    rtypes = {n: arrow_type(t) for n, t in zip(rschema.names, rschema.types)}
-    rtypes["_chunk"] = pa.int64()
-    all_cols = sorted(set(rcols) | {key, "_chunk", "_tag"})
+    rschema = arrow_schema(right.select_columns(rcols))
 
-    def pad(tag):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column("_tag", pa.array([tag] * t.num_rows))
-            for c in all_cols:
-                if c not in t.column_names:
-                    t = t.append_column(
-                        c, pa.nulls(t.num_rows, type=rtypes.get(c, pa.string())))
-            return t.select(all_cols)
-        return fn
+    def assign_carries(t: pa.Table) -> pa.Table:
+        lt, rt = relational.split_sides(t, [key, "_chunk"], rcols + ["_chunk"])
+        pos = relational.asof_positions(lt, rt, key, "_chunk", "_chunk",
+                                        allow_exact_matches=False)
+        hit = pos >= 0
+        return rt.select(rcols).take(pa.array(pos[hit])).append_column(
+            "_chunk", lt.column("_chunk").filter(pa.array(hit))).cast(
+            rschema.append(pa.field("_chunk", pa.int64())))
 
-    def assign_carries(g: pd.DataFrame) -> pd.DataFrame:
-        s = g[g["_tag"] == "s"].sort_values("_chunk", kind="stable")
-        lcs = np.sort(g.loc[g["_tag"] == "l", "_chunk"].unique())
-        out_cols = rcols + ["_chunk"]
-        if s.empty or len(lcs) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=g[c].dtype)
-                                 for c in out_cols})
-        schunks = s["_chunk"].to_numpy()
-        idx = np.searchsorted(schunks, lcs) - 1     # latest chunk < lc
-        m = idx >= 0
-        picked = s.iloc[idx[m]][rcols].reset_index(drop=True)
-        picked["_chunk"] = lcs[m]
-        return picked[out_cols]
-
-    tagged = summaries.map_batches(pad("s"), batch_format="pyarrow",
-                                   batch_size=None).union(
-        lpairs.map_batches(pad("l"), batch_format="pyarrow", batch_size=None))
-    carries = tagged.groupby(key).map_groups(assign_carries,
-                                             batch_format="pandas")
+    carries = relational.by_partition(relational.tagged_union(lpairs, summaries), [key],
+                                      assign_carries)
 
     # ---- per-chunk join via the plain path on the composite key --------
     def r_with_given_kc(t: pa.Table) -> pa.Table:
@@ -546,43 +420,32 @@ def topk_per_group(
     order_cols: "str | list[str]",
     k: int,
     ascending: "bool | list[bool]" = False,
-    presplit_salts: Optional[int] = None,
 ) -> "ray.data.Dataset":
-    """Top-k rows per group by ``order_cols`` (ROW_NUMBER() <= k analog).
-    groupby(key).map_groups with a group-local sort — no global sort.
-    Pass a full tie-breaking order for deterministic output.
+    """Top-k rows per group by ``order_cols`` (ROW_NUMBER() <= k analog),
+    with their 1-based ``rank``.  Pass a full tie-breaking order for
+    deterministic output.
 
-    ``presplit_salts`` is the hot-key path: top-k is mergeable, so stage
-    1 takes per-(key, salt) local top-k (each group holds ~1/salts of a
-    hot key's rows) and stage 2 merges at most salts*k rows per key —
-    bounded regardless of key skew.  Identical output (parity-tested)."""
+    Top-k merges, so one frame-wide kernel (a stable sort by the order
+    columns, keep the rows whose position within their key is below k,
+    write ``rank``) runs once per block as a combiner, then once
+    through ``relational.by_partition`` on the key: a hot key sends at
+    most k rows per block through the exchange."""
+    from . import relational
+
     order_cols = [order_cols] if isinstance(order_cols, str) else list(order_cols)
     if isinstance(ascending, bool):
         ascending = [ascending] * len(order_cols)
+    sort_cols = list(dict.fromkeys([key] + order_cols))
 
-    def head(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_cols, ascending=ascending, kind="stable")
-        out = g.head(k).copy()
-        out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
-        return out
+    def head(t: pa.Table) -> pa.Table:
+        if "rank" in t.column_names:
+            t = t.drop_columns(["rank"])
+        df = t.select(sort_cols).to_pandas().reset_index(drop=True) \
+            .sort_values(order_cols, ascending=ascending, kind="stable")
+        pos = df.groupby(key, sort=False, dropna=False).cumcount().to_numpy()
+        keep = pos < k
+        return t.take(pa.array(df.index.to_numpy()[keep], pa.int64())) \
+            .append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
 
-    if presplit_salts is None:
-        return ds.groupby(key).map_groups(head, batch_format="pandas")
-
-    salts = int(presplit_salts)
-
-    def add_salt(t: pa.Table) -> pa.Table:
-        # row-hash salt: deterministic for a given block content, spreads
-        # a hot key's rows across `salts` subgroups
-        n = t.num_rows
-        return t.append_column(
-            "_salt", pa.array(np.arange(n, dtype=np.int64) % salts))
-
-    def local_head(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order_cols, ascending=ascending, kind="stable")
-        return g.head(k).drop(columns=["_salt"])
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow", batch_size=None)
-    partial = salted.groupby([key, "_salt"]).map_groups(
-        local_head, batch_format="pandas")
-    return partial.groupby(key).map_groups(head, batch_format="pandas")
+    partials = ds.map_batches(head, batch_format="pyarrow", batch_size=None)
+    return relational.by_partition(partials, [key], head)

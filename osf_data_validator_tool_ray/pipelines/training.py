@@ -36,41 +36,44 @@ def pack_sequences(
 
     Returns (group, doc id, n_tokens, pack_id, pack_tokens) where
     ``pack_id`` is the 0-based pack index within the group and
-    ``pack_tokens`` the pack's total.  One groupby exchange on the shard
-    key; the per-group kernel is a vectorized cumsum-with-reset (numpy
-    loop over PACK BOUNDARIES only, not rows-per-pack).
+    ``pack_tokens`` the pack's total.  One frame-wide kernel through
+    ``relational.by_partition`` on the shard key (one sort by id, then
+    a loop over the frame's groups); per group the greedy fold
+    is a searchsorted on the running cumsum (numpy loop over PACK
+    BOUNDARIES only, not rows-per-pack).
 
     Partitioning assumption (SURVEY §2.2 custom-operator contract): one
     group's rows fit in a worker heap — groups are shards by
     construction, already sized for that.
     """
+    from . import relational
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="stable")
-        toks = g[tokens_col].to_numpy(dtype=np.int64)
-        n = len(toks)
-        pack_ids = np.empty(n, dtype=np.int64)
-        # greedy reset-on-overflow: iterate pack boundaries via
-        # searchsorted on the running cumsum — O(#packs log n), not O(n)
-        csum = np.concatenate([[0], np.cumsum(toks)])
-        start = 0
-        pid = 0
-        while start < n:
-            # furthest end with total <= budget; always take >= 1 doc
-            end = int(np.searchsorted(csum, csum[start] + budget,
-                                      side="right")) - 1
-            end = max(end, start + 1)
-            pack_ids[start:end] = pid
-            start = end
-            pid += 1
-        out = g[[group_col, id_col, tokens_col]].copy()
-        out["pack_id"] = pack_ids
-        totals = np.bincount(pack_ids, weights=toks).astype(np.int64)
-        out["pack_tokens"] = totals[pack_ids]
-        return out
+    cols = [group_col, id_col, tokens_col]
 
-    return ds.select_columns([group_col, id_col, tokens_col]) \
-        .groupby(group_col).map_groups(per_group, batch_format="pandas")
+    def pack(t: pa.Table) -> pa.Table:
+        df = t.select(cols).to_pandas().reset_index(drop=True) \
+            .sort_values(id_col, kind="stable")
+        t = t.select(cols).take(pa.array(df.index.to_numpy(), pa.int64()))
+        toks = df[tokens_col].to_numpy(dtype=np.int64)
+        pack_ids = np.empty(len(toks), dtype=np.int64)
+        totals = np.empty(len(toks), dtype=np.int64)
+        groups = df.reset_index(drop=True).groupby(group_col, sort=False, dropna=False)
+        for pos in groups.indices.values():
+            # greedy reset-on-overflow over the group's docs in id order:
+            # iterate pack boundaries via searchsorted on the running cumsum
+            csum = np.concatenate([[0], np.cumsum(toks[pos])])
+            start, pid = 0, 0
+            while start < len(pos):
+                # furthest end with total <= budget; always take >= 1 doc
+                end = max(int(np.searchsorted(csum, csum[start] + budget,
+                                              side="right")) - 1, start + 1)
+                pack_ids[pos[start:end]] = pid
+                totals[pos[start:end]] = csum[end] - csum[start]
+                start, pid = end, pid + 1
+        return t.append_column("pack_id", pa.array(pack_ids)) \
+            .append_column("pack_tokens", pa.array(totals))
+
+    return relational.by_partition(ds.select_columns(cols), [group_col], pack)
 
 
 def split_by_group(

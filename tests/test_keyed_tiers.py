@@ -153,19 +153,29 @@ def test_exchange_tier_hashes_the_key_value_alone(case):
     assert got["exchange"] == got["driver"]
 
 
-def test_by_partition_calls_fn_at_most_once_per_partition():
+def _by_partition_calls(tier: str) -> list:
+    """One row per ``by_partition`` call over 5,000 keys of two rows each
+    in 8 blocks: the call's row count and its sorted keys."""
     keys = np.arange(5000)
     ds = ray.data.from_arrow(pa.table({"k": np.concatenate([keys, keys[::-1]])})) \
         .repartition(8)
-    with _schema_warnings() as warned:
+    with _tier(tier), _schema_warnings() as warned:
         out = rel.by_partition(ds, ["k"], lambda t: pa.table({
             "n": [t.num_rows], "keys": [sorted(set(t.column("k").to_pylist()))]}))
         calls = [r for b in _blocks(out) for r in b.to_pylist()]
-    assert len(calls) <= 4          # P = the session's 4 CPUs
     assert sum(c["n"] for c in calls) == 10_000
     # every key meets all its rows in exactly one call
     assert sorted(k for c in calls for k in c["keys"]) == keys.tolist()
     assert not warned
+    return calls
+
+
+def test_by_partition_calls_fn_at_most_once_per_partition():
+    assert 1 < len(_by_partition_calls("exchange")) <= 4   # P = the session's 4 CPUs
+
+
+def test_by_partition_driver_tier_calls_fn_once():
+    assert len(_by_partition_calls("driver")) == 1
 
 
 @pytest.mark.parametrize("empty", ["zero_rows", "zero_blocks"])

@@ -230,11 +230,12 @@ def test_lag_deltas():
     assert np.isnan(got.loc[13, "delta_us"])   # first of its key
 
 
-def test_session_presplit_parity_with_plain_path():
-    """Two-level sessionization (hot-key time-chunk pre-split) ==
-    the plain per-key path, including sessions crossing chunk
-    boundaries."""
+def test_sessions_crossing_chunks_match_pandas_on_both_tiers():
+    """Sessions merged from per-block sessions (the combiner) and again
+    per partition == a per-key pandas sessionization, on both tiers,
+    with many sessions straddling 120 s chunk boundaries."""
     from osf_data_validator_tool_ray.pipelines.streaming import session_windows
+    from tests.test_keyed_tiers import _tier
 
     rng = np.random.default_rng(33)
     base = pd.Timestamp("2024-01-01").value // 1000
@@ -250,18 +251,29 @@ def test_session_presplit_parity_with_plain_path():
     df["ts"] = pd.to_datetime(df["ts_us"], unit="us")
     ds = ray.data.from_pandas(df[["k", "ts"]]).repartition(4)
 
-    plain = session_windows(ds, "k", "ts", gap_s=60).to_pandas()
-    split = session_windows(ds, "k", "ts", gap_s=60,
-                            presplit_chunk_s=120).to_pandas()
+    df = df.sort_values(["k", "ts_us"])
+    new = df.groupby("k")["ts_us"].diff().fillna(np.inf) > 60_000_000
+    df["session_id"] = new.astype("int64").groupby(df["k"]).cumsum()
+    want = df.groupby(["k", "session_id"]).agg(
+        session_start=("ts_us", "min"), session_end=("ts_us", "max"),
+        n=("ts_us", "size")).reset_index()
     cols = ["k", "session_id", "session_start", "session_end", "n"]
-    a = plain[cols].sort_values(cols).reset_index(drop=True).astype("int64")
-    b = split[cols].sort_values(cols).reset_index(drop=True).astype("int64")
-    assert a.equals(b)
+    want = want[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+    crossing = (want["session_start"] // 120_000_000
+                != want["session_end"] // 120_000_000)
+    assert crossing.sum() > 10
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            got = session_windows(ds, "k", "ts", gap_s=60).to_pandas()
+        got = got[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+        assert got.equals(want), tier
 
 
-def test_topk_presplit_parity():
-    """Salted two-phase top-k == plain per-group top-k (hot-key path)."""
+def test_topk_hot_key_matches_pandas_on_both_tiers():
+    """Top-k with one 500-row hot key: the per-block combiner plus the
+    per-partition kernel == a pandas ROW_NUMBER() <= k, on both tiers."""
     from osf_data_validator_tool_ray.pipelines.streaming import topk_per_group
+    from tests.test_keyed_tiers import _tier
 
     rng = np.random.default_rng(12)
     df = pd.DataFrame({
@@ -270,12 +282,15 @@ def test_topk_presplit_parity():
         "v": rng.permutation(600),                           # unique order col
     })
     ds = ray.data.from_pandas(df).repartition(4)
-    plain = topk_per_group(ds, "k", "v", 5).to_pandas()
-    split = topk_per_group(ds, "k", "v", 5, presplit_salts=8).to_pandas()
+    want = df.sort_values("v", ascending=False).groupby("k").head(5).copy()
+    want["rank"] = want.groupby("k").cumcount() + 1
     cols = ["k", "v", "rank"]
-    a = plain[cols].sort_values(cols).reset_index(drop=True)
-    b = split[cols].sort_values(cols).reset_index(drop=True)
-    assert a.astype("int64").equals(b.astype("int64"))
+    want = want[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            got = topk_per_group(ds, "k", "v", 5).to_pandas()
+        got = got[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+        assert got.equals(want), tier
 
 
 def test_group_quantiles_approx_close_to_exact():

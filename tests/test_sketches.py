@@ -55,6 +55,22 @@ def test_bloom_no_false_negatives():
     assert m.contains(keys).all()
 
 
+def test_bloom_positions_pinned_and_warning_free():
+    """The k probe positions of a fixed input stay bit-identical, and
+    computing them raises no numpy overflow warning (each probe's
+    offset wraps as a Python int, not as a numpy scalar product)."""
+    import warnings
+
+    bf = BloomFilter(n_bits=1 << 18, k=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos = bf._positions(pd.Series(["a", "key7", "zzz"]))
+        bf.update(pd.Series(["a"]))
+    assert pos.tolist() == [[195962, 114015, 93321], [238757, 33024, 211917],
+                            [40065, 218943, 217725], [204509, 73510, 28484],
+                            [186843, 137714, 37039]]
+
+
 def test_kll_quantiles_and_merge():
     rng = np.random.default_rng(3)
     x = rng.lognormal(3.0, 0.6, 200_000)
