@@ -611,12 +611,12 @@ def _q_asof_join(sf_dir: str):
     """As-of join: each event picks the customer's latest order at or
     before the event timestamp.  The right side is pre-aggregated per
     (custkey, date) so tie-breaking is deterministic on both engines."""
-    from ray.data.aggregate import Max
+    from osf_data_validator_tool_ray.pipelines.relational import grouped_agg
     from osf_data_validator_tool_ray.pipelines.streaming import asof_join
     events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
-    per_day = orders.groupby(["o_custkey", "o_orderdate"]).aggregate(
-        Max("o_totalprice", alias_name="o_totalprice"))
+    per_day = grouped_agg(orders, ["o_custkey", "o_orderdate"],
+                          {"o_totalprice": ("o_totalprice", "max")})
     per_day = per_day.map_batches(
         lambda t: t.rename_columns(["user_id", "o_orderdate", "o_totalprice"]),
         batch_format="pyarrow")
@@ -1822,9 +1822,7 @@ def _q_join_revenue_by_segment(sf_dir: str):
     """Hash join orders x customer on custkey, then revenue per market
     segment (float sums rounded to 2dp: fp ordering noise ~1e-7 is far
     below the rounding threshold)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-    from osf_data_validator_tool_ray.pipelines.relational import hash_join
+    from osf_data_validator_tool_ray.pipelines.relational import grouped_agg, hash_join
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     cust = cust.map_batches(
@@ -1832,8 +1830,8 @@ def _q_join_revenue_by_segment(sf_dir: str):
                    .select(["o_custkey", "c_mktsegment"]),
         batch_format="pyarrow")
     joined = hash_join(orders, cust, key="o_custkey", how="inner")
-    agg = joined.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))
+    agg = grouped_agg(joined, "c_mktsegment", {"n_orders": ("c_mktsegment", "count"),
+                                               "total": ("o_totalprice", "sum")})
 
     def finish(t: pa.Table) -> pa.Table:
         # round(x*100)/100 matches DuckDB ROUND's representable double

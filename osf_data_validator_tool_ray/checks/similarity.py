@@ -273,14 +273,12 @@ def exact_cosine_for_pairs(
     already driver-bounded by the candidate generator's per-bucket caps
     — is broadcast ONCE via ray.put; each corpus batch routes its
     candidate vectors with ONE vectorized hash join (pandas merge — no
-    per-id Python group); the routed (pair_id, role, emb) rows are
-    range-sorted by pair_id and each sorted block scores its complete
-    pair groups with one einsum.  Only (pair_id, cosine) rows plus the
-    <=2 possibly-split boundary pair groups per block travel to the
-    driver — the corpus embedding column as a whole never does.
-    Equal-pair_id rows are contiguous after the sort, so any group NOT
-    touching its block's first/last pair_id is globally complete; the
-    ones that do are passed through raw and finished on the driver."""
+    per-id Python group); the routed (pair_id, role, emb) rows go
+    through ``relational.by_partition`` on pair_id, so both slots of a
+    pair meet in one frame-wide call that scores every complete pair
+    with one einsum (once on the driver below its gate, else once per
+    hash partition).  Only (pair_id, cosine) rows travel to the driver
+    — the corpus embedding column as a whole never does."""
     if len(pairs) == 0:
         out = pairs.copy()
         out["cosine"] = pd.Series(dtype="float64")
@@ -326,78 +324,25 @@ def exact_cosine_for_pairs(
     routed = ds.select_columns([id_col, emb_col]).map_batches(
         route, batch_format="pyarrow", batch_size=None)
 
-    def score_block(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        empty = pa.table({
-            "pair_id": pa.array([], type=pa.int64()),
-            "cosine": pa.array([], type=pa.float64()),
-            "role": pa.array([], type=pa.int8()),
-            "emb": pa.array([], type=emb_type)})
-        if n == 0:
-            return empty
-        pid0 = t.column("pair_id").to_numpy(zero_copy_only=False)
-        role0 = t.column("role").to_numpy(zero_copy_only=False)
-        order = np.lexsort((role0, pid0))
-        pid, role = pid0[order], role0[order]
-        arr = t.column("emb")
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        flat = arr.flatten().to_numpy(zero_copy_only=False)
-        m = flat.reshape(n, -1)[order]
-        # duplicate corpus ids -> duplicate (pair_id, role) rows; keep one
-        keep = np.ones(n, dtype=bool)
+    def score(t: pa.Table) -> pa.Table:
+        # every row of a pair meets here; a duplicate corpus id routes
+        # its (pair_id, role) twice, so one of each is kept
+        if t.num_rows == 0:
+            return pa.table({"pair_id": pa.array([], type=pa.int64()),
+                             "cosine": pa.array([], type=pa.float64())})
+        pid = t.column("pair_id").to_numpy()
+        role = t.column("role").to_numpy()
+        order = np.lexsort((role, pid))
+        pid, role = pid[order], role[order]
+        m = _batch_matrix(t, "emb", dtype=np.float64)[order]
+        keep = np.ones(len(pid), dtype=bool)
         keep[1:] = (pid[1:] != pid[:-1]) | (role[1:] != role[:-1])
-        pid, role, m = pid[keep], role[keep], m[keep]
-        n = len(pid)
-        change = np.flatnonzero(pid[1:] != pid[:-1]) + 1
-        starts = np.concatenate([[0], change]).astype(np.int64)
-        ends = np.concatenate([change, [n]]).astype(np.int64)
-        sizes = ends - starts
-        # groups touching the block's first/last pair_id may continue in
-        # a neighboring sorted block — defer them to the driver
-        edge = (pid[starts] == pid[0]) | (pid[starts] == pid[-1])
-        complete = (sizes == 2) & ~edge
-        i0 = starts[complete]
-        cos = np.einsum("ij,ij->i", m[i0], m[i0 + 1])
-        n_s = len(i0)
-        t1 = pa.table({
-            "pair_id": pa.array(pid[i0], type=pa.int64()),
-            "cosine": pa.array(cos, type=pa.float64()),
-            "role": pa.nulls(n_s, pa.int8()),
-            "emb": pa.nulls(n_s, emb_type)})
-        if not edge.any():
-            return t1
-        bidx = np.concatenate([np.arange(s, e) for s, e in
-                               zip(starts[edge], ends[edge])])
-        me = m[bidx]
-        n_e, d = me.shape
-        offs = pa.array((np.arange(n_e + 1) * d).astype(np.int32))
-        emb_arr = pa.ListArray.from_arrays(
-            offs, pa.array(me.ravel(), type=pa.float64()))
-        t2 = pa.table({
-            "pair_id": pa.array(pid[bidx], type=pa.int64()),
-            "cosine": pa.nulls(n_e, pa.float64()),
-            "role": pa.array(role[bidx].astype(np.int8), type=pa.int8()),
-            "emb": emb_arr})
-        return pa.concat_tables([t1, t2])
+        pid, m = pid[keep], m[keep]
+        both = np.flatnonzero(pid[1:] == pid[:-1])
+        return pa.table({"pair_id": pa.array(pid[both], type=pa.int64()),
+                         "cosine": np.einsum("ij,ij->i", m[both], m[both + 1])})
 
-    scored = routed.sort("pair_id").map_batches(
-        score_block, batch_format="pyarrow", batch_size=None).to_pandas()
-
-    done = scored[scored["cosine"].notna()][["pair_id", "cosine"]]
-    rest = scored[scored["cosine"].isna() & scored["role"].notna()]
-    extra = []
-    if len(rest):
-        rest = rest.drop_duplicates(subset=["pair_id", "role"])
-        for pv, g in rest.groupby("pair_id"):      # <=2 groups per block
-            if len(g) == 2:
-                a = np.asarray(g["emb"].iloc[0], dtype=np.float64)
-                b = np.asarray(g["emb"].iloc[1], dtype=np.float64)
-                extra.append((int(pv), float(a @ b)))
-    if extra:
-        done = pd.concat(
-            [done, pd.DataFrame(extra, columns=["pair_id", "cosine"])],
-            ignore_index=True)
+    done = relational.by_partition(routed, ["pair_id"], score).to_pandas()
     out = pairs.reset_index(drop=True).copy()
     out["pair_id"] = np.arange(n_pairs, dtype=np.int64)
     return out.merge(done, on="pair_id", how="left") \

@@ -801,8 +801,8 @@ def hash_join(
     ``broadcast_join`` (inner/left) or the tagged-union bucket join —
     NEVER Ray's native ``Dataset.join``, whose Ray 2.49 hash-shuffle
     aggregator raises ArrowInvalid for partitions that receive zero
-    right-side blocks (the sparse-right crash documented in
-    checks/dedup.py near_dup_clusters).  Big-big joins use the native
+    right-side blocks (it builds a schemaless empty table for them, a
+    sparse right side hits it).  Big-big joins use the native
     hash-partitioned join when present (Ray >= 2.46), else the portable
     tagged-union fallback: union both sides with a side marker and run
     one pandas merge per ``by_partition`` call on the key (the whole

@@ -34,9 +34,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from ..sources.io import arrow_schema
+from .relational import grouped_agg
 
 
 def tumbling_window(
@@ -46,7 +46,8 @@ def tumbling_window(
     window_s: int,
     value_col: Optional[str] = None,
 ) -> "ray.data.Dataset":
-    """Per (key, window) aggregate: n events + sum/min/max of value.
+    """Per (key, window) aggregate through ``relational.grouped_agg``: n
+    events, plus the sum of ``value_col`` when given.
     Window id = floor(epoch_seconds / window_s) (UTC-naive, matching
     DuckDB's to_timestamp semantics)."""
 
@@ -61,10 +62,10 @@ def tumbling_window(
         return t.append_column("window_id", pa.array(win, type=pa.int64()))
 
     windowed = ds.map_batches(add_window, batch_format="pyarrow", batch_size=None)
-    aggs = [Count(alias_name="n")]
+    specs = {"n": (key, "count")}
     if value_col:
-        aggs += [Sum(value_col, alias_name="sum_value")]
-    return windowed.groupby([key, "window_id"]).aggregate(*aggs)
+        specs["sum_value"] = (value_col, "sum")
+    return grouped_agg(windowed, [key, "window_id"], specs)
 
 
 def sliding_windows(
@@ -80,8 +81,6 @@ def sliding_windows(
     expansion (flat_map shape) feeding the same two-phase grouped
     aggregate as tumbling_window — the exchange moves per-(key, window)
     partials, not expanded rows."""
-    from .relational import grouped_agg
-
     w_us = np.int64(1_000_000) * window_s
     s_us = np.int64(1_000_000) * slide_s
 

@@ -3,7 +3,7 @@
 input) and on the forced exchange tier (one call per hash partition) it
 returns the rows of a plain pandas reference, and neither tier logs Ray
 Data's "different schema" warning.  A guard keeps ``map_groups`` out of
-the package."""
+the package and Dataset sorts and Ray aggregates to the kept sites."""
 
 import ast
 import collections
@@ -295,20 +295,43 @@ def test_exact_jaccard_for_pairs(tier):
     assert got.loc[got.id_a == 2, "jaccard"].iloc[0] == 1.0
 
 
-def test_no_map_groups_outside_the_spill_pass():
-    """``by_partition`` is the one per-key primitive: the only
-    ``map_groups(`` left in the package is ``near_dup_clusters``'
-    boundary-spill pass, a different algorithm on its two tiers."""
+def test_no_hand_rolled_exchange_outside_the_kept_sites():
+    """``by_partition`` is the one per-key primitive: the package and
+    ``__ray_entry__.py`` hold no ``map_groups(``, and a Dataset
+    ``.sort(`` (any ``.sort(`` not on numpy) or a ``ray.data.aggregate``
+    import only at the kept sites: ``by_partition``'s own sort, the sort
+    tier of ``drift``'s exact KS, ``unigram_logprob_scores``' sort-limit
+    and total, and the CLI's sorted violation sink."""
     root = pathlib.Path(rel.__file__).resolve().parents[1]
-    sites = []
-    for path in sorted(root.rglob("*.py")):
+    files = sorted(root.rglob("*.py")) + [root.parent / "__ray_entry__.py"]
+    sites = set()
+    for path in files:
         src = path.read_text()
-        defs = [n for n in ast.walk(ast.parse(src))
+        tree = ast.parse(src)
+        defs = [n for n in tree.body
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+        def site(no, kind):
+            outer = next((d.name for d in defs if d.lineno <= no <= d.end_lineno), None)
+            sites.add((path.relative_to(root.parent).as_posix(), outer, kind))
+
         for no, line in enumerate(src.splitlines(), 1):
             if "map_groups(" in line:
-                outer = min((d for d in defs if d.lineno <= no <= d.end_lineno),
-                            key=lambda d: d.lineno, default=None)
-                sites.append((path.relative_to(root).as_posix(),
-                              outer.name if outer else None))
-    assert sites == [("checks/dedup.py", "near_dup_clusters")]
+                site(no, "map_groups")
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "sort"
+                    and not (isinstance(n.func.value, ast.Name)
+                             and n.func.value.id in ("np", "numpy"))):
+                site(n.lineno, "sort")
+            if isinstance(n, ast.ImportFrom) and n.module == "ray.data.aggregate":
+                site(n.lineno, "ray.data.aggregate")
+    pkg = root.name
+    assert sites == {
+        (f"{pkg}/pipelines/relational.py", "by_partition", "sort"),
+        (f"{pkg}/checks/drift.py", "_sorted_exchange_ks", "sort"),
+        (f"{pkg}/checks/drift.py", "_sorted_exchange_ks", "ray.data.aggregate"),
+        (f"{pkg}/pipelines/training.py", "unigram_logprob_scores", "sort"),
+        (f"{pkg}/pipelines/training.py", "unigram_logprob_scores", "ray.data.aggregate"),
+        (f"{pkg}/cli.py", "main", "sort"),
+    }

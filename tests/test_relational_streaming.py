@@ -51,12 +51,16 @@ def _events():
 
 
 def test_tumbling_window():
-    out = tumbling_window(_events(), "user_id", "ts", window_s=3600).to_pandas()
-    got = {(r.user_id, r.window_id): r.n for r in out.itertuples()}
+    from tests.test_keyed_tiers import _tier
+
     base_win = int(pd.Timestamp("2024-01-01").timestamp() // 3600)
-    assert got[(1, base_win)] == 3          # 0,10,20s
-    assert got[(1, base_win + 1)] == 2      # 4000,4010s
-    assert got[(2, base_win)] == 1 and got[(2, base_win + 2)] == 1
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            out = tumbling_window(_events(), "user_id", "ts", window_s=3600).to_pandas()
+        got = {(r.user_id, r.window_id): r.n for r in out.itertuples()}
+        assert got[(1, base_win)] == 3          # 0,10,20s
+        assert got[(1, base_win + 1)] == 2      # 4000,4010s
+        assert got[(2, base_win)] == 1 and got[(2, base_win + 2)] == 1
 
 
 def test_session_windows():

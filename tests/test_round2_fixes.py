@@ -79,14 +79,17 @@ def test_hash_join_fallback(monkeypatch):
 
 def test_tumbling_window_negative_epoch_floor():
     from osf_data_validator_tool_ray.pipelines.streaming import tumbling_window
+    from tests.test_keyed_tiers import _tier
 
     # 1969-12-31 23:59:30 is epoch -30s: floor(-30/60) = -1, trunc = 0
     ts = pd.to_datetime([
         "1969-12-31 23:59:30", "1970-01-01 00:00:30", "1969-12-31 23:58:59",
     ])
     df = pd.DataFrame({"k": ["a", "a", "a"], "ts": ts})
-    got = tumbling_window(ray.data.from_pandas(df), "k", "ts", 60).to_pandas()
-    assert sorted(got["window_id"]) == [-2, -1, 0]
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            got = tumbling_window(ray.data.from_pandas(df), "k", "ts", 60).to_pandas()
+        assert sorted(got["window_id"]) == [-2, -1, 0]
 
 
 def _clips_ds(n=60, seed=7, defect_rate=0.15):

@@ -9,9 +9,9 @@
 3. A retried quarantine write task that replays with DIFFERENT block
    partitioning must not leave orphan part files from its first attempt
    (they'd inflate the footer cross-check and fail the whole run).
-4. ``exact_cosine_for_pairs`` (now block-join + einsum, no per-group
-   pandas) stays exact across multi-block sorted inputs, boundary pair
-   groups, duplicate corpus ids, and missing endpoints.
+4. ``exact_cosine_for_pairs`` (one einsum per ``by_partition`` call, no
+   per-group pandas) stays exact on both tiers across multi-block
+   inputs, duplicate corpus ids, and missing endpoints.
 """
 
 import glob
@@ -185,12 +185,12 @@ def _cosine(a, b):
 
 
 def test_exact_cosine_for_pairs_multiblock_exact(ray_session=None):
-    """Block-join scorer vs direct numpy over a multi-block sorted input:
-    every pair value exact, boundary groups (first/last pair_id of each
-    sorted block) included, missing endpoint -> NaN, duplicate corpus id
-    tolerated."""
+    """The by_partition scorer vs direct numpy over a multi-block input,
+    on both tiers: every pair value exact, missing endpoint -> NaN,
+    duplicate corpus id tolerated."""
     from osf_data_validator_tool_ray.checks.similarity import (
         exact_cosine_for_pairs)
+    from tests.test_keyed_tiers import _tier
 
     rng = np.random.default_rng(42)
     n, d = 240, 12
@@ -208,28 +208,32 @@ def test_exact_cosine_for_pairs_multiblock_exact(ray_session=None):
     # a pair with a missing endpoint
     pairs = pd.concat([pairs, pd.DataFrame(
         {"id_a": [3], "id_b": [99999]})], ignore_index=True)
-    out = exact_cosine_for_pairs(ds, pairs, "emb", "doc_id")
-    assert list(out.columns) == ["id_a", "id_b", "cosine"]
-    assert len(out) == len(pairs)
-    for _, r in out.iloc[:-1].iterrows():
-        want = _cosine(embs[int(r["id_a"])], embs[int(r["id_b"])])
-        assert abs(r["cosine"] - want) < 1e-12, (r["id_a"], r["id_b"])
-    assert np.isnan(out["cosine"].iloc[-1])
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            out = exact_cosine_for_pairs(ds, pairs, "emb", "doc_id")
+        assert list(out.columns) == ["id_a", "id_b", "cosine"]
+        assert len(out) == len(pairs)
+        for _, r in out.iloc[:-1].iterrows():
+            want = _cosine(embs[int(r["id_a"])], embs[int(r["id_b"])])
+            assert abs(r["cosine"] - want) < 1e-12, (r["id_a"], r["id_b"])
+        assert np.isnan(out["cosine"].iloc[-1])
 
 
 def test_exact_cosine_for_pairs_single_tiny_block():
-    """Degenerate single-block case: both pair groups are that block's
-    min/max pair_id -> the entire result flows through the driver-side
-    boundary path."""
+    """Degenerate single-block case: two pairs over a three-row corpus
+    in one block, on both tiers."""
     from osf_data_validator_tool_ray.checks.similarity import (
         exact_cosine_for_pairs)
+    from tests.test_keyed_tiers import _tier
 
     embs = np.eye(3, dtype=np.float64)
     df = pd.DataFrame({"doc_id": [10, 11, 12], "emb": list(embs)})
     ds = ray.data.from_pandas(df)
     pairs = pd.DataFrame({"id_a": [10, 10], "id_b": [11, 12]})
-    out = exact_cosine_for_pairs(ds, pairs, "emb", "doc_id")
-    assert np.allclose(out["cosine"].to_numpy(), [0.0, 0.0])
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            out = exact_cosine_for_pairs(ds, pairs, "emb", "doc_id")
+        assert np.allclose(out["cosine"].to_numpy(), [0.0, 0.0])
 
 
 def test_pairs_rebanded_width1_shared_band_close_pair_recovered():
