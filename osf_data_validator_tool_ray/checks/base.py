@@ -67,11 +67,15 @@ def make_violations(
     observed: Iterable,
     expected: str,
     severity: str = "error",
+    part: Optional[np.ndarray] = None,
 ) -> pa.Table:
+    """Violation rows; with ``part`` (each row's partition position, as
+    ``runner.SuitePass.scan`` tags its batches) they carry an int32
+    ``_part`` column too."""
     keys = [None if k is None else str(k) for k in keys]
     observed = [None if o is None else str(o) for o in observed]
     n = len(keys)
-    return pa.table(
+    t = pa.table(
         {
             "check_id": pa.array([check_id] * n, type=pa.string()),
             "severity": pa.array([severity] * n, type=pa.string()),
@@ -82,6 +86,7 @@ def make_violations(
         },
         schema=VIOLATION_SCHEMA,
     )
+    return t if part is None else t.append_column("_part", pa.array(part, pa.int32()))
 
 
 def mask_violations(
@@ -94,8 +99,9 @@ def mask_violations(
     severity: str = "error",
 ) -> Optional[pa.Table]:
     """Build violation rows for masked rows of a batch (vectorized).
-    Only the key and the reported column are taken from the batch; a
-    binary column reports each value's length, not its bytes."""
+    Only the key, the reported column and a ``_part`` tag are taken from
+    the batch; a binary column reports each value's length, not its
+    bytes."""
     if not mask.any():
         return None
     idx = pa.array(np.flatnonzero(mask))
@@ -111,4 +117,5 @@ def mask_violations(
             observed = col.to_pylist()
     else:
         observed = [None] * len(idx)
-    return make_violations(check_id, keys, column, observed, expected, severity)
+    part = batch.column("_part").to_numpy()[mask] if "_part" in names else None
+    return make_violations(check_id, keys, column, observed, expected, severity, part)

@@ -11,9 +11,14 @@ per-qualifier counts, per-existential satisfied counts.  This is the
 salted pattern: hot keys (clip_id runs, codec skew) are pre-reduced
 inside every block before the exchange, so the shuffle moves O(distinct
 keys per block), not O(rows).  The suite's one per-batch body
-(pipelines.runner.SuitePass) runs it inside Ray Data and inside each
-partition task, whose output is stored per partition; both hand the
-partials to checks/unified_keyed.py, which merges them
+(pipelines.runner.SuitePass) runs it on every batch of every route: a
+``map_batches`` block, or a run of ``SuitePass.scan``, which tags each
+row with its partition's position (``_part``).  On a tagged batch the
+combiner groups on ``(key, _part)``, so a run that holds several
+partitions of a partitioned share still gives each partition its own
+partial rows, and the partitioned runner splits them back into that
+partition's stored artifact.  Every route hands the partials to
+checks/unified_keyed.py, which merges them
 (pipelines.relational.merge_partials) and evaluates every cardinality,
 existential, referential-existence and zero-occurrence (CARD-MIN-102)
 constraint in one vectorized pass.
@@ -29,8 +34,10 @@ from ..checks.predicates import PREDICATES
 
 
 class _PartialAggregator:
-    """Stage-1 combiner: batch -> one row per key with partial counts.
-    Rows with a null key belong to no group and are dropped here.
+    """Stage-1 combiner: batch -> one row per key with partial counts
+    (per ``(key, _part)`` when the batch carries ``runner.SuitePass.
+    scan``'s partition tag, so each partition keeps its own rows).  Rows
+    with a null key belong to no group and are dropped here.
 
     ``decode_existentials`` are counted from the caller's per-row
     ``decoded`` flags (a full payload decode) instead of a predicate."""
@@ -56,6 +63,10 @@ class _PartialAggregator:
             if decoded is not None:
                 decoded = decoded[valid.to_numpy(zero_copy_only=False)]
         data: dict = {"key": batch.column(self.key)}
+        groups = ["key"]
+        if "_part" in batch.column_names:
+            data["_part"] = batch.column("_part")
+            groups.append("_part")
         sum_cols: list[str] = []
         for i, c in enumerate(self.cards):
             counted = pc.cast(pc.is_valid(batch.column(c.column)),
@@ -74,7 +85,7 @@ class _PartialAggregator:
             sum_cols.append(f"dext{j}_n")
         data["n_rows"] = pa.array(np.ones(batch.num_rows, dtype=np.int64))
         sum_cols.append("n_rows")
-        g = pa.table(data).group_by(["key"], use_threads=False) \
+        g = pa.table(data).group_by(groups, use_threads=False) \
             .aggregate([(c, "sum") for c in sum_cols])
         return g.rename_columns(
             [c[:-4] if c.endswith("_sum") else c for c in g.column_names])

@@ -17,8 +17,8 @@ emitter for all of them, shared by both executors:
   * the suite (pipelines/runner.py) feeds ``keyed_violations`` the
     combiner partials its one ``SuitePass`` scan emits, and the
     partitioned runner (pipelines/partitioned.py) feeds it the partials
-    each partition task stored from the same ``SuitePass`` — the same
-    ``_PartialAggregator`` rows either way.
+    its share tasks stored per partition from the same ``SuitePass``
+    scan — the same ``_PartialAggregator`` rows either way.
 
 ``keyed_violations`` unions the metadata partials with tagged refs /
 expected-key partials and resolves every constraint from ONE merge

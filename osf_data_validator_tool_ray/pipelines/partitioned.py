@@ -3,34 +3,50 @@
 Input layout: a directory of parquet files (Lance fragments when Lance
 is available); ONE FILE = ONE PARTITION = the resume/lineage unit.
 
-Per incomplete partition (skipped when its checkpoint record is done):
-  1. ONE streamed scan of the partition through the suite's own body:
-     ``runner.SuitePass.scan``, the loop the suite's file route runs over
-     a share of a plain parquet read (stateless facets, decode findings
-     with decode=True, keyed combiner partials), here over one partition
-     so that its artifacts and counts stay its own.  The scan reads
-     record batches of about ``runner.READ_BYTES`` (rows from the footer
-     the partition was opened with) and checks runs of up to
-     ``runner.BATCH_BYTES``: a small file is one ``findings`` call
-  2. the scan's tagged tables (its violation rows and its grouped-
+Per share of incomplete partitions (a partition whose checkpoint record
+is done is skipped):
+  1. ONE streamed scan of the share's partitions through the suite's own
+     body: ``runner.SuitePass.scan``, the loop the suite's file route
+     runs over a share of a plain parquet read (stateless facets, decode
+     findings with decode=True, keyed combiner partials).  It opens the
+     partitions one at a time (the footer that gives a partition's
+     schema and row count is the one it reads), reads record batches of
+     about ``runner.READ_BYTES`` and checks runs of up to
+     ``runner.BATCH_BYTES`` across partition boundaries: a share of
+     small files is one ``findings`` call per run, not one per file.  A
+     new scan starts wherever the column set changes.  Every batch
+     carries its partition's position (``_part``), and so does every
+     violation and partial row (partials are grouped per key AND
+     partition), so the findings stay each partition's own
+  2. each run's tagged table (its violation rows and its grouped-
      constraint PARTIAL aggregates per key, decodable count included:
      the combiner half of the two-phase aggregate, stored so the global
-     merge never needs the raw rows again) stream into ONE artifact,
-     ``artifacts/<pid>/findings.parquet``: one ParquetWriter on a temp
-     file in that directory, renamed once (no file when the partition
-     found nothing)
-  3. metrics + lineage record, naming the artifact -> checkpoint store
+     merge never needs the raw rows again) is split by ``_part`` into
+     its partitions' artifacts, ``artifacts/<pid>/findings.parquet``
+     (``_part`` dropped): one ParquetWriter per partition on a temp file
+     in that directory, renamed once (no file when the partition found
+     nothing).  Task memory holds one run of findings, never a
+     partition's whole set
+  3. once the run holding a partition's last batch is written: its
+     metrics + lineage record, naming the artifact -> checkpoint store
      (atomic)
 
 Execution model: ONE Ray task per contiguous SHARE of the incomplete
 partitions (``relational.shares``, as in the suite's file route: one per
 CPU slot unless the files are large, one per Lance fragment).  The share
-is the unit of parallelism and the partition stays the unit of resume:
-a share task runs the steps above for each of its partitions in turn,
-recording each as it finishes, so a task's ~10 ms of scheduling is paid
-once per slot rather than once per small partition.  A share records
-every healthy partition before it re-raises the first failure, skips
-partitions already recorded when Ray retries it, and the driver waits
+is the unit of work and the partition stays the unit of resume: a share
+task scans its partitions as one stream and records each partition as
+soon as its findings are written, so a task's scheduling (a no-op
+task's round trip measured 1.8-4.6 ms on a 1-vCPU host) and a
+``findings`` call's fixed cost are paid once per share and once per
+run, not once per small partition.  A record's
+``runtime_s`` runs from the partition's open to its record, so a run
+shared with neighbours counts in each of them.  Failure rules: a
+partition whose open, read or artifact write fails fails alone (its
+batches leave their run and its temp file is removed; the others are
+recorded); a ``findings`` call that raises fails every partition in its
+run; the share re-raises its first error after its last partition, and
+skips partitions already recorded when Ray retries it; the driver waits
 for every share before it re-raises.  Reads are pruned AT THE SCAN and
 streamed (iter_batches(columns=...) reads only the columns the body
 touches).  The store root must be on a filesystem all workers share —
@@ -77,11 +93,13 @@ SURVEY.md §4).
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import uuid
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -107,103 +125,143 @@ def _partition_id(partition: str) -> str:
     return os.path.splitext(os.path.basename(partition))[0]
 
 
-def _run_partition(
-    path: str,
-    spec: ConstraintSpec,
-    store_root: str,
-    decode: bool,
-    plan: KeyedPlan,
-    declared_universals: frozenset,
-    bodies: Optional[dict] = None,
-) -> dict:
-    """Process ONE partition inside a share's Ray task: stream its
-    batches through the vectorized kernels, write artifacts, record the
-    checkpoint.  No nested Ray Data execution — at fleet scale the outer
-    task fan-out IS the parallelism.  ``path`` is a partition id in
-    either form ``sources.io.Partition`` accepts (parquet file path or
-    Lance ``<path>#<fragment_id>``), so Lance fragments are first-class
-    resume units here, not just in the listing.  The partition is opened
-    once: the footer that gives its schema and row count is the one the
-    scan reads.  ``bodies`` keeps the share's ``SuitePass`` per column
-    set, built once for the partitions that share one.  A partition that
-    fails leaves no temp artifact file or open writer behind."""
+class _Findings:
+    """One partition's artifact in the making: the tagged rows split out
+    of its share's runs stream into ONE ParquetWriter on a temp file in
+    its artifact directory (opened at its first row, so a partition where
+    every row violates holds one run of findings in task memory, never
+    its whole set), renamed once when the partition is recorded."""
+
+    def __init__(self, store: CheckpointStore, path: str):
+        self.t0, self.store, self.path = time.time(), store, path
+        self.part = Partition(path)     # the open: its footer is the one scanned
+        self.pid = _partition_id(path)
+        os.makedirs(store.artifact_dir(self.pid), exist_ok=True)
+        self.tmp = os.path.join(store.artifact_dir(self.pid),
+                                f"_tmp_{uuid.uuid4().hex}.parquet")
+        self.writer, self.n_err, self.n_warn = None, 0, 0
+
+    def write(self, tagged: pa.Table) -> None:
+        sev = tagged.column("severity")
+        self.n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
+        self.n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
+        if self.writer is None:
+            self.writer = pq.ParquetWriter(self.tmp, tagged.schema)
+        elif tagged.schema != self.writer.schema:
+            tagged = tagged.select(self.writer.schema.names).cast(self.writer.schema)
+        self.writer.write_table(tagged)
+
+    def record(self) -> dict:
+        """Rename the artifact into place and record the partition."""
+        final = None
+        if self.writer is not None:
+            self.writer.close()
+            self.writer = None
+            final = os.path.join(self.store.artifact_dir(self.pid), "findings.parquet")
+            os.replace(self.tmp, final)
+        return self.store.record(self.pid, {
+            "n_rows": self.part.num_rows, "lineage": self.path,
+            "n_violations": self.n_err, "n_warnings": self.n_warn,
+            "pass": self.n_err == 0, "runtime_s": time.time() - self.t0,
+            "artifact": None if final is None else os.path.relpath(final, self.store.root)})
+
+    def discard(self) -> None:
+        """Close and remove the temp file: no writer or file is left."""
+        if self.writer is not None:
+            self.writer.close()
+            self.writer = None
+        if os.path.exists(self.tmp):
+            os.remove(self.tmp)
+
+
+def _by_partition(tagged: pa.Table) -> Iterator[tuple[int, pa.Table]]:
+    """A run's tagged table split by ``_part``: (position, its rows
+    without ``_part``) per position present, every row given to exactly
+    one.  A row without a position is an emitter's fault and raises."""
+    if not tagged.num_rows:
+        return
+    if "_part" not in tagged.column_names or tagged.column("_part").null_count:
+        raise ValueError("a scan's tagged row has no _part: an emitter dropped it")
+    pos = tagged.column("_part").to_numpy()
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    rows = tagged.drop_columns(["_part"]).take(order)
+    firsts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    for a, b in zip(firsts, [*firsts[1:], len(pos)]):
+        yield int(pos[a]), rows.slice(a, b - a)
+
+
+def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, decode: bool,
+               plan: KeyedPlan, declared_universals: frozenset) -> list[dict]:
+    """Validate one contiguous share of partitions (``relational.shares``,
+    parquet files or Lance fragment ids) in one Ray task, with no nested
+    Ray Data execution; returns their records, in order.  The partitions
+    not yet recorded (an earlier attempt may have recorded some) are
+    opened one at a time and scanned as ONE stream per stretch with one
+    column set (steps 1-3 above); each run's table is split by ``_part``
+    into its partitions' ``_Findings``, and a partition is recorded once
+    the run holding its last batch is written.  Failures follow the
+    module's rules; a tagged row without ``_part`` is an emitter's fault,
+    which the split raises at once, its share's temp files removed."""
     store = CheckpointStore(store_root)
-    pid = _partition_id(path)
-    t0 = time.time()
-    part = Partition(path)
-    names = frozenset(part.schema.names)
-    bodies = {} if bodies is None else bodies
-    if names not in bodies:
-        bodies[names] = SuitePass(spec, names, plan,
-                                  ROW_CHECKS if decode else ROW_CHECKS - {"decode"},
-                                  declared_universals)
-    body = bodies[names]
+    recs = {i: r for i, r in enumerate(store.completed_record(_partition_id(p))
+                                       for p in paths) if r is not None}
+    checks = ROW_CHECKS if decode else ROW_CHECKS - {"decode"}
+    inflight: dict[int, _Findings] = {}
+    errors: list[Exception] = []
 
-    # one artifact: every tagged table streams into one ParquetWriter, so
-    # a partition where every row violates holds one run of findings in
-    # task memory, never its whole set; a temp file, renamed once
-    art_dir = store.artifact_dir(pid)
-    os.makedirs(art_dir, exist_ok=True)
-    tmp = os.path.join(art_dir, f"_tmp_{uuid.uuid4().hex}.parquet")
-    final = os.path.join(art_dir, "findings.parquet")
-    writer, n_err, n_warn = None, 0, 0
-    try:
-        for tagged in body.scan([part]):
-            sev = tagged.column("severity")
-            n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
-            n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
-            if not tagged.num_rows:
-                continue
-            if writer is None:
-                writer = pq.ParquetWriter(tmp, tagged.schema)
-            elif tagged.schema != writer.schema:
-                tagged = tagged.select(writer.schema.names).cast(writer.schema)
-            writer.write_table(tagged)
-    except BaseException:
-        if writer is not None:
-            writer.close()
-            os.remove(tmp)
-        raise
-    if writer is not None:
-        writer.close()
-        os.replace(tmp, final)
+    def fail(i: int, e: Exception) -> None:
+        errors.append(e)
+        f = inflight.pop(i, None)
+        if f is not None:
+            f.discard()
 
-    metrics = {"n_rows": part.num_rows, "lineage": path,
-               "n_violations": n_err, "n_warnings": n_warn,
-               "pass": n_err == 0, "runtime_s": time.time() - t0,
-               "artifact": None if writer is None else os.path.relpath(final, store.root)}
-    return store.record(pid, metrics)
-
-
-def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str,
-               *args) -> list[dict]:
-    """``_run_partition(path, spec, store_root, *args)`` for each partition
-    of one contiguous share (``relational.shares``), in one Ray task;
-    returns their records.  The partitions with one column set share one
-    ``SuitePass``.  A partition already recorded (by an earlier attempt
-    of this task) is skipped.  A partition that raises does not stop the
-    share: every healthy one is recorded first, then the first error is
-    re-raised."""
-    store = CheckpointStore(store_root)
-    bodies: dict = {}
-    recs, error = [], None
-    for path in paths:
-        rec = store.completed_record(_partition_id(path))
-        if rec is None:
+    def step(i: int, fn: Callable[[_Findings], object]) -> object:
+        """``fn`` of partition ``i``'s findings unless it failed; a raise
+        fails it."""
+        if i in inflight:
             try:
-                rec = _run_partition(path, spec, store_root, *args, bodies)
+                return fn(inflight[i])
             except Exception as e:
-                error = error or e
-                continue
-        recs.append(rec)
-    if error is not None:
-        raise error
-    return recs
+                fail(i, e)
+        return None
+
+    def opened() -> Iterator[tuple[int, Partition]]:
+        for i, path in enumerate(paths):
+            if i not in recs:
+                try:
+                    inflight[i] = _Findings(store, path)
+                except Exception as e:
+                    fail(i, e)
+                    continue
+                yield i, inflight[i].part
+
+    try:
+        for names, group in itertools.groupby(
+                opened(), key=lambda ip: frozenset(ip[1].schema.names)):
+            body = SuitePass(spec, names, plan, checks, declared_universals)
+            share = []      # the share index of each position the scan reads
+            for run in body.scan(share.append(i) or part for i, part in group):
+                for pos, e in run.failed.items():
+                    fail(share[pos], e)
+                for pos, rows in _by_partition(run.tagged):
+                    step(share[pos], lambda f: f.write(rows))
+                for i in map(share.__getitem__, run.done):
+                    rec = step(i, _Findings.record)
+                    if rec is not None:
+                        recs[i] = rec
+                        del inflight[i]
+    finally:
+        for f in inflight.values():
+            f.discard()
+    if errors:
+        raise errors[0]
+    return [recs[i] for i in sorted(recs)]
 
 
-# one Ray task per share; _run_partition and _run_share stay directly
-# callable so the per-partition wiring is testable in-process (e.g. with
-# a stub Lance backend that exists only in the driver's module table)
+# one Ray task per share; _run_share stays directly callable so the
+# share wiring is testable in-process (e.g. with a stub Lance backend
+# that exists only in the driver's module table)
 _share_task = ray.remote(_run_share)
 
 

@@ -74,9 +74,11 @@ def shares(partitions: Sequence[str]) -> list[list[str]]:
     """Non-empty ``partitions`` (files or Lance fragment ids) cut in order
     into P contiguous shares of near-equal count, one scan task each: P =
     min(partitions, max(``cpu_slots()``, ceil(file bytes /
-    DRIVER_MERGE_MAX_BYTES))), as a task costs ~10 ms of scheduling, about
-    a small file's scan.  An id that is no file (a Lance fragment) counts
-    as the whole byte budget, so it keeps a task of its own."""
+    DRIVER_MERGE_MAX_BYTES))), as a task's scheduling costs about a small
+    file's scan: on a 1-vCPU host a no-op task's round trip measured
+    1.8-4.6 ms (1.5-4.5 ms from submit to start, 0.6-1.5 ms from end to
+    return).  An id that is no file (a Lance fragment) counts as the whole
+    byte budget, so it keeps a task of its own."""
     size = sum(os.path.getsize(p) if os.path.isfile(p) else DRIVER_MERGE_MAX_BYTES
                for p in partitions)
     n = min(len(partitions), max(cpu_slots(), -(-size // DRIVER_MERGE_MAX_BYTES)))

@@ -62,8 +62,9 @@ and a run passes only with no ERROR-severity row of any id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -275,6 +276,19 @@ def metadata_columns(spec: ConstraintSpec) -> list[str]:
     return sorted(cols)
 
 
+class Scanned(NamedTuple):
+    """One run of ``SuitePass.scan``: its tagged table, every row with the
+    ``_part`` of the partition it came from (no rows when its call
+    failed); the positions of the partitions ``done`` with it (read to
+    the end, their last batch in this run, if they had any); and the
+    partitions ``failed`` since the last run, each position with its
+    error."""
+
+    tagged: pa.Table
+    done: list
+    failed: dict
+
+
 class SuitePass:
     """The one per-batch body of the selected row-level ``checks`` (a
     subset of ``ROW_CHECKS``): everything computed from a row.
@@ -290,11 +304,22 @@ class SuitePass:
     the table lacks the plan's key).  Calling the instance returns both
     as ONE tagged table, the one format every route hands on: partial
     rows carry their key in ``_pkey``, violation rows leave it null (no
-    ``_pkey`` without partials).  ``scan`` yields tagged tables for a
-    list of partitions read as one stream, the loop of the file route's
-    tasks and of the partitioned runner's; ``map_batches`` calls the
-    instance.  ``merge_scan`` splits the output with
-    ``tagged_violations`` and ``tagged_partials``.
+    ``_pkey`` without partials).  ``map_batches`` calls the instance.
+    ``merge_scan`` splits the output with ``tagged_violations`` and
+    ``tagged_partials``.
+
+    ``scan`` reads a list of partitions as one stream, the loop of the
+    file route's tasks and of the partitioned runner's share tasks.  It
+    tags every batch with an int32 ``_part`` column, the partition's
+    position in the list, and every emitter carries it through: the
+    stateless and payload violation rows (``checks.base.
+    mask_violations`` / ``make_violations``) and the partials, grouped
+    per ``(key, _part)``.  So one call may check rows of many partitions
+    and the partitioned runner still splits each run's table back by
+    partition; the file route drops the column.  A batch without
+    ``_part`` (the ``map_batches`` route) gives rows without it.  Along
+    with each run's table ``scan`` reports which partitions are complete
+    and which failed (a ``Scanned``), and goes on past a failure.
 
     ``scan`` sizes its batches in bytes from the parquet footers: small
     reads of ``READ_BYTES`` keep the decoded payloads within the task
@@ -324,41 +349,93 @@ class SuitePass:
 
     def findings(self, batch: pa.Table) -> tuple[pa.Table, Optional[pa.Table]]:
         violations = []
+        tag = ["_part"] if "_part" in batch.column_names else []
         with audio.one_parse_per_column():     # the sniff predicates share it
             if self.stateless is not None:
-                violations.append(self.stateless(batch.select(self.stateless_columns)))
+                violations.append(self.stateless(
+                    batch.select([*self.stateless_columns, *tag])))
             decoded = None
             if self.payload is not None:
-                v, decoded = self.payload.findings(batch.select(self.bytes_columns))
+                v, decoded = self.payload.findings(batch.select([*self.bytes_columns, *tag]))
                 violations.append(v)
             partials = self.agg(batch, decoded) if self.agg is not None else None
-        return (pa.concat_tables(violations) if violations else empty_violations(),
-                partials)
+        # an empty violations table has no _part column
+        return (pa.concat_tables(violations, promote_options="default") if violations
+                else empty_violations(), partials)
 
-    def scan(self, partitions: "list[str | Partition]") -> Iterator[pa.Table]:
+    def scan(self, partitions: "Iterable[str | Partition]") -> Iterator[Scanned]:
         """The tagged findings of ``partitions`` (parquet files or Lance
-        fragment ids, or those already opened) read in order as ONE
-        stream, with only ``columns``: each partition in record batches
-        of about ``READ_BYTES`` (``Partition.read_rows``; ``batch_size``
-        rows for a Lance fragment), one call per run of batches of up to
+        fragment ids, or those already opened; opened one at a time, in
+        order) read as ONE stream, with only ``columns``: each partition
+        in record batches of about ``READ_BYTES`` (``Partition.
+        read_rows``; ``batch_size`` rows for a Lance fragment), each
+        batch tagged with an int32 ``_part`` column, the partition's
+        position in ``partitions``; one call per run of batches of up to
         ``BATCH_BYTES`` or ``MAX_BATCH_ROWS`` rows across partition
         boundaries, cut early where the next batch's schema differs (a
-        file with a dictionary-encoded column)."""
-        run, rows, size = [], 0, 0
-        for part in partitions:
-            if not isinstance(part, Partition):
-                part = Partition(part)
-            read = part.read_rows(self.columns, READ_BYTES) or self.batch_size
-            for rb in part.iter_batches(read, self.columns):
+        file with a dictionary-encoded column).
+
+        Each run comes as a ``Scanned``: its tagged table, the partitions
+        complete with it and the partitions failed since the last run.  A
+        partition whose open or read raises leaves the run (its batches
+        in it are dropped); a ``findings`` call that raises fails every
+        partition with a batch in its run, and the rest of such a
+        partition is not read.  Either way the stream goes on."""
+        run, done, failed, dead = [], [], {}, set()
+
+        def batches() -> Iterator[tuple]:
+            """(position, tagged batch), then (position, None) once the
+            partition is read, or (position, error) when it fails."""
+            for pos, part in enumerate(partitions):
+                try:
+                    if not isinstance(part, Partition):
+                        part = Partition(part)
+                    read = part.read_rows(self.columns, READ_BYTES) or self.batch_size
+                    for rb in part.iter_batches(read, self.columns):
+                        if pos in dead:
+                            break
+                        yield pos, rb.append_column(
+                            "_part", pa.array(np.full(rb.num_rows, pos, np.int32)))
+                except Exception as e:
+                    yield pos, e
+                else:
+                    yield pos, None
+
+        def flush() -> Scanned:
+            nonlocal run, done, failed
+            tagged = empty_violations()
+            if run:
+                try:
+                    tagged = self(pa.Table.from_batches([rb for _, rb in run]))
+                except Exception as e:
+                    failed.update((pos, e) for pos, _ in run)
+            dead.update(failed)
+            out = Scanned(tagged, [pos for pos in done if pos not in failed], failed)
+            run, done, failed = [], [], {}
+            return out
+
+        rows = size = 0
+        for pos, rb in batches():
+            if pos in dead:
+                continue
+            if rb is None:
+                done.append(pos)
+            elif isinstance(rb, Exception):
+                failed[pos] = rb
+                run = [(p, b) for p, b in run if p != pos]
+                rows, size = sum(b.num_rows for _, b in run), sum(b.nbytes for _, b in run)
+            else:
                 if run and (rows + rb.num_rows > MAX_BATCH_ROWS
                             or size + rb.nbytes > BATCH_BYTES
-                            or not rb.schema.equals(run[0].schema)):
-                    yield self(pa.Table.from_batches(run))
-                    run, rows, size = [], 0, 0
-                run.append(rb)
+                            or not rb.schema.equals(run[0][1].schema)):
+                    yield flush()
+                    rows = size = 0
+                    if pos in dead:     # the call just flushed failed it
+                        continue
+                run.append((pos, rb))
                 rows, size = rows + rb.num_rows, size + rb.nbytes
-        if run:
-            yield self(pa.Table.from_batches(run))
+        if run or done or failed:
+            yield flush()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         violations, partials = self.findings(batch)
@@ -388,12 +465,18 @@ def tagged_partials(t: pa.Table) -> pa.Table:
 def _share_findings(paths: list[str], body: SuitePass) -> tuple[pa.Table, tuple[int, int]]:
     """The file route's task: ``body.scan`` of one share's files
     (``relational.shares``) as one stream, returned through the object
-    store as one tagged table and its (rows, bytes).  The table is made
-    contiguous: a chunk that ``promote_options`` padded with nulls
-    pickles at about twice its bytes, which can push a small share's
-    output past Ray's 100 KiB inline-return limit into the object store."""
-    tagged = pa.concat_tables([empty_violations(), *body.scan(paths)],
-                              promote_options="default").combine_chunks()
+    store as one tagged table, without ``_part``, and its (rows, bytes);
+    a file that fails raises.  The table is made contiguous: a chunk that
+    ``promote_options`` padded with nulls pickles at about twice its
+    bytes, which can push a small share's output past Ray's 100 KiB
+    inline-return limit into the object store."""
+    runs = []
+    for run in body.scan(paths):
+        if run.failed:
+            raise next(iter(run.failed.values()))
+        runs.append(run.tagged)
+    tagged = pa.concat_tables([empty_violations(), *runs], promote_options="default")
+    tagged = tagged.select([c for c in tagged.column_names if c != "_part"]).combine_chunks()
     return tagged, (tagged.num_rows, tagged.nbytes)
 
 

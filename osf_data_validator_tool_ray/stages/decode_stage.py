@@ -120,7 +120,7 @@ def bytes_suite_pass(
 class BytesSuitePass:
     """Per-batch body of the payload scan: every finding derived from
     `bytes` (the Dataset path above, and ``pipelines.runner.SuitePass``
-    inside the suite's one scan and each partition task):
+    inside the suite's one scan and each partitioned share task):
 
       * DECODE-100/-101 violations (undecodable; stats contradict metadata)
       * ONLY-100 counterexamples for bytes_matches_codec / frames_match_dur
@@ -144,55 +144,54 @@ class BytesSuitePass:
         return self.findings(batch)[0]
 
     def findings(self, batch: pa.Table) -> tuple[pa.Table, np.ndarray]:
-        """(violation rows, per-row decoded_ok) of one batch."""
+        """(violation rows, per-row decoded_ok) of one batch; the rows
+        carry the batch's ``_part`` tag when it has one."""
         universal_predicates = self.universal_predicates
         ok, frames, psr, pcodec, errs = self.validator.stats(batch)
         keys = column_values(batch.column("clip_id"))
+        parts = (batch.column("_part").to_numpy() if "_part" in batch.column_names
+                 else None)
         out = []
+
+        def emit(check_id, m, column, observed, expected):
+            out.append(make_violations(check_id, keys[m], column, observed, expected,
+                                       part=None if parts is None else parts[m]))
 
         if (~ok).any():
             m = ~ok
-            out.append(make_violations(DECODE_100, keys[m], "bytes", errs[m],
-                                       expected="payload decodes"))
+            emit(DECODE_100, m, "bytes", errs[m], "payload decodes")
             null_m = errs == "null payload"
             if null_m.any():
-                out.append(make_violations(
-                    "DATATYPE-FACET-101", keys[null_m], "bytes",
-                    [None] * int(null_m.sum()), expected="binary:not_null"))
+                emit("DATATYPE-FACET-101", null_m, "bytes",
+                     [None] * int(null_m.sum()), "binary:not_null")
         if "codec" in batch.column_names:
             dec = column_values(batch.column("codec"))
             m = ok & (pcodec != dec)
             if m.any():
-                out.append(make_violations(DECODE_101, keys[m], "codec", pcodec[m],
-                                           expected="header codec == codec column"))
+                emit(DECODE_101, m, "codec", pcodec[m], "header codec == codec column")
             # universal ONLY-100: every payload container matches codec
             # (only when the spec declares this universal)
             if "bytes_matches_codec" in universal_predicates:
                 only_m = ~(ok & (pcodec == dec))
                 if only_m.any():
-                    out.append(make_violations(
-                        "ONLY-100", keys[only_m], "bytes_matches_codec",
-                        pcodec[only_m],
-                        expected="all rows satisfy bytes_matches_codec"))
+                    emit("ONLY-100", only_m, "bytes_matches_codec", pcodec[only_m],
+                         "all rows satisfy bytes_matches_codec")
         if "sr_hz" in batch.column_names:
             sr = batch.column("sr_hz").to_numpy(zero_copy_only=False)
             m = ok & (psr != sr)
             if m.any():
-                out.append(make_violations(DECODE_101, keys[m], "sr_hz", psr[m],
-                                           expected="header sr == sr_hz column"))
+                emit(DECODE_101, m, "sr_hz", psr[m], "header sr == sr_hz column")
             if "dur_ms" in batch.column_names:
                 dur = batch.column("dur_ms").to_numpy(zero_copy_only=False)
                 expect = sr.astype(np.float64) * dur.astype(np.float64) / 1000.0
                 tol = np.maximum(1.0, self.frame_tolerance * expect)
                 m = ok & (np.abs(frames - expect) > tol)
                 if m.any():
-                    out.append(make_violations(DECODE_101, keys[m], "dur_ms",
-                                               frames[m],
-                                               expected="frames ~= dur_ms*sr_hz/1000"))
+                    emit(DECODE_101, m, "dur_ms", frames[m],
+                         "frames ~= dur_ms*sr_hz/1000")
                     if "frames_match_dur" in universal_predicates:
-                        out.append(make_violations(
-                            "ONLY-100", keys[m], "frames_match_dur", frames[m],
-                            expected="all rows satisfy frames_match_dur"))
+                        emit("ONLY-100", m, "frames_match_dur", frames[m],
+                             "all rows satisfy frames_match_dur")
         v = (pa.concat_tables(out).combine_chunks() if out
              else empty_violations())
         return v, ok

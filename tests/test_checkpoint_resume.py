@@ -310,15 +310,14 @@ def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
     """A share run again (as Ray retries a task) leaves a partition that is
     already recorded as it is: its record's ``ts`` and its artifacts."""
     from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
-    from osf_data_validator_tool_ray.pipelines.partitioned import (
-        _run_partition, _run_share)
+    from osf_data_validator_tool_ray.pipelines.partitioned import _run_share
 
     files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
     spec = clips_spec()
     plan = keyed_plan(spec, set(pq.read_schema(files[0]).names), False)
     universals = frozenset(u.predicate for u in spec.universals)
     store = CheckpointStore(str(tmp_path / "ckpt"))
-    first = _run_partition(files[0], spec, store.root, False, plan, universals)
+    [first] = _run_share([files[0]], spec, store.root, False, plan, universals)
     pid = first["partition_id"]
 
     def artifacts():

@@ -169,7 +169,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
 
     from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
     from osf_data_validator_tool_ray.pipelines.partitioned import (
-        _run_partition, validate_partitioned)
+        _run_share, validate_partitioned)
     from osf_data_validator_tool_ray.sources.io import Partition, partition_files
     from osf_data_validator_tool_ray.spec import clips_spec
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
@@ -195,12 +195,12 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     plan = keyed_plan(spec, names0, False)
     universals = frozenset(u.predicate for u in spec.universals)
 
-    # run each fragment's task body in-process (the stub lance module
+    # run each fragment's share task in-process (the stub lance module
     # only exists in this driver), then let validate_partitioned resume:
     # it must SKIP all fragments and run only the merge
     store = CheckpointStore(str(tmp_path / "store"))
     for p in parts:
-        m = _run_partition(p, spec, store.root, False, plan, universals)
+        [m] = _run_share([p], spec, store.root, False, plan, universals)
         assert m["lineage"] == p and m["n_rows"] == 30
     rep = validate_partitioned(lance_dir, spec, store)
     assert rep["partitions_total"] == 3

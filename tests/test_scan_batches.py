@@ -72,7 +72,8 @@ def test_scan_across_files_matches_per_file_findings(five, monkeypatch, decode):
     monkeypatch.setattr(runner, "READ_BYTES", (1 << 20) * 15 // width)  # ~15 rows of file 0
     monkeypatch.setattr(runner, "BATCH_BYTES", (1 << 20) * 35 // width)  # ~35 rows of file 0
     calls = _calls(body)
-    found = pa.concat_tables(body.scan(five), promote_options="default")
+    found = pa.concat_tables([run.tagged for run in body.scan(five)],
+                             promote_options="default")
 
     ends = [sum(calls[:i + 1]) for i in range(len(calls))]
     assert ends[-1] == 5 * ROWS_PER_FILE
@@ -82,8 +83,15 @@ def test_scan_across_files_matches_per_file_findings(five, monkeypatch, decode):
     assert {2 * ROWS_PER_FILE, 3 * ROWS_PER_FILE} <= set(ends)  # dictionary file cut out
     assert _sorted_rows(runner.tagged_violations(found)) == \
         _sorted_rows(pa.concat_tables([v for v, _ in per_file]))
-    assert _partial_sums([runner.tagged_partials(found)]) == \
+    untagged = found.drop_columns(["_part"])
+    assert _partial_sums([runner.tagged_partials(untagged)]) == \
         _partial_sums([p for _, p in per_file])
+    # every row's _part names the file it came from
+    assert found.column("_part").null_count == 0
+    for i, (violations, partials) in enumerate(per_file):
+        mine = found.filter(pc.equal(found.column("_part"), i)).drop_columns(["_part"])
+        assert _sorted_rows(runner.tagged_violations(mine)) == _sorted_rows(violations)
+        assert _partial_sums([runner.tagged_partials(mine)]) == _partial_sums([partials])
 
 
 def test_reads_are_sized_from_the_footer(tmp_path, monkeypatch):
@@ -104,5 +112,5 @@ def test_reads_are_sized_from_the_footer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "BATCH_BYTES", 1)       # one call per read
     calls = _calls(body)
-    list(body.scan([path]))
+    assert [run.done for run in body.scan([path])][-1] == [0]
     assert len(calls) >= 2 and max(calls) <= rows and sum(calls) == 400
