@@ -22,14 +22,17 @@ is done is skipped):
      constraint PARTIAL aggregates per key, decodable count included:
      the combiner half of the two-phase aggregate, stored so the global
      merge never needs the raw rows again) is split by ``_part`` into
-     its partitions' artifacts, ``artifacts/<pid>/findings.parquet``
-     (``_part`` dropped): one ParquetWriter per partition on a temp file
-     in that directory, renamed once (no file when the partition found
-     nothing).  Task memory holds one run of findings, never a
-     partition's whole set
-  3. once the run holding a partition's last batch is written: its
-     metrics + lineage record, naming the artifact -> checkpoint store
-     (atomic)
+     its partitions' artifacts, ``artifacts/<pid>/findings.arrow``
+     (``_part`` dropped): one uncompressed Arrow IPC file writer per
+     partition on a temp file in that directory, one record batch per
+     run, renamed once (no file when the partition found nothing).  The
+     artifacts are internal tables written once and read whole, so
+     Parquet's encodings and decoder would cost more than their rows.
+     Task memory holds one run of findings, never a partition's whole
+     set
+  3. once the run holding a partition's last batch is written and the
+     file closed: its metrics + lineage record, naming the artifact ->
+     checkpoint store (atomic)
 
 Execution model: ONE Ray task per contiguous SHARE of the incomplete
 partitions (``relational.shares``, as in the suite's file route: one per
@@ -53,20 +56,25 @@ touches).  The store root must be on a filesystem all workers share —
 same contract as the artifact sinks.
 
 Final merge (cheap, always re-run; reads only the artifacts the
-records name, their parquet footers and the first partition's footer):
+records name, their IPC metadata and the first partition's footer):
   * it fails closed: a record without an ``artifact`` field (a store of
-    the old two-artifact layout), a named artifact that is missing, and
-    partials stored under another spec or decode setting (an artifact
-    holding ``_pkey`` lacks a planned count column, read off the
-    footers) each raise a ``ValueError``
-  * the artifacts' footers give their rows and bytes, and the suite's
-    one gate-and-merge (``runner.merge_scan``, which ``runner.
-    scan_checks`` runs on either route's tagged output) does the rest:
-    below the driver gate (``relational.fits_driver_merge``) the
-    artifacts are read with pyarrow through those footers, split and
-    merged in process, else read once as a materialized Ray Dataset and
-    split and merged on the cluster; ``summary["result_tier"]`` records
-    the decision
+    the old two-artifact layout), a record naming an artifact that is
+    not a ``findings.arrow`` (a store of the old Parquet-artifact
+    layout), a named artifact that is missing, and partials stored under
+    another spec or decode setting (an artifact holding ``_pkey`` lacks
+    a planned count column, read off its schema) each raise a
+    ``ValueError``
+  * each artifact's IPC metadata, read through a memory map unmapped at
+    once (``artifact_meta``: no data page read, and no map outlives the
+    merge), gives its schema, rows and bytes, and the suite's one
+    gate-and-merge (``runner.merge_scan``, which ``runner.scan_checks``
+    runs on either route's tagged output) does the rest: below the
+    driver gate (``relational.fits_driver_merge``) the artifacts are
+    read into owned memory (``read_artifacts``), split and merged in
+    process, else read by one plain Ray task per share of them
+    (``relational.shares``, as in the suite's file route), handed to
+    ``ray.data.from_arrow_refs`` and split and merged on the cluster;
+    ``summary["result_tier"]`` records the decision
   * all partitions' partials go through the suite's own keyed pass
     (checks/unified_keyed.keyed_violations): ONE merge per key yields
     cardinality, existential (the decodable count included) and
@@ -97,21 +105,23 @@ import itertools
 import os
 import time
 import uuid
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray.data
 
 from ..checks.unified_keyed import KeyedPlan, keyed_plan
-from ..sources.io import Partition, footer_size
+from ..sources.io import Partition
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
 from . import relational
 from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks, merge_scan
+
+# the one artifact file a partition with findings leaves in its directory
+ARTIFACT = "findings.arrow"
 
 
 def _partition_id(partition: str) -> str:
@@ -127,10 +137,11 @@ def _partition_id(partition: str) -> str:
 
 class _Findings:
     """One partition's artifact in the making: the tagged rows split out
-    of its share's runs stream into ONE ParquetWriter on a temp file in
-    its artifact directory (opened at its first row, so a partition where
-    every row violates holds one run of findings in task memory, never
-    its whole set), renamed once when the partition is recorded."""
+    of its share's runs stream into ONE uncompressed Arrow IPC file
+    writer on a temp file in its artifact directory, one record batch per
+    run (opened at its first row, so a partition where every row violates
+    holds one run of findings in task memory, never its whole set),
+    renamed to ``ARTIFACT`` once when the partition is recorded."""
 
     def __init__(self, store: CheckpointStore, path: str):
         self.t0, self.store, self.path = time.time(), store, path
@@ -138,18 +149,19 @@ class _Findings:
         self.pid = _partition_id(path)
         os.makedirs(store.artifact_dir(self.pid), exist_ok=True)
         self.tmp = os.path.join(store.artifact_dir(self.pid),
-                                f"_tmp_{uuid.uuid4().hex}.parquet")
-        self.writer, self.n_err, self.n_warn = None, 0, 0
+                                f"_tmp_{uuid.uuid4().hex}.arrow")
+        self.writer, self.schema, self.n_err, self.n_warn = None, None, 0, 0
 
     def write(self, tagged: pa.Table) -> None:
         sev = tagged.column("severity")
         self.n_err += pc.sum(pc.equal(sev, "error")).as_py() or 0
         self.n_warn += pc.sum(pc.equal(sev, "warning")).as_py() or 0
         if self.writer is None:
-            self.writer = pq.ParquetWriter(self.tmp, tagged.schema)
-        elif tagged.schema != self.writer.schema:
-            tagged = tagged.select(self.writer.schema.names).cast(self.writer.schema)
-        self.writer.write_table(tagged)
+            self.schema = tagged.schema
+            self.writer = pa.ipc.new_file(self.tmp, self.schema)
+        elif tagged.schema != self.schema:
+            tagged = tagged.select(self.schema.names).cast(self.schema)
+        self.writer.write_table(tagged.combine_chunks())
 
     def record(self) -> dict:
         """Rename the artifact into place and record the partition."""
@@ -157,7 +169,7 @@ class _Findings:
         if self.writer is not None:
             self.writer.close()
             self.writer = None
-            final = os.path.join(self.store.artifact_dir(self.pid), "findings.parquet")
+            final = os.path.join(self.store.artifact_dir(self.pid), ARTIFACT)
             os.replace(self.tmp, final)
         return self.store.record(self.pid, {
             "n_rows": self.part.num_rows, "lineage": self.path,
@@ -174,6 +186,37 @@ class _Findings:
             os.remove(self.tmp)
 
 
+class ArtifactMeta(NamedTuple):
+    """What an artifact's IPC metadata says, no data page read."""
+    schema: pa.Schema
+    num_record_batches: int
+    num_rows: int
+    nbytes: int
+
+
+def artifact_meta(path: str) -> ArtifactMeta:
+    """An artifact's schema, batch count, rows and buffer bytes, read
+    through a memory map that is unmapped before this returns: no batch
+    read here outlives the call, so the merge holds no map of the store
+    (a store can hold more partitions than ``vm.max_map_count``)."""
+    with pa.memory_map(path) as source:
+        reader = pa.ipc.open_file(source)
+        batches = [reader.get_batch(i) for i in range(reader.num_record_batches)]
+        return ArtifactMeta(reader.schema, len(batches),
+                            sum(b.num_rows for b in batches),
+                            sum(b.get_total_buffer_size() for b in batches))
+
+
+def read_artifacts(paths: list[str]) -> pa.Table:
+    """Artifacts' rows as ONE table in owned memory (no memory map, so a
+    result built from it outlives the store)."""
+    tables = []
+    for path in paths:
+        with pa.OSFile(path) as source:
+            tables.append(pa.ipc.open_file(source).read_all())
+    return pa.concat_tables(tables, promote_options="default")
+
+
 def _by_partition(tagged: pa.Table) -> Iterator[tuple[int, pa.Table]]:
     """A run's tagged table split by ``_part``: (position, its rows
     without ``_part``) per position present, every row given to exactly
@@ -185,10 +228,14 @@ def _by_partition(tagged: pa.Table) -> Iterator[tuple[int, pa.Table]]:
     pos = tagged.column("_part").to_numpy()
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
-    rows = tagged.drop_columns(["_part"]).take(order)
+    rows = tagged.drop_columns(["_part"]).combine_chunks()
     firsts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
     for a, b in zip(firsts, [*firsts[1:], len(pos)]):
-        yield int(pos[a]), rows.slice(a, b - a)
+        # a take per partition, not slices of one take: the IPC writer
+        # keeps the whole validity bitmap of a slice at offset 0, so an
+        # artifact's bytes (and the merge gate's) would depend on the run
+        # it shared
+        yield int(pos[a]), rows.take(order[a:b])
 
 
 def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, decode: bool,
@@ -263,6 +310,7 @@ def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, decode: 
 # share wiring is testable in-process (e.g. with a stub Lance backend
 # that exists only in the driver's module table)
 _share_task = ray.remote(_run_share)
+_read_task = ray.remote(read_artifacts)
 
 
 def run_partitioned(
@@ -316,7 +364,7 @@ def run_partitioned(
     recs = [done[pid] for pid in sorted(done)]
 
     # ---- global merge (always re-run; reads only stored artifacts) -------
-    footers = {}
+    metas = {}
     for r in recs:
         if "artifact" not in r:
             raise ValueError(
@@ -327,27 +375,33 @@ def run_partitioned(
         if r["artifact"] is None:
             continue
         path = os.path.join(store.root, r["artifact"])
+        if os.path.basename(path) != ARTIFACT:
+            raise ValueError(
+                f"checkpoint store {store.root}: the record of partition "
+                f"{r['partition_id']} names the artifact {r['artifact']}, not a "
+                f"{ARTIFACT}, so it was written by the old Parquet-artifact layout; "
+                "validate into a new store")
         try:
-            footers[path] = pq.read_metadata(path)
+            metas[path] = artifact_meta(path)
         except FileNotFoundError:
             raise ValueError(
                 f"checkpoint store {store.root}: partition {r['partition_id']} "
                 f"is recorded done but its artifact {path} is missing; "
                 "remove its record to validate it again") from None
     missing = set().union(*(set(plan.sum_columns) - set(m.schema.names)
-                            for m in footers.values() if "_pkey" in m.schema.names))
+                            for m in metas.values() if "_pkey" in m.schema.names))
     if missing:
         raise ValueError(
             f"checkpoint store {store.root} holds partials without "
             f"{sorted(missing)}: written under another spec or decode setting")
 
     def read(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
-        """Stored artifacts: read with pyarrow through the footers already
-        read, or read once as a materialized Dataset on the cluster."""
-        if not on_driver:
-            return ray.data.read_parquet(files).materialize()
-        return pa.concat_tables([pq.ParquetFile(f, metadata=footers[f]).read()
-                                 for f in files], promote_options="default")
+        """Stored artifacts: read in process, or by one task per share of
+        them (``relational.shares``) left on the cluster as a Dataset."""
+        if on_driver:
+            return read_artifacts(files)
+        return ray.data.from_arrow_refs([_read_task.remote(share)
+                                         for share in relational.shares(files)])
 
     summary = {
         "partitions_total": len(files), "partitions_skipped": n_skipped,
@@ -362,7 +416,8 @@ def run_partitioned(
             for r in recs
         },
     }
-    return merge_scan(footer_size(list(footers.values())), read, list(footers),
+    size = (sum(m.num_rows for m in metas.values()), sum(m.nbytes for m in metas.values()))
+    return merge_scan(size, read, list(metas),
                       plan, spec, refs=refs,
                       checks=(driver_checks(schema0, spec, refs),), summary=summary)
 

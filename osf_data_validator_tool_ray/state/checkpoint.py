@@ -13,11 +13,11 @@ partition (SURVEY.md §7.4 resume correctness).
 
 Layout: ``records/<pid>.json`` and one directory ``artifacts/<pid>/``
 per partition.  The partitioned runner keeps ONE artifact there,
-``findings.parquet``: the scan's tagged table (violation rows and keyed
-partial rows), written as a temp file in that directory and renamed
-once.  Its record names it (``artifact``, relative to the root; null
-when the partition found nothing), and the merge reads exactly the files
-the records name.  Corpus stages publish whole output directories
+``findings.arrow``: the scan's tagged table (violation rows and keyed
+partial rows) as an uncompressed Arrow IPC file, written as a temp file
+in that directory and renamed once.  Its record names it (``artifact``,
+relative to the root; null when the partition found nothing), and the
+merge reads exactly the files the records name.  Corpus stages publish whole output directories
 (``publish_artifact``).
 """
 

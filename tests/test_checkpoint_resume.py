@@ -2,6 +2,7 @@
 recomputing validated partitions; cross-partition grouped constraints
 still hold globally; the fix path quarantines violating rows."""
 
+import dataclasses
 import glob
 import json
 import os
@@ -13,11 +14,13 @@ import pytest
 import ray.data
 
 from osf_data_validator_tool_ray.pipelines.fix import quarantine
-from osf_data_validator_tool_ray.pipelines.partitioned import validate_partitioned
+from osf_data_validator_tool_ray.pipelines.partitioned import (
+    read_artifacts, run_partitioned, validate_partitioned)
 from osf_data_validator_tool_ray.pipelines.runner import tagged_partials
 from osf_data_validator_tool_ray.spec import clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
 from osf_data_validator_tool_ray.synth import write_clips_dataset
+from tests.test_keyed_tiers import _tier
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +78,9 @@ def test_cross_partition_duplicates_caught(dataset, tmp_path):
     assert rep["violations"].get("CARD-MAX-100", 0) >= 1
 
     # the duplicate key appears via the partials merge: check the stored partials
-    pfiles = [os.path.join(store.artifact_dir(pid), "findings.parquet")
+    pfiles = [os.path.join(store.artifact_dir(pid), "findings.arrow")
               for pid in sorted(store.completed())]
-    parts = tagged_partials(pa.concat_tables(map(pq.read_table, pfiles))).to_pandas()
+    parts = tagged_partials(read_artifacts(pfiles)).to_pandas()
     merged = parts.groupby("key")["card0_n"].sum()
     assert merged[dup_key] == 2
 
@@ -144,7 +147,7 @@ def test_store_layout_survives_dropped_partitions(dataset, tmp_path):
     assert sorted(os.listdir(os.path.join(store.root, "records"))) == \
         [f"{pid}.json" for pid in pids]
     for pid in pids:
-        assert os.listdir(store.artifact_dir(pid)) == ["findings.parquet"]
+        assert os.listdir(store.artifact_dir(pid)) == ["findings.arrow"]
     assert sorted(os.listdir(os.path.join(store.root, "artifacts"))) == pids
     assert not glob.glob(os.path.join(store.root, "**", "_tmp_*"), recursive=True)
 
@@ -173,20 +176,65 @@ def test_lost_artifact_fails_closed(dataset, tmp_path):
 
 
 def test_store_of_the_old_layout_fails_closed(dataset, tmp_path):
-    """A complete record without the ``artifact`` field was written by the
-    two-artifact layout (``violations/`` and ``partials/`` dirs), which
-    this merge cannot read: it refuses the store instead of reporting it
-    as holding no findings."""
-    store = CheckpointStore(str(tmp_path / "ckpt"))
-    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    """Two older layouts this merge cannot read: a complete record without
+    the ``artifact`` field (the two-artifact layout's ``violations/`` and
+    ``partials/`` dirs), and a record naming a ``findings.parquet``
+    artifact.  It refuses either store, naming it, instead of reporting
+    it as holding no findings or reading it as another format."""
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    files = sorted(glob.glob(pattern))
+    store = CheckpointStore(str(tmp_path / "two"))
     for f in files:
         pid = os.path.splitext(os.path.basename(f))[0]
         os.makedirs(store.artifact_dir(pid, "violations"))
         os.makedirs(store.artifact_dir(pid, "partials"))
         store.record(pid, {"n_rows": 100, "lineage": f, "n_violations": 0,
                            "n_warnings": 0, "pass": True, "runtime_s": 0.1})
-    with pytest.raises(ValueError, match="two-artifact layout"):
-        validate_partitioned(dataset["clips_dir"] + "/*.parquet", clips_spec(), store)
+    with pytest.raises(ValueError, match="two-artifact layout") as err:
+        validate_partitioned(pattern, clips_spec(), store)
+    assert store.root in str(err.value) and "new store" in str(err.value)
+
+    store = CheckpointStore(str(tmp_path / "parquet"))
+    for f in files:
+        pid = os.path.splitext(os.path.basename(f))[0]
+        os.makedirs(store.artifact_dir(pid))
+        pq.write_table(pq.read_table(f).slice(0, 0),
+                       os.path.join(store.artifact_dir(pid), "findings.parquet"))
+        store.record(pid, {"n_rows": 100, "lineage": f, "n_violations": 0,
+                           "n_warnings": 0, "pass": True, "runtime_s": 0.1,
+                           "artifact": os.path.join("artifacts", pid, "findings.parquet")})
+    with pytest.raises(ValueError, match="Parquet-artifact layout") as err:
+        validate_partitioned(pattern, clips_spec(), store)
+    assert store.root in str(err.value) and "new store" in str(err.value)
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_merge_leaves_no_map_of_the_store(dataset, tmp_path, tier):
+    """The merge sizes artifacts through memory maps and reads their rows
+    into owned memory: once it returns, no map names a file under the
+    store root (a store can hold more partitions than the kernel allows
+    maps), and a held result gives the same rows after the store is
+    removed.  The spec has no key column, so ``tagged_violations``
+    selects the stored rows without filtering and copies nothing."""
+    spec = dataclasses.replace(clips_spec(), key_column=None)
+    root = str(tmp_path / "ckpt")
+    pattern = dataset["clips_dir"] + "/*.parquet"
+
+    def mapped() -> list[str]:
+        with open("/proc/self/maps") as fh:
+            return [line for line in fh if root in line]
+
+    with _tier(tier):
+        rep = validate_partitioned(pattern, spec, CheckpointStore(root))
+        assert not mapped()
+        res = run_partitioned(pattern, spec, CheckpointStore(root))
+        assert not mapped()
+        rows = res.to_arrow()
+    assert rep["partitions_ran"] == 4 and res.summary["partitions_skipped"] == 4
+    assert rep["result_tier"]["tier"] == tier and rows.num_rows > 0
+    assert glob.glob(os.path.join(root, "artifacts", "*", "findings.arrow"))
+    shutil.rmtree(root)
+    assert res.to_arrow().equals(rows)
 
 
 def test_quarantine_fix_path(dataset, tmp_path):
@@ -268,6 +316,21 @@ def test_partitioned_clean_input_passes(tmp_path):
                                CheckpointStore(str(tmp_path / "ckpt")), decode=False)
     assert rep["pass"] is True
     assert rep["violations"] == {} and rep["n_rows"] == 300
+
+
+def test_partition_without_findings_writes_no_artifact(tmp_path):
+    """Without a key column a clean partition has no findings: its record
+    names no artifact, its directory holds no file, and the merge reads
+    no rows."""
+    meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=100, seed=3,
+                               defect_rate=0.0, num_shards=2)
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    rep = validate_partitioned(meta["clips_dir"] + "/*.parquet",
+                               dataclasses.replace(clips_spec(), key_column=None), store)
+    assert rep["partitions_ran"] == 2 and rep["violations"] == {}
+    assert [r["artifact"] for r in store.records()] == [None, None]
+    assert not glob.glob(os.path.join(store.root, "artifacts", "*", "*"))
+    assert rep["result_tier"]["rows"] == 0
 
 
 def _partition_basename(path):

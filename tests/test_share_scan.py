@@ -20,7 +20,7 @@ import pytest
 from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
 from osf_data_validator_tool_ray.pipelines import runner
 from osf_data_validator_tool_ray.pipelines.partitioned import (
-    _partition_id, _run_share, run_partitioned, validate_partitioned)
+    _partition_id, _run_share, read_artifacts, run_partitioned, validate_partitioned)
 from osf_data_validator_tool_ray.pipelines.runner import SuitePass
 from osf_data_validator_tool_ray.spec import clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
@@ -63,7 +63,8 @@ def _share(files, root, decode) -> list[dict]:
 
 
 def _artifact(rec: dict, root: str) -> "pa.Table | None":
-    return None if rec["artifact"] is None else pq.read_table(os.path.join(root, rec["artifact"]))
+    return (None if rec["artifact"] is None
+            else read_artifacts([os.path.join(root, rec["artifact"])]))
 
 
 def _rows(t: pa.Table) -> list:
