@@ -27,6 +27,7 @@ import ray.data
 from ..pipelines.runner import ROW_CHECKS, SuiteResult, scan_checks
 from ..sources.io import arrow_schema
 from ..spec import ConstraintSpec
+from ..state.checkpoint import CheckpointStore
 from .base import empty_violations, make_violations
 from .schema import schema_violations, spec_completeness_violations, unevaluable_warnings
 
@@ -38,6 +39,7 @@ class RunContext:
     refs: Optional[dict[str, "ray.data.Dataset"]] = None
     expected_keys: Optional["ray.data.Dataset"] = None
     baseline_profile_path: Optional[str] = None
+    store: Optional[CheckpointStore] = None     # the row-level scan's (scan_partitions)
 
 
 # row-level entries have no planner of their own: plan_checks scans for them
@@ -63,35 +65,35 @@ def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
     """Plan every configured check into one SuiteResult: driver-side
     pyarrow Tables join its in-process ``violations``, violation
     Datasets its ``cluster_violations`` (unknown names raise, like an
-    unloadable class).  The row-level entries run in one scan, followed
-    by the -50 warnings for every constraint they skip as unevaluable.
-    A Dataset whose schema Ray cannot know (no blocks, e.g. a filter
-    that drops every row) raises before any entry runs."""
-    if arrow_schema(ctx.ds) is None:
+    unloadable class).  Every entry is parsed, and a Dataset whose schema
+    Ray cannot know (no blocks, e.g. a filter that drops every row)
+    raises, before any check runs.  The row-level entries run first, in
+    one scan (resumable with ``ctx.store``), with the -50 warnings for
+    every constraint they skip as unevaluable; then the other planners."""
+    schema = arrow_schema(ctx.ds)
+    if schema is None:
         raise ValueError("the Dataset has no blocks, so its schema is unknown "
                          "and no check can be planned against it")
-    parts, row_checks, summary = [], set(), {}
+    planners, row_checks, parts, summary = [], set(), [], {}
     for entry in entries:
         name, params = parse_check_entry(entry)
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-        if name in ROW_CHECKS:
-            if params:
-                raise TypeError(f"check {name!r} takes no parameters, got {sorted(params)}")
+        if name not in ROW_CHECKS:
+            planners.append((CHECKS[name], params))
+        elif params:
+            raise TypeError(f"check {name!r} takes no parameters, got {sorted(params)}")
+        else:
             row_checks.add(name)
-            continue
-        res = CHECKS[name](ctx, **params)
-        if res is not None:
-            parts.append(res)
     if row_checks:
-        scan = scan_checks(ctx.ds, ctx.spec, frozenset(row_checks),
-                           refs=ctx.refs, expected_keys=ctx.expected_keys)
+        scan = scan_checks(ctx.ds, ctx.spec, frozenset(row_checks), refs=ctx.refs,
+                           expected_keys=ctx.expected_keys, store=ctx.store)
         parts += [scan.violations, unevaluable_warnings(
-            arrow_schema(ctx.ds), ctx.spec,
-            ref_tables=set(ctx.refs) if ctx.refs is not None else None)]
+            schema, ctx.spec, ref_tables=set(ctx.refs) if ctx.refs is not None else None)]
         if scan.cluster_violations is not None:
             parts.append(scan.cluster_violations)
         summary = scan.summary
+    parts += [res for fn, params in planners if (res := fn(ctx, **params)) is not None]
     return SuiteResult.of(parts, summary)
 
 

@@ -10,17 +10,18 @@ inject context -> run() -> optional fix() -> append XML/JSON report).
 
 Differences from the reference, by design:
   * checks run as Ray tasks, not sequential SPARQL: the row-level
-    checks scan the input once, one task per parquet file, and the
-    per-key checks merge on the driver or, over the driver gate, in one
-    Ray Data hash exchange
+    checks scan the input once, one task per contiguous share of the
+    parquet files (one per CPU slot unless the files are large), and the
+    per-key checks merge on the driver or, over the driver gate, on the
+    cluster
   * every run writes a JSON report and can also write the reference's
     XML report (--output-xml); violations also land as a parquet sink
     for downstream use (--violations-dir)
-  * two executors — the registry's run of an entry list (--checks,
-    default the built-in suite; --decode adds `decode`) and the
-    resumable partitioned run of the suite (--checkpoint-dir, which
-    refuses --checks) — return one SuiteResult, so the report,
-    violation sink, drift and --fix are one code path
+  * one executor, the registry's run of an entry list (--checks, default
+    the built-in suite; --decode adds `decode`), returns one SuiteResult,
+    so the report, violation sink, drift and --fix are one code path;
+    --checkpoint-dir makes its scan persist each file's findings there
+    and resume from them (a re-run scans only the files not recorded)
   * --fix quarantines rows instead of mutating the source (see
     pipelines/fix.py)
 
@@ -41,7 +42,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="osf-dvt-ray")
     ap.add_argument("--input", required=True, help="parquet glob of the clips table")
     ap.add_argument("--refs", help="parquet path of the refs side table")
-    ap.add_argument("--checkpoint-dir", help="enable resumable partitioned run")
+    ap.add_argument("--checkpoint-dir", help="persist each input file's findings here "
+                    "and resume from them: a re-run scans only the files not yet recorded")
     ap.add_argument("--decode", action="store_true", help="add the full payload decode")
     ap.add_argument("--fix", action="store_true", help="quarantine violating rows")
     ap.add_argument("--fix-dir", default="/tmp/osfdvt_fix")
@@ -64,8 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--stats", action="store_true",
                     help="print ray Dataset per-stage stats to stderr")
     args = ap.parse_args(argv)
-    if args.checks and args.checkpoint_dir:
-        ap.error("--checks does not apply to --checkpoint-dir runs")
 
     import ray.data
     if not ray.is_initialized():
@@ -85,18 +85,13 @@ def main(argv: list[str] | None = None) -> int:
     files = sorted(glob.glob(args.input))
     refs = {"refs": ray.data.read_parquet(args.refs)} if args.refs else None
 
-    # ---- the executor choice: everything after it is shared ------------
-    if args.checkpoint_dir:
-        from .pipelines.partitioned import run_partitioned
-        from .state.checkpoint import CheckpointStore
-        res = run_partitioned(args.input, spec, CheckpointStore(args.checkpoint_dir),
-                              decode=args.decode, refs=refs)
-    else:
-        from .checks.registry import RunContext, plan_checks
-        entries = args.checks.split(",") if args.checks else list(SUITE)
-        ctx = RunContext(ds=ray.data.read_parquet(files), spec=spec, refs=refs,
-                         baseline_profile_path=args.baseline_profile)
-        res = plan_checks(ctx, entries + (["decode"] if args.decode else []))
+    from .checks.registry import RunContext, plan_checks
+    from .state.checkpoint import CheckpointStore
+    entries = args.checks.split(",") if args.checks else list(SUITE)
+    ctx = RunContext(ds=ray.data.read_parquet(files), spec=spec, refs=refs,
+                     baseline_profile_path=args.baseline_profile,
+                     store=CheckpointStore(args.checkpoint_dir) if args.checkpoint_dir else None)
+    res = plan_checks(ctx, entries + (["decode"] if args.decode else []))
 
     if args.violations_dir:
         # every violation row, driver-side ones included, in a

@@ -1,98 +1,63 @@
-"""Resumable partitioned validation — the production entry path.
+"""The checkpoint store half of the one file route: resumable validation.
 
-Input layout: a directory of parquet files (Lance fragments when Lance
-is available); ONE FILE = ONE PARTITION = the resume/lineage unit.
+Who calls what: ``runner.scan_partitions`` is the file route of every
+scan.  Given a ``CheckpointStore`` (``RunContext.store``, the CLI's
+``--checkpoint-dir``) it hands the partitions to ``stored_findings``
+here instead of submitting its store-less share tasks, and runs the same
+``runner.merge_scan`` on what comes back.  ``run_partitioned`` /
+``validate_partitioned`` are that route for the built-in suite over a
+parquet glob/dir or a Lance table, with no Ray Dataset built: a
+partition's footer gives the column names, and the suite's driver checks
+(``runner.driver_checks``) run over its schema.  ONE FILE (or Lance
+FRAGMENT) = ONE PARTITION = the resume/lineage unit.
 
-Per share of incomplete partitions (a partition whose checkpoint record
-is done is skipped):
-  1. ONE streamed scan of the share's partitions through the suite's own
-     body: ``runner.SuitePass.scan``, the loop the suite's file route
-     runs over a share of a plain parquet read (stateless facets, decode
-     findings with decode=True, keyed combiner partials).  It opens the
-     partitions one at a time (the footer that gives a partition's
-     schema and row count is the one it reads), reads record batches of
-     about ``runner.READ_BYTES`` and checks runs of up to
-     ``runner.BATCH_BYTES`` across partition boundaries: a share of
-     small files is one ``findings`` call per run, not one per file.  A
-     new scan starts wherever the column set changes.  Every batch
-     carries its partition's position (``_part``), and so does every
-     violation and partial row (partials are grouped per key AND
+``stored_findings`` fails closed before any task runs (two partitions
+with one record id; a stored record of an older layout, or scanned with
+another row-check set, its decode setting included), then runs ONE Ray
+task per contiguous SHARE of the partitions without a complete record
+(``relational.shares``: one per CPU slot unless the files are large, one
+per Lance fragment).  A share task (``_run_share``):
+  1. scans its partitions as ONE stream through the suite's own body
+     (``runner.SuitePass.scan``, the loop of the store-less share task):
+     record batches of about ``runner.READ_BYTES``, checked in runs of up
+     to ``runner.BATCH_BYTES`` across partition boundaries (a new scan
+     where the column set changes), every row tagged with its
+     partition's position (``_part``; partials are grouped per key AND
      partition), so the findings stay each partition's own
-  2. each run's tagged table (its violation rows and its grouped-
-     constraint PARTIAL aggregates per key, decodable count included:
-     the combiner half of the two-phase aggregate, stored so the global
-     merge never needs the raw rows again) is split by ``_part`` into
-     its partitions' artifacts, ``artifacts/<pid>/findings.arrow``
-     (``_part`` dropped): one uncompressed Arrow IPC file writer per
-     partition on a temp file in that directory, one record batch per
-     run, renamed once (no file when the partition found nothing).  The
-     artifacts are internal tables written once and read whole, so
-     Parquet's encodings and decoder would cost more than their rows.
-     Task memory holds one run of findings, never a partition's whole
-     set
-  3. once the run holding a partition's last batch is written and the
-     file closed: its metrics + lineage record, naming the artifact ->
-     checkpoint store (atomic)
+  2. splits each run's tagged table (violation rows and keyed PARTIAL
+     aggregates, the combiner half of the two-phase aggregate, so the
+     merge never needs the raw rows again) by ``_part`` into one
+     artifact per partition, ``artifacts/<pid>/findings.arrow``: an
+     uncompressed Arrow IPC file (internal tables written once and read
+     whole; Parquet's encodings would cost more than their rows), one
+     record batch per run, written to a temp file and renamed once (no
+     file when the partition found nothing).  Task memory holds one run
+     of findings, never a partition's whole set
+  3. records each partition (metrics, lineage, its row-check set and the
+     artifact's name) atomically once the run holding its last batch is
+     written; ``runtime_s`` runs from its open, so a shared run counts in
+     each of its partitions.
+Failure rules: a partition whose open, read or artifact write fails
+fails alone (its temp file removed; the others are recorded); a
+``findings`` call that raises fails every partition in its run; the
+share re-raises its first error after its last partition and skips
+partitions already recorded when Ray retries it; the driver waits for
+every share before it re-raises.  The store root must be on a
+filesystem all workers share.
 
-Execution model: ONE Ray task per contiguous SHARE of the incomplete
-partitions (``relational.shares``, as in the suite's file route: one per
-CPU slot unless the files are large, one per Lance fragment).  The share
-is the unit of work and the partition stays the unit of resume: a share
-task scans its partitions as one stream and records each partition as
-soon as its findings are written, so a task's scheduling (a no-op
-task's round trip measured 1.8-4.6 ms on a 1-vCPU host) and a
-``findings`` call's fixed cost are paid once per share and once per
-run, not once per small partition.  A record's
-``runtime_s`` runs from the partition's open to its record, so a run
-shared with neighbours counts in each of them.  Failure rules: a
-partition whose open, read or artifact write fails fails alone (its
-batches leave their run and its temp file is removed; the others are
-recorded); a ``findings`` call that raises fails every partition in its
-run; the share re-raises its first error after its last partition, and
-skips partitions already recorded when Ray retries it; the driver waits
-for every share before it re-raises.  Reads are pruned AT THE SCAN and
-streamed (iter_batches(columns=...) reads only the columns the body
-touches).  The store root must be on a filesystem all workers share —
-same contract as the artifact sinks.
-
-Final merge (cheap, always re-run; reads only the artifacts the
-records name, their IPC metadata and the first partition's footer):
-  * it fails closed: a record without an ``artifact`` field (a store of
-    the old two-artifact layout), a record naming an artifact that is
-    not a ``findings.arrow`` (a store of the old Parquet-artifact
-    layout), a named artifact that is missing, and partials stored under
-    another spec or decode setting (an artifact holding ``_pkey`` lacks
-    a planned count column, read off its schema) each raise a
-    ``ValueError``
-  * each artifact's IPC metadata, read through a memory map unmapped at
-    once (``artifact_meta``: no data page read, and no map outlives the
-    merge), gives its schema, rows and bytes, and the suite's one
-    gate-and-merge (``runner.merge_scan``, which ``runner.scan_checks``
-    runs on either route's tagged output) does the rest: below the
-    driver gate (``relational.fits_driver_merge``) the artifacts are
-    read into owned memory (``read_artifacts``), split and merged in
-    process, else read by one plain Ray task per share of them
-    (``relational.shares``, as in the suite's file route), handed to
-    ``ray.data.from_arrow_refs`` and split and merged on the cluster;
-    ``summary["result_tier"]`` records the decision
-  * all partitions' partials go through the suite's own keyed pass
-    (checks/unified_keyed.keyed_violations): ONE merge per key yields
-    cardinality, existential (the decodable count included) and
-    referential-existence verdicts (these hold GLOBALLY across
-    partitions — duplicate clip_ids in different partitions are caught
-    here, which a purely per-partition design would miss)
-  * with the suite's driver checks (runner.driver_checks: schema
-    conformance, spec completeness, -50 unevaluable warnings, over the
-    first partition's Arrow schema) and the stored per-partition
-    violations -> a SuiteResult (``run_partitioned``) whose ``summary``
-    carries the partition counts; ``validate_partitioned`` returns its
-    report, built by SuiteResult.report as the suite's is (without a
-    violation sample; below the gate the merge runs no Ray Data
-    execution, and a refs table that is a plain parquet read is read by
-    its files)
-
-Pass/fail is decided by ERROR-severity violations only; warnings are
-counted separately (the reference's -5x warning / -10x error id split).
+The merge (always re-run) reads only the artifacts the run's records name.
+Each one's IPC metadata, read through a memory map unmapped at once
+(``artifact_meta``: no map outlives the merge), gives its schema, rows
+and bytes; a named artifact that is missing, or partials without a
+planned count column (another spec), raise a ``ValueError``.
+``merge_scan`` gates them: below ``relational.fits_driver_merge``
+``read_artifacts`` reads them into owned memory, else one plain task per
+share of them does and the refs go to ``ray.data.from_arrow_refs``.  The
+keyed pass merges every partition's partials, so cardinality,
+existential and referential verdicts hold GLOBALLY (duplicate clip_ids
+in different partitions are caught).  The summary carries the partition
+counts; ``validate_partitioned`` returns the report without a violation
+sample.
 
 This mirrors the reference's accumulate-then-report lifecycle (dvt:167,
 174-191) with crash-resume added (the reference restarts from scratch —
@@ -105,6 +70,7 @@ import itertools
 import os
 import time
 import uuid
+from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -113,15 +79,18 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..checks.unified_keyed import KeyedPlan, keyed_plan
+from ..checks.unified_keyed import KeyedPlan
 from ..sources.io import Partition
 from ..spec import ConstraintSpec
 from ..state.checkpoint import CheckpointStore
 from . import relational
-from .runner import ROW_CHECKS, SuitePass, SuiteResult, driver_checks, merge_scan
+from .runner import (ROW_CHECKS, SUITE, SuitePass, SuiteResult, driver_checks,
+                     scan_partitions)
 
 # the one artifact file a partition with findings leaves in its directory
 ARTIFACT = "findings.arrow"
+# the record fields the summary reports per partition
+_SUMMARY_FIELDS = ("pass", "n_violations", "n_warnings", "n_rows", "lineage")
 
 
 def _partition_id(partition: str) -> str:
@@ -143,8 +112,8 @@ class _Findings:
     holds one run of findings in task memory, never its whole set),
     renamed to ``ARTIFACT`` once when the partition is recorded."""
 
-    def __init__(self, store: CheckpointStore, path: str):
-        self.t0, self.store, self.path = time.time(), store, path
+    def __init__(self, store: CheckpointStore, path: str, checks: frozenset):
+        self.t0, self.store, self.path, self.checks = time.time(), store, path, checks
         self.part = Partition(path)     # the open: its footer is the one scanned
         self.pid = _partition_id(path)
         os.makedirs(store.artifact_dir(self.pid), exist_ok=True)
@@ -175,6 +144,7 @@ class _Findings:
             "n_rows": self.part.num_rows, "lineage": self.path,
             "n_violations": self.n_err, "n_warnings": self.n_warn,
             "pass": self.n_err == 0, "runtime_s": time.time() - self.t0,
+            "checks": sorted(self.checks),
             "artifact": None if final is None else os.path.relpath(final, self.store.root)})
 
     def discard(self) -> None:
@@ -238,22 +208,19 @@ def _by_partition(tagged: pa.Table) -> Iterator[tuple[int, pa.Table]]:
         yield int(pos[a]), rows.take(order[a:b])
 
 
-def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, decode: bool,
+def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, checks: frozenset,
                plan: KeyedPlan, declared_universals: frozenset) -> list[dict]:
     """Validate one contiguous share of partitions (``relational.shares``,
-    parquet files or Lance fragment ids) in one Ray task, with no nested
-    Ray Data execution; returns their records, in order.  The partitions
-    not yet recorded (an earlier attempt may have recorded some) are
-    opened one at a time and scanned as ONE stream per stretch with one
-    column set (steps 1-3 above); each run's table is split by ``_part``
-    into its partitions' ``_Findings``, and a partition is recorded once
-    the run holding its last batch is written.  Failures follow the
-    module's rules; a tagged row without ``_part`` is an emitter's fault,
-    which the split raises at once, its share's temp files removed."""
+    parquet files or Lance fragment ids) for the row-level ``checks`` in
+    one Ray task, with no nested Ray Data execution; returns their
+    records, in order: steps 1-3 above over the partitions not yet
+    recorded (an earlier attempt may have recorded some).  Failures
+    follow the module's rules; a tagged row without ``_part`` is an
+    emitter's fault, which the split raises at once, its share's temp
+    files removed."""
     store = CheckpointStore(store_root)
     recs = {i: r for i, r in enumerate(store.completed_record(_partition_id(p))
                                        for p in paths) if r is not None}
-    checks = ROW_CHECKS if decode else ROW_CHECKS - {"decode"}
     inflight: dict[int, _Findings] = {}
     errors: list[Exception] = []
 
@@ -277,7 +244,7 @@ def _run_share(paths: list[str], spec: ConstraintSpec, store_root: str, decode: 
         for i, path in enumerate(paths):
             if i not in recs:
                 try:
-                    inflight[i] = _Findings(store, path)
+                    inflight[i] = _Findings(store, path, checks)
                 except Exception as e:
                     fail(i, e)
                     continue
@@ -313,76 +280,73 @@ _share_task = ray.remote(_run_share)
 _read_task = ray.remote(read_artifacts)
 
 
-def run_partitioned(
-    input_glob: str,
-    spec: ConstraintSpec,
-    store: CheckpointStore,
-    decode: bool = False,
-    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
-) -> SuiteResult:
-    """Run/resume the partitioned validation; returns the merged result.
+def _artifact(store: CheckpointStore, rec: dict, checks: frozenset) -> Optional[str]:
+    """The path of the artifact a complete record names (None when it
+    found nothing).  A record of an older layout, or one scanned with
+    another row-check set (decode included) or none recorded, raises."""
+    where = f"checkpoint store {store.root}: the record of partition {rec['partition_id']}"
+    if "artifact" not in rec:
+        raise ValueError(
+            f"{where} has no artifact field, so it was written by the old "
+            "two-artifact layout (violations/ and partials/ dirs); validate into a new store")
+    if rec["artifact"] is not None and os.path.basename(rec["artifact"]) != ARTIFACT:
+        raise ValueError(
+            f"{where} names the artifact {rec['artifact']}, not a {ARTIFACT}, so it was "
+            "written by the old Parquet-artifact layout; validate into a new store")
+    if rec.get("checks") != sorted(checks):
+        raise ValueError(
+            f"{where} was scanned with the row checks {rec.get('checks')}, not this "
+            f"run's {sorted(checks)} (another check set or decode setting); validate "
+            "into a new store")
+    return None if rec["artifact"] is None else os.path.join(store.root, rec["artifact"])
 
-    The partitions without a complete record run in contiguous shares
-    (``relational.shares``), one Ray task each, which record their
-    partitions one by one: resume granularity stays one partition.
-    Every share finishes before the first failure is re-raised.
 
-    ``input_glob`` may be a parquet glob/dir or a Lance table path
-    (``*.lance``): Lance tables list one partition per FRAGMENT via
-    ``sources.io.partition_files``, and each fragment gets a task and a
-    record of its own — the fragment is the resume/lineage unit
-    end-to-end.
-    """
-    from ..sources.io import partition_files
+def _read_stored(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
+    """Stored artifacts, read in process or by one task per ``shares`` cut."""
+    if on_driver:
+        return read_artifacts(files)
+    return ray.data.from_arrow_refs([_read_task.remote(share)
+                                     for share in relational.shares(files)])
 
-    files = partition_files(input_glob)
-    if not files:
-        raise FileNotFoundError(f"no input files match {input_glob}")
-    # every complete record, read once: the done set, the summary and the
-    # artifact files come from it
-    done = {r["partition_id"]: r for r in store.records()}
 
-    # the keyed plan is made against the FIRST partition's schema (all
-    # partitions of one table share it) so the partials' positional
-    # card{i}_n / ext{j}_n / dext{j}_n columns stay consistent across
-    # partitions.  NOTE: one store assumes one spec and decode setting
-    # across its lifetime (those positions follow the plan); the merge
-    # refuses stored partials that lack a planned column.
-    schema0 = Partition(files[0]).schema
-    plan = keyed_plan(spec, set(schema0.names), decode)
-    declared_universals = frozenset(u.predicate for u in spec.universals)
-
-    todo = [p for p in files if _partition_id(p) not in done]
-    n_skipped = len(files) - len(todo)
+def stored_findings(partitions: list[str], spec: ConstraintSpec, checks: frozenset,
+                    plan: KeyedPlan, store: CheckpointStore) -> tuple:
+    """The store half of ``runner.scan_partitions``: checks the partitions
+    and the stored records, runs one share task per ``relational.shares``
+    cut of the partitions ``store`` has not recorded (every share ends
+    before the first failure is re-raised), and returns ``merge_scan``'s
+    (size, read, pieces) over the artifacts its partitions' records name
+    (no other record's), with their summary (see the module's rules)."""
+    seen: dict[str, str] = {}
+    for p in partitions:
+        pid = _partition_id(p)
+        if pid in seen:
+            raise ValueError(
+                f"checkpoint store {store.root}: the partitions {seen[pid]} and {p} map "
+                f"to one record id {pid!r}, so one would replace the other's findings; "
+                "give each input file its own base name")
+        seen[pid] = p
+    # the run's complete records, read once: the done set, the summary and
+    # the artifact files come from them
+    done = {pid: r for pid in seen if (r := store.completed_record(pid)) is not None}
+    for r in done.values():     # fail closed before any task runs
+        _artifact(store, r, checks)
+    todo = [p for pid, p in seen.items() if pid not in done]
     if todo:
-        outs = [_share_task.remote(share, spec, store.root, decode, plan,
-                                   declared_universals)
+        universals = frozenset(u.predicate for u in spec.universals)
+        outs = [_share_task.remote(share, spec, store.root, checks, plan, universals)
                 for share in relational.shares(todo)]
         ray.wait(outs, num_returns=len(outs))   # every share ends first
         done.update((r["partition_id"], r)
                     for share in ray.get(outs) for r in share)   # re-raises
     recs = [done[pid] for pid in sorted(done)]
 
-    # ---- global merge (always re-run; reads only stored artifacts) -------
     metas = {}
     for r in recs:
-        if "artifact" not in r:
-            raise ValueError(
-                f"checkpoint store {store.root}: the record of partition "
-                f"{r['partition_id']} has no artifact field, so it was written by "
-                "the old two-artifact layout (violations/ and partials/ dirs); "
-                "validate into a new store")
-        if r["artifact"] is None:
-            continue
-        path = os.path.join(store.root, r["artifact"])
-        if os.path.basename(path) != ARTIFACT:
-            raise ValueError(
-                f"checkpoint store {store.root}: the record of partition "
-                f"{r['partition_id']} names the artifact {r['artifact']}, not a "
-                f"{ARTIFACT}, so it was written by the old Parquet-artifact layout; "
-                "validate into a new store")
+        path = _artifact(store, r, checks)
         try:
-            metas[path] = artifact_meta(path)
+            if path is not None:
+                metas[path] = artifact_meta(path)
         except FileNotFoundError:
             raise ValueError(
                 f"checkpoint store {store.root}: partition {r['partition_id']} "
@@ -395,31 +359,38 @@ def run_partitioned(
             f"checkpoint store {store.root} holds partials without "
             f"{sorted(missing)}: written under another spec or decode setting")
 
-    def read(files: list[str], on_driver: bool) -> "pa.Table | ray.data.Dataset":
-        """Stored artifacts: read in process, or by one task per share of
-        them (``relational.shares``) left on the cluster as a Dataset."""
-        if on_driver:
-            return read_artifacts(files)
-        return ray.data.from_arrow_refs([_read_task.remote(share)
-                                         for share in relational.shares(files)])
-
-    summary = {
-        "partitions_total": len(files), "partitions_skipped": n_skipped,
-        "partitions_ran": len(todo),
-        "n_rows": sum(r.get("n_rows", 0) for r in recs),
-        "partitions": {
-            r["partition_id"]: {"pass": r.get("pass", True),
-                                "n_violations": r.get("n_violations", 0),
-                                "n_warnings": r.get("n_warnings", 0),
-                                "n_rows": r.get("n_rows", 0),
-                                "lineage": r.get("lineage")}
-            for r in recs
-        },
-    }
+    summary = {"partitions_total": len(partitions), "partitions_ran": len(todo),
+               "partitions_skipped": len(partitions) - len(todo),
+               "n_rows": sum(r["n_rows"] for r in recs),
+               "partitions": {r["partition_id"]: {k: r[k] for k in _SUMMARY_FIELDS}
+                              for r in recs}}
     size = (sum(m.num_rows for m in metas.values()), sum(m.nbytes for m in metas.values()))
-    return merge_scan(size, read, list(metas),
-                      plan, spec, refs=refs,
-                      checks=(driver_checks(schema0, spec, refs),), summary=summary)
+    return size, _read_stored, list(metas), summary
+
+
+def run_partitioned(
+    input_glob: str,
+    spec: ConstraintSpec,
+    store: CheckpointStore,
+    decode: bool = False,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+) -> SuiteResult:
+    """Run/resume the built-in suite (``runner.SUITE``, plus ``decode``)
+    over the partitions of ``input_glob`` (a parquet glob/dir, or a Lance
+    table path whose FRAGMENTS are its partitions: ``sources.io.
+    partition_files``) with ``store``; returns the merged result."""
+    from ..sources.io import partition_files
+
+    files = partition_files(input_glob)
+    if not files:
+        raise FileNotFoundError(f"no input files match {input_glob}")
+    # the FIRST partition's columns plan the keyed partials of all (one
+    # table's partitions share them): positional count columns agree
+    schema0 = Partition(files[0]).schema
+    checks = ROW_CHECKS & frozenset([*SUITE, *(["decode"] if decode else [])])
+    res = scan_partitions(files, set(schema0.names), spec, checks, refs=refs, store=store)
+    return replace(res, violations=pa.concat_tables(
+        [driver_checks(schema0, spec, refs), res.violations]))
 
 
 def validate_partitioned(

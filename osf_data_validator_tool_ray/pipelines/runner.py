@@ -13,22 +13,20 @@ ONE scan of the input, ``scan_checks``:
      universals, DECODE-100/101) and the combiner partials of ALL
      ``keyed`` constraints.  A plain parquet read
      (``sources.io.parquet_read_files``: what the CLI and the benchmarks
-     pass) runs as one plain Ray task per contiguous share of its files
-     (``relational.shares``), each scanning its share as one stream
-     (``SuitePass.scan``, also the partitioned runner's loop) and
-     returning its findings as ONE tagged Arrow table (violation rows
-     and keyed partial rows, the partials' key in ``_pkey``) plus its
-     rows and bytes.  The scan sizes batches in bytes from the footers:
-     reads of about ``READ_BYTES``, checked in runs of up to
-     ``BATCH_BYTES`` that cross file boundaries, so a share of small files
-     pays the per-call cost once.  Any other Dataset (``from_arrow``; a
-     mapped, limited, filtered or hive-partitioned read; a remote
-     filesystem) runs as ONE ``map_batches`` in ``SuitePass.batch_size``
-     rows (Ray batches by rows, and such a Dataset's row width is unknown
-     until it runs), whose tagged output is materialized once
-  2. ``merge_scan``, the one merge of every route's tagged output (and
-     of the partitioned runner's stored artifacts, the same tables):
-     the driver gate (``relational.fits_driver_merge``) on its rows and
+     pass) takes the file route, ``scan_partitions``: one plain Ray task
+     per contiguous share of its files (``relational.shares``), each
+     scanning its share as one stream (``SuitePass.scan``) in reads of
+     about ``READ_BYTES``, checked in runs of up to ``BATCH_BYTES`` that
+     cross file boundaries, and returning ONE tagged Arrow table
+     (violation rows and keyed partial rows, the partials' key in
+     ``_pkey``) plus its rows and bytes.  Given a checkpoint store, the
+     same route scans only the files the store has not recorded, each
+     into a stored artifact, and merges every stored artifact
+     (``partitioned.stored_findings``).  Any other Dataset runs as ONE
+     ``map_batches`` in ``SuitePass.batch_size`` rows (its row width is
+     unknown until it runs), whose tagged output is materialized once
+  2. ``merge_scan``, the one merge of every route's tagged output: the
+     driver gate (``relational.fits_driver_merge``) on its rows and
      bytes; below it the output is pulled to the driver ONCE and split
      in process (``tagged_violations`` / ``tagged_partials``), above it
      it stays on the cluster (``ray.data.from_arrow_refs``) and is split
@@ -43,20 +41,16 @@ severity counts, report sample) runs in process on Arrow tables: the
 rows are few, and a Ray execution per step would cost ~25 ms of
 scheduling for ~4 ms of work.  For the same reason a refs / expected-key
 side that is a plain parquet read under the gate is read by its files
-(key column only); any other side takes one execution.  The file route
-skips Ray Data's fixed cost per run and submits one task per CPU slot
-(unless the files are large), not one per file as Ray's parquet reader
-does: a task's scheduling costs about a small file's scan.  Each task
-holds its share's findings in memory.  Other Datasets stay on
-``map_batches``: streaming their block refs into plain tasks measured
-slower.  Above the gate the merge is one hash exchange, and the result
-stays a Dataset.  In return each input row is read and scheduled once.
+(key column only).  The file route skips Ray Data's fixed cost per run
+and submits one task per CPU slot (unless the files are large), not one
+per file: a task's scheduling costs about a small file's scan.  Other
+Datasets stay on ``map_batches``: streaming their block refs into plain
+tasks measured slower.
 
-``SuiteResult`` is the one result type of every executor (this suite,
-the partitioned runner, the check registry) and ``SuiteResult.report``
-the one report builder (``render_xml`` renders one as XML): its
-``checks`` cover ``ALL_CHECK_IDS`` plus every id a run actually emitted,
-and a run passes only with no ERROR-severity row of any id.
+``SuiteResult`` is the one result type and ``SuiteResult.report`` the
+one report builder (``render_xml`` renders one as XML): its ``checks``
+cover ``ALL_CHECK_IDS`` plus every id a run actually emitted, and a run
+passes only with no ERROR-severity row of any id.
 """
 
 from __future__ import annotations
@@ -83,6 +77,7 @@ from ..sources.io import MAX_BATCH_ROWS, Partition, arrow_schema, parquet_read_f
 from ..spec import ConstraintSpec
 from ..stages.decode_stage import BYTES_COLUMNS, BytesSuitePass
 from ..stages.facet_stage import StatelessValidator, stateless_columns
+from ..state.checkpoint import CheckpointStore
 from . import relational
 
 # the registry entries that read rows: all planned into one scan
@@ -343,6 +338,7 @@ class SuitePass:
                               if self.decode else [])
         self.payload = (BytesSuitePass(universal_predicates=universal_predicates)
                         if self.decode else None)
+        self.plan = plan
         self.agg = plan.aggregator() if plan.key in names else None
         self.columns = sorted(set(self.stateless_columns) | set(self.bytes_columns)
                               | set(plan.columns if self.agg else ()))
@@ -496,7 +492,7 @@ def merge_scan(
     pieces: list, plan: KeyedPlan, spec: ConstraintSpec,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
-    checks: tuple = (), summary: Optional[dict] = None,
+    summary: Optional[dict] = None,
 ) -> SuiteResult:
     """The one gate-and-merge of every scan's output: pieces of
     ``SuitePass``'s tagged table, ``size`` (rows, bytes) in total (the
@@ -507,9 +503,8 @@ def merge_scan(
     them on it once (a ``pa.Table`` on the driver, a Dataset of blocks on
     the cluster), ``tagged_violations`` / ``tagged_partials`` split
     them (by one map each on the cluster), and the keyed pass merges the
-    partials when ``plan`` has a key.  ``checks`` (driver-side violation
-    tables) join the result; ``summary["result_tier"]`` records the
-    decision."""
+    partials when ``plan`` has a key; ``summary["result_tier"]`` records
+    the decision."""
     on_driver = relational.fits_driver_merge(size)
     gate = {"tier": "driver" if on_driver else "exchange",
             "rows": size[0], "bytes": size[1]}
@@ -520,11 +515,50 @@ def merge_scan(
             return fn(tagged)
         return tagged.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
-    parts = [*checks, split(tagged_violations)]
+    parts = [split(tagged_violations)]
     if plan.key is not None:
         parts.append(keyed_violations(split(tagged_partials), plan, spec, refs=refs,
                                       expected_keys=expected_keys))
     return SuiteResult.of(parts, {**(summary or {}), "result_tier": gate})
+
+
+def _suite_pass(spec: ConstraintSpec, names: set, checks: frozenset) -> SuitePass:
+    """The ``SuitePass`` of the row-level ``checks`` over columns ``names``."""
+    plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
+            else KeyedPlan(None))
+    return SuitePass(spec, names, plan, checks,
+                     frozenset(u.predicate for u in spec.universals))
+
+
+def scan_partitions(
+    partitions: list[str],
+    names: set,
+    spec: ConstraintSpec,
+    checks: frozenset,
+    refs: Optional[dict[str, "ray.data.Dataset"]] = None,
+    expected_keys: Optional["ray.data.Dataset"] = None,
+    store: Optional[CheckpointStore] = None,
+) -> SuiteResult:
+    """The file route of the row-level ``checks`` over ``partitions``
+    (parquet files or Lance fragment ids with columns ``names``): one
+    task per ``relational.shares`` cut, then ``merge_scan`` of the tasks'
+    tables, or with a ``store`` of its artifacts
+    (``partitioned.stored_findings``; ``summary`` adds partition counts)."""
+    body = _suite_pass(spec, names, checks)
+    if store is not None:
+        from .partitioned import stored_findings    # partitioned imports us
+        size, read, pieces, summary = stored_findings(partitions, spec, checks,
+                                                      body.plan, store)
+    elif not body.columns:      # no selected check reads a column the files have
+        return SuiteResult()
+    else:
+        outs = [_share_task.remote(share, body) for share in relational.shares(partitions)]
+        sizes = ray.get([size for _, size in outs])
+        size = (sum(n for n, _ in sizes), sum(b for _, b in sizes))
+        pieces = [t for (t, _), (n, _) in zip(outs, sizes) if n]
+        read, summary = _refs_on_tier, None
+    return merge_scan(size, read, pieces, body.plan, spec, refs=refs,
+                      expected_keys=expected_keys, summary=summary)
 
 
 def scan_checks(
@@ -533,37 +567,33 @@ def scan_checks(
     checks: frozenset,
     refs: Optional[dict[str, "ray.data.Dataset"]] = None,
     expected_keys: Optional["ray.data.Dataset"] = None,
+    store: Optional[CheckpointStore] = None,
 ) -> SuiteResult:
     """The violations of the row-level ``checks`` (a subset of
     ``ROW_CHECKS``) from ONE scan of ``ds`` (``SuitePass`` per batch),
     then the keyed merge.  Expected keys are read from their ``key``
     column.
 
-    A plain parquet read runs as one task per contiguous share of its
-    files (``relational.shares``), each returning its tagged table; any
-    other Dataset as one ``map_batches`` whose tagged output is
-    materialized.  Either way ``merge_scan`` gates, splits and merges the
-    output: small results land in the result's ``violations``, larger
-    ones stay in ``cluster_violations``, and ``summary["result_tier"]``
-    records the decision."""
+    A plain parquet read takes the file route (``scan_partitions``, with
+    ``store``); any other Dataset runs as one ``map_batches`` whose
+    tagged output is materialized, and refuses a ``store``.  Either way
+    ``merge_scan`` gates, splits and merges the output."""
     names = set(arrow_schema(ds).names)
-    plan = (keyed_plan(spec, names, "decode" in checks) if "keyed" in checks
-            else KeyedPlan(None))
-    body = SuitePass(spec, names, plan, checks,
-                     frozenset(u.predicate for u in spec.universals))
-    if not body.columns:        # no selected check reads a column ds has
-        return SuiteResult()
     files = parquet_read_files(ds)
     if files is not None:
-        outs = [_share_task.remote(share, body) for share in relational.shares(files)]
-        sizes = ray.get([size for _, size in outs])
-        size = (sum(n for n, _ in sizes), sum(b for _, b in sizes))
-        pieces = [t for (t, _), (n, _) in zip(outs, sizes) if n]
-    else:
-        mat = ds.select_columns(body.columns).map_batches(
-            body, batch_format="pyarrow", batch_size=body.batch_size).materialize()
-        size, pieces = (mat.count(), mat.size_bytes() or 0), mat.to_arrow_refs()
-    return merge_scan(size, _refs_on_tier, pieces, plan, spec, refs=refs,
+        return scan_partitions(files, names, spec, checks, refs=refs,
+                               expected_keys=expected_keys, store=store)
+    if store is not None:
+        raise ValueError(f"checkpoint store {store.root}: its resume unit is a file, so it "
+                         "needs a plain parquet read (local files, no filter= or partition "
+                         "columns); this Dataset is not one")
+    body = _suite_pass(spec, names, checks)
+    if not body.columns:        # no selected check reads a column ds has
+        return SuiteResult()
+    mat = ds.select_columns(body.columns).map_batches(
+        body, batch_format="pyarrow", batch_size=body.batch_size).materialize()
+    return merge_scan((mat.count(), mat.size_bytes() or 0), _refs_on_tier,
+                      mat.to_arrow_refs(), body.plan, spec, refs=refs,
                       expected_keys=expected_keys)
 
 

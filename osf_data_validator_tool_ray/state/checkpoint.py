@@ -16,8 +16,9 @@ per partition.  The partitioned runner keeps ONE artifact there,
 ``findings.arrow``: the scan's tagged table (violation rows and keyed
 partial rows) as an uncompressed Arrow IPC file, written as a temp file
 in that directory and renamed once.  Its record names it (``artifact``,
-relative to the root; null when the partition found nothing), and the
-merge reads exactly the files the records name.  Corpus stages publish whole output directories
+relative to the root; null when the partition found nothing) and the
+sorted row-check set it was scanned with (``checks``); the merge reads
+exactly the files the records name.  Corpus stages publish whole output directories
 (``publish_artifact``).
 """
 
@@ -68,9 +69,8 @@ class CheckpointStore:
         return r if r.get("status") == "done" else None
 
     def records(self) -> list[dict]:
-        """Every complete record in partition-id order, each file read
-        once: a caller derives the done set, the summary and the artifact
-        files from this one list."""
+        """Every complete record in partition-id order, each file read once
+        (a run reads its own partitions' records, ``completed_record``)."""
         rec_dir = os.path.join(self.root, "records")
         ids = sorted(f[:-5] for f in os.listdir(rec_dir) if f.endswith(".json"))
         return [r for r in map(self.completed_record, ids) if r]

@@ -8,18 +8,21 @@ import json
 import os
 import shutil
 
+from unittest import mock
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
 
+from osf_data_validator_tool_ray.checks.registry import RunContext, plan_checks
 from osf_data_validator_tool_ray.pipelines.fix import quarantine
 from osf_data_validator_tool_ray.pipelines.partitioned import (
     read_artifacts, run_partitioned, validate_partitioned)
-from osf_data_validator_tool_ray.pipelines.runner import tagged_partials
+from osf_data_validator_tool_ray.pipelines.runner import SUITE, ROW_CHECKS, tagged_partials
 from osf_data_validator_tool_ray.spec import clips_spec
 from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
-from osf_data_validator_tool_ray.synth import write_clips_dataset
+from osf_data_validator_tool_ray.synth import synth_clips, write_clips_dataset
 from tests.test_keyed_tiers import _tier
 
 
@@ -56,6 +59,19 @@ def test_partial_run_resumes_only_missing(dataset, tmp_path):
     rep = validate_partitioned(dataset["clips_dir"] + "/*.parquet", clips_spec(), store)
     assert rep["partitions_skipped"] == 2 and rep["partitions_ran"] == 2
     assert rep["n_rows"] == 400
+
+
+def test_run_merges_only_its_own_partitions(dataset, tmp_path):
+    """A store holding four partitions, validated again for one of them,
+    reports that one partition's rows and findings, not the store's."""
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    validate_partitioned(dataset["clips_dir"] + "/*.parquet", clips_spec(), store)
+    alone = validate_partitioned(files[0], clips_spec(), CheckpointStore(str(tmp_path / "one")))
+    rep = validate_partitioned(files[0], clips_spec(), store)
+    assert rep["partitions_skipped"] == 1 and list(rep["partitions"]) == list(alone["partitions"])
+    for key in ("n_rows", "violations", "warnings"):
+        assert rep[key] == alone[key], key
 
 
 def test_cross_partition_duplicates_caught(dataset, tmp_path):
@@ -256,7 +272,7 @@ def test_partitioned_corrupt_partition_heals_on_rerun(tmp_path):
     import pytest as _pytest
 
     from osf_data_validator_tool_ray.spec import clips_spec
-    from osf_data_validator_tool_ray.synth import write_clips_dataset
+    from osf_data_validator_tool_ray.synth import synth_clips, write_clips_dataset
 
     meta = write_clips_dataset(str(tmp_path / "clips"), n_rows=600, seed=5,
                                defect_rate=0.02, num_shards=3)
@@ -380,7 +396,8 @@ def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
     plan = keyed_plan(spec, set(pq.read_schema(files[0]).names), False)
     universals = frozenset(u.predicate for u in spec.universals)
     store = CheckpointStore(str(tmp_path / "ckpt"))
-    [first] = _run_share([files[0]], spec, store.root, False, plan, universals)
+    checks = ROW_CHECKS - {"decode"}
+    [first] = _run_share([files[0]], spec, store.root, checks, plan, universals)
     pid = first["partition_id"]
 
     def artifacts():
@@ -389,7 +406,7 @@ def test_retried_share_skips_recorded_partitions(dataset, tmp_path):
 
     before = artifacts()
     assert before
-    recs = _run_share(files, spec, store.root, False, plan, universals)
+    recs = _run_share(files, spec, store.root, checks, plan, universals)
     assert [r["partition_id"] for r in recs] == \
         [_partition_basename(f) for f in files]
     assert recs[0] == first == store.completed_record(pid)
@@ -430,3 +447,107 @@ def test_failed_partition_leaves_no_temp_artifacts(tmp_path):
     runs = ("partitions_ran", "partitions_skipped")
     assert {k: v for k, v in rep.items() if k not in runs} \
         == {k: v for k, v in clean.items() if k not in runs}
+
+
+@pytest.mark.parametrize("tier", ["driver", "exchange"])
+def test_store_is_an_input_of_the_one_scan(dataset, tmp_path, tier):
+    """``plan_checks`` with a store reports what it reports without one,
+    and a second run with the store scans no partition."""
+    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    refs = {"refs": ray.data.read_parquet(dataset["refs_path"])}
+    root = str(tmp_path / "ckpt")
+
+    def run(store=None) -> dict:
+        ctx = RunContext(ray.data.read_parquet(files), clips_spec(), refs=refs, store=store)
+        return plan_checks(ctx, [*SUITE, "decode"]).report()
+
+    with _tier(tier):
+        plain, stored, again = run(), run(CheckpointStore(root)), run(CheckpointStore(root))
+    assert plain["violations"]["CARD-MAX-100"] and plain["warnings"]
+    for key in ("violations", "warnings"):
+        assert plain[key] == stored[key] == again[key], key
+    assert stored["partitions_ran"] == 4 and stored["partitions_skipped"] == 0
+    assert again["partitions_ran"] == 0 and again["partitions_skipped"] == 4
+    assert again["result_tier"]["tier"] == tier
+
+
+def test_store_of_another_check_set_fails_closed(dataset, tmp_path):
+    """A store scanned with ``stateless`` alone holds no keyed partials:
+    resumed with ``stateless,keyed`` it would give no keyed verdicts, so
+    it is refused, as is a record that names no check set."""
+    files = sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+
+    def run(entries):
+        return plan_checks(RunContext(ray.data.read_parquet(files), clips_spec(),
+                                      store=store), entries)
+
+    run(["stateless"])
+    assert all(r["checks"] == ["stateless"] for r in store.records())
+    with pytest.raises(ValueError, match="new store") as err:
+        run(["stateless", "keyed"])
+    assert store.root in str(err.value)
+    assert all(r["checks"] == ["stateless"] for r in store.records())
+
+    rec = store.records()[0]
+    store.record(rec["partition_id"], {k: v for k, v in rec.items() if k != "checks"})
+    with pytest.raises(ValueError, match="new store") as err:
+        run(["stateless"])
+    assert rec["partition_id"] in str(err.value)
+
+
+def test_colliding_partition_ids_fail_closed(tmp_path):
+    """Two files with one base name, or one file read twice, would share
+    one record and artifact: the run names both paths and raises before
+    any partition is scanned."""
+    t = synth_clips(200, seed=7, defect_rate=0.1)[0]
+    files = []
+    for i in range(2):
+        os.makedirs(tmp_path / f"d{i}")
+        files.append(str(tmp_path / f"d{i}" / "clips.parquet"))
+        pq.write_table(t.slice(100 * i, 100), files[-1])
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    with pytest.raises(ValueError, match="one record id") as err:
+        validate_partitioned(str(tmp_path / "d*" / "clips.parquet"), clips_spec(), store)
+    assert files[0] in str(err.value) and files[1] in str(err.value)
+    with pytest.raises(ValueError, match="one record id"):
+        plan_checks(RunContext(ray.data.read_parquet([files[0], files[0]]), clips_spec(),
+                               store=store), list(SUITE))
+    assert store.records() == []
+    assert not os.listdir(os.path.join(store.root, "artifacts"))
+
+
+def test_store_needs_a_plain_parquet_read(dataset, tmp_path):
+    """A store given with a Dataset the file route cannot scan (here
+    ``from_arrow``) raises before any check runs."""
+    t = pq.read_table(sorted(glob.glob(dataset["clips_dir"] + "/*.parquet"))[0])
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    with pytest.raises(ValueError, match="plain parquet read"):
+        plan_checks(RunContext(ray.data.from_arrow(t), clips_spec(), store=store),
+                    list(SUITE))
+    assert store.records() == []
+
+
+def test_resume_below_the_gate_builds_no_dataset(dataset, tmp_path):
+    """Below the driver gate the partitioned run and its resume build no
+    Ray Dataset (each would cost more than the resume's merge): with the
+    constructors patched to raise, they report what an unpatched run
+    reports."""
+    pattern = dataset["clips_dir"] + "/*.parquet"
+    want = validate_partitioned(pattern, clips_spec(), CheckpointStore(str(tmp_path / "a")),
+                                decode=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray Dataset was built")
+
+    store = CheckpointStore(str(tmp_path / "b"))
+    with mock.patch.object(ray.data, "read_parquet", refuse), \
+            mock.patch.object(ray.data, "from_arrow_refs", refuse), \
+            mock.patch.object(ray.data, "from_arrow", refuse):
+        fresh = validate_partitioned(pattern, clips_spec(), store, decode=True)
+        resumed = validate_partitioned(pattern, clips_spec(), store, decode=True)
+    assert fresh == want
+    runs = ("partitions_ran", "partitions_skipped")
+    assert resumed["partitions_skipped"] == 4
+    assert {k: v for k, v in resumed.items() if k not in runs} \
+        == {k: v for k, v in want.items() if k not in runs}

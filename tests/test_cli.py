@@ -1,6 +1,6 @@
 """The CLI end to end in a subprocess: its runs (the built-in suite,
---checkpoint-dir, --checks) share one report, violation sink and --fix
-path."""
+--checkpoint-dir, --checks, and --checks with --checkpoint-dir) share one
+report, violation sink and --fix path."""
 
 import json
 import os
@@ -16,7 +16,9 @@ from osf_data_validator_tool_ray.synth import write_clips_dataset
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BRANCHES = {"suite": [],
             "partitioned": ["--checkpoint-dir", "ckpt"],
-            "checks": ["--checks", "schema,spec_completeness,stateless,keyed"]}
+            "checks": ["--checks", "schema,spec_completeness,stateless,keyed"],
+            "checks_stored": ["--checks", "schema,spec_completeness,stateless,keyed",
+                              "--checkpoint-dir", "ckpt"]}
 SUMMARY_KEYS = {"partitions_total", "partitions_skipped", "partitions_ran",
                 "n_rows", "partitions"}
 
@@ -59,10 +61,25 @@ def test_cli_branches_agree(runs):
     assert reports["suite"]["violations"]["CARD-MAX-100"] > 0
     for key in ("violations", "warnings"):
         assert reports["suite"][key] == reports["partitioned"][key] \
-            == reports["checks"][key]
+            == reports["checks"][key] == reports["checks_stored"][key]
     assert set(reports["suite"]) == set(reports["checks"]) \
-        == set(reports["partitioned"]) - SUMMARY_KEYS
+        == set(reports["partitioned"]) - SUMMARY_KEYS \
+        == set(reports["checks_stored"]) - SUMMARY_KEYS
     assert reports["partitioned"]["partitions_total"] == 3
+    assert reports["checks_stored"]["partitions_ran"] == 3
+
+
+def test_cli_rerun_with_checks_skips_every_stored_partition(runs, clips):
+    """--checks with the --checkpoint-dir of an earlier run scans nothing
+    and reports what that run reported."""
+    first, d = runs["checks_stored"]
+    proc = _cli(*_base(clips), *BRANCHES["checks_stored"][:-1], str(d / "ckpt"),
+                "--output-json", str(d / "again.json"))
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    again = json.loads((d / "again.json").read_text())
+    assert again["partitions_skipped"] == 3 and again["partitions_ran"] == 0
+    for key in ("violations", "warnings", "n_rows"):
+        assert again[key] == first[key], key
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
@@ -97,18 +114,6 @@ def test_cli_fix_under_checkpoint_dir_quarantines_merge_time_keys(clips, tmp_pat
     fix = json.loads((tmp_path / "r.json").read_text())["fix"]
     assert fix["n_quarantined"] == len(
         pq.read_table(str(fix_dir / "quarantine"), columns=["clip_id"]))
-
-
-def test_cli_rejects_checks_under_checkpoint_dir(tmp_path):
-    """--checks is a usage error with --checkpoint-dir (the partitioned
-    run would ignore it), raised before any Ray work starts."""
-    from osf_data_validator_tool_ray.cli import main
-
-    with pytest.raises(SystemExit) as exc:
-        main(["--input", str(tmp_path / "*.parquet"), "--checks", "schema",
-              "--checkpoint-dir", str(tmp_path / "ckpt")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "ckpt").exists()
 
 
 def test_cli_drift_profiles_a_table_of_any_spec(tmp_path):

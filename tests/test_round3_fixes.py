@@ -126,7 +126,7 @@ def test_partitioned_all_violating_streams_incrementally(tmp_path, monkeypatch):
     store = CheckpointStore(str(tmp_path / "store"))
     monkeypatch.setattr(runner, "READ_BYTES", 1 << 20)
     monkeypatch.setattr(runner, "BATCH_BYTES", 4 << 20)
-    _run_share([path], spec, store.root, True,
+    _run_share([path], spec, store.root, runner.ROW_CHECKS,
                keyed_plan(spec, set(bad.column_names), True),
                frozenset(u.predicate for u in spec.universals))
     rep = validate_partitioned(str(part_dir / "*.parquet"), spec, store, decode=True)

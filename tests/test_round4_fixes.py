@@ -170,6 +170,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     from osf_data_validator_tool_ray.checks.unified_keyed import keyed_plan
     from osf_data_validator_tool_ray.pipelines.partitioned import (
         _run_share, validate_partitioned)
+    from osf_data_validator_tool_ray.pipelines.runner import ROW_CHECKS
     from osf_data_validator_tool_ray.sources.io import Partition, partition_files
     from osf_data_validator_tool_ray.spec import clips_spec
     from osf_data_validator_tool_ray.state.checkpoint import CheckpointStore
@@ -200,7 +201,7 @@ def test_lance_fragment_partitions_end_to_end(tmp_path, monkeypatch):
     # it must SKIP all fragments and run only the merge
     store = CheckpointStore(str(tmp_path / "store"))
     for p in parts:
-        [m] = _run_share([p], spec, store.root, False, plan, universals)
+        [m] = _run_share([p], spec, store.root, ROW_CHECKS - {"decode"}, plan, universals)
         assert m["lineage"] == p and m["n_rows"] == 30
     rep = validate_partitioned(lance_dir, spec, store)
     assert rep["partitions_total"] == 3

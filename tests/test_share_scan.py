@@ -59,7 +59,8 @@ def _args(files: list[str], decode: bool) -> tuple:
 
 def _share(files, root, decode) -> list[dict]:
     spec, plan, universals = _args(files, decode)
-    return _run_share(files, spec, root, decode, plan, universals)
+    checks = runner.ROW_CHECKS if decode else runner.ROW_CHECKS - {"decode"}
+    return _run_share(files, spec, root, checks, plan, universals)
 
 
 def _artifact(rec: dict, root: str) -> "pa.Table | None":
