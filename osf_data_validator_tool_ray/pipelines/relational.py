@@ -26,8 +26,9 @@ reference dataflow shape (SURVEY.md §2.2):
 
 All are streaming: vectorized map_batches (pyarrow/pandas kernels) plus
 at most ONE hash exchange, preceded by a per-batch partial aggregation
-(combiner) wherever the kernel merges, so the shuffle moves per-key
-partials, not rows.
+(combiner) wherever the kernel merges, so the exchange moves per-key
+partials, not rows.  The exchange is plain Ray tasks: one split task
+per block cuts it into hash partitions, one reduce task per partition.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.block import BlockAccessor
 
 from ..sources.io import arrow_schema
 
@@ -152,6 +154,27 @@ def stable_hash(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return h
 
 
+@ray.remote
+def _split(block, keys: list, parts: int) -> tuple:
+    """The map side of ``by_partition``: a block's rows cut by
+    ``stable_hash(keys) % parts`` into ``parts`` pieces, returned after
+    the list of their row counts."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    part = (stable_hash(t, keys) % np.uint64(parts)).astype(np.int64)
+    t = t.take(np.argsort(part, kind="stable"))
+    bounds = np.r_[0, np.cumsum(np.bincount(part, minlength=parts))]
+    return (np.diff(bounds).tolist(),
+            *(t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])))
+
+
+@ray.remote
+def _reduce(fn: Callable, *pieces: pa.Table) -> pa.Table:
+    """The reduce side of ``by_partition``: ``fn`` once over one
+    partition's pieces, its result as an Arrow table."""
+    out = fn(pa.concat_tables(pieces, promote_options="default"))
+    return out if isinstance(out, pa.Table) else pa.Table.from_pandas(out, preserve_index=False)
+
+
 def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
                  fn: Callable[[pa.Table], "pa.Table | pd.DataFrame"],
                  ) -> "ray.data.Dataset":
@@ -162,19 +185,16 @@ def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
     ``ds`` is materialized once.  When it passes ``fits_driver_merge``,
     or holds no rows, it is pulled to the driver as one Arrow table and
     ``fn`` runs once over it; the result is a one-block Dataset (an
-    empty input thus keeps ``fn``'s column types).  Above the gate
-    ``fn`` runs once per hash partition of ``keys``: one
-    ``map_batches`` tags each row with ``_part = stable_hash(keys) %
-    P``, one sort on ``_part`` puts each partition in one block, and
-    ``fn`` gets each block's rows as one Arrow table (without
-    ``_part``), so it runs at most P times, never once per key.  P is
-    at least 2 and at least the cluster's CPU count, and large enough
-    that a partition of evenly spread keys stays within the
-    ``fits_driver_merge`` budget.  The sort's boundaries are the
-    partitions that hold rows (a sampled boundary range that holds no
-    rows would come out as a column-less block), and 0-row input blocks
-    are dropped before the tagging, so every block ``fn`` gets and
-    every block it returns has one schema."""
+    empty input thus keeps ``fn``'s column types).  Above the gate the
+    exchange is plain Ray tasks: one split task per non-empty block cuts
+    its rows by ``stable_hash(keys) % P`` into P pieces and returns them
+    with their row counts; the driver gets only the counts and submits
+    one reduce task per non-empty partition, which concatenates that
+    partition's pieces and runs ``fn`` once over them, so ``fn`` runs at
+    most P times, never once per key.  The result is a Dataset over the
+    reduce tasks' Arrow tables, computed once.  P is at least 2 and at
+    least the cluster's CPU count, and large enough that a partition of
+    evenly spread keys stays within the ``fits_driver_merge`` budget."""
     mat = ds.materialize()
     rows, size = mat.count(), mat.size_bytes() or 0
     if fits_driver_merge((rows, size)) or rows == 0:
@@ -184,23 +204,13 @@ def by_partition(ds: "ray.data.Dataset", keys: Sequence[str],
     parts = max(2, cpu_slots(),
                 -(-rows // DRIVER_MERGE_THRESHOLD),
                 -(-size // DRIVER_MERGE_MAX_BYTES))
-    keylist = list(keys)
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = stable_hash(t, keylist) % np.uint64(parts)
-        return t.append_column("_part", pa.array(part.astype(np.int64)))
-
-    # Ray hands a 0-row block on without calling ``tag``; its schema,
-    # without ``_part``, would differ from the tagged blocks'
-    blocks = [ref for bundle in mat.iter_internal_ref_bundles()
+    splits = [_split.options(num_returns=parts + 1).remote(ref, list(keys), parts)
+              for bundle in mat.iter_internal_ref_bundles()
               for ref, meta in bundle.blocks if meta.num_rows != 0]
-    tagged = ray.data.from_arrow_refs(blocks).map_batches(
-        tag, batch_format="pyarrow", batch_size=None).materialize()
-    present = sorted(tagged.unique("_part"))
-    grouped = (tagged.sort("_part", boundaries=present[1:]) if len(present) > 1
-               else tagged.repartition(1))
-    return grouped.map_batches(lambda t: fn(t.drop_columns(["_part"])),
-                               batch_format="pyarrow", batch_size=None)
+    counts = ray.get([s[0] for s in splits])
+    return ray.data.from_arrow_refs([
+        _reduce.remote(fn, *[s[p + 1] for s, n in zip(splits, counts) if n[p]])
+        for p in range(parts) if any(n[p] for n in counts)])
 
 
 def order_values(*cols: "pa.ChunkedArray | pa.Array") -> "list[tuple[np.ndarray, np.ndarray]]":
@@ -792,45 +802,34 @@ def hash_join(
     right: "ray.data.Dataset",
     key: str,
     how: str = "inner",
-    num_partitions: Optional[int] = None,
     broadcast_threshold: int = 1_000_000,
-    use_native: Optional[bool] = None,
 ) -> "ray.data.Dataset":
     """Equi-join on ``key``.
 
-    Adaptive (round-2 verdict item #4): small right sides (row+byte
-    gated by ``broadcast_threshold`` / fits_driver_merge) are joined via
-    ``broadcast_join`` (inner/left) or the tagged-union bucket join —
-    NEVER Ray's native ``Dataset.join``, whose Ray 2.49 hash-shuffle
-    aggregator raises ArrowInvalid for partitions that receive zero
-    right-side blocks (it builds a schemaless empty table for them, a
-    sparse right side hits it).  Big-big joins use the native
-    hash-partitioned join when present (Ray >= 2.46), else the portable
-    tagged-union fallback: union both sides with a side marker and run
-    one pandas merge per ``by_partition`` call on the key (the whole
-    union on the driver below its gate).  ``use_native`` pins a path
-    for testing.
+    A small right side (row+byte gated by ``broadcast_threshold`` /
+    fits_driver_merge) is joined by ``broadcast_join`` (inner/left).
+    Every other join is one ``by_partition`` call on the key over the
+    tagged union of both sides, whose kernel splits each partition back
+    into its sides and runs one pandas merge: the whole union on the
+    driver below the gate, else one reduce task per hash partition.
+    Never Ray's native ``Dataset.join``: its Ray 2.49 hash-shuffle
+    aggregator raises ArrowInvalid for a partition that receives no
+    right-side block.
 
     Right-side non-key columns that duplicate a left column name are
     DROPPED on every path (the left side wins), so the output schema
     does not depend on which path the size gate picks.  The size gate
     is a BOUNDED probe, not a full materialization:
-    ``right.limit(threshold+1)`` — the streaming executor early-stops
-    once the limit is satisfied, so a big-big join pins at most
-    threshold+1 rows, stays lazy on the full right side, and
-    ``use_native=True`` skips the probe entirely (laziness preserved
-    for callers that know their shape).  When the probe comes back
+    ``right.limit(threshold+1)``, so a big right side pins at most
+    threshold+1 rows before the exchange.  When the probe comes back
     UNDER the threshold it necessarily holds the whole right side and
-    is reused as the broadcast copy — no second execution.  Caveat:
-    the pandas-kernel paths NaN-promote unmatched left-join columns
-    per batch, as pandas merges do."""
-    n = num_partitions or max(2, cpu_slots())
-    small_right = False
-    if use_native is not True:
-        probe = right.limit(broadcast_threshold + 1).materialize()
-        small_right = fits_driver_merge(probe, broadcast_threshold)
-        if small_right:
-            right = probe       # the probe IS the whole right side
+    is reused as the broadcast copy, with no second execution.  Caveat:
+    the pandas-kernel paths NaN-promote unmatched left-join columns,
+    as pandas merges do."""
+    probe = right.limit(broadcast_threshold + 1).materialize()
+    small_right = fits_driver_merge(probe, broadcast_threshold)
+    if small_right:
+        right = probe       # the probe IS the whole right side
     lcols = list(left.schema().names)
     # right-side columns carried through the join: keep the key (merge
     # needs it on both sides), drop non-key columns duplicated on the left
@@ -838,10 +837,6 @@ def hash_join(
     right = right.select_columns(r_keep)
     if small_right and how in ("inner", "left"):
         return broadcast_join(left, right, key, how=how)
-    if use_native is None:
-        use_native = hasattr(ray.data.Dataset, "join") and not small_right
-    if use_native:
-        return left.join(right, join_type=how, num_partitions=n, on=(key,))
 
     def per_partition(t: pa.Table) -> pd.DataFrame:
         lt, rt = split_sides(t, lcols, r_keep)

@@ -176,7 +176,7 @@ class Partition:
         None for a Lance fragment: its metadata gives no column sizes."""
         if self._file is None:
             return None
-        md, wanted = self._file.metadata, set(columns) if columns else None
+        md, wanted = self._file.metadata, None if columns is None else set(columns)
         size = sum(chunk.total_uncompressed_size
                    for rg in map(md.row_group, range(md.num_row_groups))
                    for chunk in map(rg.column, range(rg.num_columns))
@@ -188,11 +188,12 @@ class Partition:
     def iter_batches(self, batch_size: int = MAX_BATCH_ROWS,
                      columns: Optional[Sequence[str]] = None):
         """Stream record batches of ``batch_size`` rows, reading only
-        ``columns`` (``read_rows`` sizes them by bytes).  A Lance
+        ``columns`` (all when None; none, with the row counts kept, when
+        empty; ``read_rows`` sizes them by bytes).  A Lance
         fragment reads only itself (projection pushed down); a parquet
         file is read on the calling thread (``use_threads=False``): the
         scan runs inside a task that holds one CPU slot."""
-        columns = list(columns) if columns else None
+        columns = None if columns is None else list(columns)
         if self._file is None:
             return self._lance[1].to_batches(columns=columns, batch_size=batch_size)
         return self._file.iter_batches(batch_size=batch_size, columns=columns,

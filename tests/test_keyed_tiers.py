@@ -7,6 +7,7 @@ typed."""
 
 import contextlib
 import logging
+import uuid
 from unittest import mock
 
 import numpy as np
@@ -153,16 +154,25 @@ def test_exchange_tier_hashes_the_key_value_alone(case):
     assert got["exchange"] == got["driver"]
 
 
-def _by_partition_calls(tier: str) -> list:
+def _by_partition_calls(tier: str, tmp_path) -> list:
     """One row per ``by_partition`` call over 5,000 keys of two rows each
-    in 8 blocks: the call's row count and its sorted keys."""
+    in 8 blocks: the call's row count and its sorted keys.  Each call
+    also leaves a marker file, and the output is consumed three times:
+    one marker per call shows it was computed once."""
     keys = np.arange(5000)
     ds = ray.data.from_arrow(pa.table({"k": np.concatenate([keys, keys[::-1]])})) \
         .repartition(8)
+
+    def fn(t: pa.Table) -> pa.Table:
+        (tmp_path / uuid.uuid4().hex).touch()
+        return pa.table({"n": [t.num_rows], "keys": [sorted(set(t.column("k").to_pylist()))]})
+
     with _tier(tier), _schema_warnings() as warned:
-        out = rel.by_partition(ds, ["k"], lambda t: pa.table({
-            "n": [t.num_rows], "keys": [sorted(set(t.column("k").to_pylist()))]}))
+        out = rel.by_partition(ds, ["k"], fn)
+        n = out.count()
         calls = [r for b in _blocks(out) for r in b.to_pylist()]
+        assert len(out.take_all()) == n == len(calls)
+    assert len(list(tmp_path.iterdir())) == len(calls)
     assert sum(c["n"] for c in calls) == 10_000
     # every key meets all its rows in exactly one call
     assert sorted(k for c in calls for k in c["keys"]) == keys.tolist()
@@ -170,12 +180,12 @@ def _by_partition_calls(tier: str) -> list:
     return calls
 
 
-def test_by_partition_calls_fn_at_most_once_per_partition():
-    assert 1 < len(_by_partition_calls("exchange")) <= 4   # P = the session's 4 CPUs
+def test_by_partition_calls_fn_at_most_once_per_partition(tmp_path):
+    assert 1 < len(_by_partition_calls("exchange", tmp_path)) <= 4   # P = the session's 4 CPUs
 
 
-def test_by_partition_driver_tier_calls_fn_once():
-    assert len(_by_partition_calls("driver")) == 1
+def test_by_partition_driver_tier_calls_fn_once(tmp_path):
+    assert len(_by_partition_calls("driver", tmp_path)) == 1
 
 
 @pytest.mark.parametrize("empty", ["zero_rows", "zero_blocks"])

@@ -203,14 +203,14 @@ def test_interval_join(tier, how):
 @pytest.mark.parametrize("how", ["inner", "outer"])
 @pytest.mark.parametrize("tier", TIERS)
 def test_hash_join_fallback(tier, how):
-    """``use_native=False`` with a right side over ``broadcast_threshold``:
-    the tagged-union fallback on both tiers."""
+    """A right side over ``broadcast_threshold``: the tagged-union
+    ``by_partition`` join on both tiers."""
     rng = np.random.default_rng(2)
     left = pd.DataFrame({"k": rng.integers(0, 40, 300), "lv": np.arange(300)})
     right = pd.DataFrame({"k": rng.integers(20, 60, 200), "rv": np.arange(200) * 10})
     got = _run(tier, lambda: rel.hash_join(
         ray.data.from_pandas(left).repartition(3), ray.data.from_pandas(right).repartition(2),
-        "k", how=how, broadcast_threshold=50, use_native=False))
+        "k", how=how, broadcast_threshold=50))
     want = left.merge(right, on="k", how=how)
     _same(got.fillna(-1), want.fillna(-1), ["k", "lv", "rv"], float_cols={"lv", "rv"})
 
@@ -299,9 +299,9 @@ def test_no_hand_rolled_exchange_outside_the_kept_sites():
     """``by_partition`` is the one per-key primitive: the package and
     ``__ray_entry__.py`` hold no ``map_groups(``, and a Dataset
     ``.sort(`` (any ``.sort(`` not on numpy) or a ``ray.data.aggregate``
-    import only at the kept sites: ``by_partition``'s own sort, the sort
-    tier of ``drift``'s exact KS, ``unigram_logprob_scores``' sort-limit
-    and total, and the CLI's sorted violation sink."""
+    import only at the kept sites: the sort tier of ``drift``'s exact KS,
+    ``unigram_logprob_scores``' sort-limit and total, and the CLI's
+    sorted violation sink."""
     root = pathlib.Path(rel.__file__).resolve().parents[1]
     files = sorted(root.rglob("*.py")) + [root.parent / "__ray_entry__.py"]
     sites = set()
@@ -328,7 +328,6 @@ def test_no_hand_rolled_exchange_outside_the_kept_sites():
                 site(n.lineno, "ray.data.aggregate")
     pkg = root.name
     assert sites == {
-        (f"{pkg}/pipelines/relational.py", "by_partition", "sort"),
         (f"{pkg}/checks/drift.py", "_sorted_exchange_ks", "sort"),
         (f"{pkg}/checks/drift.py", "_sorted_exchange_ks", "ray.data.aggregate"),
         (f"{pkg}/pipelines/training.py", "unigram_logprob_scores", "sort"),

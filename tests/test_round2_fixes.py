@@ -60,8 +60,8 @@ def test_spec_zero_bound_enforced_after_roundtrip():
 
 
 def test_hash_join_fallback(monkeypatch):
-    """Force the portable tagged-union path (Ray < 2.46 analog) and
-    compare against pandas merge."""
+    """hash_join needs no Ray native ``Dataset.join``: without it the
+    join still equals a pandas merge."""
     from osf_data_validator_tool_ray.pipelines import relational
 
     left = pd.DataFrame({"k": [1, 2, 2, 3], "lv": ["a", "b", "c", "d"]})

@@ -83,8 +83,7 @@ def test_hash_join_big_right_still_works():
     right = pd.DataFrame({"k": np.arange(50), "y": np.arange(50) * 2})
     got = hash_join(ray.data.from_pandas(left).repartition(4),
                     ray.data.from_pandas(right).repartition(4),
-                    "k", broadcast_threshold=0,
-                    use_native=False).to_pandas()
+                    "k", broadcast_threshold=0).to_pandas()
     want = left.merge(right, on="k")
     assert len(got) == len(want)
     assert got["y"].sum() == want["y"].sum()

@@ -228,3 +228,28 @@ def test_split_refuses_a_row_without_its_partition():
     bad = t.set_column(1, "_part", pa.array([1, None, 1, 3], pa.int32()))
     with pytest.raises(ValueError):
         list(_by_partition(bad))
+
+
+def test_scan_reading_no_column_reads_no_column(tmp_path, monkeypatch):
+    """A share whose checks read no column of its files (``keyed`` with
+    a keyless spec) asks the file for an empty column list and gets
+    batches of no column, not every column; its records still count
+    the files' rows."""
+    from osf_data_validator_tool_ray.pipelines.partitioned import KeyedPlan
+    from osf_data_validator_tool_ray.sources.io import Partition
+    from osf_data_validator_tool_ray.spec import ConstraintSpec
+
+    files = _write_share(tmp_path / "in", 2, seed=3)
+    asked, read, real = [], [], Partition.iter_batches
+
+    def spy(self, batch_size, columns=None):
+        asked.append(columns)
+        for rb in real(self, batch_size, columns):
+            read.append(rb.num_columns)
+            yield rb
+
+    monkeypatch.setattr(Partition, "iter_batches", spy)
+    recs = _run_share(files, ConstraintSpec(table="t"), str(tmp_path / "store"),
+                      frozenset({"keyed"}), KeyedPlan(None), frozenset())
+    assert asked == [[], []] and read and set(read) == {0}
+    assert [r["n_rows"] for r in recs] == [ROWS, ROWS]
