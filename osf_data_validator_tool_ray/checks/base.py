@@ -51,15 +51,6 @@ def empty_violations() -> pa.Table:
     return _EMPTY_VIOLATIONS
 
 
-def union_all(parts: list) -> "ray.data.Dataset":
-    """One Dataset of all ``parts``; no parts is an empty violations
-    Dataset (``Dataset.union`` needs at least one other Dataset)."""
-    if not parts:
-        import ray.data
-        return ray.data.from_arrow(empty_violations())
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
-
 def make_violations(
     check_id: str,
     keys: Iterable,

@@ -63,8 +63,9 @@ def parse_check_entry(entry: str) -> tuple[str, dict[str, str]]:
 
 def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
     """Plan every configured check into one SuiteResult: driver-side
-    pyarrow Tables join its in-process ``violations``, violation
-    Datasets its ``cluster_violations`` (unknown names raise, like an
+    pyarrow Tables join its in-process ``violations``; violation
+    Datasets run once into its ``cluster_violations`` refs, which the
+    scan's own refs join unchanged (unknown names raise, like an
     unloadable class).  Every entry is parsed, and a Dataset whose schema
     Ray cannot know (no blocks, e.g. a filter that drops every row)
     raises, before any check runs.  The row-level entries run first, in
@@ -89,9 +90,8 @@ def plan_checks(ctx: RunContext, entries: list[str]) -> SuiteResult:
         scan = scan_checks(ctx.ds, ctx.spec, frozenset(row_checks), refs=ctx.refs,
                            expected_keys=ctx.expected_keys, store=ctx.store)
         parts += [scan.violations, unevaluable_warnings(
-            schema, ctx.spec, ref_tables=set(ctx.refs) if ctx.refs is not None else None)]
-        if scan.cluster_violations is not None:
-            parts.append(scan.cluster_violations)
+            schema, ctx.spec, ref_tables=set(ctx.refs) if ctx.refs is not None else None),
+            *scan.cluster_violations]
         summary = scan.summary
     parts += [res for fn, params in planners if (res := fn(ctx, **params)) is not None]
     return SuiteResult.of(parts, summary)

@@ -56,7 +56,7 @@ import pyarrow as pa
 import ray.data
 
 from ..spec import Cardinality, ConstraintSpec, Existential
-from .base import empty_violations, make_violations, union_all
+from .base import empty_violations, make_violations
 from .cardinality import _PartialAggregator
 from .predicates import PREDICATE_COLUMNS
 from ..stages.base_ids import (
@@ -212,8 +212,9 @@ def keyed_violations(
         merged = pa.concat_tables([p for p in parts if p.num_rows] or parts[:1],
                                   promote_options="default")
     else:
-        merged = union_all([ray.data.from_arrow(p) if isinstance(p, pa.Table) else p
-                            for p in parts])
+        # Dataset.union needs at least one other Dataset
+        merged = [ray.data.from_arrow(p) if isinstance(p, pa.Table) else p for p in parts]
+        merged = merged[0].union(*merged[1:]) if len(merged) > 1 else merged[0]
 
     ref_col = spec.ref_integrity[0].ref_column if spec.ref_integrity else "key"
     have_expected = expected_keys is not None   # emit must not capture a Dataset

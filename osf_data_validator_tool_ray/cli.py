@@ -20,6 +20,7 @@ Differences from the reference, by design:
   * one executor, the registry's run of an entry list (--checks, default
     the built-in suite; --decode adds `decode`), returns one SuiteResult,
     so the report, violation sink, drift and --fix are one code path;
+    its rows are computed once, and the sink and report read them;
     --checkpoint-dir makes its scan persist each file's findings there
     and resume from them (a re-run scans only the files not recorded)
   * --fix quarantines rows instead of mutating the source (see
@@ -63,8 +64,6 @@ def main(argv: list[str] | None = None) -> int:
                     "default: the built-in suite; --decode adds 'decode'")
     ap.add_argument("--num-cpus", type=int,
                     help="Ray CPU slots (default: the host's CPU count)")
-    ap.add_argument("--stats", action="store_true",
-                    help="print ray Dataset per-stage stats to stderr")
     args = ap.parse_args(argv)
 
     import ray.data
@@ -73,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
                  ignore_reinit_error=True, logging_level="ERROR")
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    from .pipelines.runner import SUITE, SuiteResult, render_xml
+    from .pipelines.runner import SUITE, render_xml
     from .spec import clips_spec, spec_from_dict
 
     if args.spec:
@@ -99,18 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         # diffs (SURVEY §7.4)
         res.to_dataset().sort(["check_id", "key", "column"]) \
             .write_parquet(args.violations_dir)
-        if res.cluster_violations is not None:
-            # the report then reads the sink, not the pipeline again
-            written = glob.glob(os.path.join(args.violations_dir, "*.parquet"))
-            res = SuiteResult(cluster_violations=ray.data.read_parquet(written)
-                              if written else None, summary=res.summary)
         res.summary["violations_dir"] = args.violations_dir
     report = res.report()
-    if args.stats and res.cluster_violations is not None:
-        try:
-            print(res.cluster_violations.stats(), file=sys.stderr)
-        except Exception:   # stats() availability varies by plan shape
-            pass
     if args.output_xml:
         with open(args.output_xml, "w") as f:
             f.write(render_xml(report))
@@ -156,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
         from .pipelines.fix import quarantine
         # rows on the cluster send only their distinct keys to the driver
-        keys = (res.to_dataset().unique("key") if res.cluster_violations is not None
+        keys = (res.to_dataset().unique("key") if res.cluster_violations
                 else pc.unique(res.violations.column("key")).to_pylist())
         bad = {k for k in keys or () if k is not None}
         # a CLI re-run owns its --fix-dir: clear stale parts rather than

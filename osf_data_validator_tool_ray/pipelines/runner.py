@@ -30,14 +30,14 @@ ONE scan of the input, ``scan_checks``:
      bytes; below it the output is pulled to the driver ONCE and split
      in process (``tagged_violations`` / ``tagged_partials``), above it
      it stays on the cluster (``ray.data.from_arrow_refs``) and is split
-     by two maps
+     by two maps, each run once into the result's object refs
   3. ONE merge for ALL keyed constraints (cardinality, referential
      existence, existential, zero-edge) over those partials
      (checks/unified_keyed.keyed_violations), inside ``merge_scan``
 
 Trade-off: the keyed merge follows the scan instead of overlapping it.
 Below the driver gate everything after the scan (split, keyed merge,
-severity counts, report sample) runs in process on Arrow tables: the
+report counts and sample) runs in process on Arrow tables: the
 rows are few, and a Ray execution per step would cost ~25 ms of
 scheduling for ~4 ms of work.  For the same reason a refs / expected-key
 side that is a plain parquet read under the gate is read by its files
@@ -47,10 +47,11 @@ per file: a task's scheduling costs about a small file's scan.  Other
 Datasets stay on ``map_batches``: streaming their block refs into plain
 tasks measured slower.
 
-``SuiteResult`` is the one result type and ``SuiteResult.report`` the
-one report builder (``render_xml`` renders one as XML): its ``checks``
-cover ``ALL_CHECK_IDS`` plus every id a run actually emitted, and a run
-passes only with no ERROR-severity row of any id.
+``SuiteResult`` is the one result type, its rows computed once (a
+driver table and object refs), and ``SuiteResult.report`` the one
+report builder (``render_xml`` renders one as XML): its ``checks`` cover
+``ALL_CHECK_IDS`` plus every id a run actually emitted, and a run passes
+only with no ERROR-severity row of any id.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import ray
 import ray.data
 
 from .. import audio
-from ..checks.base import VIOLATION_SCHEMA, empty_violations, union_all
+from ..checks.base import VIOLATION_SCHEMA, empty_violations
 from ..checks.schema import (
     schema_violations,
     spec_completeness_violations,
@@ -105,94 +106,67 @@ ALL_CHECK_IDS = [
 ]
 
 
+# the report sample's order: errors before warnings, then by check id,
+# key, column, observed, expected, so equal results give equal samples
+SAMPLE_ORDER = [(c, "ascending") for c in ("severity", "check_id", "key",
+                                           "column", "observed", "expected")]
+
+
+def _first(t: pa.Table, n: int) -> pa.Table:
+    """The first ``n`` rows of ``t`` in ``SAMPLE_ORDER``."""
+    k = min(n, t.num_rows)
+    return t.take(pc.select_k_unstable(t, k, SAMPLE_ORDER)) if k else t.slice(0, 0)
+
+
+def _digest(t: pa.Table, n: int) -> tuple[pa.Table, pa.Table]:
+    """One violations table's count per (check id, severity) and its
+    ``_first`` ``n`` rows (none when Ray lost an empty block's columns)."""
+    if not t.num_columns:
+        t = empty_violations()
+    return t.group_by(["check_id", "severity"]).aggregate([([], "count_all")]), _first(t, n)
+
+
+_digest_task = ray.remote(_digest)
+
+
 @dataclass
 class SuiteResult:
     """The violation rows of a run, where they live: ``violations`` on
     the driver (driver-side checks plus every small scan result, one
-    ``pa.Table``), ``cluster_violations`` on the cluster (a Dataset, only
-    for rows over the driver gate or from Dataset-returning registry
-    entries; None when there are none).  ``summary`` carries executor
-    facts merged into the report (partition counts, ``result_tier``)."""
+    ``pa.Table``), ``cluster_violations`` on the cluster (object refs to
+    Arrow tables, each computed once: rows over the driver gate and the
+    output of Dataset-returning registry entries; empty when there are
+    none).  ``summary`` carries executor facts merged into the report
+    (partition counts, ``result_tier``)."""
 
     violations: pa.Table = field(default_factory=empty_violations)
-    cluster_violations: Optional["ray.data.Dataset"] = None
+    cluster_violations: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, parts: list, summary: Optional[dict] = None) -> "SuiteResult":
         """One result from violation parts: ``pa.Table`` parts concatenate
-        on the driver, Dataset parts union on the cluster."""
+        on the driver, object refs are kept, and a Dataset part runs once
+        here into its blocks' refs (``to_arrow_refs``)."""
         tables = [p for p in parts if isinstance(p, pa.Table)]
-        datasets = [p for p in parts if not isinstance(p, pa.Table)]
-        return cls(pa.concat_tables([empty_violations(), *tables]),
-                   union_all(datasets) if datasets else None, summary or {})
+        refs = [r for p in parts if not isinstance(p, pa.Table)
+                for r in ([p] if isinstance(p, ray.ObjectRef) else p.to_arrow_refs())]
+        return cls(pa.concat_tables([empty_violations(), *tables]), refs, summary or {})
 
     def to_arrow(self) -> pa.Table:
         """Every violation row as one table (pulls the cluster part)."""
-        if self.cluster_violations is None:
-            return self.violations
-        return pa.concat_tables(
-            [self.violations, *self.cluster_violations.iter_batches(
-                batch_format="pyarrow", batch_size=None)],
-            promote_options="default")
+        return pa.concat_tables([self.violations, *ray.get(self.cluster_violations)],
+                                promote_options="default")
 
     def to_pandas(self):
         """``to_arrow()`` as a DataFrame."""
         return self.to_arrow().to_pandas()
 
     def to_dataset(self) -> "ray.data.Dataset":
-        """Every violation row as one Dataset, for Dataset consumers (the
-        CLI's parquet sink)."""
-        return union_all([ray.data.from_arrow(self.violations),
-                          *([self.cluster_violations]
-                            if self.cluster_violations is not None else [])])
-
-    def severity_counts(self) -> tuple[dict[str, int], dict[str, int]]:
-        """(errors, warnings): violation count per check id — warnings
-        and errors are structurally separated like the reference's -5x /
-        -10x id split.  The driver rows are counted in process; a cluster
-        part is counted per block where it lives and the per-block counts
-        merge on the driver (tiny), so the count takes no hash exchange."""
-        def count(t: pa.Table) -> pa.Table:
-            return t.group_by(["check_id", "severity"]).aggregate([([], "count_all")])
-
-        parts = [count(self.violations)]
-        if self.cluster_violations is not None:
-            parts += self.cluster_violations.map_batches(
-                count, batch_format="pyarrow", batch_size=None).iter_batches(
-                batch_format="pyarrow", batch_size=None)
-        total = pa.concat_tables(parts).group_by(["check_id", "severity"]) \
-            .aggregate([("count_all", "sum")]).to_pydict()
-        counts = ({}, {})
-        for cid, sev, n in zip(total["check_id"], total["severity"],
-                               total["count_all_sum"]):
-            counts[sev == "warning"][cid] = n
-        return counts
-
-    def _sample(self, n: int) -> list[dict]:
-        """``n`` violation rows in a fixed order (errors before warnings,
-        then by check id, key, column, observed, expected), so equal
-        results give equal samples: the driver rows first; a cluster part
-        tops them up with its first rows in the same order (each block's
-        first ``n``, merged on the driver)."""
-        order = [(c, "ascending") for c in ("severity", "check_id", "key",
-                                             "column", "observed", "expected")]
-
-        def first(t: pa.Table) -> pa.Table:
-            k = min(n, t.num_rows)
-            return t.take(pc.select_k_unstable(t, k, order)) if k else t.slice(0, 0)
-
-        if not n:
-            return []
-        rows = first(self.violations).to_pylist()
-        if len(rows) < n and self.cluster_violations is not None:
-            tops = list(self.cluster_violations.map_batches(
-                first, batch_format="pyarrow", batch_size=None).iter_batches(
-                batch_format="pyarrow", batch_size=None))
-            if tops:
-                rows += first(pa.concat_tables(tops, promote_options="default")) \
-                    .to_pylist()[:n - len(rows)]
-        return rows
+        """Every violation row as one Dataset over the computed tables, for
+        Dataset consumers (the CLI's parquet sink)."""
+        return ray.data.from_arrow_refs([ray.put(self.violations),
+                                         *self.cluster_violations])
 
     def report_xml(self, sample: int = 20) -> str:
         """``render_xml`` of ``report(sample)``."""
@@ -203,8 +177,18 @@ class SuiteResult:
         any check id, built-in or registry); warnings are reported but
         non-fatal (the reference's warning rows never fail a check
         either).  ``violations``/``warnings`` map each id with rows to
-        its count; ``sample=0`` reads no violation rows."""
-        errors, warns = self.severity_counts()
+        its count.  Each table is digested once per call (``_digest``:
+        the driver table in process, each cluster ref in one plain Ray
+        task) and the digests merge on the driver, so the sample is the
+        first ``sample`` rows of all of them on either tier."""
+        digests = [_digest(self.violations, sample), *ray.get(
+            [_digest_task.remote(r, sample) for r in self.cluster_violations])]
+        total = pa.concat_tables([c for c, _ in digests]).group_by(
+            ["check_id", "severity"]).aggregate([("count_all", "sum")]).to_pydict()
+        errors, warns = {}, {}
+        for cid, sev, n in zip(total["check_id"], total["severity"],
+                               total["count_all_sum"]):
+            (warns if sev == "warning" else errors)[cid] = n
         checks = {
             cid: {"pass": errors.get(cid, 0) == 0,
                   "n_violations": errors.get(cid, 0),
@@ -218,7 +202,8 @@ class SuiteResult:
             "checks": checks,
             "violations": errors,
             "warnings": warns,
-            "violations_sample": self._sample(sample),
+            "violations_sample": _first(pa.concat_tables(
+                [f for _, f in digests], promote_options="default"), sample).to_pylist(),
         }
 
 
@@ -502,9 +487,9 @@ def merge_scan(
     fits_driver_merge`` picks the tier, ``read(pieces, on_driver)`` reads
     them on it once (a ``pa.Table`` on the driver, a Dataset of blocks on
     the cluster), ``tagged_violations`` / ``tagged_partials`` split
-    them (by one map each on the cluster), and the keyed pass merges the
-    partials when ``plan`` has a key; ``summary["result_tier"]`` records
-    the decision."""
+    them (on the cluster by one map each, run once into the result's
+    refs), and the keyed pass merges the partials when ``plan`` has a
+    key; ``summary["result_tier"]`` records the decision."""
     on_driver = relational.fits_driver_merge(size)
     gate = {"tier": "driver" if on_driver else "exchange",
             "rows": size[0], "bytes": size[1]}

@@ -105,8 +105,9 @@ def test_partitioned_runs_the_suite_schema_checks(tmp_path):
     for f in glob.glob(meta["clips_dir"] + "/*.parquet"):
         pq.write_table(pq.read_table(f).drop_columns(["codec"]), f)
     spec = clips_spec()
-    errors, warnings = run_suite(ray.data.read_parquet(meta["clips_dir"]), spec,
-                                 decode=True).severity_counts()
+    suite = run_suite(ray.data.read_parquet(meta["clips_dir"]), spec,
+                      decode=True).report()
+    errors, warnings = suite["violations"], suite["warnings"]
     rep = validate_partitioned(meta["clips_dir"] + "/*.parquet", spec,
                                CheckpointStore(str(tmp_path / "ckpt")), decode=True)
     assert errors.get("SCHEMA-COLUMN-101") == 1

@@ -1,8 +1,11 @@
 """Small results stay on the driver: below the driver gate the suite's
 tagged scan output and the partitioned runner's stored artifacts are
 pulled once and split, merged, counted and sampled in process; above it
-(forced with ``test_keyed_tiers._tier``) they stay Datasets.  Both tiers
-give the same report, and the report records the tier it took."""
+(forced with ``test_keyed_tiers._tier``) they stay on the cluster as
+object refs, computed once.  Both tiers give the same report, and the
+report records the tier it took."""
+
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -55,7 +58,7 @@ def test_reports_record_the_result_tier(reports, tier):
         assert gate["tier"] == tier
         assert gate["rows"] > 0 and gate["bytes"] > 0
     # the driver tier leaves nothing on the cluster
-    assert (res.cluster_violations is None) == (tier == "driver")
+    assert (not res.cluster_violations) == (tier == "driver")
 
 
 def test_tiers_report_the_same_verdicts(reports, clips):
@@ -63,6 +66,53 @@ def test_tiers_report_the_same_verdicts(reports, clips):
     for key in ("violations", "warnings", "pass"):
         assert s_drv[key] == s_exc[key] == p_drv[key] == p_exc[key], key
     assert s_drv["violations"]["REF-EXISTENCE-100"] == len(clips["dangling_refs"])
+
+
+def test_tiers_give_equal_reports_with_driver_rows(clips):
+    """Without ``codec`` the driver table holds a SCHEMA-COLUMN-101 row
+    beside the cluster's rows; both tiers still give the whole report
+    equal, its sample included."""
+    names = ray.data.read_parquet(clips["clips_dir"]).schema().names
+    cols = [c for c in names if c != "codec"]
+    got = {}
+    for tier in ("driver", "exchange"):
+        with _tier(tier):
+            res = run_suite(ray.data.read_parquet(clips["clips_dir"], columns=cols),
+                            clips_spec(), decode=True,
+                            refs={"refs": ray.data.read_parquet(clips["refs_path"])})
+        assert (not res.cluster_violations) == (tier == "driver")
+        got[tier] = {k: v for k, v in res.report().items() if k != "result_tier"}
+    assert got["driver"]["violations"]["SCHEMA-COLUMN-101"] == 1
+    assert got["driver"] == got["exchange"]
+
+
+def test_a_result_is_computed_once(clips):
+    """Above the gate a result's cluster rows are computed once, in the
+    run: with Ray Data's maps and batch reads made to raise, its reports
+    (equal, however often asked), XML, rows and Dataset still come."""
+    import pandas as pd
+
+    from osf_data_validator_tool_ray.checks.registry import RunContext, plan_checks
+
+    fact = pd.DataFrame({"k": [1, 1, 2], "seq": [1, 2, 1],
+                         "ts": pd.to_datetime([20, 10, 30], unit="s")})
+    with _tier("exchange"):
+        results = [_suite(clips), plan_checks(
+            RunContext(ray.data.from_pandas(fact), clips_spec()),
+            ["sequence_order?key=k&ts=ts&seq=seq"])]
+
+    def rerun(*args, **kwargs):
+        raise AssertionError("a Ray Data execution ran again")
+
+    with mock.patch.object(ray.data.Dataset, "map_batches", rerun), \
+            mock.patch.object(ray.data.Dataset, "iter_batches", rerun):
+        for res in results:
+            assert res.cluster_violations
+            rep = res.report()
+            assert res.report() == rep
+            assert res.report_xml()
+            n = sum(rep["violations"].values()) + sum(rep["warnings"].values())
+            assert res.to_arrow().num_rows == res.to_dataset().count() == n > 0
 
 
 def test_tiers_hold_the_same_rows(reports):
@@ -127,20 +177,19 @@ def test_cli_counts_the_violations_once_above_the_gate(clips, tmp_path):
     already built, so the cluster part (the keyed exchange, above the
     gate) is counted once, not once per report."""
     import xml.etree.ElementTree as ET
-    from unittest import mock
 
     from osf_data_validator_tool_ray import cli
     from osf_data_validator_tool_ray.pipelines.runner import SuiteResult
 
     xml = tmp_path / "r.xml"
     with _tier("exchange"), mock.patch("ray.shutdown"), mock.patch.object(
-            SuiteResult, "severity_counts", autospec=True,
-            side_effect=SuiteResult.severity_counts) as counts:
+            SuiteResult, "report", autospec=True,
+            side_effect=SuiteResult.report) as reports:
         code = cli.main(["--input", clips["clips_dir"] + "/*.parquet",
                          "--refs", clips["refs_path"],
                          "--output-json", str(tmp_path / "r.json"),
                          "--output-xml", str(xml)])
     assert code == 1
-    assert counts.call_count == 1
+    assert reports.call_count == 1
     checks = {el.get("id"): el.get("violations") for el in ET.parse(xml).getroot()}
     assert checks["REF-EXISTENCE-100"] == str(len(clips["dangling_refs"]))
